@@ -21,6 +21,7 @@ from .diagram import (
     MultiplicityMatrix,
     dilate_step,
     format_bdspec,
+    is_ascii_uint,
     normalize_type2,
     parse_bdspec,
     telescope,
@@ -86,17 +87,17 @@ def _load_input(ref):
         return "matrix", entry.matrix()
     text = _read(ref)
     meat = [
-        ln.strip()
-        for ln in text.splitlines()
+        (no, ln.strip())
+        for no, ln in enumerate(text.splitlines(), start=1)
         if ln.strip() and not ln.strip().startswith("#")
     ]
-    if meat and meat[0] == "bdspec v1":
+    if meat and meat[0][1] == "bdspec v1":
         return "diagram", parse_bdspec(text, name=ref)
     rows = []
-    for ln in meat:
+    for no, ln in meat:
         toks = ln.split()
-        if not all(t.isdigit() for t in toks):
-            raise UsageError(f"{ref}: neither a bdspec file nor a bare matrix")
+        if not all(is_ascii_uint(t) for t in toks):
+            raise UsageError(f"{ref}: line {no}: neither a bdspec file nor a bare matrix")
         rows.append([int(t) for t in toks])
     if not rows:
         raise UsageError(f"{ref}: empty input")

@@ -459,16 +459,7 @@ def dilate_step(mat):
 
     rows = mat.to_lists()
     # collect an invertible bottom block scanning upward from the last row
-    bottom = []
-    picked = []
-    for i in range(r - 1, -1, -1):
-        if len(picked) == c:
-            break
-        trial = [rows[i]] + [rows[p] for p in picked]
-        if matops.rank(trial) > matops.rank([rows[p] for p in picked] or [[0] * c]):
-            picked.append(i)
-    picked.reverse()
-    bottom = picked
+    bottom = sorted(matops.independent_rows(rows, order=range(r - 1, -1, -1)))
     top = [i for i in range(r) if i not in set(bottom)]
     row_order = tuple(top + bottom)
     pm = [rows[i] for i in row_order]
@@ -577,6 +568,12 @@ def format_bdspec(diagram):
     return "\n".join(lines) + "\n"
 
 
+def is_ascii_uint(tok):
+    """ASCII digits only: str.isdigit() also accepts digits such as '²' that
+    int() rejects."""
+    return tok.isascii() and tok.isdigit()
+
+
 class BdspecParseError(ValueError):
     """Malformed bdspec text; carries the 1-based source line number."""
 
@@ -601,7 +598,7 @@ def parse_bdspec(text, name=""):
     shape_words = lines[1][1][len("shape:"):].split()
     if shape_words == ["type2"]:
         shape = ShapeClass("type2")
-    elif len(shape_words) == 2 and shape_words[0] == "type1" and shape_words[1].isdigit():
+    elif len(shape_words) == 2 and shape_words[0] == "type1" and is_ascii_uint(shape_words[1]):
         shape = ShapeClass("type1", int(shape_words[1]))
     elif shape_words == ["irregular"]:
         shape = ShapeClass("irregular")
@@ -615,11 +612,11 @@ def parse_bdspec(text, name=""):
         no, ln = lines[i]
         if ln.startswith("matrix "):
             head = ln[len("matrix "):].rstrip(":")
-            if not head.isdigit() or int(head) != len(mats):
+            if not is_ascii_uint(head) or int(head) != len(mats):
                 raise BdspecParseError(no, f"matrix blocks must be consecutive, got {ln!r}")
             i += 1
             rows = []
-            while i < len(lines) and lines[i][1][0].isdigit():
+            while i < len(lines) and is_ascii_uint(lines[i][1][0]):
                 row_no, row_ln = lines[i]
                 try:
                     rows.append([int(t) for t in row_ln.split()])
@@ -637,7 +634,7 @@ def parse_bdspec(text, name=""):
                 tail = None
             elif len(words) == 2 and words[0] == "family":
                 tail = FamilyTail(words[1])
-            elif len(words) == 2 and words[0] == "periodic" and words[1].isdigit():
+            elif len(words) == 2 and words[0] == "periodic" and is_ascii_uint(words[1]):
                 period = int(words[1])
                 templates = []
                 while i < len(lines) and lines[i][1] == "template:":

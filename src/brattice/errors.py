@@ -39,10 +39,6 @@ class Uncertified(BratticeError, ValueError):
     """A comparison was asked to rely on uncertified census data."""
 
 
-class CompletionNotFound(BratticeError, ValueError):
-    """No nonsingular integer completion column was found in the search."""
-
-
 class SingularCompletion(BratticeError, ValueError):
     """A supplied completion matrix is singular."""
 

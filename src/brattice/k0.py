@@ -16,7 +16,6 @@ from fractions import Fraction
 from . import matops
 from .diagram import MultiplicityMatrix, multiplicity_rank
 from .errors import (
-    CompletionNotFound,
     DepthExceeded,
     NotInK0,
     NotUniqueMinimal,
@@ -40,7 +39,11 @@ from .reduction import is_unique_minimal
 
 @dataclass(frozen=True)
 class Auto:
-    """Try standard basis columns, then small {0,1,2} columns."""
+    """The first standard basis column that makes the square invertible.
+
+    A rank-c (c+1) x c matrix spans only c dimensions, so some e_i lies
+    outside its column space and the search always succeeds.
+    """
 
 
 @dataclass(frozen=True)
@@ -95,13 +98,6 @@ def complete_matrix(mat, hint=Auto()):
             square = with_column(col)
             if matops.det(square) != 0:
                 return square
-        for tup in itertools.product((0, 1, 2), repeat=r):
-            if not any(tup):
-                continue
-            square = with_column(list(tup))
-            if matops.det(square) != 0:
-                return square
-        raise CompletionNotFound("no integer completion found in the search")
 
     raise TypeError(f"unknown completion hint {hint!r}")
 

@@ -1,13 +1,16 @@
-"""Exact matrix arithmetic over the rationals.
+"""Exact matrix arithmetic over the integers and the rationals.
 
 Everything here works on plain sequences of sequences whose entries are
-ints or fractions.Fraction; results come back as lists of lists (or lists)
-of Fractions, except where an integer answer is guaranteed.  No floats
+ints or fractions.Fraction.  rank, det, inverse and the row scans share one
+fraction-free (Bareiss) elimination over Python ints: rational rows are
+cleared of their denominators on the way in, and Fractions appear only in
+the answers that need them (a determinant, an inverse).  No floats
 anywhere.  Pivoting is deterministic: the first nonzero candidate wins, so
 repeated runs agree bit for bit.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import Singular
 
@@ -25,10 +28,6 @@ def dims(m):
         if len(row) != c:
             raise ValueError("ragged matrix")
     return r, c
-
-
-def copy_frac(m):
-    return [[Fraction(x) for x in row] for row in m]
 
 
 def identity(n):
@@ -78,77 +77,132 @@ def mat_eq(a, b):
     )
 
 
-def rank(m):
-    """Row-reduce a copy and count pivots."""
-    work = copy_frac(m)
-    r, c = dims(work)
-    piv = 0
-    for col in range(c):
-        row = next((i for i in range(piv, r) if work[i][col] != 0), None)
+def _int_rows(m):
+    """Integer copies of the rows, each cleared of its denominators, and the
+    product of the row scales.  Integer rows are copied as they are."""
+    rows = []
+    scale = 1
+    for row in m:
+        if set(map(type, row)) == {int}:
+            rows.append(list(row))
+            continue
+        fr = [Fraction(x) for x in row]
+        s = lcm(*(x.denominator for x in fr))
+        rows.append([x.numerator * (s // x.denominator) for x in fr])
+        scale *= s
+    return rows, scale
+
+
+def _eliminate(work, jordan=False):
+    """Fraction-free (Bareiss) elimination of integer rows, in place.
+
+    In each column the first nonzero candidate row is the pivot.  Forward
+    elimination leaves row echelon form; `jordan` also clears above each
+    pivot, so that every pivot ends equal to the last one.  Entries stay
+    integer minors of the input, so every division is exact.  Returns the
+    pivot columns, the sign of the row swaps and the last pivot (1 when
+    there is none).
+    """
+    r = len(work)
+    cols = []
+    sign = 1
+    prev = 1
+    for col in range(len(work[0])):
+        piv = len(cols)
+        row = next((i for i in range(piv, r) if work[i][col]), None)
         if row is None:
             continue
-        work[piv], work[row] = work[row], work[piv]
-        lead = work[piv][col]
-        for i in range(piv + 1, r):
-            f = work[i][col] / lead
-            if f == 0:
+        if row != piv:
+            work[piv], work[row] = work[row], work[piv]
+            sign = -sign
+        prow = work[piv]
+        p = prow[col]
+        lo = 0 if jordan else col
+        tail = prow[lo:]
+        for i in range(0 if jordan else piv + 1, r):
+            if i == piv:
                 continue
-            for j in range(col, c):
-                work[i][j] -= f * work[piv][j]
-        piv += 1
-        if piv == r:
+            wi = work[i]
+            f = wi[col]
+            if f == 0 and p == prev:
+                continue  # the update would leave the row as it is
+            wi[lo:] = [(p * a - f * b) // prev for a, b in zip(wi[lo:], tail)]
+        prev = p
+        cols.append(col)
+        if len(cols) == r:
             break
-    return piv
+    return cols, sign, prev
+
+
+def rank(m):
+    """Number of pivots of a forward elimination."""
+    dims(m)
+    return len(_eliminate(_int_rows(m)[0])[0])
 
 
 def det(m):
-    """Signed determinant as a Fraction."""
-    work = copy_frac(m)
-    r, c = dims(work)
+    """Signed determinant as a Fraction: the last Bareiss pivot."""
+    r, c = dims(m)
     if r != c:
         raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    d = Fraction(1)
-    for col in range(c):
-        row = next((i for i in range(col, r) if work[i][col] != 0), None)
-        if row is None:
-            return Fraction(0)
-        if row != col:
-            work[col], work[row] = work[row], work[col]
-            sign = -sign
-        lead = work[col][col]
-        d *= lead
-        for i in range(col + 1, r):
-            f = work[i][col] / lead
-            if f == 0:
-                continue
-            for j in range(col, c):
-                work[i][j] -= f * work[col][j]
-    return sign * d
+    work, scale = _int_rows(m)
+    cols, sign, last = _eliminate(work)
+    if len(cols) < r:
+        return Fraction(0)
+    return Fraction(sign * last, scale)
 
 
 def inverse(m):
-    """Gauss-Jordan inverse; raises Singular when there is none."""
-    work = copy_frac(m)
-    r, c = dims(work)
+    """Fraction-free Gauss-Jordan on [m | I]; raises Singular when there is
+    no inverse."""
+    r, c = dims(m)
     if r != c:
         raise ValueError("inverse of a non-square matrix")
-    aug = [work[i] + identity(r)[i] for i in range(r)]
-    for col in range(r):
-        row = next((i for i in range(col, r) if aug[i][col] != 0), None)
-        if row is None:
-            raise Singular("matrix is singular")
-        aug[col], aug[row] = aug[row], aug[col]
-        lead = aug[col][col]
-        aug[col] = [x / lead for x in aug[col]]
-        for i in range(r):
-            if i == col:
-                continue
-            f = aug[i][col]
-            if f == 0:
-                continue
-            aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[r:] for row in aug]
+    # scaling a row of [m | I] leaves the inverse it reduces to unchanged
+    work, _ = _int_rows([list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(m)])
+    cols, _, last = _eliminate(work, jordan=True)
+    # [m | I] always has rank r; m is invertible when its columns hold the pivots
+    if cols != list(range(r)):
+        raise Singular("matrix is singular")
+    return [[Fraction(x, last) for x in row[r:]] for row in work]
+
+
+def independent_rows(m, order=None):
+    """Indices of the rows that each raise the rank when the rows of `m` are
+    scanned in `order` (default: top to bottom), up to full rank.
+
+    They are the pivot columns of one elimination of the transpose.
+    """
+    r, c = dims(m)
+    rows, _ = _int_rows(m)
+    order = list(range(r)) if order is None else list(order)
+    cols, _, _ = _eliminate([[rows[i][j] for i in order] for j in range(c)])
+    return [order[j] for j in cols]
+
+
+def left_null_vector(m):
+    """A nonzero integer y with y·m = 0 for an r x (r-1) matrix of rank
+    r-1; raises Singular when the rank is lower.
+
+    One forward elimination of the transpose leaves a single free column;
+    y is 1 there, scaled by the last pivot so that back substitution (Cramer's
+    rule) divides exactly.
+    """
+    r, c = dims(m)
+    if c != r - 1:
+        raise ValueError(f"left_null_vector needs an r x (r-1) matrix, got {r}x{c}")
+    if c == 0:
+        return [1]
+    # clearing the denominators of a column of m keeps its left null space
+    work, _ = _int_rows([[m[i][j] for i in range(r)] for j in range(c)])
+    cols, _, last = _eliminate(work)
+    if len(cols) < c:
+        raise Singular(f"rank is below {c}")
+    y = [0] * r
+    y[next(j for j in range(r) if j not in cols)] = last
+    for row, col in zip(reversed(work), reversed(cols)):
+        y[col] = -sum(row[j] * y[j] for j in range(col + 1, r)) // row[col]
+    return y
 
 
 def solve(a, b):

@@ -247,9 +247,15 @@ class MinimalDiagram:
         return len(self.parents_at(level))
 
     def ancestor(self, level, vertex, to_level):
-        v = vertex
-        for lev in range(level, to_level, -1):
-            v = self.parent(lev, v)
+        if level <= to_level:
+            return vertex
+        if to_level < 0:
+            raise DepthExceeded(f"no level {to_level}")
+        # the first step checks level and vertex; parents above are valid
+        v = self.parent(level, vertex)
+        parents = self._parents
+        for lev in range(level - 1, to_level, -1):
+            v = parents[lev - 1][v - 1]
         return v
 
     def children(self, level, vertex):

@@ -43,60 +43,57 @@ def reduction_is_valid(mat, parents):
 
 def pivot_row(b):
     """Smallest k whose removal (with the last column) leaves an invertible
-    block while b[k, last] stays nonzero."""
+    block while b[k, last] stays nonzero.
+
+    The rows of b without its last column are s vectors in dimension s-1;
+    the rows other than k are a basis exactly when the one dependency among
+    all s rows, the left null vector y, has y[k] != 0.
+    """
     rows = [list(r) for r in (b.rows if isinstance(b, MultiplicityMatrix) else b)]
     s = len(rows)
     if any(len(r) != s for r in rows):
         raise ValueError("pivot_row needs a square matrix")
-    for k in range(1, s + 1):
-        if rows[k - 1][s - 1] == 0:
-            continue
-        if s == 1:
-            return k
-        minor = [r[: s - 1] for idx, r in enumerate(rows, start=1) if idx != k]
-        if matops.det(minor) != 0:
-            return k
+    y = matops.left_null_vector([r[: s - 1] for r in rows])
+    for k in range(s):
+        if rows[k][s - 1] != 0 and y[k] != 0:
+            return k + 1
     raise Singular("no pivot row: matrix is singular")
 
 
-def _reduce_single_surplus(rows, row_ids, col_ids, assign):
-    """Recursive step on a (c+1) x c full-rank block; mutates `assign`."""
+def _reduce_single_surplus(rows, row_ids, col_ids, assign, top=None):
+    """Recursive step on a (c+1) x c full-rank block; mutates `assign`.
+
+    `top` is the lexicographically first set of c independent rows, when
+    the caller already knows it.
+    """
     c = len(col_ids)
     if c == 1:
         for rid in row_ids:
             assign[rid] = col_ids[0]
         return
 
+    supports = [[q for q in range(c) if row[q]] for row in rows]
     # a column is removable when no row's support lies entirely inside it
-    j0 = None
-    for jj in range(c):
-        if all(any(row[q] for q in range(c) if q != jj) for row in rows):
-            j0 = jj
-            break
+    blocked = set()
+    for sup in supports:
+        if len(sup) <= 1:
+            blocked.update(sup or range(c))
+    j0 = next((jj for jj in range(c) if jj not in blocked), None)
 
     if j0 is None:
         # every column is the full support of some row: assignments are forced
         for jj in range(c):
-            owner = next(
-                i for i, row in enumerate(rows)
-                if row[jj] and not any(row[q] for q in range(c) if q != jj)
-            )
+            owner = next(i for i, sup in enumerate(supports) if sup == [jj])
             assign[row_ids[owner]] = col_ids[jj]
-        for i, row in enumerate(rows):
+        for i, sup in enumerate(supports):
             if row_ids[i] not in assign:
-                first = next(jj for jj in range(c) if row[jj])
-                assign[row_ids[i]] = col_ids[first]
+                assign[row_ids[i]] = col_ids[sup[0]]
         return
 
     others = [jj for jj in range(c) if jj != j0]
-    # lexicographically first independent row subset, scanning from the top
-    top = []
-    for i in range(len(rows)):
-        if len(top) == c:
-            break
-        trial = [rows[p] for p in top] + [rows[i]]
-        if matops.rank(trial) == len(top) + 1:
-            top.append(i)
+    if top is None:
+        # lexicographically first independent row subset, scanning from the top
+        top = matops.independent_rows(rows)
     leftover = next(i for i in range(len(rows)) if i not in set(top))
 
     block = [[rows[i][q] for q in others] + [rows[i][j0]] for i in top]
@@ -111,6 +108,9 @@ def _reduce_single_surplus(rows, row_ids, col_ids, assign):
         [row_ids[i] for i in sub_rows_idx],
         [col_ids[q] for q in others],
         assign,
+        # the top rows but `bottom` stay independent without column j0: they
+        # are the sub-block's first c - 1 rows
+        top=list(range(c - 1)),
     )
 
 

@@ -1,0 +1,148 @@
+"""Slow exact oracles: textbook Gauss elimination over fractions.Fraction.
+
+These are the library's former rank, det and inverse, kept here so the
+fraction-free kernel in brattice.matops is checked against an independent
+implementation, together with the greedy row scan and the pivot-row minors
+scan the kernel replaced.
+"""
+
+from fractions import Fraction
+
+from brattice.errors import Singular
+
+
+def _copy(m):
+    return [[Fraction(x) for x in row] for row in m]
+
+
+def rank(m):
+    """Row-reduce a copy and count pivots."""
+    work = _copy(m)
+    r, c = len(work), len(work[0])
+    piv = 0
+    for col in range(c):
+        row = next((i for i in range(piv, r) if work[i][col] != 0), None)
+        if row is None:
+            continue
+        work[piv], work[row] = work[row], work[piv]
+        lead = work[piv][col]
+        for i in range(piv + 1, r):
+            f = work[i][col] / lead
+            if f == 0:
+                continue
+            for j in range(col, c):
+                work[i][j] -= f * work[piv][j]
+        piv += 1
+        if piv == r:
+            break
+    return piv
+
+
+def det(m):
+    """Signed determinant as a Fraction."""
+    work = _copy(m)
+    n = len(work)
+    sign = 1
+    d = Fraction(1)
+    for col in range(n):
+        row = next((i for i in range(col, n) if work[i][col] != 0), None)
+        if row is None:
+            return Fraction(0)
+        if row != col:
+            work[col], work[row] = work[row], work[col]
+            sign = -sign
+        lead = work[col][col]
+        d *= lead
+        for i in range(col + 1, n):
+            f = work[i][col] / lead
+            if f == 0:
+                continue
+            for j in range(col, n):
+                work[i][j] -= f * work[col][j]
+    return sign * d
+
+
+def inverse(m):
+    """Gauss-Jordan inverse; raises Singular when there is none."""
+    work = _copy(m)
+    n = len(work)
+    aug = [work[i] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        row = next((i for i in range(col, n) if aug[i][col] != 0), None)
+        if row is None:
+            raise Singular("matrix is singular")
+        aug[col], aug[row] = aug[row], aug[col]
+        lead = aug[col][col]
+        aug[col] = [x / lead for x in aug[col]]
+        for i in range(n):
+            if i == col:
+                continue
+            f = aug[i][col]
+            if f == 0:
+                continue
+            aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def independent_rows(m, order):
+    """Greedy scan: keep each row that raises the rank of the rows kept."""
+    kept = []
+    for i in order:
+        if len(kept) == len(m[0]):
+            break
+        if rank([m[p] for p in kept] + [m[i]]) == len(kept) + 1:
+            kept.append(i)
+    return kept
+
+
+def pivot_row(b):
+    """Smallest 1-based k with b[k, last] != 0 whose removal, with the last
+    column, leaves a nonzero minor; None when there is no such k."""
+    s = len(b)
+    for k in range(1, s + 1):
+        if b[k - 1][s - 1] == 0:
+            continue
+        if s == 1:
+            return k
+        minor = [row[: s - 1] for idx, row in enumerate(b, start=1) if idx != k]
+        if det(minor) != 0:
+            return k
+    return None
+
+
+def minimal_reduce_parents(rows):
+    """The former deterministic minimal reduction of a full-rank (c+1) x c
+    matrix, re-ranking every trial row: the 1-based parent of each row."""
+    assign = {}
+
+    def step(rows, row_ids, col_ids):
+        c = len(col_ids)
+        if c == 1:
+            for rid in row_ids:
+                assign[rid] = col_ids[0]
+            return
+        j0 = next(
+            (jj for jj in range(c) if all(any(row[q] for q in range(c) if q != jj) for row in rows)),
+            None,
+        )
+        if j0 is None:
+            for jj in range(c):
+                owner = next(
+                    i for i, row in enumerate(rows)
+                    if row[jj] and not any(row[q] for q in range(c) if q != jj)
+                )
+                assign[row_ids[owner]] = col_ids[jj]
+            for i, row in enumerate(rows):
+                if row_ids[i] not in assign:
+                    assign[row_ids[i]] = col_ids[next(jj for jj in range(c) if row[jj])]
+            return
+        others = [jj for jj in range(c) if jj != j0]
+        top = independent_rows(rows, range(len(rows)))
+        leftover = next(i for i in range(len(rows)) if i not in top)
+        bottom = top[pivot_row([[rows[i][q] for q in others] + [rows[i][j0]] for i in top]) - 1]
+        assign[row_ids[bottom]] = col_ids[j0]
+        sub = [i for i in top if i != bottom] + [leftover]
+        step([[rows[i][q] for q in others] for i in sub], [row_ids[i] for i in sub], [col_ids[q] for q in others])
+
+    step(rows, list(range(1, len(rows) + 1)), list(range(1, len(rows[0]) + 1)))
+    return tuple(assign[i] for i in range(1, len(rows) + 1))

@@ -41,6 +41,25 @@ def test_validate_parse_error_carries_line(tmp_path, capsys):
     assert "parse error: line 5" in err
 
 
+def test_bare_matrix_non_ascii_digit_is_usage_error(tmp_path, capsys):
+    # '²' passes str.isdigit() but int() rejects it
+    path = tmp_path / "mat.txt"
+    path.write_text("2 1\n1 ²\n1 1\n", encoding="utf-8")
+    code, out, err = run(capsys, "reduce", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:")
+    assert "line 2" in err
+
+
+def test_bdspec_non_ascii_digit_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.bd"
+    path.write_text("bdspec v1\nshape: type2\nmatrix ²:\n1\n", encoding="utf-8")
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert "parse error: line 3" in err
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "validate", "/no/such/file.bd")
     assert code == 2

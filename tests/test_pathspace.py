@@ -151,6 +151,23 @@ def test_ensure_depth_limit():
         tree.ensure_depth(4)
 
 
+def test_ancestor_walks_parents_and_checks_its_input():
+    fin = finite_gicar(3)
+    tree = build_minimal_diagram(fin, "theorem")
+    for j in range(1, tree.level_count(3) + 1):
+        v = j
+        for lev in (3, 2, 1):
+            v = tree.parent(lev, v)
+            assert tree.ancestor(3, j, lev - 1) == v
+        assert tree.ancestor(3, j, 3) == j
+    with pytest.raises(DepthExceeded):
+        tree.ancestor(4, 1, 0)  # level beyond the diagram
+    with pytest.raises(DepthExceeded):
+        tree.ancestor(3, tree.level_count(3) + 1, 0)  # no such vertex
+    with pytest.raises(DepthExceeded):
+        tree.ancestor(3, 1, -1)  # no such level
+
+
 def test_cylinder_children_frozen():
     right = build_minimal_diagram(GICAR, "rightmost")
     assert cylinder_children(right, Cylinder(1, 1)) == (Cylinder(2, 1),)
