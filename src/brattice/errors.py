@@ -52,4 +52,8 @@ class NotUniqueMinimal(BratticeError, ValueError):
 
 
 class LimitExceeded(BratticeError, RuntimeError):
-    """An enumeration hit its explicit work cap before finishing."""
+    """An enumeration found more maps than its cap allows.
+
+    The enumeration walk visits only nodes that lead to a map, so the cap
+    bounds the work done as well as the number of maps returned.
+    """

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DepthExceeded, Uncertified, UnsupportedUserMap
-from .reduction import minimal_reduce, minimal_reduce_square
+from .reduction import iter_minimal_reductions, minimal_reduce, minimal_reduce_square
 
 
 # ---------------------------------------------------------------------------
@@ -93,30 +93,6 @@ def _family_parents(family, level, prev_count, cur_count):
     return tuple(j if j <= a else j - 1 for j in range(1, cur_count + 1))
 
 
-def _lex_first_reduction(mat):
-    """First surjective support assignment in lexicographic order, or None."""
-    r, c = mat.nrows, mat.ncols
-    supports = [mat.row_support(i) for i in range(1, r + 1)]
-    tail_union = [set() for _ in range(r + 1)]
-    for i in range(r - 1, -1, -1):
-        tail_union[i] = tail_union[i + 1] | set(supports[i])
-    choice = [0] * r
-
-    def walk(i, uncovered):
-        if len(uncovered) > r - i or not uncovered <= tail_union[i]:
-            return None
-        if i == r:
-            return tuple(choice)
-        for j in supports[i]:
-            choice[i] = j
-            got = walk(i + 1, uncovered - {j})
-            if got is not None:
-                return got
-        return None
-
-    return walk(0, set(range(1, c + 1)))
-
-
 # ---------------------------------------------------------------------------
 # the tree
 
@@ -175,7 +151,7 @@ class MinimalDiagram:
                     f"no canonical reduction for a {cur}x{prev} step at level {level}"
                 )
         elif isinstance(strat, LexFirst):
-            parents = _lex_first_reduction(mat)
+            parents = next(iter_minimal_reductions(mat), None)
             if parents is None:
                 raise UnsupportedUserMap(f"no valid reduction at level {level}")
         elif isinstance(strat, NamedFamily):

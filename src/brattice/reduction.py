@@ -9,6 +9,7 @@ use.  All vertex labels in results are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from . import matops
 from .diagram import MultiplicityMatrix, multiplicity_rank
@@ -122,6 +123,10 @@ def minimal_reduce(mat):
         raise ValueError(f"expected one more row than columns, got {r}x{c}")
     if multiplicity_rank(mat) < c:
         raise RankDeficient(f"rank is below {c}")
+    # checked after the rank so a rank-deficient matrix keeps that verdict
+    zero = next((i for i in range(1, r + 1) if not mat.row_support(i)), None)
+    if zero is not None:
+        raise ValueError(f"row {zero} has no edge, so no reduction exists")
     assign = {}
     _reduce_single_surplus(mat.to_lists(), list(range(1, r + 1)), list(range(1, c + 1)), assign)
     parents = tuple(assign[i] for i in range(1, r + 1))
@@ -133,31 +138,117 @@ def minimal_reduce(mat):
 
 
 def minimal_reduce_square(mat):
-    """Lexicographically first support bijection of a nonsingular square matrix."""
+    """Lexicographically first support bijection of a nonsingular square matrix.
+
+    A nonzero determinant has a nonzero Leibniz term, which is a support
+    bijection, so the search below always finds one.
+    """
     mat = _as_mm(mat)
     if mat.nrows != mat.ncols:
         raise ValueError(f"expected a square matrix, got {mat.nrows}x{mat.ncols}")
     if matops.det(mat.to_lists()) == 0:
         raise RankDeficient("square matrix is singular")
-    n = mat.nrows
-    used = [False] * (n + 1)
-    choice = [0] * n
+    return ReductionOutcome(next(iter_minimal_reductions(mat)), None, "square")
 
-    def place(i):
-        if i == n:
-            return True
-        for j in mat.row_support(i + 1):
-            if not used[j]:
-                used[j] = True
-                choice[i] = j
-                if place(i + 1):
+
+def _coverable(cols, first, degree, col_rows, r):
+    """Whether distinct rows from `first` (0-based) on can be matched to the
+    columns in `cols`, which is Hall's condition for covering them.
+
+    `degree[j]` counts the rows from `first` on that support column j, and
+    `col_rows[j]` lists every row supporting j.  The tests run cheapest
+    first: enough rows, no unsupported column, a degree bound that settles
+    Hall's condition outright, then augmenting paths.
+    """
+    if len(cols) > r - first:
+        return False
+    degs = sorted(map(degree.__getitem__, cols))
+    if not degs[0]:
+        return False
+    # matched greedily by rising degree, the t-th column (0-based) finds a
+    # free row when more than t rows support it
+    if all(d > t for t, d in enumerate(degs)):
+        return True
+    owner = {}  # row -> the column it is matched to
+
+    def augment(j, seen):
+        for row in col_rows[j]:
+            if row >= first and row not in seen:
+                seen.add(row)
+                if row not in owner or augment(owner[row], seen):
+                    owner[row] = j
                     return True
-                used[j] = False
         return False
 
-    if not place(0):
-        raise RankDeficient("no support bijection")
-    return ReductionOutcome(tuple(choice), None, "square")
+    return all(augment(j, set()) for j in sorted(cols, key=degree.__getitem__))
+
+
+def iter_minimal_reductions(mat):
+    """Yield every surjective support assignment, in lexicographic order.
+
+    Each map is a tuple of 1-based columns, one per row.  The walk enters
+    `row i -> column j` only when the rows below can still cover the columns
+    left uncovered, so every node it visits leads to a map: the delay
+    between maps is polynomial and a dead end costs one feasibility test.
+    """
+    mat = _as_mm(mat)
+    r, c = mat.nrows, mat.ncols
+    supports = [mat.row_support(i) for i in range(1, r + 1)]
+    if not all(supports):
+        return
+    col_rows = [()] + [tuple(i - 1 for i in mat.col_support(j)) for j in range(1, c + 1)]
+    degrees = [[0] * (c + 1)]  # degrees[i][j]: rows i.. (0-based) supporting column j
+    for sup in reversed(supports):
+        degrees.append([d + (j in sup) for j, d in enumerate(degrees[-1])])
+    degrees.reverse()
+    uncovered = set(range(1, c + 1))
+    if not _coverable(uncovered, 0, degrees[0], col_rows, r):
+        return
+
+    def open_row(i):
+        # The uncovered columns stay the same while row i tries its branches.
+        # A column no row below supports must be taken by row i itself.  A
+        # child leaving `need` columns uncovered passes the degree test when
+        # at most one of them has fewer than `need` supporting rows below
+        # and none has none: a set of columns violating Hall's condition
+        # holds at least two such columns.
+        below = degrees[i + 1]
+        weak = sorted(uncovered, key=below.__getitem__)[:2]
+        forced = weak and not below[weak[0]]
+        floor = below[weak[1]] if len(weak) == 2 else len(uncovered)
+        return iter(weak[:1] if forced else supports[i]), len(uncovered), floor
+
+    choice = [0] * r
+    first_cover = [False] * r  # whether choice[i] was the first row on its column
+    frames = [open_row(0)]
+    while frames:
+        i = len(frames) - 1
+        if first_cover[i]:  # back out of the previous branch at row i
+            uncovered.add(choice[i])
+        branches, n, floor = frames[i]
+        for j in branches:
+            need = n - (j in uncovered)
+            if need <= floor or need < r - i and _coverable(
+                uncovered - {j}, i + 1, degrees[i + 1], col_rows, r
+            ):
+                break
+        else:
+            first_cover[i] = False
+            frames.pop()
+            continue
+        choice[i] = j
+        first_cover[i] = j in uncovered
+        uncovered.discard(j)
+        if i + 1 == r:
+            yield tuple(choice)
+        elif i + 2 == r:
+            # the last row finishes the cover: it takes the one uncovered
+            # column, or any column of its support when none is left
+            for k in tuple(uncovered) or supports[-1]:
+                choice[-1] = k
+                yield tuple(choice)
+        else:
+            frames.append(open_row(i + 1))
 
 
 def enumerate_minimal_reductions(mat, limit=10**6):
@@ -165,32 +256,13 @@ def enumerate_minimal_reductions(mat, limit=10**6):
 
     Purely combinatorial: rank plays no role, and an empty list is a
     legitimate answer.  Raises LimitExceeded if more than `limit` maps
-    exist.
+    exist.  Every node of the walk leads to a map, so the walk visits at
+    most rows * (limit + 1) nodes: the cap bounds work as well as output.
     """
-    mat = _as_mm(mat)
-    r, c = mat.nrows, mat.ncols
-    supports = [mat.row_support(i) for i in range(1, r + 1)]
-    tail_union = [set() for _ in range(r + 1)]
-    for i in range(r - 1, -1, -1):
-        tail_union[i] = tail_union[i + 1] | set(supports[i])
-
-    results = []
-    choice = [0] * r
-
-    def walk(i, uncovered):
-        if len(uncovered) > r - i or not uncovered <= tail_union[i]:
-            return
-        if i == r:
-            if len(results) >= limit:
-                raise LimitExceeded(f"more than {limit} reductions")
-            results.append(tuple(choice))
-            return
-        for j in supports[i]:
-            choice[i] = j
-            walk(i + 1, uncovered - {j})
-
-    walk(0, set(range(1, c + 1)))
-    return results
+    maps = list(islice(iter_minimal_reductions(mat), limit + 1))
+    if len(maps) > limit:
+        raise LimitExceeded(f"more than {limit} reductions")
+    return maps
 
 
 def is_unique_minimal(mat):

@@ -1,9 +1,12 @@
-"""Slow exact oracles: textbook Gauss elimination over fractions.Fraction.
+"""Slow exact oracles: textbook Gauss elimination over fractions.Fraction,
+and the unpruned reduction walkers.
 
 These are the library's former rank, det and inverse, kept here so the
 fraction-free kernel in brattice.matops is checked against an independent
 implementation, together with the greedy row scan and the pivot-row minors
-scan the kernel replaced.
+scan the kernel replaced.  The walkers at the end are the former
+enumeration, lex-first and square-bijection searches that the Hall-pruned
+brattice.reduction.iter_minimal_reductions replaced.
 """
 
 from fractions import Fraction
@@ -146,3 +149,74 @@ def minimal_reduce_parents(rows):
 
     step(rows, list(range(1, len(rows) + 1)), list(range(1, len(rows[0]) + 1)))
     return tuple(assign[i] for i in range(1, len(rows) + 1))
+
+
+def enumerate_reductions(mat):
+    """Every surjective support assignment in lexicographic order, walking
+    each partial choice with only the count and union tests."""
+    r, c = mat.nrows, mat.ncols
+    supports = [mat.row_support(i) for i in range(1, r + 1)]
+    tail_union = [set() for _ in range(r + 1)]
+    for i in range(r - 1, -1, -1):
+        tail_union[i] = tail_union[i + 1] | set(supports[i])
+    results = []
+    choice = [0] * r
+
+    def walk(i, uncovered):
+        if len(uncovered) > r - i or not uncovered <= tail_union[i]:
+            return
+        if i == r:
+            results.append(tuple(choice))
+            return
+        for j in supports[i]:
+            choice[i] = j
+            walk(i + 1, uncovered - {j})
+
+    walk(0, set(range(1, c + 1)))
+    return results
+
+
+def lex_first_reduction(mat):
+    """First surjective support assignment in lexicographic order, or None."""
+    r, c = mat.nrows, mat.ncols
+    supports = [mat.row_support(i) for i in range(1, r + 1)]
+    tail_union = [set() for _ in range(r + 1)]
+    for i in range(r - 1, -1, -1):
+        tail_union[i] = tail_union[i + 1] | set(supports[i])
+    choice = [0] * r
+
+    def walk(i, uncovered):
+        if len(uncovered) > r - i or not uncovered <= tail_union[i]:
+            return None
+        if i == r:
+            return tuple(choice)
+        for j in supports[i]:
+            choice[i] = j
+            got = walk(i + 1, uncovered - {j})
+            if got is not None:
+                return got
+        return None
+
+    return walk(0, set(range(1, c + 1)))
+
+
+def square_bijection(mat):
+    """Lexicographically first support bijection of a square matrix by
+    backtracking, or None when there is none."""
+    n = mat.nrows
+    used = [False] * (n + 1)
+    choice = [0] * n
+
+    def place(i):
+        if i == n:
+            return True
+        for j in mat.row_support(i + 1):
+            if not used[j]:
+                used[j] = True
+                choice[i] = j
+                if place(i + 1):
+                    return True
+                used[j] = False
+        return False
+
+    return tuple(choice) if place(0) else None

@@ -119,6 +119,18 @@ def test_reduce_rank_deficient_message(capsys):
     assert out.strip() == "rank deficient; brute force found 0 reductions"
 
 
+def test_reduce_zero_row_matrix(tmp_path, capsys):
+    path = tmp_path / "mat.txt"
+    path.write_text("1 0\n0 1\n0 0\n")
+    code, out, err = run(capsys, "reduce", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.strip() == "error: row 3 has no edge, so no reduction exists"
+    code, out, _ = run(capsys, "reduce", str(path), "--enumerate", "3")
+    assert code == 1
+    assert out == "0 reductions total\n"
+
+
 def test_reduce_enumerate_json(capsys):
     code, out, _ = run(
         capsys, "reduce", "corpus:threebranch", "--enumerate", "10", "--json"

@@ -2,17 +2,21 @@
 
 import itertools
 import random
+import sys
 
+import exact_oracle as oracle
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brattice import corpus
+from brattice import corpus, matops
 from brattice.diagram import MultiplicityMatrix, multiplicity_rank
 from brattice.errors import LimitExceeded, RankDeficient, Singular
 from brattice.reduction import (
+    _coverable,
     enumerate_minimal_reductions,
     is_unique_minimal,
+    iter_minimal_reductions,
     minimal_reduce,
     minimal_reduce_square,
     pivot_row,
@@ -190,3 +194,131 @@ def test_unique_minimal_flag_implies_singleton_enumeration():
         assert len(maps) == 1
         assert maps[0].count(branch) == 2
     assert flagged > 5
+
+
+def deadend(k):
+    """(k+1) x 4: k rows on columns {3, 4} and one on {1, 2}; no map exists,
+    but an unpruned walk tries about 2^k partial choices."""
+    return MultiplicityMatrix([[0, 0, 1, 1]] * k + [[1, 1, 0, 0]])
+
+
+@st.composite
+def matrices(draw, max_rows=6, max_cols=5, square=False):
+    r = draw(st.integers(min_value=1, max_value=max_rows))
+    c = r if square else draw(st.integers(min_value=1, max_value=max_cols))
+    entry = st.integers(min_value=0, max_value=2)
+    row = st.lists(entry, min_size=c, max_size=c)
+    return MultiplicityMatrix(draw(st.lists(row, min_size=r, max_size=r)))
+
+
+# zero row, zero column, wide, 1x1 and dead-end shapes, beside the drawn ones
+EDGE_CASES = (
+    [[1, 0], [0, 1], [0, 0]],
+    [[1, 0], [1, 0], [1, 0]],
+    [[1, 1, 1]],
+    [[1]],
+    [[0]],
+    deadend(6).to_lists(),
+)
+
+
+def _with_edge_cases(test):
+    for rows in EDGE_CASES:
+        test = example(MultiplicityMatrix(rows))(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None)
+@_with_edge_cases
+@given(matrices())
+def test_enumeration_matches_unpruned_walker(mm):
+    assert enumerate_minimal_reductions(mm) == oracle.enumerate_reductions(mm)
+
+
+@settings(max_examples=150, deadline=None)
+@_with_edge_cases
+@given(matrices(max_rows=8))
+def test_first_map_matches_lex_first_walk(mm):
+    assert next(iter_minimal_reductions(mm), None) == oracle.lex_first_reduction(mm)
+
+
+@settings(max_examples=150, deadline=None)
+@example(MultiplicityMatrix([[1]]))
+@example(MultiplicityMatrix([[1, 0], [0, 0]]))
+@example(MultiplicityMatrix([[0, 1, 1], [1, 1, 0], [1, 0, 0]]))
+@given(matrices(max_rows=7, square=True))
+def test_minimal_reduce_square_matches_backtracker(mm):
+    bijection = oracle.square_bijection(mm)
+    if matops.det(mm.to_lists()) == 0:
+        with pytest.raises(RankDeficient):
+            minimal_reduce_square(mm)
+        return
+    # a nonzero determinant has a nonzero Leibniz term
+    assert bijection is not None
+    assert minimal_reduce_square(mm).parents == bijection
+
+
+def _walk_with_opened_rows(mm):
+    """The maps, and the row of every node the walk opened."""
+    opened = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "open_row":
+            opened.append(frame.f_locals["i"])
+
+    sys.setprofile(profile)
+    try:
+        maps = list(iter_minimal_reductions(mm))
+    finally:
+        sys.setprofile(None)
+    return maps, opened
+
+
+@settings(max_examples=150, deadline=None)
+@_with_edge_cases
+@given(matrices(max_rows=7))
+def test_walk_opens_no_dead_end(mm):
+    # every opened node is a prefix of some map (the last row is filled in
+    # without opening a node), so the delay between maps is polynomial
+    maps, opened = _walk_with_opened_rows(mm)
+    prefixes = [{m[:i] for m in maps} for i in range(max(mm.nrows - 1, 1))]
+    assert sorted(opened) == sorted(i for i, ps in enumerate(prefixes) for _ in ps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(max_rows=6, max_cols=6), st.data())
+def test_coverable_matches_brute_force_hall(mm, data):
+    r, c = mm.nrows, mm.ncols
+    first = data.draw(st.integers(min_value=0, max_value=r))
+    cols = data.draw(st.sets(st.integers(min_value=1, max_value=c), min_size=1))
+    col_rows = [()] + [tuple(i - 1 for i in mm.col_support(j)) for j in range(1, c + 1)]
+    degree = [0] + [sum(1 for i in rows if i >= first) for rows in col_rows[1:]]
+    want = any(
+        all(mm.at(row + 1, j) for row, j in zip(pick, sorted(cols)))
+        for pick in itertools.permutations(range(first, r), len(cols))
+    )
+    assert _coverable(cols, first, degree, col_rows, r) == want
+
+
+def test_deadend_family_is_polynomial():
+    # the unpruned walk would try about 2^40 partial choices here
+    assert enumerate_minimal_reductions(deadend(40)) == []
+    assert next(iter_minimal_reductions(deadend(40)), None) is None
+
+
+def test_enumeration_is_lazy():
+    # about 1.3e9 maps: only a lazy walk returns the first one
+    ones = MultiplicityMatrix([[1] * 6] * 12)
+    first = (1,) * 7 + (2, 3, 4, 5, 6)
+    assert next(iter_minimal_reductions(ones)) == first
+    assert oracle.lex_first_reduction(ones) == first
+
+
+def test_minimal_reduce_rejects_zero_row():
+    with pytest.raises(ValueError, match="row 3 has no edge, so no reduction exists"):
+        minimal_reduce(MultiplicityMatrix([[1, 0], [0, 1], [0, 0]]))
+    with pytest.raises(ValueError, match="row 1 has no edge"):
+        minimal_reduce(MultiplicityMatrix([[0, 0], [1, 0], [0, 1]]))
+    # a rank-deficient matrix keeps its rank verdict
+    with pytest.raises(RankDeficient):
+        minimal_reduce(MultiplicityMatrix([[1, 1], [1, 1], [0, 0]]))
