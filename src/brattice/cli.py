@@ -57,7 +57,7 @@ from .pathspace import (
     write_tree_dot,
 )
 from .reduction import (
-    enumerate_minimal_reductions,
+    first_minimal_reductions,
     minimal_reduce,
     minimal_reduce_square,
 )
@@ -244,30 +244,29 @@ def cmd_reduce(args):
 def _reduce_matrix(mat, args):
     if args.dot:
         raise UsageError("--dot needs a diagram input")
-    shown = []
     if args.enumerate is not None:
-        maps = enumerate_minimal_reductions(mat)
-        for parents in maps[: args.enumerate]:
-            shown.append(parents)
+        if args.enumerate < 0:
+            raise UsageError(f"--enumerate needs N >= 0, got {args.enumerate}")
+        shown, count = first_minimal_reductions(mat, args.enumerate)
         if args.json:
             _emit_json(
                 {
-                    "count": len(maps),
+                    "count": count,
                     "maps": [list(p) for p in shown],
                 }
             )
         else:
             for parents in shown:
                 print(f"map: {_fmt_vec(parents)}")
-            print(f"{len(maps)} reductions total")
-        return 0 if maps else 1
+            print(f"{count} reductions total")
+        return 0 if count else 1
     try:
         if mat.nrows == mat.ncols:
             outcome = minimal_reduce_square(mat)
         else:
             outcome = minimal_reduce(mat)
     except (RankDeficient, Singular) as exc:
-        found = len(enumerate_minimal_reductions(mat))
+        _, found = first_minimal_reductions(mat, 0)
         msg = f"rank deficient; brute force found {found} reductions"
         if isinstance(exc, Singular):
             msg = f"singular; brute force found {found} reductions"

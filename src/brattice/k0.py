@@ -4,7 +4,9 @@ Each level's multiplicity matrix gains one integer column to become
 invertible; the resulting chain turns integer vectors into locally
 constant rational functions on the tree boundary.  Everything is exact:
 denominators are tracked through signed determinants, and membership of a
-function comes down to integrality of one vector.
+function comes down to integrality of one vector.  Chain products and their
+inverses are integer matrices (an inverse over one denominator), so queries
+run over Python ints and Fractions appear only in the answers.
 """
 
 from __future__ import annotations
@@ -107,7 +109,8 @@ def complete_matrix(mat, hint=Auto()):
 
 
 class CompletedChain:
-    """Invertible integer squares, one per level, with cached products.
+    """Invertible integer squares, one per level, with cached integer
+    products and inverses.
 
     mode 'growth' means sizes rise by one per level (the cumulative product
     pads with an identity line before each new factor); 'constant' keeps one
@@ -119,8 +122,8 @@ class CompletedChain:
         self.squares = squares
         self.dets = dets
         self.mode = mode
-        self._u = {0: None}  # computed lazily
-        self._a = {}
+        self._u = {}  # depth -> integer product, filled lazily
+        self._inverse = {}  # depth -> (integer numerators, positive denominator)
 
     @property
     def depth(self):
@@ -140,26 +143,26 @@ class CompletedChain:
         if n > self.depth:
             raise DepthExceeded(f"chain has depth {self.depth}, asked for {n}")
         if n == 0:
-            size = 1 if self.mode != "constant" else len(self.squares[0])
-            return matops.identity(size)
-        if n in self._u and self._u[n] is not None:
-            return self._u[n]
-        prev = self.u_matrix(n - 1)
-        if self.mode == "constant":
-            padded = prev
-        else:
-            size = len(prev)
-            padded = [list(row) + [Fraction(0)] for row in prev]
-            padded.append([Fraction(0)] * size + [Fraction(1)])
-        cur = matops.mat_mul([list(r) for r in self.squares[n - 1]], padded)
-        self._u[n] = cur
-        return cur
+            return matops.identity(1 if self.mode != "constant" else len(self.squares[0]))
+        if n not in self._u:
+            prev = self.u_matrix(n - 1)
+            if self.mode != "constant":
+                size = len(prev)
+                prev = [row + [0] for row in prev] + [[0] * size + [1]]
+            self._u[n] = matops.mat_mul(self.squares[n - 1], prev)
+        return self._u[n]
+
+    def inverse_parts(self, n):
+        """The inverse of u_matrix(n) as integer numerators over one positive
+        denominator, computed on the first query at depth n."""
+        if n not in self._inverse:
+            self._inverse[n] = matops.int_inverse(self.u_matrix(n))
+        return self._inverse[n]
 
     def a_matrix(self, n):
-        """Rational inverse of u_matrix(n)."""
-        if n not in self._a:
-            self._a[n] = matops.inverse(self.u_matrix(n))
-        return self._a[n]
+        """Rational inverse of u_matrix(n), built from inverse_parts(n)."""
+        nums, d = self.inverse_parts(n)
+        return [[Fraction(x, d) for x in row] for row in nums]
 
     def exactness_report(self, n):
         """Cross-checks tying dets, adjugates, and scales together at depth n."""
@@ -278,20 +281,22 @@ def r_vertices(tree, n):
     return out
 
 
-def r_map(beta, tree):
+def r_map(beta, tree, denominator=1):
     """Turn basis coefficients into a function: each coefficient rides the
-    cylinder at its level's distinguished vertex."""
+    cylinder at its level's distinguished vertex, and every value is divided
+    by `denominator`.
+
+    One pass down the tree: a vertex's sum is its parent's, plus beta[lev]
+    when it is the level's distinguished vertex.  Integer coefficients stay
+    integer until the final division.
+    """
     n = len(beta) - 1
     rs = r_vertices(tree, n)
-    tree.ensure_depth(n)
-    values = []
-    for j in range(1, tree.level_count(n) + 1):
-        total = Fraction(0)
-        for lev in range(n + 1):
-            if tree.ancestor(n, j, lev) == rs[lev]:
-                total += Fraction(beta[lev])
-        values.append(total)
-    return LocallyConstantFunction(n, tuple(values))
+    sums = [beta[0]]
+    for lev in range(1, n + 1):
+        sums = [sums[p - 1] for p in tree.parents_at(lev)]
+        sums[rs[lev] - 1] += beta[lev]
+    return LocallyConstantFunction(n, tuple(Fraction(v, denominator) for v in sums))
 
 
 def to_R_basis(func, tree):
@@ -325,8 +330,9 @@ def phi(alpha, chain, tree):
     n = len(alpha) - 1
     if n > chain.depth:
         raise DepthExceeded(f"chain has depth {chain.depth}, vector needs {n}")
-    beta = matops.mat_vec(chain.a_matrix(n), [Fraction(x) for x in alpha])
-    return r_map(beta, tree)
+    nums, d = chain.inverse_parts(n)
+    ints, scale = matops.clear_denominators(alpha)
+    return r_map(matops.mat_vec(nums, ints), tree, d * scale)
 
 
 def phi_type1(a, chain, tree):
@@ -367,21 +373,28 @@ class NotMember:
     depth_checked: int
 
 
-def witness_vector(func, chain, tree):
-    """The exact coordinate vector of a function at its own depth, integral
-    or not."""
+def _witness_numerators(func, chain, tree):
+    """The coordinate vector of a function at its own depth, as integer
+    numerators over one positive denominator."""
     n = func.depth
     if n > chain.depth:
         raise DepthExceeded(f"chain has depth {chain.depth}, function sits at {n}")
-    beta = to_R_basis(func, tree)
-    return tuple(matops.mat_vec(chain.u_matrix(n), list(beta)))
+    beta, d = matops.clear_denominators(to_R_basis(func, tree))
+    return matops.mat_vec(chain.u_matrix(n), beta), d
+
+
+def witness_vector(func, chain, tree):
+    """The exact coordinate vector of a function at its own depth, integral
+    or not."""
+    w, d = _witness_numerators(func, chain, tree)
+    return tuple(Fraction(x, d) for x in w)
 
 
 def membership(func, chain, tree):
     """Exact integrality test at the function's own depth."""
-    alpha = witness_vector(func, chain, tree)
-    if matops.vec_is_integral(alpha):
-        return K0Witness(tuple(int(x) for x in alpha), func.depth)
+    w, d = _witness_numerators(func, chain, tree)
+    if all(x % d == 0 for x in w):
+        return K0Witness(tuple(x // d for x in w), func.depth)
     return NotMember(func.depth)
 
 

@@ -1,16 +1,19 @@
 """Exact matrix arithmetic over the integers and the rationals.
 
 Everything here works on plain sequences of sequences whose entries are
-ints or fractions.Fraction.  rank, det, inverse and the row scans share one
-fraction-free (Bareiss) elimination over Python ints: rational rows are
-cleared of their denominators on the way in, and Fractions appear only in
-the answers that need them (a determinant, an inverse).  No floats
+ints or fractions.Fraction; products of integer inputs stay integer.
+rank, det, inverse and the row scans share one fraction-free (Bareiss)
+elimination over Python ints: rational rows are cleared of their
+denominators on the way in, and Fractions appear only in the answers that
+need them (a determinant, an inverse).  int_inverse gives an inverse as
+integer numerators over one denominator, with no Fraction at all.  No floats
 anywhere.  Pivoting is deterministic: the first nonzero candidate wins, so
 repeated runs agree bit for bit.
 """
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import Singular
 
@@ -31,16 +34,11 @@ def dims(m):
 
 
 def identity(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def zeros(r, c):
-    return [[Fraction(0)] * c for _ in range(r)]
-
-
-def transpose(m):
-    r, c = dims(m)
-    return [[m[i][j] for i in range(r)] for j in range(c)]
+    return [[0] * c for _ in range(r)]
 
 
 def mat_mul(a, b):
@@ -66,7 +64,7 @@ def mat_vec(a, v):
     r, c = dims(a)
     if len(v) != c:
         raise ValueError(f"shape mismatch: {r}x{c} times vector of length {len(v)}")
-    return [sum((a[i][j] * v[j] for j in range(c)), Fraction(0)) for i in range(r)]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def mat_eq(a, b):
@@ -77,18 +75,24 @@ def mat_eq(a, b):
     )
 
 
+def clear_denominators(v):
+    """Integer numerators of the entries of v over their least common
+    denominator, and that denominator.  An integer vector is copied as it is."""
+    if set(map(type, v)) <= {int}:
+        return list(v), 1
+    fr = [Fraction(x) for x in v]
+    d = lcm(*(x.denominator for x in fr))
+    return [x.numerator * (d // x.denominator) for x in fr], d
+
+
 def _int_rows(m):
     """Integer copies of the rows, each cleared of its denominators, and the
-    product of the row scales.  Integer rows are copied as they are."""
+    product of the row scales."""
     rows = []
     scale = 1
     for row in m:
-        if set(map(type, row)) == {int}:
-            rows.append(list(row))
-            continue
-        fr = [Fraction(x) for x in row]
-        s = lcm(*(x.denominator for x in fr))
-        rows.append([x.numerator * (s // x.denominator) for x in fr])
+        ints, s = clear_denominators(row)
+        rows.append(ints)
         scale *= s
     return rows, scale
 
@@ -152,9 +156,14 @@ def det(m):
     return Fraction(sign * last, scale)
 
 
-def inverse(m):
-    """Fraction-free Gauss-Jordan on [m | I]; raises Singular when there is
-    no inverse."""
+def int_inverse(m):
+    """The inverse of m as an integer matrix over one positive integer
+    denominator: (nums, d) with m^-1 = nums / d.  Raises Singular when there
+    is no inverse.
+
+    A fraction-free Gauss-Jordan on [m | I] leaves [p*I | p*m^-1], where p
+    is the last pivot.
+    """
     r, c = dims(m)
     if r != c:
         raise ValueError("inverse of a non-square matrix")
@@ -164,7 +173,15 @@ def inverse(m):
     # [m | I] always has rank r; m is invertible when its columns hold the pivots
     if cols != list(range(r)):
         raise Singular("matrix is singular")
-    return [[Fraction(x, last) for x in row[r:]] for row in work]
+    if last < 0:
+        return [[-x for x in row[r:]] for row in work], -last
+    return [row[r:] for row in work], last
+
+
+def inverse(m):
+    """Rational inverse of m; raises Singular when there is none."""
+    nums, d = int_inverse(m)
+    return [[Fraction(x, d) for x in row] for row in nums]
 
 
 def independent_rows(m, order=None):
@@ -205,12 +222,6 @@ def left_null_vector(m):
     return y
 
 
-def solve(a, b):
-    """Solve a square nonsingular system a·x = b exactly."""
-    inv = inverse(a)
-    return mat_vec(inv, b)
-
-
 def adjugate(m):
     """Transposed cofactor matrix, by minors (exact, any square input)."""
     r, c = dims(m)
@@ -246,7 +257,3 @@ def frac_str(x):
     """Render a Fraction compactly: integers without the /1 tail."""
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def parse_frac(tok):
-    return Fraction(tok)

@@ -284,33 +284,38 @@ class LocallyConstantFunction:
 
 
 def refine(func, to_depth, tree):
-    """Re-express a function on a deeper level's cylinders."""
+    """Re-express a function on a deeper level's cylinders: one pass down the
+    tree, each vertex taking its parent's value."""
     if to_depth < func.depth:
         raise ValueError("refine only goes deeper")
     if to_depth == func.depth:
         return func
+    if func.depth < 0:
+        raise DepthExceeded(f"no level {func.depth}")
     tree.ensure_depth(to_depth)
-    values = []
-    for j in range(1, tree.level_count(to_depth) + 1):
-        anc = tree.ancestor(to_depth, j, func.depth)
-        values.append(func.values[anc - 1])
+    values = func.values
+    for parents in tree._parents[func.depth:to_depth]:
+        values = [values[p - 1] for p in parents]
     return LocallyConstantFunction(to_depth, tuple(values))
 
 
 def indicator(cylinders, tree):
-    """Indicator function of a union of cylinders, at the deepest level used."""
+    """Indicator function of a union of cylinders, at the deepest level used:
+    one pass down the tree, a vertex lying inside a cylinder when it or its
+    parent does."""
     cyls = [cylinders] if isinstance(cylinders, Cylinder) else list(cylinders)
     if not cyls:
         raise ValueError("empty cylinder collection")
-    depth = max(c.level for c in cyls)
+    levels = [c.level for c in cyls]
+    if min(levels) < 0:
+        raise DepthExceeded(f"no level {min(levels)}")
+    depth = max(levels)
     tree.ensure_depth(depth)
-    values = [Fraction(0)] * tree.level_count(depth)
-    for j in range(1, tree.level_count(depth) + 1):
-        for c in cyls:
-            if tree.ancestor(depth, j, c.level) == c.vertex:
-                values[j - 1] = Fraction(1)
-                break
-    return LocallyConstantFunction(depth, tuple(values))
+    marked = {(c.level, c.vertex) for c in cyls}
+    inside = [(0, 1) in marked]
+    for lev, parents in enumerate(tree._parents[:depth], start=1):
+        inside = [inside[p - 1] or (lev, j) in marked for j, p in enumerate(parents, start=1)]
+    return LocallyConstantFunction(depth, tuple(int(x) for x in inside))
 
 
 def lcf_add(f, g):

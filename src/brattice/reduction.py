@@ -251,18 +251,30 @@ def iter_minimal_reductions(mat):
             frames.append(open_row(i + 1))
 
 
+def first_minimal_reductions(mat, keep, limit=10**6):
+    """The first `keep` surjective support assignments, in lexicographic
+    order, and the number of all of them; the others are counted, not kept.
+
+    Raises LimitExceeded if more than `limit` maps exist.  Every node of the
+    walk leads to a map, so the walk visits at most rows * (limit + 1)
+    nodes: the cap bounds work as well as output.
+    """
+    maps = iter_minimal_reductions(mat)
+    first = list(islice(maps, min(keep, limit + 1)))
+    count = len(first) + sum(1 for _ in islice(maps, limit + 1 - len(first)))
+    if count > limit:
+        raise LimitExceeded(f"more than {limit} reductions")
+    return first, count
+
+
 def enumerate_minimal_reductions(mat, limit=10**6):
     """All surjective support assignments, in lexicographic order.
 
     Purely combinatorial: rank plays no role, and an empty list is a
     legitimate answer.  Raises LimitExceeded if more than `limit` maps
-    exist.  Every node of the walk leads to a map, so the walk visits at
-    most rows * (limit + 1) nodes: the cap bounds work as well as output.
+    exist, after a walk bounded as in first_minimal_reductions.
     """
-    maps = list(islice(iter_minimal_reductions(mat), limit + 1))
-    if len(maps) > limit:
-        raise LimitExceeded(f"more than {limit} reductions")
-    return maps
+    return first_minimal_reductions(mat, limit, limit)[0]
 
 
 def is_unique_minimal(mat):

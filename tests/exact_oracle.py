@@ -1,17 +1,25 @@
 """Slow exact oracles: textbook Gauss elimination over fractions.Fraction,
-and the unpruned reduction walkers.
+the unpruned reduction walkers, and the K0 query path over Fractions.
 
 These are the library's former rank, det and inverse, kept here so the
 fraction-free kernel in brattice.matops is checked against an independent
 implementation, together with the greedy row scan and the pivot-row minors
-scan the kernel replaced.  The walkers at the end are the former
-enumeration, lex-first and square-bijection searches that the Hall-pruned
-brattice.reduction.iter_minimal_reductions replaced.
+scan the kernel replaced, and the small matrix helpers only tests use.  The
+walkers that follow are the former enumeration, lex-first and
+square-bijection searches that the Hall-pruned
+brattice.reduction.iter_minimal_reductions replaced.  The last section is
+the former Fraction realization path: chain products and inverses over
+Fractions, and r_map, refine and indicator walking every vertex up to its
+ancestor, which the integer top-down passes in brattice.k0 and
+brattice.pathspace replaced.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from brattice.errors import Singular
+from brattice.k0 import to_R_basis
+from brattice.pathspace import Cylinder, LocallyConstantFunction
 
 
 def _copy(m):
@@ -85,6 +93,27 @@ def inverse(m):
                 continue
             aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
     return [row[n:] for row in aug]
+
+
+def transpose(m):
+    return [[m[i][j] for i in range(len(m))] for j in range(len(m[0]))]
+
+
+def mat_mul(a, b):
+    return transpose([mat_vec(a, list(col)) for col in zip(*b)])
+
+
+def mat_vec(a, v):
+    return [sum((a[i][j] * v[j] for j in range(len(v))), Fraction(0)) for i in range(len(a))]
+
+
+def solve(a, b):
+    """Solve a square nonsingular system a·x = b exactly."""
+    return mat_vec(inverse(a), b)
+
+
+def parse_frac(tok):
+    return Fraction(tok)
 
 
 def independent_rows(m, order):
@@ -220,3 +249,73 @@ def square_bijection(mat):
         return False
 
     return tuple(choice) if place(0) else None
+
+
+# ---------------------------------------------------------------------------
+# the K0 query path over Fractions
+
+
+# a chain never changes, so its products and inverses are computed once
+@cache
+def u_matrix(chain, n):
+    """The chain's product at depth n, padded and multiplied over Fractions."""
+    size = 1 if chain.mode != "constant" else len(chain.squares[0])
+    u = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    for sq in chain.squares[:n]:
+        if chain.mode != "constant":
+            u = [row + [Fraction(0)] for row in u] + [[Fraction(0)] * len(u) + [Fraction(1)]]
+        u = mat_mul([list(row) for row in sq], u)
+    return u
+
+
+@cache
+def a_matrix(chain, n):
+    return inverse(u_matrix(chain, n))
+
+
+def r_map(beta, tree):
+    """Each vertex sums the coefficients of the levels whose distinguished
+    vertex is its ancestor, found by walking up from the vertex."""
+    n = len(beta) - 1
+    rs = [1] + [tree.branch(lev).big_child for lev in range(1, n + 1)]
+    tree.ensure_depth(n)
+    values = []
+    for j in range(1, tree.level_count(n) + 1):
+        total = Fraction(0)
+        for lev in range(n + 1):
+            if tree.ancestor(n, j, lev) == rs[lev]:
+                total += Fraction(beta[lev])
+        values.append(total)
+    return LocallyConstantFunction(n, tuple(values))
+
+
+def phi(alpha, chain, tree):
+    n = len(alpha) - 1
+    return r_map(mat_vec(a_matrix(chain, n), [Fraction(x) for x in alpha]), tree)
+
+
+def witness_vector(func, chain, tree):
+    return tuple(mat_vec(u_matrix(chain, func.depth), list(to_R_basis(func, tree))))
+
+
+def refine(func, to_depth, tree):
+    if to_depth == func.depth:
+        return func
+    tree.ensure_depth(to_depth)
+    values = []
+    for j in range(1, tree.level_count(to_depth) + 1):
+        values.append(func.values[tree.ancestor(to_depth, j, func.depth) - 1])
+    return LocallyConstantFunction(to_depth, tuple(values))
+
+
+def indicator(cylinders, tree):
+    cyls = [cylinders] if isinstance(cylinders, Cylinder) else list(cylinders)
+    depth = max(c.level for c in cyls)
+    tree.ensure_depth(depth)
+    values = [Fraction(0)] * tree.level_count(depth)
+    for j in range(1, tree.level_count(depth) + 1):
+        for c in cyls:
+            if tree.ancestor(depth, j, c.level) == c.vertex:
+                values[j - 1] = Fraction(1)
+                break
+    return LocallyConstantFunction(depth, tuple(values))

@@ -2,11 +2,12 @@
 
 import json
 
+import exact_oracle as oracle
 import pytest
 
 from brattice import corpus
 from brattice.cli import main
-from brattice.diagram import parse_bdspec
+from brattice.diagram import MultiplicityMatrix, multiplicity_rank, parse_bdspec
 
 
 def run(capsys, *argv):
@@ -138,6 +139,37 @@ def test_reduce_enumerate_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload == {"count": 3, "maps": [[1, 2, 1], [2, 1, 1], [2, 2, 1]]}
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "threebranch",
+        [[0, 0, 1, 2]] * 6 + [[1, 3, 0, 0]],  # dead end: no map
+        [[1, 1, 0], [1, 1, 0], [0, 0, 1], [1, 1, 1]],  # rank deficient
+    ],
+)
+def test_reduce_first_maps_and_count(tmp_path, capsys, rows):
+    if isinstance(rows, str):
+        source = f"corpus:{rows}"
+        mat = corpus.get(rows).matrix()
+    else:
+        source = tmp_path / "mat.txt"
+        source.write_text("".join(" ".join(map(str, row)) + "\n" for row in rows))
+        mat = MultiplicityMatrix(rows)
+    maps = oracle.enumerate_reductions(mat)
+    for n in (0, 1, 2, 10):
+        code, out, _ = run(capsys, "reduce", str(source), "--enumerate", str(n))
+        lines = [f"map: {' '.join(map(str, p))}" for p in maps[:n]]
+        assert out == "\n".join(lines + [f"{len(maps)} reductions total"]) + "\n"
+        assert code == (0 if maps else 1)
+        code, out, _ = run(capsys, "reduce", str(source), "--enumerate", str(n), "--json")
+        assert json.loads(out) == {"count": len(maps), "maps": [list(p) for p in maps[:n]]}
+    if mat.nrows == mat.ncols + 1 and multiplicity_rank(mat) < mat.ncols:
+        code, out, _ = run(capsys, "reduce", str(source))
+        assert (code, out) == (1, f"rank deficient; brute force found {len(maps)} reductions\n")
+    code, out, err = run(capsys, "reduce", str(source), "--enumerate", "-1")
+    assert (code, out, err) == (2, "", "usage error: --enumerate needs N >= 0, got -1\n")
 
 
 def test_reduce_diagram_dumps_tree(capsys):

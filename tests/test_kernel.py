@@ -63,6 +63,10 @@ def test_inverse_matches_oracle(m):
             matops.inverse(m)
     else:
         assert matops.inverse(m) == oracle.inverse(m)
+        nums, d = matops.int_inverse(m)
+        assert type(d) is int and d > 0
+        assert all(type(x) is int for row in nums for x in row)
+        assert [[Fraction(x, d) for x in row] for row in nums] == oracle.inverse(m)
 
 
 @settings(max_examples=300, deadline=None)

@@ -15,6 +15,7 @@ from brattice.errors import LimitExceeded, RankDeficient, Singular
 from brattice.reduction import (
     _coverable,
     enumerate_minimal_reductions,
+    first_minimal_reductions,
     is_unique_minimal,
     iter_minimal_reductions,
     minimal_reduce,
@@ -233,6 +234,17 @@ def _with_edge_cases(test):
 @given(matrices())
 def test_enumeration_matches_unpruned_walker(mm):
     assert enumerate_minimal_reductions(mm) == oracle.enumerate_reductions(mm)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.integers(min_value=0, max_value=6))
+def test_first_maps_and_count_match_unpruned_walker(mm, keep):
+    maps = oracle.enumerate_reductions(mm)
+    # exactly at the cap is fine, one below it raises
+    assert first_minimal_reductions(mm, keep, len(maps)) == (maps[:keep], len(maps))
+    if maps:
+        with pytest.raises(LimitExceeded):
+            first_minimal_reductions(mm, keep, len(maps) - 1)
 
 
 @settings(max_examples=150, deadline=None)
