@@ -10,7 +10,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -121,7 +120,7 @@ def _strategy(text):
         raise UsageError(str(exc)) from None
 
 
-def _parse_func(text):
+def _parse_func(text, diagram):
     head, sep, rest = text.partition(":")
     head = head.strip()
     if not sep or not head.startswith("depth="):
@@ -131,14 +130,26 @@ def _parse_func(text):
         values = tuple(Fraction(t) for t in rest.replace(",", " ").split())
     except ValueError as exc:
         raise UsageError(f"bad --func value: {exc}") from None
+    if depth < 0:
+        raise UsageError(f"--func depth must be >= 0, got {depth}")
+    # depths past the diagram keep their DepthExceeded verdict
+    if depth <= diagram.max_matrix_index() + 1:
+        width = diagram.level_count(depth)
+        if len(values) != width:
+            raise UsageError(
+                f"--func at depth {depth} needs {width} values, got {len(values)}"
+            )
     return LocallyConstantFunction(depth, values)
 
 
 def _parse_vector(text, flag):
     try:
-        return tuple(Fraction(t) for t in text.replace(",", " ").split())
+        values = tuple(Fraction(t) for t in text.replace(",", " ").split())
     except ValueError as exc:
         raise UsageError(f"bad {flag} value: {exc}") from None
+    if not values:
+        raise UsageError(f"{flag} needs at least one value")
+    return values
 
 
 def _parse_ints(text, flag):
@@ -166,6 +177,8 @@ def _write_file(path, text):
 
 
 def _emit_json(payload):
+    import json  # only the --json verbs pay for loading it
+
     print(json.dumps(payload, sort_keys=True))
 
 
@@ -358,7 +371,7 @@ def cmd_k0_phi(args):
 
 def cmd_k0_member(args):
     diagram = _need_diagram(args.input, "k0 member")
-    func = _parse_func(args.func)
+    func = _parse_func(args.func, diagram)
     tree = build_minimal_diagram(diagram, _strategy(args.strategy))
     if args.weight:
         verdict = weight_scheme(diagram).membership(func)
@@ -386,7 +399,7 @@ def cmd_k0_member(args):
 
 def cmd_k0_positive(args):
     diagram = _need_diagram(args.input, "k0 positive")
-    func = _parse_func(args.func)
+    func = _parse_func(args.func, diagram)
     tree = build_minimal_diagram(diagram, _strategy(args.strategy))
     if args.weight:
         verdict = weight_scheme(diagram).positivity(func)

@@ -8,7 +8,6 @@ compute_field re-derives any record live so drift is caught immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagram import (
@@ -44,6 +43,7 @@ from .pathspace import (
     end_census,
     refine,
 )
+from .record import Record
 from .reduction import (
     enumerate_minimal_reductions,
     is_unique_minimal,
@@ -53,15 +53,13 @@ from .reduction import (
 )
 
 
-@dataclass(frozen=True)
-class ExpectedRecord:
+class ExpectedRecord(Record):
     field: str
     tag: str
     value: object
 
 
-@dataclass(frozen=True)
-class ExampleCorpusEntry:
+class ExampleCorpusEntry(Record):
     name: str
     description: str
     kind: str  # "diagram" | "matrix"

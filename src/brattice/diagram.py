@@ -10,12 +10,12 @@ the tuples inside MultiplicityMatrix are plain 0-based Python data.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import matops
 from .config import depth_limit
 from .errors import DepthExceeded, IndexOutOfRange, NotDilatable, RankDeficient
+from .record import Record
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +102,7 @@ def mm_product(later, earlier):
 # shapes
 
 
-@dataclass(frozen=True)
-class ShapeClass:
+class ShapeClass(Record):
     kind: str  # "type2" | "type1" | "irregular"
     width: int | None = None  # constant level size for type1
 
@@ -144,8 +143,7 @@ _POW_RE = re.compile(r"^(\d+)\^\{([^{}]+)\}$")
 _AFFINE_RE = re.compile(r"^(?:(\d+)\*?)?n([+-]\d+)?$|^([+-]?\d+)$")
 
 
-@dataclass(frozen=True)
-class PowToken:
+class PowToken(Record):
     """Level-indexed entry base^(coeff*n + offset)."""
 
     base: int
@@ -188,8 +186,7 @@ def render_entry_token(tok):
     return tok.render() if isinstance(tok, PowToken) else str(int(tok))
 
 
-@dataclass(frozen=True)
-class PeriodicTail:
+class PeriodicTail(Record):
     """Repeat template matrices forever; entries may be level-indexed tokens.
 
     Template k (0-based) serves level anchor+k, anchor+period+k, ...  Only
@@ -273,8 +270,7 @@ TAIL_FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class FamilyTail:
+class FamilyTail(Record):
     """Named built-in generator covering every level index it is asked for."""
 
     name: str
@@ -291,8 +287,7 @@ class FamilyTail:
 # diagrams
 
 
-@dataclass(frozen=True)
-class BratteliDiagram:
+class BratteliDiagram(Record):
     """Explicit matrices plus an optional tail rule.
 
     `shape` is declarative; validate_diagram checks it against the data.
@@ -375,8 +370,7 @@ class BratteliDiagram:
         return tuple(v)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     ok: bool
     issues: tuple
     shape: ShapeClass

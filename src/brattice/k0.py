@@ -12,7 +12,6 @@ run over Python ints and Fractions appear only in the answers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import matops
@@ -32,6 +31,7 @@ from .pathspace import (
     indicator,
     refine,
 )
+from .record import Record
 from .reduction import is_unique_minimal
 
 
@@ -39,8 +39,7 @@ from .reduction import is_unique_minimal
 # completions
 
 
-@dataclass(frozen=True)
-class Auto:
+class Auto(Record):
     """The first standard basis column that makes the square invertible.
 
     A rank-c (c+1) x c matrix spans only c dimensions, so some e_i lies
@@ -48,15 +47,13 @@ class Auto:
     """
 
 
-@dataclass(frozen=True)
-class WeightColumn:
+class WeightColumn(Record):
     """Place b at the larger branch child of a unique-minimal matrix."""
 
     b: int
 
 
-@dataclass(frozen=True)
-class ExplicitColumn:
+class ExplicitColumn(Record):
     column: tuple
 
 
@@ -140,7 +137,7 @@ class CompletedChain:
 
     def u_matrix(self, n):
         """Integer product taking basis vectors at depth n to R-basis vectors."""
-        if n > self.depth:
+        if not 0 <= n <= self.depth:
             raise DepthExceeded(f"chain has depth {self.depth}, asked for {n}")
         if n == 0:
             return matops.identity(1 if self.mode != "constant" else len(self.squares[0]))
@@ -269,16 +266,21 @@ def complete_chain(diagram, hints=None, depth=None):
 # the R basis
 
 
-def r_vertices(tree, n):
-    """The distinguished vertex at each level 0..n: root, then the larger
-    branch child."""
+def _big_children(branches):
+    """The distinguished vertex at each level 0..n from the branch records
+    of levels 1..n: root, then the larger branch child."""
     out = [1]
-    for lev in range(1, n + 1):
-        b = tree.branch(lev)
+    for lev, b in enumerate(branches, start=1):
         if b is None:
             raise ValueError(f"level {lev} does not branch exactly once")
         out.append(b.big_child)
     return out
+
+
+def r_vertices(tree, n):
+    """The distinguished vertex at each level 0..n: root, then the larger
+    branch child."""
+    return _big_children(tree.levels(n)[1])
 
 
 def r_map(beta, tree, denominator=1):
@@ -291,10 +293,11 @@ def r_map(beta, tree, denominator=1):
     integer until the final division.
     """
     n = len(beta) - 1
-    rs = r_vertices(tree, n)
+    levels, branches = tree.levels(n)
+    rs = _big_children(branches)
     sums = [beta[0]]
-    for lev in range(1, n + 1):
-        sums = [sums[p - 1] for p in tree.parents_at(lev)]
+    for lev, parents in enumerate(levels, start=1):
+        sums = [sums[p - 1] for p in parents]
         sums[rs[lev] - 1] += beta[lev]
     return LocallyConstantFunction(n, tuple(Fraction(v, denominator) for v in sums))
 
@@ -302,15 +305,18 @@ def r_map(beta, tree, denominator=1):
 def to_R_basis(func, tree):
     """Invert r_map: peel one level at a time from the deepest."""
     n = func.depth
-    rs = r_vertices(tree, n)
+    levels, branches = tree.levels(n)
+    _big_children(branches)  # every level must branch exactly once
+    counts = [1] + [len(parents) for parents in levels]
     gamma = list(func.values)
+    if len(gamma) != counts[n]:
+        raise ValueError(f"level {n} has {counts[n]} vertices, got {len(gamma)} values")
     beta = [Fraction(0)] * (n + 1)
     for lev in range(n, 0, -1):
-        b = tree.branch(lev)
-        parents = tree.parents_at(lev)
+        b = branches[lev - 1]
         beta[lev] = gamma[b.big_child - 1] - gamma[b.small_child - 1]
-        shallower = [Fraction(0)] * tree.level_count(lev - 1)
-        for child, parent in enumerate(parents, start=1):
+        shallower = [Fraction(0)] * counts[lev - 1]
+        for child, parent in enumerate(levels[lev - 1], start=1):
             if child == b.big_child:
                 continue
             shallower[parent - 1] = gamma[child - 1]
@@ -362,14 +368,12 @@ def commuting_check(n, alpha, chain, tree):
 # membership and positivity
 
 
-@dataclass(frozen=True)
-class K0Witness:
+class K0Witness(Record):
     alpha: tuple
     depth: int
 
 
-@dataclass(frozen=True)
-class NotMember:
+class NotMember(Record):
     depth_checked: int
 
 
@@ -398,19 +402,16 @@ def membership(func, chain, tree):
     return NotMember(func.depth)
 
 
-@dataclass(frozen=True)
-class Positive:
+class Positive(Record):
     level: int
     witness: tuple
 
 
-@dataclass(frozen=True)
-class NotPositiveUpTo:
+class NotPositiveUpTo(Record):
     bound: int | None  # None: definitively never nonnegative
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(Record):
     checked: int
 
 
@@ -526,6 +527,8 @@ class WeightScheme:
     def membership(self, func):
         n = func.depth
         ks = self.weights(n)
+        if len(func.values) != len(ks):
+            raise ValueError(f"level {n} has {len(ks)} vertices, got {len(func.values)} values")
         alpha = [v * ks[i] for i, v in enumerate(func.values)]
         if matops.vec_is_integral(alpha):
             return K0Witness(tuple(int(x) for x in alpha), n)
@@ -566,13 +569,11 @@ def indicator_membership(cylinders, realizer, tree):
     return _scheme_or_chain_membership(func, realizer, tree)
 
 
-@dataclass(frozen=True)
-class Preserved:
+class Preserved(Record):
     checked: int
 
 
-@dataclass(frozen=True)
-class Broken:
+class Broken(Record):
     witness: LocallyConstantFunction
     image: LocallyConstantFunction
 

@@ -9,10 +9,10 @@ ever append, so a shared tree deepens idempotently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DepthExceeded, Uncertified, UnsupportedUserMap
+from .record import Record
 from .reduction import iter_minimal_reductions, minimal_reduce, minimal_reduce_square
 
 
@@ -20,32 +20,52 @@ from .reduction import iter_minimal_reductions, minimal_reduce, minimal_reduce_s
 # strategies
 
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(Record):
     """Deterministic minimal reduction at every level."""
 
+    def parents(self, mat, level):
+        prev, cur = mat.ncols, mat.nrows
+        if cur == prev + 1:
+            return minimal_reduce(mat).parents
+        if cur == prev:
+            return minimal_reduce_square(mat).parents
+        if prev == 1:
+            return (1,) * cur
+        raise UnsupportedUserMap(
+            f"no canonical reduction for a {cur}x{prev} step at level {level}"
+        )
 
-@dataclass(frozen=True)
-class LexFirst:
+
+class LexFirst(Record):
     """Lexicographically first valid reduction at every level."""
 
+    def parents(self, mat, level):
+        parents = next(iter_minimal_reductions(mat), None)
+        if parents is None:
+            raise UnsupportedUserMap(f"no valid reduction at level {level}")
+        return parents
 
-@dataclass(frozen=True)
-class UserMap:
+
+class UserMap(Record):
     """Explicit parent tuples per level; levels beyond the last supplied one
     extend only where the matrix forces a unique choice."""
 
     maps: tuple  # tuple of (level, parents-tuple)
 
-    def lookup(self, level):
+    def parents(self, mat, level):
         for lev, parents in self.maps:
             if lev == level:
                 return parents
-        return None
+        cur = mat.nrows
+        if all(mat.is_row_monomial(i) for i in range(1, cur + 1)):
+            return tuple(mat.row_support(i)[0] for i in range(1, cur + 1))
+        raise DepthExceeded(
+            f"user maps end before level {level} and the matrix "
+            "does not force a unique choice"
+        )
 
 
-@dataclass(frozen=True)
-class NamedFamily:
+class NamedFamily(Record):
     """Built-in single-growth parent patterns with known end structure."""
 
     name: str  # rightmost | leftmost | alternating | positions
@@ -56,6 +76,25 @@ class NamedFamily:
             raise ValueError(f"unknown family {self.name!r}")
         if self.name == "positions" and not self.positions:
             raise ValueError("positions family needs a nonempty position list")
+
+    def _branch_position(self, level, prev_count):
+        if self.name == "rightmost":
+            return prev_count
+        if self.name == "leftmost":
+            return 1
+        if self.name == "alternating":
+            return prev_count if level % 2 == 0 else 1
+        raw = self.positions[(level - 1) % len(self.positions)]
+        return max(1, min(raw, prev_count))
+
+    def parents(self, mat, level):
+        prev, cur = mat.ncols, mat.nrows
+        if cur != prev + 1:
+            raise UnsupportedUserMap(
+                f"family {self.name!r} needs single growth at level {level}"
+            )
+        a = self._branch_position(level, prev)
+        return tuple(j if j <= a else j - 1 for j in range(1, cur + 1))
 
 
 def strategy_from_string(text):
@@ -72,33 +111,11 @@ def strategy_from_string(text):
     raise ValueError(f"unknown strategy {text!r}")
 
 
-def _family_branch_position(family, level, prev_count):
-    if family.name == "rightmost":
-        return prev_count
-    if family.name == "leftmost":
-        return 1
-    if family.name == "alternating":
-        return prev_count if level % 2 == 0 else 1
-    nums = family.positions
-    raw = nums[(level - 1) % len(nums)]
-    return max(1, min(raw, prev_count))
-
-
-def _family_parents(family, level, prev_count, cur_count):
-    if cur_count != prev_count + 1:
-        raise UnsupportedUserMap(
-            f"family {family.name!r} needs single growth at level {level}"
-        )
-    a = _family_branch_position(family, level, prev_count)
-    return tuple(j if j <= a else j - 1 for j in range(1, cur_count + 1))
-
-
 # ---------------------------------------------------------------------------
 # the tree
 
 
-@dataclass(frozen=True)
-class BranchData:
+class BranchData(Record):
     """Level at which one parent carries two children."""
 
     parent: int  # position of the doubled parent at the level above
@@ -137,37 +154,10 @@ class MinimalDiagram:
     def _materialize_next(self):
         level = self.depth + 1
         mat = self.diagram.matrix(level - 1)
-        prev, cur = mat.ncols, mat.nrows
-        strat = self.strategy
-        if isinstance(strat, Theorem):
-            if cur == prev + 1:
-                parents = minimal_reduce(mat).parents
-            elif cur == prev:
-                parents = minimal_reduce_square(mat).parents
-            elif prev == 1:
-                parents = (1,) * cur
-            else:
-                raise UnsupportedUserMap(
-                    f"no canonical reduction for a {cur}x{prev} step at level {level}"
-                )
-        elif isinstance(strat, LexFirst):
-            parents = next(iter_minimal_reductions(mat), None)
-            if parents is None:
-                raise UnsupportedUserMap(f"no valid reduction at level {level}")
-        elif isinstance(strat, NamedFamily):
-            parents = _family_parents(strat, level, prev, cur)
-        elif isinstance(strat, UserMap):
-            parents = strat.lookup(level)
-            if parents is None:
-                if all(mat.is_row_monomial(i) for i in range(1, cur + 1)):
-                    parents = tuple(mat.row_support(i)[0] for i in range(1, cur + 1))
-                else:
-                    raise DepthExceeded(
-                        f"user maps end before level {level} and the matrix "
-                        "does not force a unique choice"
-                    )
-        else:
-            raise TypeError(f"unknown strategy {strat!r}")
+        choose = getattr(self.strategy, "parents", None)
+        if choose is None:
+            raise TypeError(f"unknown strategy {self.strategy!r}")
+        parents = choose(mat, level)
         self._check_parents(level, mat, parents)
         self._parents.append(tuple(parents))
         self._branches.append(self._branch_from(parents))
@@ -202,6 +192,15 @@ class MinimalDiagram:
         return None
 
     # -- queries
+
+    def levels(self, n):
+        """Parent tuples and branch records of levels 1..n after one depth
+        check, for callers that walk every level (the per-level accessors
+        check the depth on each call)."""
+        if n < 0:
+            raise DepthExceeded(f"no level {n}")
+        self.ensure_depth(n)
+        return self._parents[:n], self._branches[:n]
 
     def parents_at(self, level):
         self.ensure_depth(level)
@@ -254,8 +253,7 @@ def build_minimal_diagram(diagram, strategy):
 # cylinders and functions
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(Record):
     level: int
     vertex: int
 
@@ -266,8 +264,7 @@ def cylinder_children(tree, cyl):
     return tuple(Cylinder(cyl.level + 1, j) for j in kids)
 
 
-@dataclass(frozen=True)
-class LocallyConstantFunction:
+class LocallyConstantFunction(Record):
     """One rational value per vertex at a fixed depth."""
 
     depth: int
@@ -340,8 +337,7 @@ def functions_equal(f, g, tree):
 # end structure
 
 
-@dataclass(frozen=True)
-class EndCensus:
+class EndCensus(Record):
     """kind: 'finite' | 'countably-infinite' | 'at-least' (uncertified floor)."""
 
     kind: str

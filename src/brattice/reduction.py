@@ -8,16 +8,15 @@ use.  All vertex labels in results are 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
 from . import matops
 from .diagram import MultiplicityMatrix, multiplicity_rank
 from .errors import LimitExceeded, RankDeficient, Singular
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ReductionOutcome:
+class ReductionOutcome(Record):
     """parents[i-1] is the chosen column (1-based) for row i."""
 
     parents: tuple

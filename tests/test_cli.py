@@ -313,6 +313,32 @@ def test_k0_positive_definitive(capsys):
     assert out.strip() == "not positive (definitive)"
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("member", "corpus:gicar", "--func", "depth=-1: 1"), "--func"),
+        (("member", "corpus:gicar", "--func", "depth=2: 1 2"), "--func"),
+        (("positive", "corpus:gicar", "--func", "depth=2: 1 2 3 4"), "--func"),
+        (("member", "corpus:gicar", "--weight", "--func", "depth=0:"), "--func"),
+        (("phi", "corpus:gicar", "--alpha", ""), "--alpha"),
+    ],
+    ids=["negative-depth", "too-few-values", "too-many-values", "weight-no-values", "empty-alpha"],
+)
+def test_k0_malformed_vector_is_usage_error(capsys, argv, flag):
+    code, out, err = run(capsys, "k0", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:")
+    assert flag in err
+
+
+def test_k0_func_past_the_diagram_keeps_its_verdict(capsys, monkeypatch):
+    monkeypatch.setenv("BRATTICE_DEPTH_LIMIT", "8")
+    code, _, err = run(capsys, "k0", "member", "corpus:gicar", "--func", "depth=9: 1")
+    assert code == 1
+    assert err.strip() == "error: chain has depth 8, function sits at 9"
+
+
 def test_k0_probe_broken(capsys):
     code, out, _ = run(
         capsys, "k0", "probe", "corpus:dyadic", "--swap", "1", "2", "--depth", "3"

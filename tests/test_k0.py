@@ -179,6 +179,11 @@ def test_chain_depth_guard():
         chain.u_matrix(3)
     with pytest.raises(DepthExceeded):
         chain.group_scale(3)
+    # an empty vector sits at depth -1, below the root
+    with pytest.raises(DepthExceeded):
+        chain.u_matrix(-1)
+    with pytest.raises(DepthExceeded):
+        phi((), chain, build_minimal_diagram(GICAR, "rightmost"))
 
 
 # --- the R basis -------------------------------------------------------------
@@ -204,6 +209,18 @@ def test_to_R_basis_frozen():
     assert to_R_basis(f, right) == (1, 2, 3)
     g = LocallyConstantFunction(1, (5, 7))
     assert to_R_basis(g, right) == (5, 2)
+
+
+@pytest.mark.parametrize("values", [(1, 3), (1, 3, 6, 7), ()])
+def test_function_with_wrong_value_count_is_rejected(values):
+    right = build_minimal_diagram(GICAR, "rightmost")
+    with pytest.raises(ValueError, match="level 2 has 3 vertices"):
+        to_R_basis(LocallyConstantFunction(2, values), right)
+    scheme = weight_scheme(DYADIC)
+    with pytest.raises(ValueError, match="level 2 has 3 vertices"):
+        scheme.membership(LocallyConstantFunction(2, values))
+    with pytest.raises(DepthExceeded):
+        to_R_basis(LocallyConstantFunction(-1, (1,)), right)
 
 
 def test_r_basis_round_trip():

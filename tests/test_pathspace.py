@@ -57,6 +57,16 @@ def test_strategy_from_string():
         strategy_from_string("bogus")
 
 
+def test_strategies_choose_the_parents_a_tree_records():
+    for strategy in (Theorem(), LexFirst(), NamedFamily("alternating"), PINCH_MAPS):
+        diagram = PINCH if strategy is PINCH_MAPS else GICAR
+        tree = build_minimal_diagram(diagram, strategy).ensure_depth(2)
+        for lev in (1, 2):
+            assert strategy.parents(diagram.matrix(lev - 1), lev) == tree.parents_at(lev)
+    with pytest.raises(TypeError, match="unknown strategy"):
+        build_minimal_diagram(GICAR, object()).ensure_depth(1)
+
+
 def test_family_parent_maps():
     right = build_minimal_diagram(GICAR, "rightmost")
     assert right.parents_at(1) == (1, 1)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brattice import corpus, diagram
+from brattice.errors import DepthExceeded
 from brattice.k0 import (
     Auto,
     ExplicitColumn,
@@ -17,6 +18,9 @@ from brattice.k0 import (
     complete_chain,
     membership,
     phi,
+    r_map,
+    r_vertices,
+    to_R_basis,
     weight_scheme,
     witness_vector,
 )
@@ -151,3 +155,25 @@ def test_refine_and_indicator_read_the_depth_limit_once(monkeypatch):
     refine(HALF, DEPTH, tree)
     indicator([Cylinder(2, 1), Cylinder(DEPTH, 3)], tree)
     assert len(reads) == 2
+
+
+def test_r_basis_maps_read_the_depth_limit_once(monkeypatch):
+    reads = []
+    limit = diagram.depth_limit
+    monkeypatch.setattr(diagram, "depth_limit", lambda: reads.append(1) or limit())
+    _, tree = REALIZERS["gicar"]
+    beta = tuple(range(DEPTH + 1))
+    func = r_map(beta, tree)
+    assert to_R_basis(func, tree) == beta
+    assert r_vertices(tree, DEPTH) == list(range(1, DEPTH + 2))
+    assert len(reads) == 3
+
+
+def test_tree_levels_match_the_per_level_accessors():
+    _, tree = REALIZERS["propersub"]
+    parents, branches = tree.levels(DEPTH)
+    assert parents == [tree.parents_at(lev) for lev in range(1, DEPTH + 1)]
+    assert branches == [tree.branch(lev) for lev in range(1, DEPTH + 1)]
+    assert tree.levels(0) == ([], [])
+    with pytest.raises(DepthExceeded):
+        tree.levels(-1)
