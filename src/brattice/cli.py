@@ -453,6 +453,8 @@ def _probe_theta(args, count):
 
 
 def cmd_k0_probe(args):
+    if args.cap < 0:
+        raise UsageError(f"--cap needs N >= 0, got {args.cap}")
     diagram = _need_diagram(args.input, "k0 probe")
     depth = args.depth or 3
     if args.weight or args.column:
@@ -592,7 +594,7 @@ def build_parser():
     p = k0_parser("probe", "vertex-relabeling automorphism probe")
     p.add_argument("--swap", type=int, nargs=2, metavar=("I", "J"))
     p.add_argument("--perm", help="full image list, e.g. '2,1,3'")
-    p.add_argument("--cap", type=int, default=512, help="candidate budget")
+    p.add_argument("--cap", type=int, default=512, help="budget; pairs and basis always run")
 
     p = sub.add_parser("corpus", help="re-derive every frozen corpus record")
     p.add_argument("--name", help="run one entry")

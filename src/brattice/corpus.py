@@ -16,6 +16,7 @@ from .diagram import (
     MultiplicityMatrix,
     PeriodicTail,
     ShapeClass,
+    multiplicity_rank,
     telescope,
 )
 from .errors import RankDeficient
@@ -49,7 +50,6 @@ from .reduction import (
     is_unique_minimal,
     minimal_reduce,
     minimal_reduce_square,
-    multiplicity_rank,
 )
 
 

@@ -448,12 +448,11 @@ def dilate_step(mat):
     r, c = mat.nrows, mat.ncols
     if r <= c:
         raise ValueError(f"dilate_step needs more rows than columns, got {r}x{c}")
-    if multiplicity_rank(mat) < c:
-        raise RankDeficient(f"matrix has rank below {c}")
-
     rows = mat.to_lists()
     # collect an invertible bottom block scanning upward from the last row
     bottom = sorted(matops.independent_rows(rows, order=range(r - 1, -1, -1)))
+    if len(bottom) < c:
+        raise RankDeficient(f"matrix has rank below {c}")
     top = [i for i in range(r) if i not in set(bottom)]
     row_order = tuple(top + bottom)
     pm = [rows[i] for i in row_order]

@@ -15,12 +15,13 @@ import itertools
 from fractions import Fraction
 
 from . import matops
-from .diagram import MultiplicityMatrix, multiplicity_rank
+from .diagram import MultiplicityMatrix
 from .errors import (
     DepthExceeded,
     NotInK0,
     NotUniqueMinimal,
     RankDeficient,
+    Singular,
     SingularCompletion,
 )
 from .pathspace import (
@@ -43,7 +44,8 @@ class Auto(Record):
     """The first standard basis column that makes the square invertible.
 
     A rank-c (c+1) x c matrix spans only c dimensions, so some e_i lies
-    outside its column space and the search always succeeds.
+    outside its column space: the first i where the left null vector of
+    the matrix is nonzero.
     """
 
 
@@ -64,9 +66,13 @@ def complete_matrix(mat, hint=Auto()):
     r, c = mat.nrows, mat.ncols
     if r != c + 1:
         raise ValueError(f"completion needs one more row than columns, got {r}x{c}")
-    if multiplicity_rank(mat) < c:
-        raise RankDeficient(f"rank is below {c}")
     base = mat.to_lists()
+    # z spans the left null space, and det([base | e_i]) = ±det(base without
+    # row i), which is a nonzero multiple of z[i]
+    try:
+        z = matops.left_null_vector(base)
+    except Singular:
+        raise RankDeficient(f"rank is below {c}") from None
 
     def with_column(col):
         return [base[i] + [col[i]] for i in range(r)]
@@ -92,11 +98,8 @@ def complete_matrix(mat, hint=Auto()):
         return square
 
     if isinstance(hint, Auto):
-        for i in range(r):
-            col = [1 if p == i else 0 for p in range(r)]
-            square = with_column(col)
-            if matops.det(square) != 0:
-                return square
+        i = next(p for p, x in enumerate(z) if x)
+        return with_column([int(p == i) for p in range(r)])
 
     raise TypeError(f"unknown completion hint {hint!r}")
 
@@ -302,27 +305,34 @@ def r_map(beta, tree, denominator=1):
     return LocallyConstantFunction(n, tuple(Fraction(v, denominator) for v in sums))
 
 
-def to_R_basis(func, tree):
-    """Invert r_map: peel one level at a time from the deepest."""
+def _R_numerators(func, tree):
+    """The coefficients of to_R_basis as integer numerators over one
+    positive denominator: the values are cleared once and peeled as ints."""
     n = func.depth
     levels, branches = tree.levels(n)
     _big_children(branches)  # every level must branch exactly once
     counts = [1] + [len(parents) for parents in levels]
-    gamma = list(func.values)
+    gamma, d = matops.clear_denominators(func.values)
     if len(gamma) != counts[n]:
         raise ValueError(f"level {n} has {counts[n]} vertices, got {len(gamma)} values")
-    beta = [Fraction(0)] * (n + 1)
+    beta = [0] * (n + 1)
     for lev in range(n, 0, -1):
         b = branches[lev - 1]
         beta[lev] = gamma[b.big_child - 1] - gamma[b.small_child - 1]
-        shallower = [Fraction(0)] * counts[lev - 1]
+        shallower = [0] * counts[lev - 1]
         for child, parent in enumerate(levels[lev - 1], start=1):
             if child == b.big_child:
                 continue
             shallower[parent - 1] = gamma[child - 1]
         gamma = shallower
     beta[0] = gamma[0]
-    return tuple(beta)
+    return beta, d
+
+
+def to_R_basis(func, tree):
+    """Invert r_map: peel one level at a time from the deepest."""
+    beta, d = _R_numerators(func, tree)
+    return tuple(Fraction(x, d) for x in beta)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +393,7 @@ def _witness_numerators(func, chain, tree):
     n = func.depth
     if n > chain.depth:
         raise DepthExceeded(f"chain has depth {chain.depth}, function sits at {n}")
-    beta, d = matops.clear_denominators(to_R_basis(func, tree))
+    beta, d = _R_numerators(func, tree)
     return matops.mat_vec(chain.u_matrix(n), beta), d
 
 
@@ -584,6 +594,7 @@ def automorphism_probe(theta, realizer, tree, depth, candidate_cap=512):
     Candidates are realized members: pair vectors over moved vertices first,
     then single basis vectors, then indicators of vertex subsets.  The first
     candidate whose relabeled image has no integer witness breaks the probe.
+    Basis vectors realize generators, so `candidate_cap` drops only subsets.
     """
     tree.ensure_depth(depth)
     m = tree.level_count(depth)
@@ -611,16 +622,16 @@ def automorphism_probe(theta, realizer, tree, depth, candidate_cap=512):
             push(basis(i, images[i - 1]))
     for i in range(1, m + 1):
         push(basis(i))
-    for size in range(2, m):
-        for combo in itertools.combinations(range(1, m + 1), size):
-            push(basis(*combo))
-            if len(candidates) >= candidate_cap:
-                break
+    subsets = (
+        combo for size in range(2, m) for combo in itertools.combinations(range(1, m + 1), size)
+    )
+    for combo in subsets:
         if len(candidates) >= candidate_cap:
             break
+        push(basis(*combo))
 
     checked = 0
-    for alpha in candidates[:candidate_cap]:
+    for alpha in candidates:
         func = _realize(alpha, realizer, tree)
         pulled = LocallyConstantFunction(
             depth, tuple(func.values[inverse[j - 1] - 1] for j in range(1, m + 1))

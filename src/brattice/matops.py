@@ -197,29 +197,39 @@ def independent_rows(m, order=None):
     return [order[j] for j in cols]
 
 
+def _null_vector(work, n):
+    """A nonzero integer y with work·y = 0, for integer rows `work` of an
+    (n-1) x n matrix of rank n-1; eliminates `work` in place and raises
+    Singular when the rank is lower.
+
+    Forward elimination leaves a single free column; y is 1 there, scaled
+    by the last pivot so that back substitution (Cramer's rule) divides
+    exactly.
+    """
+    if not work:
+        return [1]
+    cols, _, last = _eliminate(work)
+    if len(cols) < n - 1:
+        raise Singular(f"rank is below {n - 1}")
+    y = [0] * n
+    free = set(range(n)).difference(cols)
+    y[free.pop()] = last
+    # an echelon row is zero before its pivot, and y is still zero there
+    for row, col in zip(reversed(work), reversed(cols)):
+        y[col] = -sum(map(mul, row, y)) // row[col]
+    return y
+
+
 def left_null_vector(m):
     """A nonzero integer y with y·m = 0 for an r x (r-1) matrix of rank
-    r-1; raises Singular when the rank is lower.
-
-    One forward elimination of the transpose leaves a single free column;
-    y is 1 there, scaled by the last pivot so that back substitution (Cramer's
-    rule) divides exactly.
-    """
+    r-1; raises Singular when the rank is lower.  It is the null vector of
+    the transpose."""
     r, c = dims(m)
     if c != r - 1:
         raise ValueError(f"left_null_vector needs an r x (r-1) matrix, got {r}x{c}")
-    if c == 0:
-        return [1]
     # clearing the denominators of a column of m keeps its left null space
     work, _ = _int_rows([[m[i][j] for i in range(r)] for j in range(c)])
-    cols, _, last = _eliminate(work)
-    if len(cols) < c:
-        raise Singular(f"rank is below {c}")
-    y = [0] * r
-    y[next(j for j in range(r) if j not in cols)] = last
-    for row, col in zip(reversed(work), reversed(cols)):
-        y[col] = -sum(row[j] * y[j] for j in range(col + 1, r)) // row[col]
-    return y
+    return _null_vector(work, r)
 
 
 def adjugate(m):

@@ -9,9 +9,10 @@ use.  All vertex labels in results are 1-based.
 from __future__ import annotations
 
 from itertools import islice
+from operator import itemgetter
 
 from . import matops
-from .diagram import MultiplicityMatrix, multiplicity_rank
+from .diagram import MultiplicityMatrix
 from .errors import LimitExceeded, RankDeficient, Singular
 from .record import Record
 
@@ -41,6 +42,15 @@ def reduction_is_valid(mat, parents):
     return len(seen) == mat.ncols
 
 
+def _pivot(y, last):
+    """First k (0-based) with last[k] != 0 and y[k] != 0, where y is the one
+    dependency among a square block's rows without their last entries."""
+    for k, (b, yk) in enumerate(zip(last, y)):
+        if b and yk:
+            return k
+    raise Singular("no pivot row: matrix is singular")
+
+
 def pivot_row(b):
     """Smallest k whose removal (with the last column) leaves an invertible
     block while b[k, last] stays nonzero.
@@ -49,91 +59,66 @@ def pivot_row(b):
     the rows other than k are a basis exactly when the one dependency among
     all s rows, the left null vector y, has y[k] != 0.
     """
-    rows = [list(r) for r in (b.rows if isinstance(b, MultiplicityMatrix) else b)]
+    rows = b.rows if isinstance(b, MultiplicityMatrix) else b
     s = len(rows)
     if any(len(r) != s for r in rows):
         raise ValueError("pivot_row needs a square matrix")
     y = matops.left_null_vector([r[: s - 1] for r in rows])
-    for k in range(s):
-        if rows[k][s - 1] != 0 and y[k] != 0:
-            return k + 1
-    raise Singular("no pivot row: matrix is singular")
-
-
-def _reduce_single_surplus(rows, row_ids, col_ids, assign, top=None):
-    """Recursive step on a (c+1) x c full-rank block; mutates `assign`.
-
-    `top` is the lexicographically first set of c independent rows, when
-    the caller already knows it.
-    """
-    c = len(col_ids)
-    if c == 1:
-        for rid in row_ids:
-            assign[rid] = col_ids[0]
-        return
-
-    supports = [[q for q in range(c) if row[q]] for row in rows]
-    # a column is removable when no row's support lies entirely inside it
-    blocked = set()
-    for sup in supports:
-        if len(sup) <= 1:
-            blocked.update(sup or range(c))
-    j0 = next((jj for jj in range(c) if jj not in blocked), None)
-
-    if j0 is None:
-        # every column is the full support of some row: assignments are forced
-        for jj in range(c):
-            owner = next(i for i, sup in enumerate(supports) if sup == [jj])
-            assign[row_ids[owner]] = col_ids[jj]
-        for i, sup in enumerate(supports):
-            if row_ids[i] not in assign:
-                assign[row_ids[i]] = col_ids[sup[0]]
-        return
-
-    others = [jj for jj in range(c) if jj != j0]
-    if top is None:
-        # lexicographically first independent row subset, scanning from the top
-        top = matops.independent_rows(rows)
-    leftover = next(i for i in range(len(rows)) if i not in set(top))
-
-    block = [[rows[i][q] for q in others] + [rows[i][j0]] for i in top]
-    k = pivot_row(block)
-    bottom = top[k - 1]
-    assign[row_ids[bottom]] = col_ids[j0]
-
-    sub_rows_idx = [i for i in top if i != bottom] + [leftover]
-    sub_rows = [[rows[i][q] for q in others] for i in sub_rows_idx]
-    _reduce_single_surplus(
-        sub_rows,
-        [row_ids[i] for i in sub_rows_idx],
-        [col_ids[q] for q in others],
-        assign,
-        # the top rows but `bottom` stay independent without column j0: they
-        # are the sub-block's first c - 1 rows
-        top=list(range(c - 1)),
-    )
+    return _pivot(y, [r[s - 1] for r in rows]) + 1
 
 
 def minimal_reduce(mat):
-    """Deterministic minimal reduction of a (c+1) x c full-rank matrix."""
+    """Deterministic minimal reduction of a (c+1) x c full-rank matrix.
+
+    Each step removes one column j0 that no row needs alone, and gives it to
+    the first of the c independent rows `top` whose removal keeps the others
+    independent without j0; the row outside `top` stays to the end.  When
+    every column is some row's whole support, each row takes the first
+    column of its support.
+    """
     mat = _as_mm(mat)
     r, c = mat.nrows, mat.ncols
     if r != c + 1:
         raise ValueError(f"expected one more row than columns, got {r}x{c}")
-    if multiplicity_rank(mat) < c:
+    rows = mat.rows
+    # the lexicographically first independent rows, scanning from the top
+    top = matops.independent_rows(rows)
+    if len(top) < c:
         raise RankDeficient(f"rank is below {c}")
     # checked after the rank so a rank-deficient matrix keeps that verdict
     zero = next((i for i in range(1, r + 1) if not mat.row_support(i)), None)
     if zero is not None:
         raise ValueError(f"row {zero} has no edge, so no reduction exists")
-    assign = {}
-    _reduce_single_surplus(mat.to_lists(), list(range(1, r + 1)), list(range(1, c + 1)), assign)
-    parents = tuple(assign[i] for i in range(1, r + 1))
-    counts = {}
-    for j in parents:
-        counts[j] = counts.get(j, 0) + 1
-    branch = next(j for j, n in counts.items() if n == 2)
-    return ReductionOutcome(parents, branch, "tall")
+    supports = [{q for q, x in enumerate(row) if x} for row in rows]
+    columns = list(zip(*rows))
+    active = top + [next(i for i in range(r) if i not in top)]
+    cols = list(range(c))
+    parents = [0] * r
+    while True:
+        # a column is removable when no row's support lies entirely inside it
+        blocked = set()
+        for i in active:
+            if len(supports[i]) == 1:
+                blocked |= supports[i]
+        j0 = next((j for j in cols if j not in blocked), None)
+        if j0 is None:
+            # every column is the whole support of some row: assignments are forced
+            for i in active:
+                parents[i] = min(supports[i]) + 1
+            break
+        cols.remove(j0)
+        # the dependency among the top rows without column j0, from one
+        # elimination of that block transposed
+        pick = itemgetter(*top)
+        y = matops._null_vector([list(pick(columns[q])) for q in cols], len(top))
+        bottom = top.pop(_pivot(y, pick(columns[j0])))
+        active.remove(bottom)
+        parents[bottom] = j0 + 1
+        for i in active:
+            supports[i].discard(j0)
+    # c + 1 rows cover c columns, so exactly one column takes two rows
+    branch = next(j for j in parents if parents.count(j) == 2)
+    return ReductionOutcome(tuple(parents), branch, "tall")
 
 
 def minimal_reduce_square(mat):

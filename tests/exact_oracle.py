@@ -4,21 +4,21 @@ the unpruned reduction walkers, and the K0 query path over Fractions.
 These are the library's former rank, det and inverse, kept here so the
 fraction-free kernel in brattice.matops is checked against an independent
 implementation, together with the greedy row scan and the pivot-row minors
-scan the kernel replaced, and the small matrix helpers only tests use.  The
-walkers that follow are the former enumeration, lex-first and
-square-bijection searches that the Hall-pruned
-brattice.reduction.iter_minimal_reductions replaced.  The last section is
-the former Fraction realization path: chain products and inverses over
-Fractions, and r_map, refine and indicator walking every vertex up to its
-ancestor, which the integer top-down passes in brattice.k0 and
-brattice.pathspace replaced.
+scan the kernel replaced, and the small matrix helpers only tests use.  Then
+come the former recursive minimal reduction, which rescans every sub-block,
+and the former Auto completion by trial determinants.  The walkers that
+follow are the former enumeration, lex-first and square-bijection searches
+that the Hall-pruned brattice.reduction.iter_minimal_reductions replaced.
+The last section is the former Fraction realization path: chain products
+and inverses over Fractions, and r_map, to_R_basis, refine and indicator
+walking every vertex up to its ancestor, which the integer top-down passes
+in brattice.k0 and brattice.pathspace replaced.
 """
 
 from fractions import Fraction
 from functools import cache
 
 from brattice.errors import Singular
-from brattice.k0 import to_R_basis
 from brattice.pathspace import Cylinder, LocallyConstantFunction
 
 
@@ -117,12 +117,22 @@ def parse_frac(tok):
 
 
 def independent_rows(m, order):
-    """Greedy scan: keep each row that raises the rank of the rows kept."""
+    """Greedy scan: keep each row that raises the rank of the rows kept,
+    which is each row left nonzero after reducing it against an echelon
+    basis of the rows kept."""
     kept = []
+    basis = {}  # pivot column -> basis row with 1 there
     for i in order:
         if len(kept) == len(m[0]):
             break
-        if rank([m[p] for p in kept] + [m[i]]) == len(kept) + 1:
+        v = [Fraction(x) for x in m[i]]
+        for col, row in basis.items():
+            if v[col]:
+                f = v[col]
+                v = [a - f * b for a, b in zip(v, row)]
+        col = next((j for j, x in enumerate(v) if x), None)
+        if col is not None:
+            basis[col] = [x / v[col] for x in v]
             kept.append(i)
     return kept
 
@@ -178,6 +188,16 @@ def minimal_reduce_parents(rows):
 
     step(rows, list(range(1, len(rows) + 1)), list(range(1, len(rows[0]) + 1)))
     return tuple(assign[i] for i in range(1, len(rows) + 1))
+
+
+def auto_completion(rows):
+    """The former Auto completion: the first unit column whose square has a
+    nonzero determinant, by trial determinants; None when there is none."""
+    for i in range(len(rows)):
+        square = [list(row) + [int(p == i)] for p, row in enumerate(rows)]
+        if det(square) != 0:
+            return square
+    return None
 
 
 def enumerate_reductions(mat):
@@ -292,6 +312,24 @@ def r_map(beta, tree):
 def phi(alpha, chain, tree):
     n = len(alpha) - 1
     return r_map(mat_vec(a_matrix(chain, n), [Fraction(x) for x in alpha]), tree)
+
+
+def to_R_basis(func, tree):
+    """Invert r_map over Fractions: peel one level at a time from the deepest."""
+    n = func.depth
+    tree.ensure_depth(n)
+    gamma = list(func.values)
+    beta = [Fraction(0)] * (n + 1)
+    for lev in range(n, 0, -1):
+        b = tree.branch(lev)
+        beta[lev] = gamma[b.big_child - 1] - gamma[b.small_child - 1]
+        shallower = [Fraction(0)] * tree.level_count(lev - 1)
+        for child in range(1, tree.level_count(lev) + 1):
+            if child != b.big_child:
+                shallower[tree.ancestor(lev, child, lev - 1) - 1] = gamma[child - 1]
+        gamma = shallower
+    beta[0] = gamma[0]
+    return tuple(beta)
 
 
 def witness_vector(func, chain, tree):

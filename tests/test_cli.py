@@ -358,6 +358,30 @@ def test_k0_probe_preserved(capsys):
     assert "preserved across" in out
 
 
+@pytest.mark.parametrize("cap", ["1", "0"])
+def test_k0_probe_cap_keeps_the_basis_candidates(capsys, cap):
+    argv = ("k0", "probe", "corpus:dyadic", "--depth", "3", "--perm", "2,3,1,4")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and out.startswith("Broken:")
+    assert run(capsys, *argv, "--cap", cap) == (code, out, "")
+
+
+def test_k0_probe_cap_still_bounds_subset_candidates(capsys):
+    argv = ("k0", "probe", "corpus:gicar", "--swap", "1", "2", "--depth", "3")
+    assert run(capsys, *argv)[:2] == (0, "preserved across 14 candidates\n")
+    # one pair and four basis vectors always run; the cap drops subsets
+    assert run(capsys, *argv, "--cap", "0")[:2] == (0, "preserved across 5 candidates\n")
+    assert run(capsys, *argv, "--cap", "7")[:2] == (0, "preserved across 7 candidates\n")
+
+
+def test_k0_probe_negative_cap_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "k0", "probe", "corpus:dyadic", "--depth", "3", "--perm", "2,3,1,4", "--cap", "-1"
+    )
+    assert (code, out) == (2, "")
+    assert err == "usage error: --cap needs N >= 0, got -1\n"
+
+
 def test_k0_probe_bad_perm(capsys):
     code, _, err = run(
         capsys, "k0", "probe", "corpus:gicar", "--perm", "1,1,2,3", "--depth", "3"

@@ -3,7 +3,10 @@
 import random
 from fractions import Fraction
 
+import exact_oracle as oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brattice import corpus, matops
 from brattice.diagram import BratteliDiagram, MultiplicityMatrix, ShapeClass
@@ -115,6 +118,25 @@ def test_auto_succeeds_on_random_full_rank():
         assert matops.det(square) != 0
         for i in range(cols + 1):
             assert square[i][:cols] == raw[i]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda c: st.lists(st.lists(st.integers(0, 3), min_size=c, max_size=c), min_size=c + 1, max_size=c + 1)
+))
+def test_auto_matches_trial_determinants(rows):
+    want = oracle.auto_completion(rows)
+    if want is None:
+        with pytest.raises(RankDeficient):
+            complete_matrix(rows, Auto())
+    else:
+        assert complete_matrix(rows, Auto()) == want
+
+
+def test_auto_matches_trial_determinants_on_gicar_levels():
+    for level in range(40):
+        rows = GICAR.matrix(level).to_lists()
+        assert complete_matrix(rows, Auto()) == oracle.auto_completion(rows)
 
 
 # --- chains ------------------------------------------------------------------

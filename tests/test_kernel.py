@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brattice import matops
-from brattice.errors import Singular
+from brattice import corpus, matops
+from brattice.errors import RankDeficient, Singular
+from brattice.pathspace import build_minimal_diagram
 from brattice.reduction import minimal_reduce, pivot_row
 
 INTS = st.integers(min_value=-3, max_value=3)
@@ -134,15 +135,58 @@ def test_sixteen_by_sixteen_inverse_matches_oracle():
     assert matops.inverse(u) == oracle.inverse(u)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_minimal_reduce_matches_rescanning_reduction(data):
-    c = data.draw(st.integers(1, 6))
-    rows = data.draw(
-        st.lists(
-            st.lists(st.integers(0, 3), min_size=c, max_size=c).filter(any),
-            min_size=c + 1,
-            max_size=c + 1,
-        ).filter(lambda m: oracle.rank(m) == c)
-    )
-    assert minimal_reduce(rows).parents == oracle.minimal_reduce_parents(rows)
+@st.composite
+def tall_matrices(draw):
+    """(c+1) x c nonnegative matrices up to c = 14: dense 0..3 entries, a
+    band around the gicar diagonal, or one entry per row plus a few more,
+    which forces the assignment part of the way through the reduction."""
+    c = draw(st.integers(1, 14), label="c")
+    shape = draw(st.sampled_from(["dense", "banded", "near_monomial"]), label="shape")
+    entry = st.integers(0, 3)
+    if shape == "dense":
+        return draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=c + 1, max_size=c + 1))
+    if shape == "banded":
+        below = draw(st.integers(0, 2), label="below")
+        above = draw(st.integers(0, 1), label="above")
+        return [
+            [draw(entry) if -above <= i - j <= below else 0 for j in range(c)]
+            for i in range(c + 1)
+        ]
+    rows = [[0] * c for _ in range(c + 1)]
+    for i, j in enumerate(draw(st.lists(st.integers(0, c - 1), min_size=c + 1, max_size=c + 1))):
+        rows[i][j] = draw(st.integers(1, 3))
+    extra = st.tuples(st.integers(0, c), st.integers(0, c - 1), st.integers(1, 3))
+    for i, j, x in draw(st.lists(extra, max_size=3), label="extra"):
+        rows[i][j] = x
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(tall_matrices())
+def test_minimal_reduce_matches_rescanning_reduction(rows):
+    c = len(rows[0])
+    if oracle.rank(rows) < c:
+        with pytest.raises(RankDeficient):
+            minimal_reduce(rows)
+    elif not all(any(row) for row in rows):
+        with pytest.raises(ValueError, match="has no edge"):
+            minimal_reduce(rows)
+    else:
+        assert minimal_reduce(rows).parents == oracle.minimal_reduce_parents(rows)
+
+
+@pytest.mark.parametrize("name", ["gicar", "propersub", "dyadic"])
+def test_theorem_tree_levels_match_rescanning_reduction(name):
+    d = corpus.get(name).diagram()
+    tree = build_minimal_diagram(d, "theorem").ensure_depth(40)
+    for level in range(40):
+        mat = d.matrix(level)
+        assert mat.nrows == mat.ncols + 1
+        assert tree.parents_at(level + 1) == oracle.minimal_reduce_parents(mat.to_lists())
+
+
+def test_rank_deficiency_outranks_a_zero_row():
+    with pytest.raises(RankDeficient):
+        minimal_reduce([[1, 0], [0, 0], [2, 0]])
+    with pytest.raises(ValueError, match="row 2 has no edge"):
+        minimal_reduce([[1, 0], [0, 0], [0, 1]])

@@ -105,6 +105,17 @@ def test_membership_matches_fraction_path(name, n, data):
         assert membership(func, chain, tree) == NotMember(n)
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(NAMES), st.sampled_from(DEPTHS), st.data())
+def test_to_R_basis_matches_fraction_peel(name, n, data):
+    _, tree = REALIZERS[name]
+    func = LocallyConstantFunction(n, data.draw(vectors(tree.level_count(n)), label="values"))
+    got = to_R_basis(func, tree)
+    assert type(got) is tuple
+    assert all(type(x) is Fraction for x in got)
+    assert got == oracle.to_R_basis(func, tree)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(NAMES), st.sampled_from(DEPTHS), st.data())
 def test_realized_members_round_trip(name, n, data):
