@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import corpus as corpus_lib
 from .diagram import (
@@ -68,7 +67,8 @@ class UsageError(Exception):
 
 def _read(path):
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
@@ -172,7 +172,8 @@ def _default_depth(diagram):
 
 
 def _write_file(path, text):
-    Path(path).write_text(text, encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
     print(f"wrote {path}")
 
 
@@ -625,6 +626,11 @@ _K0_DISPATCH = {
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact integers print in full: lift the int/str digit cap of
+    # Python 3.11+ for this call, and put it back for the caller
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
     try:
         if args.verb == "k0":
             return _K0_DISPATCH[args.action](args)
@@ -641,6 +647,9 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

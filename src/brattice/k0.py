@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import mul
 
 from . import matops
 from .diagram import MultiplicityMatrix
@@ -67,8 +68,9 @@ def complete_matrix(mat, hint=Auto()):
     if r != c + 1:
         raise ValueError(f"completion needs one more row than columns, got {r}x{c}")
     base = mat.to_lists()
-    # z spans the left null space, and det([base | e_i]) = ±det(base without
-    # row i), which is a nonzero multiple of z[i]
+    # z spans the left null space, and det([base | v]) is a nonzero multiple
+    # of z·v: expanded along v, its cofactors det(base without row i) are
+    # proportional to z[i] with alternating signs
     try:
         z = matops.left_null_vector(base)
     except Singular:
@@ -81,10 +83,9 @@ def complete_matrix(mat, hint=Auto()):
         col = [int(x) for x in hint.column]
         if len(col) != r:
             raise ValueError(f"column needs {r} entries, got {len(col)}")
-        square = with_column(col)
-        if matops.det(square) == 0:
+        if not sum(map(mul, z, col)):
             raise SingularCompletion("explicit column keeps the matrix singular")
-        return square
+        return with_column(col)
 
     if isinstance(hint, WeightColumn):
         flag, j = is_unique_minimal(mat)
@@ -92,10 +93,9 @@ def complete_matrix(mat, hint=Auto()):
             raise NotUniqueMinimal("weight column needs a unique minimal reduction")
         big = max(mat.col_support(j))
         col = [hint.b if i == big else 0 for i in range(1, r + 1)]
-        square = with_column(col)
-        if matops.det(square) == 0:
+        if not sum(map(mul, z, col)):
             raise SingularCompletion("weight column keeps the matrix singular")
-        return square
+        return with_column(col)
 
     if isinstance(hint, Auto):
         i = next(p for p, x in enumerate(z) if x)

@@ -75,22 +75,40 @@ def minimal_reduce(mat):
     independent without j0; the row outside `top` stays to the end.  When
     every column is some row's whole support, each row takes the first
     column of its support.
+
+    Null vectors of sparse levels come from matops.peel_null_vector when
+    their blocks are triangular up to permutation, and from one elimination
+    otherwise.  Both find the one dependency up to scale, so the path taken
+    never changes the answer.
     """
     mat = _as_mm(mat)
     r, c = mat.nrows, mat.ncols
     if r != c + 1:
         raise ValueError(f"expected one more row than columns, got {r}x{c}")
     rows = mat.rows
-    # the lexicographically first independent rows, scanning from the top
-    top = matops.independent_rows(rows)
-    if len(top) < c:
-        raise RankDeficient(f"rank is below {c}")
-    # checked after the rank so a rank-deficient matrix keeps that verdict
-    zero = next((i for i in range(1, r + 1) if not mat.row_support(i)), None)
-    if zero is not None:
-        raise ValueError(f"row {zero} has no edge, so no reduction exists")
     supports = [{q for q, x in enumerate(row) if x} for row in rows]
+    # a sparse level, where a column meets a third of the rows or fewer on
+    # average, tries the peel first; the test costs O(r) on the supports
     columns = list(zip(*rows))
+    nonzeros = None
+    y = None
+    if 3 * sum(map(len, supports)) <= c * (c + 1):
+        nonzeros = [[(i, x) for i, x in enumerate(col) if x] for col in columns]
+        y = matops.peel_null_vector(nonzeros, r)
+    if y is not None:
+        # the one dependency among the rows: the lexicographically first
+        # independent rows are all but the last row it involves
+        last = max(k for k, v in enumerate(y) if v)
+        top = [i for i in range(r) if i != last]
+    else:
+        # the lexicographically first independent rows, scanning from the top
+        top = matops.independent_rows(rows)
+        if len(top) < c:
+            raise RankDeficient(f"rank is below {c}")
+    # checked after the rank so a rank-deficient matrix keeps that verdict
+    zero = next((i for i in range(r) if not supports[i]), None)
+    if zero is not None:
+        raise ValueError(f"row {zero + 1} has no edge, so no reduction exists")
     active = top + [next(i for i in range(r) if i not in top)]
     cols = list(range(c))
     parents = [0] * r
@@ -107,11 +125,17 @@ def minimal_reduce(mat):
                 parents[i] = min(supports[i]) + 1
             break
         cols.remove(j0)
-        # the dependency among the top rows without column j0, from one
-        # elimination of that block transposed
-        pick = itemgetter(*top)
-        y = matops._null_vector([list(pick(columns[q])) for q in cols], len(top))
-        bottom = top.pop(_pivot(y, pick(columns[j0])))
+        # the dependency among the top rows without column j0
+        y = None
+        if nonzeros is not None:
+            pos = {i: k for k, i in enumerate(top)}
+            block = [[(pos[i], x) for i, x in nonzeros[q] if i in pos] for q in cols]
+            y = matops.peel_null_vector(block, len(top))
+        if y is None:
+            # one elimination of the block transposed
+            pick = itemgetter(*top)
+            y = matops._null_vector([list(pick(columns[q])) for q in cols], len(top))
+        bottom = top.pop(_pivot(y, [rows[i][j0] for i in top]))
         active.remove(bottom)
         parents[bottom] = j0 + 1
         for i in active:

@@ -1,13 +1,14 @@
 """End-to-end CLI behavior: verbs, exit codes, message shapes, file IO."""
 
 import json
+import sys
 
 import exact_oracle as oracle
 import pytest
 
 from brattice import corpus
 from brattice.cli import main
-from brattice.diagram import MultiplicityMatrix, multiplicity_rank, parse_bdspec
+from brattice.diagram import MultiplicityMatrix, multiplicity_rank, parse_bdspec, telescope
 
 
 def run(capsys, *argv):
@@ -88,6 +89,36 @@ def test_telescope_bad_levels(capsys):
     code, _, err = run(capsys, "telescope", "corpus:gicar", "--levels", "2,0")
     assert code == 1
     assert err.startswith("error:")
+
+
+HUGE_TAIL = "bdspec v1\nshape: type1 2\nmatrix 0:\n1\n1\ntail: periodic 1\ntemplate:\n1 2^{1000n}\n0 1\n"
+
+
+def _decimal(n):
+    """Decimal digits of a nonnegative int of any length, built in chunks
+    that stay under the int/str digit cap of Python 3.11+."""
+    chunks = []
+    while n >= 10**1000:
+        n, low = divmod(n, 10**1000)
+        chunks.append(f"{low:01000d}")
+    return str(n) + "".join(reversed(chunks))
+
+
+def test_huge_entries_print_in_full(tmp_path, capsys):
+    path = tmp_path / "huge.bd"
+    path.write_text(HUGE_TAIL)
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out, err = run(capsys, "telescope", str(path), "--levels", "0,8,16")
+    assert (code, err) == (0, "")
+    entry = telescope(parse_bdspec(HUGE_TAIL), [0, 8, 16]).matrix(1).at(1, 2)
+    assert entry > 10**4500
+    assert f"\n1 {_decimal(entry)}\n" in out
+    code, out, err = run(capsys, "k0", "chain", str(path), "--depth", "16")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == f"A 15: 1 {_decimal(2**16000)} ; 0 1 det=1"
+    # the cap is lifted for the call only
+    if cap is not None:
+        assert sys.get_int_max_str_digits() == cap
 
 
 def test_dilate_single_level(capsys):

@@ -133,6 +133,26 @@ def test_auto_matches_trial_determinants(rows):
         assert complete_matrix(rows, Auto()) == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda c: st.tuples(
+    st.lists(st.lists(st.integers(0, 3), min_size=c, max_size=c), min_size=c + 1, max_size=c + 1),
+    st.lists(st.integers(-2, 2), min_size=c + 1, max_size=c + 1),
+)))
+def test_explicit_column_is_singular_exactly_when_the_determinant_vanishes(case):
+    rows, col = case
+    square = [row + [x] for row, x in zip(rows, col)]
+    if matops.rank(rows) < len(rows[0]):
+        # every completion is singular, and the rank verdict comes first
+        assert matops.det(square) == 0
+        with pytest.raises(RankDeficient):
+            complete_matrix(rows, ExplicitColumn(col))
+    elif matops.det(square) == 0:
+        with pytest.raises(SingularCompletion):
+            complete_matrix(rows, ExplicitColumn(col))
+    else:
+        assert complete_matrix(rows, ExplicitColumn(col)) == square
+
+
 def test_auto_matches_trial_determinants_on_gicar_levels():
     for level in range(40):
         rows = GICAR.matrix(level).to_lists()

@@ -1,5 +1,6 @@
 """The fraction-free elimination kernel against the slow Fraction oracle."""
 
+import random
 from fractions import Fraction
 
 import exact_oracle as oracle
@@ -138,13 +139,22 @@ def test_sixteen_by_sixteen_inverse_matches_oracle():
 @st.composite
 def tall_matrices(draw):
     """(c+1) x c nonnegative matrices up to c = 14: dense 0..3 entries, a
-    band around the gicar diagonal, or one entry per row plus a few more,
-    which forces the assignment part of the way through the reduction."""
+    band around the gicar diagonal, one entry per row plus a few more,
+    which forces the assignment part of the way through the reduction, or a
+    shuffled triangle."""
     c = draw(st.integers(1, 14), label="c")
-    shape = draw(st.sampled_from(["dense", "banded", "near_monomial"]), label="shape")
+    shape = draw(st.sampled_from(["dense", "banded", "near_monomial", "triangle"]), label="shape")
     entry = st.integers(0, 3)
     if shape == "dense":
         return draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=c + 1, max_size=c + 1))
+    if shape == "triangle":
+        # a lower triangle with pivots 1..4 and one more row, rows and
+        # columns shuffled: nonsingular and triangular up to permutation
+        rows = [[draw(st.integers(1, 4)) if i == j else draw(entry) if j < i else 0 for j in range(c)]
+                for i in range(c)]
+        rows.append(draw(st.lists(entry, min_size=c, max_size=c)))
+        order = draw(st.permutations(range(c)))
+        return [[row[q] for q in order] for row in draw(st.permutations(rows))]
     if shape == "banded":
         below = draw(st.integers(0, 2), label="below")
         above = draw(st.integers(0, 1), label="above")
@@ -177,9 +187,12 @@ def test_minimal_reduce_matches_rescanning_reduction(rows):
 
 @pytest.mark.parametrize("name", ["gicar", "propersub", "dyadic"])
 def test_theorem_tree_levels_match_rescanning_reduction(name):
+    # gicar goes deepest: its levels take the peel, and the oracle reaches
+    # depth 48 in about 5 s
+    depth = 48 if name == "gicar" else 40
     d = corpus.get(name).diagram()
-    tree = build_minimal_diagram(d, "theorem").ensure_depth(40)
-    for level in range(40):
+    tree = build_minimal_diagram(d, "theorem").ensure_depth(depth)
+    for level in range(depth):
         mat = d.matrix(level)
         assert mat.nrows == mat.ncols + 1
         assert tree.parents_at(level + 1) == oracle.minimal_reduce_parents(mat.to_lists())
@@ -190,3 +203,98 @@ def test_rank_deficiency_outranks_a_zero_row():
         minimal_reduce([[1, 0], [0, 0], [2, 0]])
     with pytest.raises(ValueError, match="row 2 has no edge"):
         minimal_reduce([[1, 0], [0, 0], [0, 1]])
+
+
+# --- the triangular peel ----------------------------------------------------
+
+
+@st.composite
+def peel_blocks(draw):
+    """(n-1) x n dense integer blocks, with the shape they were drawn as;
+    rows and columns are shuffled.
+
+    - ladder: each row meets two or three neighbouring columns, as the
+      gicar levels do;
+    - triangle: a lower triangle with non-unit pivots beside one more
+      column, so that solving rescales;
+    - singletons: the same with nothing below the diagonal, so most rows
+      meet one column and force a zero;
+    - dense: every entry nonzero, n >= 3;
+    - deficient: a triangle with one row a multiple of another.
+    """
+    shape = draw(st.sampled_from(["ladder", "triangle", "singletons", "dense", "deficient"]))
+    n = draw(st.integers(3 if shape in ("dense", "deficient") else 2, 9))
+    value = st.integers(-4, 4).filter(bool)
+    if shape == "ladder":
+        width = draw(st.integers(2, 3))
+        dense = [[draw(value) if q <= j < q + width else 0 for j in range(n)] for q in range(n - 1)]
+    elif shape == "dense":
+        dense = [[draw(value) for _ in range(n)] for _ in range(n - 1)]
+    else:
+        below = st.just(0) if shape == "singletons" else st.integers(-3, 3)
+        dense = [
+            [draw(st.sampled_from([2, 3, -2, 5])) if i == j else draw(below) if j < i else 0
+             for j in range(n - 1)] + [draw(st.integers(-2, 2))]
+            for i in range(n - 1)
+        ]
+        if shape == "deficient":
+            a, b = draw(st.permutations(range(n - 1)))[:2]
+            dense[a] = [draw(value) * x for x in dense[b]]
+    order = draw(st.permutations(range(n)))
+    dense = [[row[q] for q in order] for row in draw(st.permutations(dense))]
+    return shape, n, dense
+
+
+@settings(max_examples=400, deadline=None)
+@given(peel_blocks())
+def test_peel_null_vector_matches_oracle(case):
+    shape, n, dense = case
+    y = matops.peel_null_vector([[(j, x) for j, x in enumerate(row) if x] for row in dense], n)
+    if shape == "ladder":
+        assert y is not None
+    if shape == "dense":
+        assert y is None  # hands back to elimination
+    if oracle.rank(dense) < n - 1:
+        assert y is None  # a peel proves the rank
+        with pytest.raises(Singular):
+            matops._null_vector([list(row) for row in dense], n)
+        return
+    if y is None:
+        y = matops._null_vector([list(row) for row in dense], n)
+    assert any(y)
+    assert all(isinstance(x, int) for x in y)
+    assert oracle.mat_vec(dense, y) == [0] * (n - 1)
+
+
+def test_peel_null_vector_frozen():
+    assert matops.peel_null_vector([], 1) == [1]
+    # the pivot 3 does not divide 1, so the entry solved first is rescaled
+    assert matops.peel_null_vector([[(0, 1), (1, 3)]], 2) == [3, -1]
+    # a singleton row forces its column to zero
+    assert matops.peel_null_vector([[(1, 2)], [(0, 1), (1, 1), (2, 1)]], 3) == [1, 0, -1]
+    # a row with no entries, and a block needing a second free column
+    assert matops.peel_null_vector([[]], 2) is None
+    assert matops.peel_null_vector([[(0, 1), (1, 1), (2, 1)], [(0, 1), (1, 2), (2, 3)]], 3) is None
+
+
+def _refuse(*args):
+    raise AssertionError("unexpected call")
+
+
+def test_ladder_levels_reduce_without_elimination(monkeypatch):
+    # from 5 columns on, gicar levels pass the sparsity test, and every
+    # block of theirs peels
+    d = corpus.get("gicar").diagram()
+    want = [minimal_reduce(d.matrix(level)).parents for level in range(4, 24)]
+    monkeypatch.setattr(matops, "_null_vector", _refuse)
+    monkeypatch.setattr(matops, "independent_rows", _refuse)
+    assert [minimal_reduce(d.matrix(level)).parents for level in range(4, 24)] == want
+
+
+def test_dense_levels_skip_the_peel(monkeypatch):
+    rng = random.Random(8)
+    rows = [[rng.randint(1, 3) for _ in range(8)] for _ in range(9)]
+    assert oracle.rank(rows) == 8
+    want = minimal_reduce(rows).parents
+    monkeypatch.setattr(matops, "peel_null_vector", _refuse)
+    assert minimal_reduce(rows).parents == want

@@ -153,7 +153,7 @@ def test_cli_start_up_skips_heavy_modules():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     probe = (
         "import sys, brattice.cli; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'json') "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'json', 'pathlib') "
         "if m in sys.modules))"
     )
     out = subprocess.run(
