@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -623,9 +624,40 @@ _K0_DISPATCH = {
 }
 
 
+# flags whose value is a vector that may start with a negative entry
+_VECTOR_FLAGS = ("--alpha", "--perm", "--column")
+
+
+def _attach_negative_vectors(argv):
+    """`--alpha -5,2` as `--alpha=-5,2`: argparse takes a value that starts
+    with '-' and is not a plain number for an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _VECTOR_FLAGS and tok[:1] == "-" and "0" <= tok[1:2] <= "9":
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
+    """Run one command and return its exit code.  A reader that closes
+    stdout early ends the run quietly with exit 1, as Python exits on EPIPE."""
+    try:
+        try:
+            return _run(sys.argv[1:] if argv is None else argv)
+        finally:
+            # a closed reader shows up here at the latest, not at exit
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the flush at exit would fail again: point stdout at devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(argv):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_vectors(argv))
     # exact integers print in full: lift the int/str digit cap of
     # Python 3.11+ for this call, and put it back for the caller
     cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None

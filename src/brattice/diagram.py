@@ -28,16 +28,15 @@ class MultiplicityMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(tuple(map(int, row)) for row in rows)
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and column")
         width = len(data[0])
         for row in data:
             if len(row) != width:
                 raise ValueError("ragged matrix")
-            for x in row:
-                if x < 0:
-                    raise ValueError("multiplicities must be nonnegative")
+            if min(row) < 0:
+                raise ValueError("multiplicities must be nonnegative")
         object.__setattr__(self, "rows", data)
 
     def __setattr__(self, name, value):
@@ -354,7 +353,13 @@ class BratteliDiagram(Record):
             raise DepthExceeded(
                 f"matrix {n} exceeds the depth limit {depth_limit()}"
             )
-        return self.tail.matrix_at(n)
+        # the tail builds each level once per diagram; the limit check above
+        # runs first, so a lowered limit still hides levels kept here
+        generated = self.__dict__.setdefault("_generated", {})
+        mat = generated.get(n)
+        if mat is None:
+            mat = generated[n] = self.tail.matrix_at(n)
+        return mat
 
     def level_count(self, n):
         """Number of vertices at level n."""

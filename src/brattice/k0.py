@@ -29,9 +29,7 @@ from .pathspace import (
     LocallyConstantFunction,
     MinimalDiagram,
     UserMap,
-    functions_equal,
     indicator,
-    refine,
 )
 from .record import Record
 from .reduction import is_unique_minimal
@@ -49,59 +47,65 @@ class Auto(Record):
     the matrix is nonzero.
     """
 
+    def column(self, mat, z):
+        i = next(p for p, x in enumerate(z) if x)
+        return [int(p == i) for p in range(len(z))]
+
 
 class WeightColumn(Record):
     """Place b at the larger branch child of a unique-minimal matrix."""
 
     b: int
+    label = "weight column"
+
+    def column(self, mat, z):
+        flag, j = is_unique_minimal(mat)
+        if not flag or j is None:
+            raise NotUniqueMinimal("weight column needs a unique minimal reduction")
+        big = max(mat.col_support(j))
+        return [self.b if i == big else 0 for i in range(1, mat.nrows + 1)]
 
 
 class ExplicitColumn(Record):
-    column: tuple
+    """A given integer column, one entry per row."""
+
+    entries: tuple
+    label = "explicit column"
+
+    def column(self, mat, z):
+        col = [int(x) for x in self.entries]
+        if len(col) != mat.nrows:
+            raise ValueError(f"column needs {mat.nrows} entries, got {len(col)}")
+        return col
 
 
 def complete_matrix(mat, hint=Auto()):
-    """Append one integer column making a (c+1) x c step invertible."""
+    """Append one integer column making a (c+1) x c step invertible.
+
+    Returns the square as a tuple of integer rows, and its determinant.  A
+    hint is any object with `column(mat, z)`, which returns the new column
+    given the matrix and its left null vector z, and a `label` that names
+    it when that column keeps the square singular.
+    """
     if not isinstance(mat, MultiplicityMatrix):
         mat = MultiplicityMatrix(mat)
     r, c = mat.nrows, mat.ncols
     if r != c + 1:
         raise ValueError(f"completion needs one more row than columns, got {r}x{c}")
-    base = mat.to_lists()
-    # z spans the left null space, and det([base | v]) is a nonzero multiple
-    # of z·v: expanded along v, its cofactors det(base without row i) are
-    # proportional to z[i] with alternating signs
+    # z is the signed cofactor vector of the matrix, so det([mat | v]) is
+    # z·v: a Laplace expansion along the new column
     try:
-        z = matops.left_null_vector(base)
+        z = matops.left_null_vector(mat.rows)
     except Singular:
         raise RankDeficient(f"rank is below {c}") from None
-
-    def with_column(col):
-        return [base[i] + [col[i]] for i in range(r)]
-
-    if isinstance(hint, ExplicitColumn):
-        col = [int(x) for x in hint.column]
-        if len(col) != r:
-            raise ValueError(f"column needs {r} entries, got {len(col)}")
-        if not sum(map(mul, z, col)):
-            raise SingularCompletion("explicit column keeps the matrix singular")
-        return with_column(col)
-
-    if isinstance(hint, WeightColumn):
-        flag, j = is_unique_minimal(mat)
-        if not flag or j is None:
-            raise NotUniqueMinimal("weight column needs a unique minimal reduction")
-        big = max(mat.col_support(j))
-        col = [hint.b if i == big else 0 for i in range(1, r + 1)]
-        if not sum(map(mul, z, col)):
-            raise SingularCompletion("weight column keeps the matrix singular")
-        return with_column(col)
-
-    if isinstance(hint, Auto):
-        i = next(p for p, x in enumerate(z) if x)
-        return with_column([int(p == i) for p in range(r)])
-
-    raise TypeError(f"unknown completion hint {hint!r}")
+    column = getattr(hint, "column", None)
+    if column is None:
+        raise TypeError(f"unknown completion hint {hint!r}")
+    col = column(mat, z)
+    det = sum(map(mul, z, col))
+    if not det:
+        raise SingularCompletion(f"{hint.label} keeps the matrix singular")
+    return tuple(row + (x,) for row, x in zip(mat.rows, col)), det
 
 
 # ---------------------------------------------------------------------------
@@ -164,29 +168,10 @@ class CompletedChain:
         nums, d = self.inverse_parts(n)
         return [[Fraction(x, d) for x in row] for row in nums]
 
-    def exactness_report(self, n):
-        """Cross-checks tying dets, adjugates, and scales together at depth n."""
-        u = self.u_matrix(n)
-        a = self.a_matrix(n)
-        det_u = matops.det(u)
-        prod = Fraction(1)
-        for d in self.dets[:n]:
-            prod *= d
-        adj = matops.adjugate(u)
-        adj_expected = matops.scale(a, det_u)
-        scale = self.group_scale(n)
-        return {
-            "det_matches_product": det_u == prod,
-            "adjugate_law": matops.mat_eq(adj, adj_expected),
-            "adjugate_integral": matops.is_integral(adj),
-            "scaled_inverse_integral": matops.is_integral(matops.scale(a, scale)),
-        }
-
 
 def build_chain(completions, diagram=None):
     """Wrap completed squares into a chain, checking sizes and invertibility."""
-    squares = []
-    dets = []
+    pairs = []
     for k, raw in enumerate(completions):
         rows = tuple(tuple(int(x) for x in row) for row in raw)
         size = len(rows)
@@ -195,11 +180,16 @@ def build_chain(completions, diagram=None):
         d = matops.det([list(r) for r in rows])
         if d == 0:
             raise SingularCompletion(f"completion {k} is singular")
-        squares.append(rows)
-        dets.append(int(d))
-    if not squares:
-        raise ValueError("chain needs at least one completion")
+        pairs.append((rows, int(d)))
+    return _chain(pairs, diagram)
 
+
+def _chain(pairs, diagram):
+    """A chain from (square, det) pairs: the mode comes from the square
+    sizes, and the squares are checked against a given diagram."""
+    if not pairs:
+        raise ValueError("chain needs at least one completion")
+    squares, dets = zip(*pairs)
     sizes = [len(s) for s in squares]
     if len(sizes) == 1:
         mode = "either" if sizes[0] == 2 else "constant"
@@ -214,7 +204,7 @@ def build_chain(completions, diagram=None):
 
     if diagram is not None:
         _check_against_diagram(squares, mode, diagram)
-    return CompletedChain(tuple(squares), tuple(dets), mode)
+    return CompletedChain(squares, dets, mode)
 
 
 def _check_against_diagram(squares, mode, diagram):
@@ -227,16 +217,21 @@ def _check_against_diagram(squares, mode, diagram):
                 if tuple(sq[i][: mat.ncols]) != mat.rows[i]:
                     raise ValueError(f"completion {k} alters matrix {k}")
     else:
-        wanted = []
-        n = 0
-        while len(wanted) < len(squares):
-            mat = diagram.matrix(n)
-            if mat.nrows == mat.ncols:
-                wanted.append(mat)
-            n += 1
-        for k, (sq, mat) in enumerate(zip(squares, wanted)):
+        for k, (sq, mat) in enumerate(zip(squares, _square_matrices(diagram, len(squares)))):
             if tuple(tuple(r) for r in sq) != mat.rows:
                 raise ValueError(f"chain square {k} is not the diagram's square matrix")
+
+
+def _square_matrices(diagram, count):
+    """The first `count` square matrices of a diagram, in level order."""
+    out = []
+    n = 0
+    while len(out) < count:
+        mat = diagram.matrix(n)
+        if mat.nrows == mat.ncols:
+            out.append(mat)
+        n += 1
+    return out
 
 
 def complete_chain(diagram, hints=None, depth=None):
@@ -245,24 +240,17 @@ def complete_chain(diagram, hints=None, depth=None):
         depth = max(diagram.explicit_depth, 1)
     depth = min(depth, diagram.max_matrix_index() + 1)
     if diagram.shape.kind == "type1":
-        squares = []
-        n = 0
-        while len(squares) < depth:
-            mat = diagram.matrix(n)
-            if mat.nrows == mat.ncols:
-                squares.append(mat.to_lists())
-            n += 1
-        return build_chain(squares, diagram)
-    completions = []
-    for k in range(depth):
-        if hints is None:
-            hint = Auto()
-        elif isinstance(hints, (Auto, WeightColumn, ExplicitColumn)):
-            hint = hints
-        else:
-            hint = hints[k] if k < len(hints) else Auto()
-        completions.append(complete_matrix(diagram.matrix(k), hint))
-    return build_chain(completions, diagram)
+        return build_chain([mat.rows for mat in _square_matrices(diagram, depth)], diagram)
+    if hints is None:
+        hints = Auto()
+    if hasattr(hints, "column"):
+        hints = [hints] * depth
+    # complete_matrix hands back each determinant with its square
+    pairs = [
+        complete_matrix(diagram.matrix(k), hints[k] if k < len(hints) else Auto())
+        for k in range(depth)
+    ]
+    return _chain(pairs, diagram)
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +352,6 @@ def phi_type1(a, chain, tree):
     if len(values) != tree.level_count(d):
         raise ValueError("vector length does not match the level width")
     return LocallyConstantFunction(d, tuple(values))
-
-
-def commuting_check(n, alpha, chain, tree):
-    """One square of the level diagram: push the vector, compare functions."""
-    f_here = phi(alpha, chain, tree)
-    pushed = matops.mat_vec(tree.diagram.matrix(n).to_lists(), [Fraction(x) for x in alpha])
-    f_next = phi(pushed, chain, tree)
-    return functions_equal(refine(f_here, n + 1, tree), f_next, tree)
 
 
 # ---------------------------------------------------------------------------
@@ -517,16 +497,15 @@ class WeightScheme:
         return self._b[level]
 
     def completions(self, depth):
+        """complete_matrix's (square, det) pair at each level below depth."""
         self.ensure_depth(depth)
-        out = []
-        for level in range(depth):
-            out.append(
-                complete_matrix(self.diagram.matrix(level), WeightColumn(self.b(level)))
-            )
-        return out
+        return [
+            complete_matrix(self.diagram.matrix(level), WeightColumn(self.b(level)))
+            for level in range(depth)
+        ]
 
     def chain(self, depth):
-        return build_chain(self.completions(depth), self.diagram)
+        return _chain(self.completions(depth), self.diagram)
 
     def phi_closed(self, alpha):
         n = len(alpha) - 1

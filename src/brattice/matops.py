@@ -200,22 +200,24 @@ def independent_rows(m, order=None):
 
 
 def _null_vector(work, n):
-    """A nonzero integer y with work·y = 0, for integer rows `work` of an
-    (n-1) x n matrix of rank n-1; eliminates `work` in place and raises
-    Singular when the rank is lower.
+    """The signed cofactors y[i] = (-1)**(i+n-1) * det(work without column
+    i) of integer rows `work` of an (n-1) x n matrix of rank n-1, a nonzero
+    y with work·y = 0; eliminates `work` in place and raises Singular when
+    the rank is lower.
 
-    Forward elimination leaves a single free column; y is 1 there, scaled
-    by the last pivot so that back substitution (Cramer's rule) divides
-    exactly.
+    Forward elimination leaves a single free column f, and its last pivot
+    is det(work without column f) times the sign of the row swaps.  y takes
+    that cofactor at f, and back substitution (Cramer's rule) then divides
+    exactly and yields the other cofactors.
     """
     if not work:
         return [1]
-    cols, _, last = _eliminate(work)
+    cols, sign, last = _eliminate(work)
     if len(cols) < n - 1:
         raise Singular(f"rank is below {n - 1}")
     y = [0] * n
-    free = set(range(n)).difference(cols)
-    y[free.pop()] = last
+    free = set(range(n)).difference(cols).pop()
+    y[free] = (-1) ** (free + n - 1) * sign * last
     # an echelon row is zero before its pivot, and y is still zero there
     for row, col in zip(reversed(work), reversed(cols)):
         y[col] = -sum(map(mul, row, y)) // row[col]
@@ -280,32 +282,16 @@ def peel_null_vector(rows, n):
 
 def left_null_vector(m):
     """A nonzero integer y with y·m = 0 for an r x (r-1) matrix of rank
-    r-1; raises Singular when the rank is lower.  It is the null vector of
-    the transpose."""
+    r-1; raises Singular when the rank is lower.  For an integer m, y is
+    the signed cofactor vector y[i] = (-1)**(i+r-1) * det(m without row i),
+    so det([m | v]) = y·v (Laplace expansion along v); a rational m gives
+    those cofactors times the product of its column denominators."""
     r, c = dims(m)
     if c != r - 1:
         raise ValueError(f"left_null_vector needs an r x (r-1) matrix, got {r}x{c}")
     # clearing the denominators of a column of m keeps its left null space
-    work, _ = _int_rows([[m[i][j] for i in range(r)] for j in range(c)])
+    work, _ = _int_rows(list(zip(*m)))
     return _null_vector(work, r)
-
-
-def adjugate(m):
-    """Transposed cofactor matrix, by minors (exact, any square input)."""
-    r, c = dims(m)
-    if r != c:
-        raise ValueError("adjugate of a non-square matrix")
-    if r == 1:
-        return [[Fraction(1)]]
-    out = zeros(r, r)
-    for i in range(r):
-        for j in range(r):
-            minor = [
-                [m[p][q] for q in range(r) if q != j]
-                for p in range(r) if p != i
-            ]
-            out[j][i] = (-1) ** (i + j) * det(minor)
-    return out
 
 
 def is_integral(m):

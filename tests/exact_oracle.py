@@ -4,20 +4,24 @@ the unpruned reduction walkers, and the K0 query path over Fractions.
 These are the library's former rank, det and inverse, kept here so the
 fraction-free kernel in brattice.matops is checked against an independent
 implementation, together with the greedy row scan and the pivot-row minors
-scan the kernel replaced, and the small matrix helpers only tests use.  Then
-come the former recursive minimal reduction, which rescans every sub-block,
-and the former Auto completion by trial determinants.  The walkers that
-follow are the former enumeration, lex-first and square-bijection searches
-that the Hall-pruned brattice.reduction.iter_minimal_reductions replaced.
+scan the kernel replaced, and the small matrix helpers only tests use,
+among them an adjugate and the signed cofactors of a bordered column, both
+by minors.  Then come the former recursive minimal reduction, which
+rescans every sub-block, and the former Auto completion by trial
+determinants.  The walkers that follow are the former enumeration,
+lex-first and square-bijection searches that the Hall-pruned
+brattice.reduction.iter_minimal_reductions replaced.
 The last section is the former Fraction realization path: chain products
 and inverses over Fractions, and r_map, to_R_basis, refine and indicator
 walking every vertex up to its ancestor, which the integer top-down passes
-in brattice.k0 and brattice.pathspace replaced.
+in brattice.k0 and brattice.pathspace replaced, and the exactness report
+that ties a chain's determinants, adjugates and scales together.
 """
 
 from fractions import Fraction
 from functools import cache
 
+from brattice import k0, pathspace
 from brattice.errors import Singular
 from brattice.pathspace import Cylinder, LocallyConstantFunction
 
@@ -93,6 +97,27 @@ def inverse(m):
                 continue
             aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
     return [row[n:] for row in aug]
+
+
+def adjugate(m):
+    """Transposed cofactor matrix, by minors (exact, any square input)."""
+    r = len(m)
+    if any(len(row) != r for row in m):
+        raise ValueError("adjugate of a non-square matrix")
+    return [
+        [
+            (-1) ** (i + j) * det([row[:i] + row[i + 1:] for p, row in enumerate(m) if p != j])
+            for j in range(r)
+        ]
+        for i in range(r)
+    ]
+
+
+def signed_minors(m):
+    """z[i] = (-1)**(i+r-1) * det(m without row i) for an r x (r-1) matrix:
+    the cofactors of a new last column, so det([m | v]) = z·v."""
+    r = len(m)
+    return [(-1) ** (i + r - 1) * det(m[:i] + m[i + 1:]) for i in range(r)]
 
 
 def transpose(m):
@@ -357,3 +382,32 @@ def indicator(cylinders, tree):
                 values[j - 1] = Fraction(1)
                 break
     return LocallyConstantFunction(depth, tuple(values))
+
+
+def commuting_check(n, alpha, chain, tree):
+    """One square of the level diagram: push the vector, compare the
+    library's functions."""
+    f_here = k0.phi(alpha, chain, tree)
+    pushed = mat_vec(tree.diagram.matrix(n).to_lists(), [Fraction(x) for x in alpha])
+    f_next = k0.phi(pushed, chain, tree)
+    return pathspace.functions_equal(pathspace.refine(f_here, n + 1, tree), f_next, tree)
+
+
+def exactness_report(chain, n):
+    """Cross-checks tying a chain's dets, adjugates and scales together at
+    depth n: the library's products, inverses and scales against the
+    Fraction determinant and adjugate above."""
+    u = [list(row) for row in chain.u_matrix(n)]
+    a = chain.a_matrix(n)
+    det_u = det(u)
+    prod = Fraction(1)
+    for d in chain.dets[:n]:
+        prod *= d
+    adj = adjugate(u)
+    scale = chain.group_scale(n)
+    return {
+        "det_matches_product": det_u == prod,
+        "adjugate_law": adj == [[det_u * x for x in row] for row in a],
+        "adjugate_integral": all(x.denominator == 1 for row in adj for x in row),
+        "scaled_inverse_integral": all((scale * x).denominator == 1 for row in a for x in row),
+    }

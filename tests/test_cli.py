@@ -1,11 +1,15 @@
 """End-to-end CLI behavior: verbs, exit codes, message shapes, file IO."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import exact_oracle as oracle
 import pytest
 
+import brattice
 from brattice import corpus
 from brattice.cli import main
 from brattice.diagram import MultiplicityMatrix, multiplicity_rank, parse_bdspec, telescope
@@ -328,6 +332,37 @@ def test_k0_positive_order_unit(capsys):
     )
     assert code == 0
     assert out.startswith("positive at level 0:")
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (("k0", "phi", "corpus:gicar"), "--alpha", "-5,2,-2"),
+        (("k0", "chain", "corpus:gicar", "--depth", "2"), "--column", "-1,1"),
+        (("k0", "probe", "corpus:dyadic", "--depth", "1"), "--perm", "-1,2"),
+    ],
+    ids=["alpha", "column", "perm"],
+)
+def test_k0_negative_vector_parses_like_the_equals_form(capsys, argv, flag, value):
+    assert run(capsys, *argv, flag, value) == run(capsys, *argv, f"{flag}={value}")
+
+
+def test_closed_stdout_ends_quietly():
+    # the dump is far larger than a pipe buffer, so a write inside the verb
+    # meets the closed reader, not only the flush at exit
+    env = dict(os.environ, PYTHONPATH=str(Path(brattice.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "brattice.cli", "k0", "chain", "corpus:gicar", "--depth", "40"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert b"Traceback" not in err
+    assert err == b""
 
 
 def test_k0_positive_definitive(capsys):

@@ -130,6 +130,21 @@ def test_depth_limit_env(monkeypatch):
     GICAR.matrix(5)
 
 
+@pytest.mark.parametrize("name", ["gicar", "uhf6"])
+def test_tail_levels_are_built_once_and_keep_the_limit(monkeypatch, name):
+    d = corpus.get(name).diagram()
+    first = [d.matrix(n) for n in range(12)]
+    assert all(d.matrix(n) is mat for n, mat in enumerate(first))
+    assert first[d.explicit_depth:] == [d.tail.matrix_at(n) for n in range(d.explicit_depth, 12)]
+    # a lowered limit hides levels already built
+    monkeypatch.setenv("BRATTICE_DEPTH_LIMIT", "5")
+    for n in (5, 11):
+        with pytest.raises(DepthExceeded):
+            d.matrix(n)
+    monkeypatch.delenv("BRATTICE_DEPTH_LIMIT")
+    assert d.matrix(11) is first[11]
+
+
 def test_construction_guards():
     with pytest.raises(ValueError):
         # root level must have a single vertex

@@ -30,7 +30,6 @@ from brattice.k0 import (
     WeightColumn,
     automorphism_probe,
     build_chain,
-    commuting_check,
     complete_chain,
     complete_matrix,
     indicator_membership,
@@ -67,10 +66,19 @@ def explicit_chain(depth):
 # --- completions -------------------------------------------------------------
 
 
+def completed(rows, hint):
+    """complete_matrix's square as lists, once its determinant is checked
+    against a Bareiss determinant of the square."""
+    square, det = complete_matrix(rows, hint)
+    lists = [list(row) for row in square]
+    assert det == matops.det(lists)
+    return lists
+
+
 def test_complete_matrix_auto_frozen():
-    assert complete_matrix(GICAR.matrix(0), Auto()) == [[1, 1], [1, 0]]
+    assert completed(GICAR.matrix(0), Auto()) == [[1, 1], [1, 0]]
     # identity-plus-duplicate steps get the column that splits the doubled row
-    assert complete_matrix(PROPERSUB.matrix(1), Auto()) == [
+    assert completed(PROPERSUB.matrix(1), Auto()) == [
         [1, 0, 0],
         [0, 1, 1],
         [0, 1, 0],
@@ -78,7 +86,7 @@ def test_complete_matrix_auto_frozen():
 
 
 def test_complete_matrix_explicit():
-    assert complete_matrix(PROPERSUB.matrix(0), ExplicitColumn((0, 1))) == [
+    assert completed(PROPERSUB.matrix(0), ExplicitColumn((0, 1))) == [
         [2, 0],
         [2, 1],
     ]
@@ -89,7 +97,7 @@ def test_complete_matrix_explicit():
 
 
 def test_complete_matrix_weight_column():
-    got = complete_matrix(corpus.get("forced").matrix(), WeightColumn(5))
+    got = completed(corpus.get("forced").matrix(), WeightColumn(5))
     assert got == [[1, 0, 0], [0, 1, 0], [0, 1, 5]]
     with pytest.raises(NotUniqueMinimal):
         complete_matrix(corpus.get("twocol").matrix(), WeightColumn(1))
@@ -100,6 +108,10 @@ def test_complete_matrix_guards():
         complete_matrix(MultiplicityMatrix([[1, 1]]), Auto())
     with pytest.raises(RankDeficient):
         complete_matrix(corpus.get("fan43").matrix(), Auto())
+    with pytest.raises(TypeError, match="unknown completion hint"):
+        complete_matrix(GICAR.matrix(0), (0, 1))
+    with pytest.raises(TypeError, match="unknown completion hint"):
+        complete_chain(GICAR, ["auto"], 2)
 
 
 def test_auto_succeeds_on_random_full_rank():
@@ -114,7 +126,7 @@ def test_auto_succeeds_on_random_full_rank():
         if multiplicity_rank(mat) < cols:
             continue
         done += 1
-        square = complete_matrix(mat, Auto())
+        square = completed(mat, Auto())
         assert matops.det(square) != 0
         for i in range(cols + 1):
             assert square[i][:cols] == raw[i]
@@ -130,7 +142,7 @@ def test_auto_matches_trial_determinants(rows):
         with pytest.raises(RankDeficient):
             complete_matrix(rows, Auto())
     else:
-        assert complete_matrix(rows, Auto()) == want
+        assert completed(rows, Auto()) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -150,16 +162,37 @@ def test_explicit_column_is_singular_exactly_when_the_determinant_vanishes(case)
         with pytest.raises(SingularCompletion):
             complete_matrix(rows, ExplicitColumn(col))
     else:
-        assert complete_matrix(rows, ExplicitColumn(col)) == square
+        assert completed(rows, ExplicitColumn(col)) == square
 
 
 def test_auto_matches_trial_determinants_on_gicar_levels():
     for level in range(40):
         rows = GICAR.matrix(level).to_lists()
-        assert complete_matrix(rows, Auto()) == oracle.auto_completion(rows)
+        assert completed(rows, Auto()) == oracle.auto_completion(rows)
 
 
 # --- chains ------------------------------------------------------------------
+
+
+def _refuse(*args):
+    raise AssertionError("unexpected call")
+
+
+def test_completed_chains_take_their_determinants_from_the_null_vectors(monkeypatch):
+    depth = 40
+    monkeypatch.setattr(matops, "det", _refuse)
+    chains = [
+        complete_chain(GICAR, Auto(), depth),
+        explicit_chain(depth),
+        complete_chain(DYADIC, Auto(), depth),
+        weight_scheme(DYADIC).chain(depth),
+    ]
+    monkeypatch.undo()
+    for chain in chains:
+        assert chain.depth == depth
+        for square, det in zip(chain.squares, chain.dets):
+            assert type(det) is int
+            assert det == matops.det([list(row) for row in square])
 
 
 def test_build_chain_mode_inference():
@@ -211,7 +244,7 @@ def test_exactness_reports():
     ]
     for chain in chains:
         for n in range(1, chain.depth + 1):
-            report = chain.exactness_report(n)
+            report = oracle.exactness_report(chain, n)
             assert all(report.values()), report
 
 
@@ -293,7 +326,7 @@ def test_phi_commutes_with_pushforward():
     for _ in range(30):
         n = rng.randint(0, 5)
         alpha = tuple(rng.randint(-4, 4) for _ in range(n + 1))
-        assert commuting_check(n, alpha, chain, tree)
+        assert oracle.commuting_check(n, alpha, chain, tree)
 
 
 def test_phi_pow2_witness_function():
@@ -464,7 +497,7 @@ def test_weight_scheme_needs_unique_minimal():
 
 def test_weight_scheme_chain_matches_columns():
     scheme = weight_scheme(DYADIC)
-    for level, square in enumerate(scheme.completions(3)):
+    for level, (square, _) in enumerate(scheme.completions(3)):
         mat = DYADIC.matrix(level)
         b = scheme.b(level)
         col = [row[-1] for row in square]

@@ -112,6 +112,20 @@ def test_left_null_vector(data):
     assert all(sum(y[i] * m[i][j] for i in range(r)) == 0 for j in range(r - 1))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_left_null_vector_is_the_signed_cofactor_vector(data):
+    r = data.draw(st.integers(1, 7))
+    m = data.draw(matrices(rows=r, cols=r - 1, fractions=False)) if r > 1 else [[]]
+    v = data.draw(st.lists(INTS, min_size=r, max_size=r))
+    if r > 1 and oracle.rank(m) < r - 1:
+        return
+    z = matops.left_null_vector(m)
+    assert z == oracle.signed_minors(m)
+    # Laplace expansion along the new column
+    assert sum(a * b for a, b in zip(z, v)) == oracle.det([row + [x] for row, x in zip(m, v)])
+
+
 def test_one_by_one_and_single_row_cases():
     assert matops.rank([[0]]) == 0
     assert matops.rank([[Fraction(1, 3)]]) == 1
