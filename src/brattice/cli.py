@@ -4,15 +4,16 @@ Verbs: validate, telescope, dilate, reduce, pathspace, k0 (chain, phi,
 member, positive, probe), corpus.  Inputs are bdspec files, bare matrix
 files (integer rows), or corpus:NAME references.  Exit codes: 0 success,
 1 domain verdict (not a member, rank deficient, ...), 2 usage or parse
-error.
+error.  Valid command lines are read straight off the verb table; argparse
+is loaded only for help, usage and errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import corpus as corpus_lib
 from .diagram import (
@@ -81,7 +82,7 @@ def _load_input(ref):
         try:
             entry = corpus_lib.get(name)
         except KeyError as exc:
-            raise UsageError(str(exc)) from None
+            raise UsageError(exc.args[0]) from None
         if entry.kind == "diagram":
             return "diagram", entry.diagram()
         return "matrix", entry.matrix()
@@ -531,97 +532,189 @@ def cmd_corpus(args):
 # ---------------------------------------------------------------------------
 # wiring
 
+# One table drives dispatch, the direct reader and the argparse fallback.
+# An argument is (name, add_argument keywords); a verb is (help, target,
+# arguments), and its target is a handler or, for k0, a table of actions.
+_INPUT = ("input", {"help": "bdspec file, bare matrix file, or corpus:NAME"})
+_DEPTH = ("--depth", {"type": int})
+_DOT = ("--dot", {"metavar": "FILE"})
+_JSON = ("--json", {"action": "store_true"})
+_STRATEGY = ("--strategy", {"default": "theorem"})
+_FUNC = ("--func", {"required": True, "help": "'depth=N: v1 v2 ...'"})
+_K0_ARGUMENTS = (
+    ("input", {"help": "bdspec file or corpus:NAME"}),
+    _DEPTH,
+    _STRATEGY,
+    ("--column", {"help": "explicit level-0 completion column, e.g. '0,1'"}),
+    ("--weight", {"action": "store_true", "help": "use the weight scheme"}),
+    _JSON,
+)
+
+K0_ACTIONS = {
+    "chain": ("completed chain dump", cmd_k0_chain, _K0_ARGUMENTS),
+    "phi": (
+        "realize a vector as a boundary function",
+        cmd_k0_phi,
+        _K0_ARGUMENTS + (("--alpha", {"required": True, "help": "vector, e.g. '1,2,3'"}),),
+    ),
+    "member": ("exact membership test", cmd_k0_member, _K0_ARGUMENTS + (_FUNC,)),
+    "positive": (
+        "positivity scan",
+        cmd_k0_positive,
+        _K0_ARGUMENTS + (_FUNC, ("--bound", {"type": int, "help": "pushforward scan limit"})),
+    ),
+    "probe": (
+        "vertex-relabeling automorphism probe",
+        cmd_k0_probe,
+        _K0_ARGUMENTS
+        + (
+            ("--swap", {"type": int, "nargs": 2, "metavar": ("I", "J")}),
+            ("--perm", {"help": "full image list, e.g. '2,1,3'"}),
+            ("--cap", {"type": int, "default": 512, "help": "budget; pairs and basis always run"}),
+        ),
+    ),
+}
+
+VERBS = {
+    "validate": (
+        "check diagram invariants",
+        cmd_validate,
+        (
+            _INPUT,
+            ("--depth", {"type": int, "help": "levels to materialize"}),
+            ("--dot", {"metavar": "FILE", "help": "write a DOT rendering"}),
+            _JSON,
+        ),
+    ),
+    "telescope": (
+        "recombine onto a subset of levels",
+        cmd_telescope,
+        (_INPUT, ("--levels", {"required": True, "help": "comma-separated, starting at 0"}), _DOT),
+    ),
+    "dilate": (
+        "split tall steps into single-growth factors",
+        cmd_dilate,
+        (_INPUT, ("--level", {"type": int, "help": "dilate one matrix instead of normalizing"}), _DOT),
+    ),
+    "reduce": (
+        "minimal reduction of a matrix or whole diagram",
+        cmd_reduce,
+        (
+            _INPUT,
+            _STRATEGY,
+            ("--enumerate", {"type": int, "metavar": "N", "help": "list the first N valid maps"}),
+            _DEPTH,
+            _DOT,
+            _JSON,
+        ),
+    ),
+    "pathspace": (
+        "end census of the minimal sub-diagram boundary",
+        cmd_pathspace,
+        (
+            _INPUT,
+            _STRATEGY,
+            ("--census", {"action": "store_true", "help": "print the full census record"}),
+            ("--compare", {"metavar": "STRATEGY", "help": "census comparison verdict"}),
+            _DEPTH,
+            _DOT,
+            _JSON,
+        ),
+    ),
+    "k0": ("dimension group operations", K0_ACTIONS, ()),
+    "corpus": (
+        "re-derive every frozen corpus record",
+        cmd_corpus,
+        (
+            ("--name", {"help": "run one entry"}),
+            ("--list", {"action": "store_true", "help": "list entries instead"}),
+            _JSON,
+        ),
+    ),
+}
+
 
 def build_parser():
+    """The argparse parser of the table, for help, usage and errors."""
+    import argparse  # valid command lines never need it
+
     parser = argparse.ArgumentParser(
         prog="brattice",
         description="Exact-arithmetic toolkit for Bratteli diagrams.",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def with_input(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", help="bdspec file, bare matrix file, or corpus:NAME")
-        return p
-
-    p = with_input("validate", "check diagram invariants")
-    p.add_argument("--depth", type=int, help="levels to materialize")
-    p.add_argument("--dot", metavar="FILE", help="write a DOT rendering")
-    p.add_argument("--json", action="store_true")
-
-    p = with_input("telescope", "recombine onto a subset of levels")
-    p.add_argument("--levels", required=True, help="comma-separated, starting at 0")
-    p.add_argument("--dot", metavar="FILE")
-
-    p = with_input("dilate", "split tall steps into single-growth factors")
-    p.add_argument("--level", type=int, help="dilate one matrix instead of normalizing")
-    p.add_argument("--dot", metavar="FILE")
-
-    p = with_input("reduce", "minimal reduction of a matrix or whole diagram")
-    p.add_argument("--strategy", default="theorem")
-    p.add_argument("--enumerate", type=int, metavar="N", help="list the first N valid maps")
-    p.add_argument("--depth", type=int)
-    p.add_argument("--dot", metavar="FILE")
-    p.add_argument("--json", action="store_true")
-
-    p = with_input("pathspace", "end census of the minimal sub-diagram boundary")
-    p.add_argument("--strategy", default="theorem")
-    p.add_argument("--census", action="store_true", help="print the full census record")
-    p.add_argument("--compare", metavar="STRATEGY", help="census comparison verdict")
-    p.add_argument("--depth", type=int)
-    p.add_argument("--dot", metavar="FILE")
-    p.add_argument("--json", action="store_true")
-
-    k0 = sub.add_parser("k0", help="dimension group operations")
-    k0sub = k0.add_subparsers(dest="action", required=True)
-
-    def k0_parser(name, help_text):
-        p = k0sub.add_parser(name, help=help_text)
-        p.add_argument("input", help="bdspec file or corpus:NAME")
-        p.add_argument("--depth", type=int)
-        p.add_argument("--strategy", default="theorem")
-        p.add_argument("--column", help="explicit level-0 completion column, e.g. '0,1'")
-        p.add_argument("--weight", action="store_true", help="use the weight scheme")
-        p.add_argument("--json", action="store_true")
-        return p
-
-    k0_parser("chain", "completed chain dump")
-    p = k0_parser("phi", "realize a vector as a boundary function")
-    p.add_argument("--alpha", required=True, help="vector, e.g. '1,2,3'")
-    p = k0_parser("member", "exact membership test")
-    p.add_argument("--func", required=True, help="'depth=N: v1 v2 ...'")
-    p = k0_parser("positive", "positivity scan")
-    p.add_argument("--func", required=True, help="'depth=N: v1 v2 ...'")
-    p.add_argument("--bound", type=int, help="pushforward scan limit")
-    p = k0_parser("probe", "vertex-relabeling automorphism probe")
-    p.add_argument("--swap", type=int, nargs=2, metavar=("I", "J"))
-    p.add_argument("--perm", help="full image list, e.g. '2,1,3'")
-    p.add_argument("--cap", type=int, default=512, help="budget; pairs and basis always run")
-
-    p = sub.add_parser("corpus", help="re-derive every frozen corpus record")
-    p.add_argument("--name", help="run one entry")
-    p.add_argument("--list", action="store_true", help="list entries instead")
-    p.add_argument("--json", action="store_true")
-
+    _add_verbs(parser, "verb", VERBS)
     return parser
 
 
-_DISPATCH = {
-    "validate": cmd_validate,
-    "telescope": cmd_telescope,
-    "dilate": cmd_dilate,
-    "reduce": cmd_reduce,
-    "pathspace": cmd_pathspace,
-    "corpus": cmd_corpus,
-}
+def _add_verbs(parser, dest, table):
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_text, target, arguments) in table.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
+        if isinstance(target, dict):
+            _add_verbs(p, "action", target)
 
-_K0_DISPATCH = {
-    "chain": cmd_k0_chain,
-    "phi": cmd_k0_phi,
-    "member": cmd_k0_member,
-    "positive": cmd_k0_positive,
-    "probe": cmd_k0_probe,
-}
+
+def _read_argv(argv):
+    """The namespace argparse would return for argv, read straight off the
+    table; None for anything it is not sure of: help, `--`, abbreviations,
+    a spaced value that starts with '-', a repeated option, a stray token,
+    a missing argument or a bad int.  argparse handles those."""
+    if not argv or argv[0] not in VERBS:
+        return None
+    values = {"verb": argv[0]}
+    _, target, arguments = VERBS[argv[0]]
+    rest = argv[1:]
+    if isinstance(target, dict):
+        if not rest or rest[0] not in target:
+            return None
+        values["action"] = rest[0]
+        _, _, arguments = target[rest[0]]
+        rest = rest[1:]
+    options = {name: kw for name, kw in arguments if name[0] == "-"}
+    positional = next((name for name, _ in arguments if name[0] != "-"), None)
+    i = 0
+    while i < len(rest):
+        tok = rest[i]
+        i += 1
+        if tok[:1] != "-":
+            if positional is None or positional in values:
+                return None
+            values[positional] = tok
+            continue
+        name, eq, value = tok.partition("=")
+        kw = options.get(name)
+        dest = name.lstrip("-")
+        if kw is None or dest in values:
+            return None
+        if kw.get("action") == "store_true":
+            if eq:
+                return None
+            values[dest] = True
+            continue
+        count = kw.get("nargs", 1)
+        if eq:
+            raw = [value]
+        else:
+            raw = rest[i:i + count]
+            i += count
+            if any(v[:1] == "-" for v in raw):
+                return None
+        if len(raw) != count:
+            return None
+        try:
+            got = [kw.get("type", str)(v) for v in raw]
+        except ValueError:
+            return None
+        values[dest] = got if "nargs" in kw else got[0]
+    for name, kw in arguments:
+        dest = name.lstrip("-")
+        if dest not in values:
+            if kw.get("required") or name == positional:
+                return None
+            values[dest] = kw.get("default", False if kw.get("action") else None)
+    return SimpleNamespace(**values)
 
 
 # flags whose value is a vector that may start with a negative entry
@@ -656,17 +749,20 @@ def main(argv=None):
 
 
 def _run(argv):
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_vectors(argv))
+    argv = _attach_negative_vectors(argv)
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     # exact integers print in full: lift the int/str digit cap of
     # Python 3.11+ for this call, and put it back for the caller
     cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if cap is not None:
         sys.set_int_max_str_digits(0)
     try:
-        if args.verb == "k0":
-            return _K0_DISPATCH[args.action](args)
-        return _DISPATCH[args.verb](args)
+        if getattr(args, "depth", None) is not None and args.depth < 0:
+            raise UsageError(f"--depth needs N >= 0, got {args.depth}")
+        target = VERBS[args.verb][1]
+        if isinstance(target, dict):
+            target = target[args.action][1]
+        return target(args)
     except BdspecParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -67,11 +67,6 @@ class MultiplicityMatrix:
     def is_row_monomial(self, i):
         return len(self.row_support(i)) == 1
 
-    def has_positive_rows_and_cols(self):
-        return all(self.row_support(i) for i in range(1, self.nrows + 1)) and all(
-            self.col_support(j) for j in range(1, self.ncols + 1)
-        )
-
     def to_lists(self):
         return [list(row) for row in self.rows]
 
@@ -366,13 +361,6 @@ class BratteliDiagram(Record):
         if n == 0:
             return self.matrix(0).ncols
         return self.matrix(n - 1).nrows
-
-    def size_vector(self, n):
-        """Integer sizes at level n: start at (1,), multiply upward."""
-        v = [1]
-        for k in range(n):
-            v = [int(x) for x in matops.mat_vec(self.matrix(k).to_lists(), v)]
-        return tuple(v)
 
 
 class ValidationReport(Record):

@@ -268,12 +268,6 @@ def _big_children(branches):
     return out
 
 
-def r_vertices(tree, n):
-    """The distinguished vertex at each level 0..n: root, then the larger
-    branch child."""
-    return _big_children(tree.levels(n)[1])
-
-
 def r_map(beta, tree, denominator=1):
     """Turn basis coefficients into a function: each coefficient rides the
     cylinder at its level's distinguished vertex, and every value is divided

@@ -69,14 +69,6 @@ def mat_vec(a, v):
     return [sum(map(mul, row, v)) for row in a]
 
 
-def mat_eq(a, b):
-    ra, ca = dims(a)
-    rb, cb = dims(b)
-    return ra == rb and ca == cb and all(
-        Fraction(a[i][j]) == Fraction(b[i][j]) for i in range(ra) for j in range(ca)
-    )
-
-
 def clear_denominators(v):
     """Integer numerators of the entries of v over their least common
     denominator, and that denominator.  An integer vector is copied as it is."""
@@ -294,17 +286,8 @@ def left_null_vector(m):
     return _null_vector(work, r)
 
 
-def is_integral(m):
-    return all(Fraction(x).denominator == 1 for row in m for x in row)
-
-
 def vec_is_integral(v):
     return all(Fraction(x).denominator == 1 for x in v)
-
-
-def scale(m, s):
-    s = Fraction(s)
-    return [[s * x for x in row] for row in m]
 
 
 def frac_str(x):

@@ -315,19 +315,6 @@ def indicator(cylinders, tree):
     return LocallyConstantFunction(depth, tuple(int(x) for x in inside))
 
 
-def lcf_add(f, g):
-    if f.depth != g.depth:
-        raise ValueError("functions live at different depths; refine first")
-    return LocallyConstantFunction(
-        f.depth, tuple(a + b for a, b in zip(f.values, g.values))
-    )
-
-
-def lcf_scale(f, s):
-    s = Fraction(s)
-    return LocallyConstantFunction(f.depth, tuple(s * v for v in f.values))
-
-
 def functions_equal(f, g, tree):
     deep = max(f.depth, g.depth)
     return refine(f, deep, tree).values == refine(g, deep, tree).values

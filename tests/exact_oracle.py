@@ -15,7 +15,10 @@ The last section is the former Fraction realization path: chain products
 and inverses over Fractions, and r_map, to_R_basis, refine and indicator
 walking every vertex up to its ancestor, which the integer top-down passes
 in brattice.k0 and brattice.pathspace replaced, and the exactness report
-that ties a chain's determinants, adjugates and scales together.
+that ties a chain's determinants, adjugates and scales together.  The
+module ends with helpers the library dropped once only tests called them:
+matrix equality, integrality and scaling, positive rows and columns, size
+vectors, distinguished vertices, and sums and multiples of functions.
 """
 
 from fractions import Fraction
@@ -411,3 +414,54 @@ def exactness_report(chain, n):
         "adjugate_integral": all(x.denominator == 1 for row in adj for x in row),
         "scaled_inverse_integral": all((scale * x).denominator == 1 for row in a for x in row),
     }
+
+
+# ---------------------------------------------------------------------------
+# small helpers that only tests use, kept out of the library
+
+
+def mat_eq(a, b):
+    """Equal shapes and equal entries, compared as Fractions."""
+    return len(a) == len(b) and all(
+        len(ra) == len(rb) and all(Fraction(x) == Fraction(y) for x, y in zip(ra, rb))
+        for ra, rb in zip(a, b)
+    )
+
+
+def is_integral(m):
+    return all(Fraction(x).denominator == 1 for row in m for x in row)
+
+
+def scale(m, s):
+    s = Fraction(s)
+    return [[s * x for x in row] for row in m]
+
+
+def has_positive_rows_and_cols(mat):
+    """No zero row and no zero column in a MultiplicityMatrix."""
+    return all(any(row) for row in mat.rows) and all(any(col) for col in zip(*mat.rows))
+
+
+def size_vector(diagram, n):
+    """Integer sizes at level n: start at (1,), multiply upward."""
+    v = [1]
+    for k in range(n):
+        v = [sum(a * x for a, x in zip(row, v)) for row in diagram.matrix(k).rows]
+    return tuple(v)
+
+
+def r_vertices(tree, n):
+    """The distinguished vertex at each level 0..n: root, then the larger
+    branch child."""
+    return [1] + [b.big_child for b in tree.levels(n)[1]]
+
+
+def lcf_add(f, g):
+    if f.depth != g.depth:
+        raise ValueError("functions live at different depths; refine first")
+    return LocallyConstantFunction(f.depth, tuple(a + b for a, b in zip(f.values, g.values)))
+
+
+def lcf_scale(f, s):
+    s = Fraction(s)
+    return LocallyConstantFunction(f.depth, tuple(s * v for v in f.values))

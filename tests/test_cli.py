@@ -11,7 +11,7 @@ import pytest
 
 import brattice
 from brattice import corpus
-from brattice.cli import main
+from brattice.cli import K0_ACTIONS, VERBS, main
 from brattice.diagram import MultiplicityMatrix, multiplicity_rank, parse_bdspec, telescope
 
 
@@ -76,6 +76,40 @@ def test_unknown_verb_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [("validate", "corpus:nosuch"), ("corpus", "--name", "nosuch")])
+def test_unknown_corpus_entry_is_quoted_once(capsys, argv):
+    assert run(capsys, *argv) == (2, "", "usage error: no corpus entry 'nosuch'\n")
+
+
+DEPTH_VERBS = [
+    ("validate", "corpus:gicar"),
+    ("reduce", "corpus:gicar"),
+    ("pathspace", "corpus:gicar"),
+    ("k0", "chain", "corpus:gicar"),
+    ("k0", "phi", "corpus:gicar", "--alpha", "1,2"),
+    ("k0", "member", "corpus:gicar", "--func", "depth=0: 1"),
+    ("k0", "positive", "corpus:gicar", "--func", "depth=0: 1"),
+    ("k0", "probe", "corpus:gicar", "--swap", "1", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", DEPTH_VERBS, ids=lambda argv: " ".join(argv[:2]))
+def test_negative_depth_is_a_usage_error(capsys, argv):
+    # the spaced form goes through argparse, the = form through the direct reader
+    for flags, depth in ((["--depth", "-1"], -1), (["--depth=-2"], -2)):
+        want = (2, "", f"usage error: --depth needs N >= 0, got {depth}\n")
+        assert run(capsys, *argv, *flags) == want
+
+
+def test_every_depth_verb_is_covered():
+    def takes_depth(arguments):
+        return any(name == "--depth" for name, _ in arguments)
+
+    want = {(verb,) for verb, (_, _, args) in VERBS.items() if takes_depth(args)}
+    want |= {("k0", action) for action, (_, _, args) in K0_ACTIONS.items() if takes_depth(args)}
+    assert want == {argv[:2] if argv[0] == "k0" else argv[:1] for argv in DEPTH_VERBS}
 
 
 # --- telescope / dilate ------------------------------------------------------

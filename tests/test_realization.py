@@ -19,7 +19,6 @@ from brattice.k0 import (
     membership,
     phi,
     r_map,
-    r_vertices,
     to_R_basis,
     weight_scheme,
     witness_vector,
@@ -176,8 +175,8 @@ def test_r_basis_maps_read_the_depth_limit_once(monkeypatch):
     beta = tuple(range(DEPTH + 1))
     func = r_map(beta, tree)
     assert to_R_basis(func, tree) == beta
-    assert r_vertices(tree, DEPTH) == list(range(1, DEPTH + 2))
-    assert len(reads) == 3
+    assert len(reads) == 2
+    assert oracle.r_vertices(tree, DEPTH) == list(range(1, DEPTH + 2))
 
 
 def test_tree_levels_match_the_per_level_accessors():

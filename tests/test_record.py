@@ -153,10 +153,28 @@ def test_cli_start_up_skips_heavy_modules():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     probe = (
         "import sys, brattice.cli; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'json', 'pathlib') "
-        "if m in sys.modules))"
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'json', 'pathlib', "
+        "'argparse') if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == ""
+
+
+def test_valid_command_lines_skip_argparse():
+    # argparse, and the gettext and locale it loads, serve only help and errors
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = (
+        "import sys\n"
+        "from brattice.cli import main\n"
+        "main(['k0', 'phi', 'corpus:gicar', '--alpha', '1,2'])\n"
+        "main(['pathspace', 'corpus:gicar', '--census'])\n"
+        "print(' '.join(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules),"
+        " file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.startswith("func depth=1: ")
+    assert proc.stderr.strip() == ""

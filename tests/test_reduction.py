@@ -41,7 +41,7 @@ def rand_single_surplus(rng, max_rows=5, entry_hi=3):
         rows = cols + 1
         m = [[rng.randint(0, entry_hi) for _ in range(cols)] for _ in range(rows)]
         mm = MultiplicityMatrix(m)
-        if mm.has_positive_rows_and_cols():
+        if oracle.has_positive_rows_and_cols(mm):
             return mm
 
 
