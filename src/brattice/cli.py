@@ -244,11 +244,22 @@ def cmd_dilate(args):
     return 0
 
 
+def _refuse(args, needs, *dests):
+    """A usage error for the first of these options that was given, when
+    the input at hand cannot use it."""
+    for dest in dests:
+        if getattr(args, dest) not in (None, False):
+            raise UsageError(f"--{dest} needs {needs}")
+
+
 def cmd_reduce(args):
+    if args.enumerate is not None and args.enumerate < 0:
+        raise UsageError(f"--enumerate needs N >= 0, got {args.enumerate}")
     kind, obj = _load_input(args.input)
     if kind == "matrix":
         return _reduce_matrix(obj, args)
-    strat = _strategy(args.strategy)
+    _refuse(args, "a matrix input", "enumerate", "json")
+    strat = _strategy(args.strategy or "theorem")
     tree = build_minimal_diagram(obj, strat)
     depth = args.depth or _default_depth(obj)
     sys.stdout.write(format_tree_dump(tree, depth))
@@ -258,11 +269,8 @@ def cmd_reduce(args):
 
 
 def _reduce_matrix(mat, args):
-    if args.dot:
-        raise UsageError("--dot needs a diagram input")
+    _refuse(args, "a diagram input", "dot", "depth", "strategy")
     if args.enumerate is not None:
-        if args.enumerate < 0:
-            raise UsageError(f"--enumerate needs N >= 0, got {args.enumerate}")
         shown, count = first_minimal_reductions(mat, args.enumerate)
         if args.json:
             _emit_json(
@@ -365,6 +373,7 @@ def cmd_k0_phi(args):
         chain = _chain_for(args, diagram, depth)
         func = phi_type1(alpha, chain, tree)
     else:
+        _refuse(args, "a type1 diagram; elsewhere the depth follows --alpha", "depth")
         depth = max(len(alpha) - 1, 1)
         chain = _chain_for(args, diagram, depth)
         func = phi(alpha, chain, tree)
@@ -535,39 +544,43 @@ def cmd_corpus(args):
 # One table drives dispatch, the direct reader and the argparse fallback.
 # An argument is (name, add_argument keywords); a verb is (help, target,
 # arguments), and its target is a handler or, for k0, a table of actions.
+# An entry lists only the options its handler reads, so any other option
+# is a usage error.
 _INPUT = ("input", {"help": "bdspec file, bare matrix file, or corpus:NAME"})
 _DEPTH = ("--depth", {"type": int})
 _DOT = ("--dot", {"metavar": "FILE"})
 _JSON = ("--json", {"action": "store_true"})
 _STRATEGY = ("--strategy", {"default": "theorem"})
 _FUNC = ("--func", {"required": True, "help": "'depth=N: v1 v2 ...'"})
-_K0_ARGUMENTS = (
-    ("input", {"help": "bdspec file or corpus:NAME"}),
-    _DEPTH,
-    _STRATEGY,
-    ("--column", {"help": "explicit level-0 completion column, e.g. '0,1'"}),
-    ("--weight", {"action": "store_true", "help": "use the weight scheme"}),
-    _JSON,
-)
+_K0_INPUT = ("input", {"help": "bdspec file or corpus:NAME"})
+_COLUMN = ("--column", {"help": "explicit level-0 completion column, e.g. '0,1'"})
+_WEIGHT = ("--weight", {"action": "store_true", "help": "use the weight scheme"})
+# the actions that build a chain to a depth and a reduced tree
+_K0_TREE = (_K0_INPUT, _DEPTH, _STRATEGY, _COLUMN, _WEIGHT)
 
 K0_ACTIONS = {
-    "chain": ("completed chain dump", cmd_k0_chain, _K0_ARGUMENTS),
+    "chain": ("completed chain dump", cmd_k0_chain, (_K0_INPUT, _DEPTH, _COLUMN, _WEIGHT)),
     "phi": (
         "realize a vector as a boundary function",
         cmd_k0_phi,
-        _K0_ARGUMENTS + (("--alpha", {"required": True, "help": "vector, e.g. '1,2,3'"}),),
+        _K0_TREE + (("--alpha", {"required": True, "help": "vector, e.g. '1,2,3'"}),),
     ),
-    "member": ("exact membership test", cmd_k0_member, _K0_ARGUMENTS + (_FUNC,)),
+    "member": (
+        "exact membership test",
+        cmd_k0_member,
+        (_K0_INPUT, _STRATEGY, _COLUMN, _WEIGHT, _JSON, _FUNC),
+    ),
     "positive": (
         "positivity scan",
         cmd_k0_positive,
-        _K0_ARGUMENTS + (_FUNC, ("--bound", {"type": int, "help": "pushforward scan limit"})),
+        _K0_TREE + (_JSON, _FUNC, ("--bound", {"type": int, "help": "pushforward scan limit"})),
     ),
     "probe": (
         "vertex-relabeling automorphism probe",
         cmd_k0_probe,
-        _K0_ARGUMENTS
+        _K0_TREE
         + (
+            _JSON,
             ("--swap", {"type": int, "nargs": 2, "metavar": ("I", "J")}),
             ("--perm", {"help": "full image list, e.g. '2,1,3'"}),
             ("--cap", {"type": int, "default": 512, "help": "budget; pairs and basis always run"}),
@@ -601,7 +614,7 @@ VERBS = {
         cmd_reduce,
         (
             _INPUT,
-            _STRATEGY,
+            ("--strategy", {"help": "diagram inputs only (default: theorem)"}),
             ("--enumerate", {"type": int, "metavar": "N", "help": "list the first N valid maps"}),
             _DEPTH,
             _DOT,

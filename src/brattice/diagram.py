@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import index
 
 from . import matops
 from .config import depth_limit
@@ -22,13 +23,30 @@ from .record import Record
 # multiplicity matrices
 
 
+def _int_row(row, i):
+    """Row i (1-based) of a matrix as a tuple of ints.  Integral Fractions
+    become ints; a float or any other value raises ValueError naming its
+    row and column, because a multiplicity has to be exact."""
+    try:
+        return tuple(map(index, row))
+    except TypeError:
+        pass
+    out = []
+    for j, x in enumerate(row, start=1):
+        try:
+            out.append(x.numerator if isinstance(x, Fraction) and x.denominator == 1 else index(x))
+        except TypeError:
+            raise ValueError(f"row {i}, column {j}: {x!r} is not an integer") from None
+    return tuple(out)
+
+
 class MultiplicityMatrix:
     """Immutable rectangular matrix of nonnegative integers."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        data = tuple(tuple(map(int, row)) for row in rows)
+        data = tuple(_int_row(row, i) for i, row in enumerate(rows, start=1))
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and column")
         width = len(data[0])

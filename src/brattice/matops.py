@@ -9,8 +9,11 @@ need them (a determinant, an inverse).  int_inverse gives an inverse as
 integer numerators over one denominator, with no Fraction at all.
 peel_null_vector finds the null vector of a sparse block that is triangular
 up to permutation by back substitution alone, and leaves every other block
-to the elimination.  No floats anywhere.  Pivoting is deterministic: the
-first nonzero candidate wins, so repeated runs agree bit for bit.
+to the elimination; it serves only the whole-level dependency that picks a
+minimal reduction's top rows, whose steps then follow a matching with no
+arithmetic (reduction.minimal_reduce).  No floats anywhere.  Pivoting is
+deterministic: the first nonzero candidate wins, so repeated runs agree bit
+for bit.
 """
 
 from fractions import Fraction

@@ -163,33 +163,38 @@ class MinimalDiagram:
         self._branches.append(self._branch_from(parents))
 
     def _check_parents(self, level, mat, parents):
-        if len(parents) != mat.nrows:
+        rows = mat.rows
+        ncols = len(rows[0])
+        if len(parents) != len(rows):
             raise UnsupportedUserMap(
-                f"level {level} needs {mat.nrows} parents, got {len(parents)}"
+                f"level {level} needs {len(rows)} parents, got {len(parents)}"
             )
-        for child, parent in enumerate(parents, start=1):
-            if not (1 <= parent <= mat.ncols) or mat.at(child, parent) == 0:
+        for child, (row, parent) in enumerate(zip(rows, parents), start=1):
+            if not (1 <= parent <= ncols) or row[parent - 1] == 0:
                 raise UnsupportedUserMap(
                     f"level {level}: vertex {child} cannot attach to {parent}"
                 )
         covered = set(parents)
-        if len(covered) < mat.ncols and self.diagram.shape.kind != "irregular":
+        if len(covered) < ncols and self.diagram.shape.kind != "irregular":
             raise UnsupportedUserMap(
-                f"level {level}: parents {sorted(set(range(1, mat.ncols + 1)) - covered)} "
+                f"level {level}: parents {sorted(set(range(1, ncols + 1)) - covered)} "
                 "have no children"
             )
 
     @staticmethod
     def _branch_from(parents):
-        seen = {}
+        """The branch record when one parent has two children and every
+        other parent one, else None."""
+        first = {}  # parent -> its first child
+        branch = None
         for child, parent in enumerate(parents, start=1):
-            seen.setdefault(parent, []).append(child)
-        doubled = [(p, kids) for p, kids in seen.items() if len(kids) == 2]
-        if len(doubled) == 1 and all(len(k) <= 2 for _, k in seen.items()):
-            p, kids = doubled[0]
-            if all(len(k) == 1 for q, k in seen.items() if q != p):
-                return BranchData(p, min(kids), max(kids))
-        return None
+            if parent not in first:
+                first[parent] = child
+            elif branch is None:
+                branch = BranchData(parent, first[parent], child)
+            else:
+                return None  # a third child, or a second doubled parent
+        return branch
 
     # -- queries
 
@@ -403,15 +408,12 @@ def compare_invariants(tree_a, tree_b, depth=None):
 
 
 def format_tree_dump(tree, depth):
-    tree.ensure_depth(depth)
     lines = ["tree v1"]
-    for lev in range(1, depth + 1):
-        parents = tree.parents_at(lev)
+    for lev, (parents, b) in enumerate(zip(*tree.levels(depth)), start=1):
         inner = " ".join(
             f"parent({j})={p}" for j, p in enumerate(parents, start=1)
         )
         lines.append(f"level {lev}: {inner}")
-        b = tree.branch(lev)
         if b is not None:
             lines.append(f"branch {lev}: a={b.parent} r'={b.small_child} r={b.big_child}")
     return "\n".join(lines) + "\n"

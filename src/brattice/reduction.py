@@ -67,6 +67,33 @@ def pivot_row(b):
     return _pivot(y, [r[s - 1] for r in rows]) + 1
 
 
+def _triangular_matching(col_rows, row_cols):
+    """The one row-column matching of a square whose nonzero pattern is
+    triangular up to a permutation of its rows and columns, as a dict
+    column -> row; None when the square is not triangular.
+
+    `col_rows[q]` lists the rows meeting column q and `row_cols[i]` the
+    columns meeting row i.  A column with one unmatched row left can only be
+    matched to that row; the pass matches such columns until every column
+    is matched or none is left to match.  No arithmetic is done.
+    """
+    left = [len(rs) for rs in col_rows]  # unmatched rows left in each column
+    match = {}
+    matched = set()
+    ready = [q for q, n in enumerate(left) if n == 1]
+    for q in ready:  # the loop also visits the columns appended below
+        row = next((i for i in col_rows[q] if i not in matched), None)
+        if row is None:
+            return None  # its one row went to another column: singular pattern
+        match[q] = row
+        matched.add(row)
+        for p in row_cols[row]:
+            left[p] -= 1
+            if left[p] == 1:
+                ready.append(p)
+    return match if len(match) == len(col_rows) else None
+
+
 def minimal_reduce(mat):
     """Deterministic minimal reduction of a (c+1) x c full-rank matrix.
 
@@ -76,10 +103,29 @@ def minimal_reduce(mat):
     every column is some row's whole support, each row takes the first
     column of its support.
 
-    Null vectors of sparse levels come from matops.peel_null_vector when
-    their blocks are triangular up to permutation, and from one elimination
-    otherwise.  Both find the one dependency up to scale, so the path taken
-    never changes the answer.
+    The row a step gives j0 to is found in one of two ways.  In general it
+    is the first row of column j0 on which y, the one dependency among the
+    top rows without j0, is nonzero: one elimination per step.  A sparse
+    level whose top square B0 = M[top, :] is triangular up to permutation
+    decides every step from the one matching of B0, `match`, found on the
+    first step by a structural pass, because:
+
+    - y satisfies y·B = λ·e_j0 with λ != 0, for the invertible square
+      B = M[top, cols + {j0}] (its columns other than j0 are the block that
+      y annihilates);
+    - solving y·B = λ·e_j0 in the triangular order, column by column, gives
+      0 to every row matched before column j0, and no row matched after j0
+      meets column j0;
+    - so match[j0] is the only row of column j0 with y != 0, which is the
+      row the elimination picks;
+    - deleting that row and column leaves a square that is still
+      triangular under the same matching, so one matching decides every
+      step.
+
+    Propersub and dyadic levels are forced before any step and never build
+    the matching.  The top rows of a sparse level come from
+    matops.peel_null_vector when the whole matrix peels, and from one
+    elimination otherwise.
     """
     mat = _as_mm(mat)
     r, c = mat.nrows, mat.ncols
@@ -98,48 +144,59 @@ def minimal_reduce(mat):
     if y is not None:
         # the one dependency among the rows: the lexicographically first
         # independent rows are all but the last row it involves
-        last = max(k for k, v in enumerate(y) if v)
-        top = [i for i in range(r) if i != last]
+        out = max(k for k, v in enumerate(y) if v)
+        top = [i for i in range(r) if i != out]
     else:
         # the lexicographically first independent rows, scanning from the top
         top = matops.independent_rows(rows)
         if len(top) < c:
             raise RankDeficient(f"rank is below {c}")
+        out = next(i for i in range(r) if i not in top)
     # checked after the rank so a rank-deficient matrix keeps that verdict
     zero = next((i for i in range(r) if not supports[i]), None)
     if zero is not None:
         raise ValueError(f"row {zero + 1} has no edge, so no reduction exists")
-    active = top + [next(i for i in range(r) if i not in top)]
-    cols = list(range(c))
+    active = set(range(r))
+    # a column is removable when no row's support lies entirely inside it;
+    # supports only shrink, so a blocked column stays blocked
+    blocked = {q for support in supports if len(support) == 1 for q in support}
+    cols = list(range(c))  # the columns left, for the elimination
     parents = [0] * r
+    # None until a sparse level's first step looks for the matching; empty
+    # when there is none
+    match = None if nonzeros is not None else {}
+    j0 = -1
     while True:
-        # a column is removable when no row's support lies entirely inside it
-        blocked = set()
-        for i in active:
-            if len(supports[i]) == 1:
-                blocked |= supports[i]
-        j0 = next((j for j in cols if j not in blocked), None)
+        # the columns before the last j0 are removed or blocked
+        j0 = next((j for j in range(j0 + 1, c) if j not in blocked), None)
         if j0 is None:
             # every column is the whole support of some row: assignments are forced
             for i in active:
                 parents[i] = min(supports[i]) + 1
             break
-        cols.remove(j0)
-        # the dependency among the top rows without column j0
-        y = None
-        if nonzeros is not None:
-            pos = {i: k for k, i in enumerate(top)}
-            block = [[(pos[i], x) for i, x in nonzeros[q] if i in pos] for q in cols]
-            y = matops.peel_null_vector(block, len(top))
-        if y is None:
-            # one elimination of the block transposed
+        if match is None:
+            # the supports are still whole on the first step
+            col_rows = [[i for i, _ in nz if i != out] for nz in nonzeros]
+            match = _triangular_matching(col_rows, supports) or {}
+        if match:
+            bottom = match[j0]
+        else:
+            # the dependency among the top rows without column j0, from one
+            # elimination of the block transposed
+            cols.remove(j0)
             pick = itemgetter(*top)
             y = matops._null_vector([list(pick(columns[q])) for q in cols], len(top))
-        bottom = top.pop(_pivot(y, [rows[i][j0] for i in top]))
+            bottom = top.pop(_pivot(y, [rows[i][j0] for i in top]))
         active.remove(bottom)
         parents[bottom] = j0 + 1
-        for i in active:
-            supports[i].discard(j0)
+        # only the rows meeting j0 lose a column, and may block another
+        meets = enumerate(columns[j0]) if nonzeros is None else nonzeros[j0]
+        for i, x in meets:
+            if x and i in active:
+                support = supports[i]
+                support.discard(j0)
+                if len(support) == 1:
+                    blocked |= support
     # c + 1 rows cover c columns, so exactly one column takes two rows
     branch = next(j for j in parents if parents.count(j) == 2)
     return ReductionOutcome(tuple(parents), branch, "tall")

@@ -11,7 +11,7 @@ import pytest
 
 import brattice
 from brattice import corpus
-from brattice.cli import K0_ACTIONS, VERBS, main
+from brattice.cli import K0_ACTIONS, VERBS, _read_argv, main
 from brattice.diagram import MultiplicityMatrix, multiplicity_rank, parse_bdspec, telescope
 
 
@@ -89,7 +89,6 @@ DEPTH_VERBS = [
     ("pathspace", "corpus:gicar"),
     ("k0", "chain", "corpus:gicar"),
     ("k0", "phi", "corpus:gicar", "--alpha", "1,2"),
-    ("k0", "member", "corpus:gicar", "--func", "depth=0: 1"),
     ("k0", "positive", "corpus:gicar", "--func", "depth=0: 1"),
     ("k0", "probe", "corpus:gicar", "--swap", "1", "2"),
 ]
@@ -110,6 +109,57 @@ def test_every_depth_verb_is_covered():
     want = {(verb,) for verb, (_, _, args) in VERBS.items() if takes_depth(args)}
     want |= {("k0", action) for action, (_, _, args) in K0_ACTIONS.items() if takes_depth(args)}
     assert want == {argv[:2] if argv[0] == "k0" else argv[:1] for argv in DEPTH_VERBS}
+
+
+# options a verb has no use for: the table leaves them out, so the direct
+# reader declines the line and argparse rejects it
+UNTAKEN_OPTIONS = {
+    "k0 chain --json --strategy": ("k0", "chain", "corpus:gicar", "--depth", "2", "--json", "--strategy", "bogus"),
+    "k0 chain --strategy=": ("k0", "chain", "corpus:gicar", "--strategy=theorem"),
+    "k0 phi --json": ("k0", "phi", "corpus:gicar", "--alpha", "1,2", "--json"),
+    "k0 member --depth": ("k0", "member", "corpus:gicar", "--func", "depth=0: 1", "--depth", "5"),
+    "k0 member --depth=": ("k0", "member", "corpus:gicar", "--func", "depth=0: 1", "--depth=-1"),
+}
+
+
+@pytest.mark.parametrize("argv", UNTAKEN_OPTIONS.values(), ids=UNTAKEN_OPTIONS)
+def test_option_the_verb_ignores_is_a_usage_error(capsys, argv):
+    assert _read_argv(list(argv)) is None
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+# options a verb takes for one kind of input only
+UNUSABLE_OPTIONS = {
+    "reduce diagram --json --enumerate": (
+        ("reduce", "corpus:gicar", "--json", "--enumerate", "2"),
+        "--enumerate needs a matrix input",
+    ),
+    "reduce diagram --enumerate=": (("reduce", "corpus:gicar", "--enumerate=2"), "--enumerate needs a matrix input"),
+    "reduce diagram --json": (("reduce", "corpus:gicar", "--depth", "2", "--json"), "--json needs a matrix input"),
+    "reduce diagram --enumerate -1": (
+        ("reduce", "corpus:gicar", "--enumerate", "-1"),
+        "--enumerate needs N >= 0, got -1",
+    ),
+    "reduce matrix --depth": (("reduce", "corpus:threebranch", "--depth", "2"), "--depth needs a diagram input"),
+    "reduce matrix --strategy": (
+        ("reduce", "corpus:threebranch", "--strategy=theorem"),
+        "--strategy needs a diagram input",
+    ),
+    "k0 phi type2 --depth": (
+        ("k0", "phi", "corpus:gicar", "--alpha", "1,2", "--depth", "3"),
+        "--depth needs a type1 diagram; elsewhere the depth follows --alpha",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", UNUSABLE_OPTIONS.values(), ids=UNUSABLE_OPTIONS)
+def test_option_the_input_cannot_use_is_a_usage_error(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"usage error: {message}\n")
 
 
 # --- telescope / dilate ------------------------------------------------------

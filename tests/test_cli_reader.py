@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from brattice.cli import VERBS, _attach_negative_vectors, _read_argv, build_parser, main
+from brattice.cli import K0_ACTIONS, VERBS, _attach_negative_vectors, _read_argv, build_parser, main
 
 INTS = ["0", "1", "3", " 2", "1_0", "٣"]
 VALUES = {
@@ -28,6 +28,15 @@ VALUES = {
     "name": ["uhf2", "nosuch"],
     "dot": ["out.dot"],
 }
+# every option of the table, each under one of its entries' keywords
+OPTIONS = {
+    name: kw
+    for _, _, arguments in [*VERBS.values(), *K0_ACTIONS.values()]
+    for name, kw in arguments
+    if name[0] == "-"
+}
+# the arguments every k0 action takes
+K0_COMMON = tuple(a for a in K0_ACTIONS["chain"][2] if all(a in args for _, _, args in K0_ACTIONS.values()))
 # what a spoiled line may carry
 BAD_VALUES = ["-1", "-x", "--json", "-", "x", ""]
 STRAYS = ["-h", "--help", "--", "-", "--nosuch", "stray", "-5", "--json=1", "--swap=1", "--de", "--dep=2"]
@@ -46,32 +55,45 @@ def command_lines(draw):
             if action:
                 head.append(action)
             # a bare or unknown action still draws the options every action has
-            arguments = target.get(action, target["chain"])[2]
+            arguments = target[action][2] if action in target else K0_COMMON
     pieces = []
     for name, kw in arguments:
-        dest = name.lstrip("-")
         if name[0] == "-" and not kw.get("required") and draw(st.booleans()):
             continue  # an optional option left out
-        pool = INTS if kw.get("type") is int else VALUES.get(dest, ["a"])
-        values = [draw(st.sampled_from(pool)) for _ in range(kw.get("nargs", 1))]
-        if name[0] != "-":
-            pieces.append(values)
-        elif kw.get("action") == "store_true":
-            pieces.append([name])
-        elif len(values) == 1 and draw(st.booleans()):
-            pieces.append([f"{name}={values[0]}"])
-        else:
-            pieces.append([name, *values])
+        pieces.append(_piece(draw, name, kw))
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
-        pieces = _spoil(draw, pieces)
+        pieces = _spoil(draw, pieces, arguments)
     pieces = draw(st.permutations(pieces))
     return head + [tok for piece in pieces for tok in piece]
 
 
-def _spoil(draw, pieces):
-    """One defect: a stray token, or one argument dropped, repeated,
-    abbreviated or given a bad value."""
-    kind = draw(st.sampled_from(["stray", "drop", "repeat", "abbreviate", "bad value", "bad value"]))
+def _piece(draw, name, kw):
+    """The tokens of one argument with a value from the vocabulary."""
+    pool = INTS if kw.get("type") is int else VALUES.get(name.lstrip("-"), ["a"])
+    values = [draw(st.sampled_from(pool)) for _ in range(kw.get("nargs", 1))]
+    if name[0] != "-":
+        return values
+    if kw.get("action") == "store_true":
+        return [name]
+    if len(values) == 1 and draw(st.booleans()):
+        return [f"{name}={values[0]}"]
+    return [name, *values]
+
+
+def _untaken(arguments):
+    """The options of the table that a line with these arguments may not
+    carry; one that abbreviates a taken option is left out."""
+    taken = [name for name, _ in arguments]
+    return sorted(n for n in OPTIONS if not any(t.startswith(n) for t in taken))
+
+
+def _spoil(draw, pieces, arguments):
+    """One defect: a stray token, an option of another verb, or one
+    argument dropped, repeated, abbreviated or given a bad value."""
+    kind = draw(st.sampled_from(["stray", "untaken", "drop", "repeat", "abbreviate", "bad value", "bad value"]))
+    if kind == "untaken":
+        name = draw(st.sampled_from(_untaken(arguments)))
+        return pieces + [_piece(draw, name, OPTIONS[name])]
     if kind == "stray" or not pieces:
         return pieces + [[draw(st.sampled_from(STRAYS))]]
     i = draw(st.integers(0, len(pieces) - 1))
@@ -101,6 +123,32 @@ def _parse_with_argparse(argv):
             return None, exc.code
 
 
+def _carries_untaken(argv):
+    """Whether a token of argv is an option of the table that the verb or
+    action in argv does not take."""
+    if argv[0] not in VERBS:
+        return False
+    _, target, arguments = VERBS[argv[0]]
+    if isinstance(target, dict):
+        if len(argv) < 2 or argv[1] not in target:
+            return False
+        arguments = target[argv[1]][2]
+    untaken = _untaken(arguments)
+    return any(tok.partition("=")[0] in untaken for tok in argv)
+
+
+def test_vocabulary_covers_the_table():
+    # every option with a free-form value draws from its own pool
+    free = {
+        name.lstrip("-")
+        for name, kw in OPTIONS.items()
+        if kw.get("type") is not int and kw.get("action") != "store_true"
+    }
+    assert free <= set(VALUES)
+    assert set(VALUES) - {"input"} <= free
+    assert [name for name, _ in K0_COMMON] == ["input", "--column", "--weight"]
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """The files a drawn --dot writes land here."""
@@ -121,6 +169,11 @@ def test_reader_agrees_with_argparse(workdir, data):
     if got is not None:
         assert status is None
         assert vars(got) == want
+    if "--" not in argv and _carries_untaken(argv):
+        # neither reader nor argparse lets an option through that the verb ignores
+        event("carries an untaken option")
+        assert got is None
+        assert status is not None
     # and the whole line ends in a verdict or a clean usage error
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         try:
@@ -172,6 +225,11 @@ def test_reader_takes_the_valid_lines(line):
         "k0 probe corpus:gicar --swap 1",
         "k0 probe corpus:gicar --swap=1 2",
         "corpus stray",
+        "k0 chain corpus:gicar --depth 2 --json",
+        "k0 chain corpus:gicar --strategy=bogus",
+        "k0 phi corpus:gicar --alpha 1,2 --json",
+        "k0 member corpus:gicar --func 'depth=0: 1' --depth 5",
+        "validate corpus:gicar --strategy theorem",
     ],
 )
 def test_reader_declines_what_argparse_must_see(line):

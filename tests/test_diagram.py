@@ -34,6 +34,7 @@ from brattice.errors import (
     NotDilatable,
     RankDeficient,
 )
+from brattice.reduction import minimal_reduce
 
 
 GICAR = corpus.get("gicar").diagram()
@@ -61,6 +62,29 @@ def test_multiplicity_matrix_rejects_bad_input():
         MultiplicityMatrix([[1, 2], [3]])
     with pytest.raises(ValueError):
         MultiplicityMatrix([[-1]])
+
+
+@pytest.mark.parametrize(
+    "rows, where",
+    [
+        ([[1.5, 0], [0.9, 2]], "row 1, column 1: 1.5"),
+        ([[1, 0], [0, 2.0]], "row 2, column 2: 2.0"),
+        ([[1, Fraction(1, 2)]], r"row 1, column 2: Fraction\(1, 2\)"),
+        ([[1], ["3"]], "row 2, column 1: '3'"),
+    ],
+)
+def test_multiplicity_matrix_rejects_inexact_entries(rows, where):
+    with pytest.raises(ValueError, match=f"^{where} is not an integer$"):
+        MultiplicityMatrix(rows)
+
+
+def test_multiplicity_matrix_takes_integral_values():
+    m = MultiplicityMatrix([[Fraction(4, 2), 0], [True, 3]])
+    assert m.rows == ((2, 0), (1, 3))
+    assert all(type(x) is int for row in m.rows for x in row)
+    # the reduction sees the entry, not a truncation of it
+    with pytest.raises(ValueError, match="row 1, column 1: 0.5 is not an integer"):
+        minimal_reduce([[0.5], [1]])
 
 
 def test_rank():

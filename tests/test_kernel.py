@@ -2,17 +2,19 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import exact_oracle as oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brattice import corpus, matops
+from brattice import corpus, matops, reduction
 from brattice.errors import RankDeficient, Singular
-from brattice.pathspace import build_minimal_diagram
-from brattice.reduction import minimal_reduce, pivot_row
+from brattice.pathspace import build_minimal_diagram, format_tree_dump
+from brattice.reduction import _pivot, _triangular_matching, minimal_reduce, pivot_row
 
+DATA = Path(__file__).parent / "data"
 INTS = st.integers(min_value=-3, max_value=3)
 FRACS = st.builds(Fraction, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=3))
 
@@ -150,15 +152,35 @@ def test_sixteen_by_sixteen_inverse_matches_oracle():
     assert matops.inverse(u) == oracle.inverse(u)
 
 
+def shuffled_ladder(rng, c):
+    """A (c+1) x c matrix whose top square is triangular up to permutation:
+    c rows of a lower band of width 2 or 3 with entries 1..3, one more row
+    with one or two positive entries placed anywhere among them, and the
+    columns shuffled."""
+    width = rng.randint(2, 3)
+    rows = [[rng.randint(1, 3) if 0 <= i - j < width else 0 for j in range(c)] for i in range(c)]
+    rng.shuffle(rows)
+    extra = [0] * c
+    for j in rng.sample(range(c), min(c, rng.randint(1, 2))):
+        extra[j] = rng.randint(1, 3)
+    rows.insert(rng.randint(0, c), extra)
+    order = list(range(c))
+    rng.shuffle(order)
+    return [[row[q] for q in order] for row in rows]
+
+
 @st.composite
 def tall_matrices(draw):
     """(c+1) x c nonnegative matrices up to c = 14: dense 0..3 entries, a
     band around the gicar diagonal, one entry per row plus a few more,
-    which forces the assignment part of the way through the reduction, or a
-    shuffled triangle."""
+    which forces the assignment part of the way through the reduction, a
+    shuffled triangle, or a shuffled ladder, whose sparse levels take the
+    matching."""
     c = draw(st.integers(1, 14), label="c")
-    shape = draw(st.sampled_from(["dense", "banded", "near_monomial", "triangle"]), label="shape")
+    shape = draw(st.sampled_from(["dense", "banded", "near_monomial", "triangle", "ladder"]), label="shape")
     entry = st.integers(0, 3)
+    if shape == "ladder":
+        return shuffled_ladder(draw(st.randoms(use_true_random=False)), c)
     if shape == "dense":
         return draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=c + 1, max_size=c + 1))
     if shape == "triangle":
@@ -210,6 +232,83 @@ def test_theorem_tree_levels_match_rescanning_reduction(name):
         mat = d.matrix(level)
         assert mat.nrows == mat.ncols + 1
         assert tree.parents_at(level + 1) == oracle.minimal_reduce_parents(mat.to_lists())
+
+
+@pytest.mark.parametrize("name", ["gicar", "propersub", "dyadic"])
+def test_theorem_tree_matches_frozen_dump_at_full_depth(monkeypatch, name):
+    # frozen from the per-step elimination, at the default depth limit
+    monkeypatch.delenv("BRATTICE_DEPTH_LIMIT", raising=False)
+    tree = build_minimal_diagram(corpus.get(name).diagram(), "theorem")
+    assert tree.max_depth() == 64
+    frozen = (DATA / f"theorem-{name}-63.tree").read_text()
+    assert format_tree_dump(tree, 63) == frozen
+
+
+def _spy_matchings(monkeypatch):
+    """The matchings minimal_reduce finds, None for each square that has
+    none, in call order."""
+    found = []
+
+    def spy(col_rows, row_cols):
+        found.append(_triangular_matching(col_rows, row_cols))
+        return found[-1]
+
+    monkeypatch.setattr(reduction, "_triangular_matching", spy)
+    return found
+
+
+def test_matching_decides_shuffled_ladders(monkeypatch):
+    found = _spy_matchings(monkeypatch)
+    rng = random.Random(20)
+    draws = [shuffled_ladder(rng, rng.randint(1, 14)) for _ in range(150)]
+    decided = 0
+    for rows in draws:
+        assert oracle.rank(rows) == len(rows[0])  # the band square is nonsingular
+        del found[:]
+        assert minimal_reduce(rows).parents == oracle.minimal_reduce_parents(rows)
+        decided += bool(found and found[0])
+    # the rest are too dense to try it (small c) or keep the extra row on top
+    assert 3 * decided >= len(draws)
+
+
+@st.composite
+def triangular_squares(draw):
+    """n x n integer squares that are lower triangular with a nonzero
+    diagonal up to a permutation of rows and columns, and a column j0."""
+    n = draw(st.integers(1, 9))
+    below = draw(st.sampled_from([st.just(0), st.integers(-3, 3)]))
+    pivot = st.integers(-4, 4).filter(bool)
+    square = [[draw(pivot) if i == j else draw(below) if j < i else 0 for j in range(n)] for i in range(n)]
+    order = draw(st.permutations(range(n)))
+    square = [[row[q] for q in order] for row in draw(st.permutations(square))]
+    return square, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(triangular_squares())
+def test_matching_picks_the_row_elimination_picks(case):
+    square, j0 = case
+    n = len(square)
+    columns = [list(col) for col in zip(*square)]
+    match = _triangular_matching(
+        [[i for i, x in enumerate(col) if x] for col in columns],
+        [[q for q, x in enumerate(row) if x] for row in square],
+    )
+    assert sorted(match) == sorted(match.values()) == list(range(n))
+    assert all(square[i][q] for q, i in match.items())
+    # the first step: the one dependency among the rows without column j0
+    y = matops._null_vector([col for q, col in enumerate(columns) if q != j0], n)
+    assert match[j0] == _pivot(y, columns[j0])
+
+
+def test_matching_frozen():
+    # column 1 meets only row 0, which leaves row 1 to column 0
+    assert _triangular_matching([[0, 1], [0]], [[0, 1], [0]]) == {1: 0, 0: 1}
+    # a full 2 x 2 pattern, and a column no row meets
+    assert _triangular_matching([[0, 1], [0, 1]], [[0, 1], [0, 1]]) is None
+    assert _triangular_matching([[0], []], [[0], []]) is None
+    # two columns left with the same one row
+    assert _triangular_matching([[0], [0]], [[0, 1], []]) is None
 
 
 def test_rank_deficiency_outranks_a_zero_row():
@@ -296,13 +395,19 @@ def _refuse(*args):
 
 
 def test_ladder_levels_reduce_without_elimination(monkeypatch):
-    # from 5 columns on, gicar levels pass the sparsity test, and every
-    # block of theirs peels
+    # from 5 columns on, gicar levels pass the sparsity test: the whole
+    # level peels once, and the top square's matching decides every step
     d = corpus.get("gicar").diagram()
     want = [minimal_reduce(d.matrix(level)).parents for level in range(4, 24)]
+    peels = []
+    peel = matops.peel_null_vector
+    monkeypatch.setattr(matops, "peel_null_vector", lambda *args: peels.append(1) or peel(*args))
     monkeypatch.setattr(matops, "_null_vector", _refuse)
     monkeypatch.setattr(matops, "independent_rows", _refuse)
+    found = _spy_matchings(monkeypatch)
     assert [minimal_reduce(d.matrix(level)).parents for level in range(4, 24)] == want
+    assert len(peels) == len(found) == 20
+    assert all(found)
 
 
 def test_dense_levels_skip_the_peel(monkeypatch):
@@ -311,4 +416,5 @@ def test_dense_levels_skip_the_peel(monkeypatch):
     assert oracle.rank(rows) == 8
     want = minimal_reduce(rows).parents
     monkeypatch.setattr(matops, "peel_null_vector", _refuse)
+    monkeypatch.setattr(reduction, "_triangular_matching", _refuse)
     assert minimal_reduce(rows).parents == want
