@@ -11,11 +11,11 @@ from brattice.matops import frac_str
 from brattice.k0 import (
     Broken,
     ExplicitColumn,
+    WeightScheme,
     automorphism_probe,
     complete_chain,
     membership,
     phi,
-    weight_scheme,
     witness_vector,
 )
 from brattice.pathspace import LocallyConstantFunction, build_minimal_diagram, refine
@@ -23,7 +23,7 @@ from brattice.pathspace import LocallyConstantFunction, build_minimal_diagram, r
 
 def main():
     dyadic = corpus.get("dyadic").diagram()
-    scheme = weight_scheme(dyadic)
+    scheme = WeightScheme(dyadic)
     chain = scheme.chain(4)
     tree = scheme.tree
 
@@ -44,7 +44,7 @@ def main():
     print()
 
     theta = (2, 1, 3, 4)
-    verdict = automorphism_probe(theta, scheme, tree, 3)
+    verdict = automorphism_probe(theta, scheme, 3)
     assert isinstance(verdict, Broken)
     print("swapping the first two depth-3 cylinders is not an automorphism:")
     print(f"  member {fmt(verdict.witness.values)}")

@@ -2,192 +2,9 @@
 
 Minimal reductions of multiplicity matrices, minimal sub-diagrams as
 trees with end-topology invariants, and the ordered K0 group realized
-as locally constant rational functions on the boundary.
+as locally constant rational functions on the boundary.  Import names
+from the submodules: brattice.diagram, brattice.reduction,
+brattice.pathspace, brattice.k0, brattice.corpus and brattice.matops.
 """
 
-from .config import DEPTH_ENV, depth_limit
-from .diagram import (
-    BratteliDiagram,
-    FamilyTail,
-    MultiplicityMatrix,
-    PeriodicTail,
-    PowToken,
-    ShapeClass,
-    ValidationReport,
-    check_valid,
-    dilate_step,
-    format_bdspec,
-    infer_shape,
-    matrix_fits_shape,
-    mm_product,
-    multiplicity_rank,
-    normalize_type2,
-    parse_bdspec,
-    telescope,
-    validate_diagram,
-    write_dot,
-)
-from .errors import (
-    BratticeError,
-    DepthExceeded,
-    IndexOutOfRange,
-    LimitExceeded,
-    NotDilatable,
-    NotInK0,
-    NotUniqueMinimal,
-    RankDeficient,
-    Singular,
-    SingularCompletion,
-    Uncertified,
-    UnsupportedUserMap,
-)
-from .k0 import (
-    Auto,
-    Broken,
-    CompletedChain,
-    ExplicitColumn,
-    K0Witness,
-    NotMember,
-    NotPositiveUpTo,
-    Positive,
-    Preserved,
-    Unknown,
-    WeightColumn,
-    WeightScheme,
-    automorphism_probe,
-    build_chain,
-    complete_chain,
-    complete_matrix,
-    format_chain_dump,
-    indicator_membership,
-    membership,
-    parse_chain_dump,
-    phi,
-    phi_type1,
-    positivity,
-    r_map,
-    to_R_basis,
-    weight_scheme,
-)
-from .pathspace import (
-    BranchData,
-    Cylinder,
-    EndCensus,
-    LexFirst,
-    LocallyConstantFunction,
-    MinimalDiagram,
-    NamedFamily,
-    Theorem,
-    UserMap,
-    build_minimal_diagram,
-    compare_invariants,
-    cylinder_children,
-    end_census,
-    format_tree_dump,
-    functions_equal,
-    indicator,
-    parse_tree_dump,
-    refine,
-    strategy_from_string,
-    write_tree_dot,
-)
-from .reduction import (
-    ReductionOutcome,
-    enumerate_minimal_reductions,
-    is_unique_minimal,
-    minimal_reduce,
-    minimal_reduce_square,
-    pivot_row,
-    reduction_is_valid,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Auto",
-    "BranchData",
-    "BratteliDiagram",
-    "BratticeError",
-    "Broken",
-    "CompletedChain",
-    "Cylinder",
-    "DEPTH_ENV",
-    "DepthExceeded",
-    "EndCensus",
-    "ExplicitColumn",
-    "FamilyTail",
-    "IndexOutOfRange",
-    "K0Witness",
-    "LexFirst",
-    "LimitExceeded",
-    "LocallyConstantFunction",
-    "MinimalDiagram",
-    "MultiplicityMatrix",
-    "NamedFamily",
-    "NotDilatable",
-    "NotInK0",
-    "NotMember",
-    "NotPositiveUpTo",
-    "NotUniqueMinimal",
-    "PeriodicTail",
-    "Positive",
-    "PowToken",
-    "Preserved",
-    "RankDeficient",
-    "ReductionOutcome",
-    "ShapeClass",
-    "Singular",
-    "SingularCompletion",
-    "Theorem",
-    "Uncertified",
-    "Unknown",
-    "UnsupportedUserMap",
-    "UserMap",
-    "ValidationReport",
-    "WeightColumn",
-    "WeightScheme",
-    "automorphism_probe",
-    "build_chain",
-    "build_minimal_diagram",
-    "check_valid",
-    "compare_invariants",
-    "complete_chain",
-    "complete_matrix",
-    "cylinder_children",
-    "depth_limit",
-    "dilate_step",
-    "end_census",
-    "enumerate_minimal_reductions",
-    "format_bdspec",
-    "format_chain_dump",
-    "format_tree_dump",
-    "functions_equal",
-    "indicator",
-    "indicator_membership",
-    "infer_shape",
-    "is_unique_minimal",
-    "matrix_fits_shape",
-    "membership",
-    "minimal_reduce",
-    "minimal_reduce_square",
-    "mm_product",
-    "multiplicity_rank",
-    "normalize_type2",
-    "parse_bdspec",
-    "parse_chain_dump",
-    "parse_tree_dump",
-    "phi",
-    "phi_type1",
-    "pivot_row",
-    "positivity",
-    "r_map",
-    "reduction_is_valid",
-    "refine",
-    "strategy_from_string",
-    "telescope",
-    "to_R_basis",
-    "validate_diagram",
-    "weight_scheme",
-    "write_dot",
-    "write_tree_dot",
-]

@@ -32,18 +32,15 @@ from .errors import BratticeError, NotUniqueMinimal, RankDeficient, Singular
 from .k0 import (
     Auto,
     Broken,
+    ChainRealizer,
     ExplicitColumn,
     K0Witness,
     NotPositiveUpTo,
     Positive,
+    WeightScheme,
     automorphism_probe,
     complete_chain,
     format_chain_dump,
-    membership,
-    phi,
-    phi_type1,
-    positivity,
-    weight_scheme,
 )
 from .pathspace import (
     LocallyConstantFunction,
@@ -248,7 +245,7 @@ def _refuse(args, needs, *dests):
     """A usage error for the first of these options that was given, when
     the input at hand cannot use it."""
     for dest in dests:
-        if getattr(args, dest) not in (None, False):
+        if getattr(args, dest, None) not in (None, False):
             raise UsageError(f"--{dest} needs {needs}")
 
 
@@ -350,33 +347,58 @@ def cmd_pathspace(args):
     return 0
 
 
-def _chain_for(args, diagram, depth):
-    if args.weight:
-        return weight_scheme(diagram).chain(depth)
-    return complete_chain(diagram, _hints(args), depth)
+_NO_CHAIN = "a completed chain, which --weight does not build"
 
 
 def cmd_k0_chain(args):
     diagram = _need_diagram(args.input, "k0 chain")
     depth = args.depth or _default_depth(diagram)
-    chain = _chain_for(args, diagram, depth)
+    if args.weight:
+        _refuse(args, _NO_CHAIN, "column")
+        chain = WeightScheme(diagram).chain(depth)
+    else:
+        chain = complete_chain(diagram, _hints(args), depth)
     sys.stdout.write(format_chain_dump(chain))
     return 0
+
+
+def _realizer(args, diagram, depth):
+    """The realizer a k0 action reads: the weight scheme under --weight, and
+    for the probe also when the diagram is forced; otherwise a chain
+    completed to `depth`, read through the --strategy tree."""
+    type1 = diagram.shape.kind == "type1"
+    if type1 and (args.weight or args.action != "phi"):
+        what = "--weight" if args.weight else f"k0 {args.action}"
+        raise UsageError(
+            f"{what} needs levels that branch; {args.input} is type1, "
+            "whose chain realizes only through k0 phi"
+        )
+    if args.weight:
+        refused = ("column", "bound", "strategy")
+        if args.action == "positive":
+            refused += ("depth",)
+        _refuse(args, _NO_CHAIN, *refused)
+        return WeightScheme(diagram)
+    if args.action == "probe" and not args.column:
+        scheme = WeightScheme(diagram)
+        try:
+            scheme.weights(depth)  # the scheme checks uniqueness lazily
+            return scheme
+        except NotUniqueMinimal:
+            pass
+    tree = build_minimal_diagram(diagram, _strategy(args.strategy or "theorem"))
+    return ChainRealizer(complete_chain(diagram, _hints(args), depth), tree, type1)
 
 
 def cmd_k0_phi(args):
     diagram = _need_diagram(args.input, "k0 phi")
     alpha = _parse_vector(args.alpha, "--alpha")
-    tree = build_minimal_diagram(diagram, _strategy(args.strategy))
     if diagram.shape.kind == "type1":
         depth = args.depth or _default_depth(diagram)
-        chain = _chain_for(args, diagram, depth)
-        func = phi_type1(alpha, chain, tree)
     else:
         _refuse(args, "a type1 diagram; elsewhere the depth follows --alpha", "depth")
         depth = max(len(alpha) - 1, 1)
-        chain = _chain_for(args, diagram, depth)
-        func = phi(alpha, chain, tree)
+    func = _realizer(args, diagram, depth).phi(alpha)
     print(f"func depth={func.depth}: {_fmt_vec(func.values)}")
     return 0
 
@@ -384,12 +406,7 @@ def cmd_k0_phi(args):
 def cmd_k0_member(args):
     diagram = _need_diagram(args.input, "k0 member")
     func = _parse_func(args.func, diagram)
-    tree = build_minimal_diagram(diagram, _strategy(args.strategy))
-    if args.weight:
-        verdict = weight_scheme(diagram).membership(func)
-    else:
-        chain = complete_chain(diagram, _hints(args), max(func.depth, 1))
-        verdict = membership(func, chain, tree)
+    verdict = _realizer(args, diagram, max(func.depth, 1)).membership(func)
     if isinstance(verdict, K0Witness):
         if args.json:
             _emit_json(
@@ -412,13 +429,8 @@ def cmd_k0_member(args):
 def cmd_k0_positive(args):
     diagram = _need_diagram(args.input, "k0 positive")
     func = _parse_func(args.func, diagram)
-    tree = build_minimal_diagram(diagram, _strategy(args.strategy))
-    if args.weight:
-        verdict = weight_scheme(diagram).positivity(func)
-    else:
-        depth = args.depth or max(func.depth, 1)
-        chain = complete_chain(diagram, _hints(args), depth)
-        verdict = positivity(func, chain, tree, bound=args.bound)
+    realizer = _realizer(args, diagram, args.depth or max(func.depth, 1))
+    verdict = realizer.positivity(func, args.bound)
     if isinstance(verdict, Positive):
         if args.json:
             _emit_json(
@@ -469,25 +481,11 @@ def cmd_k0_probe(args):
         raise UsageError(f"--cap needs N >= 0, got {args.cap}")
     diagram = _need_diagram(args.input, "k0 probe")
     depth = args.depth or 3
-    if args.weight or args.column:
-        if args.weight:
-            realizer = weight_scheme(diagram)
-            tree = realizer.tree
-        else:
-            realizer = complete_chain(diagram, _hints(args), depth)
-            tree = build_minimal_diagram(diagram, _strategy(args.strategy))
-    else:
-        try:
-            realizer = weight_scheme(diagram)
-            # the scheme checks uniqueness lazily, so force it here
-            realizer.weights(depth)
-            tree = realizer.tree
-        except NotUniqueMinimal:
-            realizer = complete_chain(diagram, Auto(), depth)
-            tree = build_minimal_diagram(diagram, _strategy(args.strategy))
+    realizer = _realizer(args, diagram, depth)
+    tree = realizer.tree
     tree.ensure_depth(depth)
     theta = _probe_theta(args, tree.level_count(depth))
-    verdict = automorphism_probe(theta, realizer, tree, depth, args.cap)
+    verdict = automorphism_probe(theta, realizer, depth, args.cap)
     if isinstance(verdict, Broken):
         if args.json:
             _emit_json(
@@ -516,8 +514,18 @@ def cmd_corpus(args):
         if not entries:
             raise UsageError(f"no corpus entry {args.name!r}")
     if args.list:
-        for e in entries:
-            print(f"{e.name}: {e.description} [{e.kind}]")
+        if args.json:
+            _emit_json(
+                {
+                    "entries": [
+                        {"description": e.description, "kind": e.kind, "name": e.name}
+                        for e in entries
+                    ]
+                }
+            )
+        else:
+            for e in entries:
+                print(f"{e.name}: {e.description} [{e.kind}]")
         return 0
     drift = 0
     rows = []
@@ -550,11 +558,11 @@ _INPUT = ("input", {"help": "bdspec file, bare matrix file, or corpus:NAME"})
 _DEPTH = ("--depth", {"type": int})
 _DOT = ("--dot", {"metavar": "FILE"})
 _JSON = ("--json", {"action": "store_true"})
-_STRATEGY = ("--strategy", {"default": "theorem"})
 _FUNC = ("--func", {"required": True, "help": "'depth=N: v1 v2 ...'"})
 _K0_INPUT = ("input", {"help": "bdspec file or corpus:NAME"})
 _COLUMN = ("--column", {"help": "explicit level-0 completion column, e.g. '0,1'"})
 _WEIGHT = ("--weight", {"action": "store_true", "help": "use the weight scheme"})
+_STRATEGY = ("--strategy", {"help": "tree a completed chain is read through (default: theorem)"})
 # the actions that build a chain to a depth and a reduced tree
 _K0_TREE = (_K0_INPUT, _DEPTH, _STRATEGY, _COLUMN, _WEIGHT)
 
@@ -626,7 +634,7 @@ VERBS = {
         cmd_pathspace,
         (
             _INPUT,
-            _STRATEGY,
+            ("--strategy", {"default": "theorem"}),
             ("--census", {"action": "store_true", "help": "print the full census record"}),
             ("--compare", {"metavar": "STRATEGY", "help": "census comparison verdict"}),
             _DEPTH,

@@ -23,16 +23,15 @@ from .errors import RankDeficient
 from .k0 import (
     Auto,
     Broken,
+    ChainRealizer,
     ExplicitColumn,
     NotMember,
+    WeightScheme,
     automorphism_probe,
     complete_chain,
-    indicator_membership,
     membership,
-    phi_type1,
     r_map,
     to_R_basis,
-    weight_scheme,
 )
 from .pathspace import (
     Cylinder,
@@ -42,6 +41,7 @@ from .pathspace import (
     compare_invariants,
     cylinder_children,
     end_census,
+    indicator,
     refine,
 )
 from .record import Record
@@ -346,7 +346,7 @@ def compute_field(entry, field):
         vec = tuple(Fraction(t) for t in inline.split(","))
         chain = complete_chain(diagram, Auto(), depth)
         tree = build_minimal_diagram(diagram, "theorem")
-        return phi_type1(vec, chain, tree).values
+        return ChainRealizer(chain, tree, constant=True).phi(vec).values
     if op == "census":
         tree = build_minimal_diagram(diagram, _strategy_for(entry, args[0]))
         c = end_census(tree)
@@ -377,32 +377,32 @@ def compute_field(entry, field):
         func = LocallyConstantFunction(len(values) - 1, values)
         return to_R_basis(func, tree)
     if op == "weights":
-        scheme = weight_scheme(diagram)
+        scheme = WeightScheme(diagram)
         return scheme.weights(int(args[0]))
     if op == "bvals":
-        scheme = weight_scheme(diagram)
+        scheme = WeightScheme(diagram)
         upto = int(args[0])
         return tuple(scheme.b(k) for k in range(upto))
     if op == "scheme_dets":
-        scheme = weight_scheme(diagram)
+        scheme = WeightScheme(diagram)
         chain = scheme.chain(int(args[0]))
         return tuple(abs(d) for d in chain.dets)
     if op == "a_matrix":
-        scheme = weight_scheme(diagram)
+        scheme = WeightScheme(diagram)
         n = int(args[0])
         chain = scheme.chain(n)
         return tuple(tuple(row) for row in chain.a_matrix(n))
     if op == "probe":
         depth = int(args[1])
-        scheme = weight_scheme(diagram)
+        scheme = WeightScheme(diagram)
         theta = _theta_from_word(args[0], scheme.tree, depth)
-        verdict = automorphism_probe(theta, scheme, scheme.tree, depth)
+        verdict = automorphism_probe(theta, scheme, depth)
         return "broken" if isinstance(verdict, Broken) else "preserved"
     if op == "probe_witness":
         depth = int(args[1])
-        scheme = weight_scheme(diagram)
+        scheme = WeightScheme(diagram)
         theta = _theta_from_word(args[0], scheme.tree, depth)
-        verdict = automorphism_probe(theta, scheme, scheme.tree, depth)
+        verdict = automorphism_probe(theta, scheme, depth)
         if not isinstance(verdict, Broken):
             return "preserved"
         return verdict.witness.values
@@ -423,7 +423,7 @@ def compute_field(entry, field):
         level, vertex = (int(t) for t in args[0].split(","))
         tree = build_minimal_diagram(diagram, "theorem")
         chain = complete_chain(diagram, [ExplicitColumn((0, 1))], max(level, 1))
-        verdict = indicator_membership(Cylinder(level, vertex), chain, tree)
+        verdict = membership(indicator(Cylinder(level, vertex), tree), chain, tree)
         if isinstance(verdict, NotMember):
             return "non-member"
         return verdict.alpha

@@ -29,7 +29,6 @@ from .pathspace import (
     LocallyConstantFunction,
     MinimalDiagram,
     UserMap,
-    indicator,
 )
 from .record import Record
 from .reduction import is_unique_minimal
@@ -169,24 +168,25 @@ class CompletedChain:
         return [[Fraction(x, d) for x in row] for row in nums]
 
 
-def build_chain(completions, diagram=None):
+def _checked_square(k, raw):
+    """Completion k as a tuple of integer rows and its determinant, once it
+    is checked to be square and invertible."""
+    rows = tuple(tuple(int(x) for x in row) for row in raw)
+    if any(len(r) != len(rows) for r in rows):
+        raise ValueError(f"completion {k} is not square")
+    d = matops.det([list(r) for r in rows])
+    if d == 0:
+        raise SingularCompletion(f"completion {k} is singular")
+    return rows, int(d)
+
+
+def build_chain(completions):
     """Wrap completed squares into a chain, checking sizes and invertibility."""
-    pairs = []
-    for k, raw in enumerate(completions):
-        rows = tuple(tuple(int(x) for x in row) for row in raw)
-        size = len(rows)
-        if any(len(r) != size for r in rows):
-            raise ValueError(f"completion {k} is not square")
-        d = matops.det([list(r) for r in rows])
-        if d == 0:
-            raise SingularCompletion(f"completion {k} is singular")
-        pairs.append((rows, int(d)))
-    return _chain(pairs, diagram)
+    return _chain([_checked_square(k, raw) for k, raw in enumerate(completions)])
 
 
-def _chain(pairs, diagram):
-    """A chain from (square, det) pairs: the mode comes from the square
-    sizes, and the squares are checked against a given diagram."""
+def _chain(pairs):
+    """A chain from (square, det) pairs; the mode comes from the square sizes."""
     if not pairs:
         raise ValueError("chain needs at least one completion")
     squares, dets = zip(*pairs)
@@ -201,25 +201,7 @@ def _chain(pairs, diagram):
         mode = "constant"
     else:
         raise ValueError(f"level sizes {sizes} neither grow by one nor stay constant")
-
-    if diagram is not None:
-        _check_against_diagram(squares, mode, diagram)
     return CompletedChain(squares, dets, mode)
-
-
-def _check_against_diagram(squares, mode, diagram):
-    if mode in ("growth", "either") and diagram.shape.kind != "type1":
-        for k, sq in enumerate(squares):
-            mat = diagram.matrix(k)
-            if mat.nrows != len(sq) or mat.ncols != len(sq) - 1:
-                raise ValueError(f"completion {k} does not fit matrix {k}")
-            for i in range(mat.nrows):
-                if tuple(sq[i][: mat.ncols]) != mat.rows[i]:
-                    raise ValueError(f"completion {k} alters matrix {k}")
-    else:
-        for k, (sq, mat) in enumerate(zip(squares, _square_matrices(diagram, len(squares)))):
-            if tuple(tuple(r) for r in sq) != mat.rows:
-                raise ValueError(f"chain square {k} is not the diagram's square matrix")
 
 
 def _square_matrices(diagram, count):
@@ -240,7 +222,7 @@ def complete_chain(diagram, hints=None, depth=None):
         depth = max(diagram.explicit_depth, 1)
     depth = min(depth, diagram.max_matrix_index() + 1)
     if diagram.shape.kind == "type1":
-        return build_chain([mat.rows for mat in _square_matrices(diagram, depth)], diagram)
+        return build_chain([mat.rows for mat in _square_matrices(diagram, depth)])
     if hints is None:
         hints = Auto()
     if hasattr(hints, "column"):
@@ -250,7 +232,7 @@ def complete_chain(diagram, hints=None, depth=None):
         complete_matrix(diagram.matrix(k), hints[k] if k < len(hints) else Auto())
         for k in range(depth)
     ]
-    return _chain(pairs, diagram)
+    return _chain(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -324,28 +306,13 @@ def to_R_basis(func, tree):
 def phi(alpha, chain, tree):
     """Function of an integer (or rational) vector at its own depth."""
     if chain.mode == "constant":
-        raise ValueError("constant-width chains use phi_type1")
+        raise ValueError("constant-width chains realize through ChainRealizer")
     n = len(alpha) - 1
     if n > chain.depth:
         raise DepthExceeded(f"chain has depth {chain.depth}, vector needs {n}")
     nums, d = chain.inverse_parts(n)
     ints, scale = matops.clear_denominators(alpha)
     return r_map(matops.mat_vec(nums, ints), tree, d * scale)
-
-
-def phi_type1(a, chain, tree):
-    """Constant-width realization at the chain's depth: apply the inverses of
-    the square matrices, in level order, to the value vector."""
-    if chain.mode == "growth":
-        raise ValueError("growing chains use phi")
-    d = chain.depth
-    values = [Fraction(x) for x in a]
-    for k in range(d - 1, -1, -1):
-        values = matops.mat_vec(matops.inverse([list(r) for r in chain.squares[k]]), values)
-    tree.ensure_depth(d)
-    if len(values) != tree.level_count(d):
-        raise ValueError("vector length does not match the level width")
-    return LocallyConstantFunction(d, tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +389,45 @@ def positivity(func, chain, tree, bound=None):
 
 
 # ---------------------------------------------------------------------------
-# weight schemes
+# realizers
+#
+# A realizer owns a reduced tree and answers phi(alpha), membership(func)
+# and positivity(func, bound=None) through it.
+
+
+class ChainRealizer:
+    """A completed chain read through a reduced tree.
+
+    `constant` marks a type1 chain: its levels never branch, so phi takes a
+    vector of the level width at the chain's depth, and membership and
+    positivity, which peel branches, do not apply.
+    """
+
+    def __init__(self, chain, tree, constant=False):
+        self.chain = chain
+        self.tree = tree
+        self.constant = constant
+
+    def phi(self, alpha):
+        if not self.constant:
+            return phi(alpha, self.chain, self.tree)
+        chain = self.chain
+        if chain.mode == "growth":
+            raise ValueError("growing chains have no constant-width reading")
+        d = chain.depth
+        nums, den = chain.inverse_parts(d)
+        ints, scale = matops.clear_denominators(alpha)
+        values = matops.mat_vec(nums, ints)
+        self.tree.ensure_depth(d)
+        if len(values) != self.tree.level_count(d):
+            raise ValueError("vector length does not match the level width")
+        return LocallyConstantFunction(d, tuple(Fraction(v, den * scale) for v in values))
+
+    def membership(self, func):
+        return membership(func, self.chain, self.tree)
+
+    def positivity(self, func, bound=None):
+        return positivity(func, self.chain, self.tree, bound)
 
 
 class WeightScheme:
@@ -499,9 +504,9 @@ class WeightScheme:
         ]
 
     def chain(self, depth):
-        return _chain(self.completions(depth), self.diagram)
+        return _chain(self.completions(depth))
 
-    def phi_closed(self, alpha):
+    def phi(self, alpha):
         n = len(alpha) - 1
         ks = self.weights(n)
         values = tuple(Fraction(a) / ks[i] for i, a in enumerate(alpha))
@@ -517,7 +522,8 @@ class WeightScheme:
             return K0Witness(tuple(int(x) for x in alpha), n)
         return NotMember(n)
 
-    def positivity(self, func):
+    def positivity(self, func, bound=None):
+        """Decided at the function's own depth, so `bound` goes unread."""
         verdict = self.membership(func)
         if isinstance(verdict, NotMember):
             raise NotInK0(f"no integer witness at depth {verdict.depth_checked}")
@@ -526,30 +532,8 @@ class WeightScheme:
         return NotPositiveUpTo(None)
 
 
-def weight_scheme(diagram):
-    return WeightScheme(diagram)
-
-
 # ---------------------------------------------------------------------------
 # derived probes
-
-
-def _scheme_or_chain_membership(func, realizer, tree):
-    if isinstance(realizer, WeightScheme):
-        return realizer.membership(func)
-    return membership(func, realizer, tree)
-
-
-def _realize(alpha, realizer, tree):
-    if isinstance(realizer, WeightScheme):
-        return realizer.phi_closed(alpha)
-    return phi(alpha, realizer, tree)
-
-
-def indicator_membership(cylinders, realizer, tree):
-    """Membership verdict for the indicator of a union of cylinders."""
-    func = indicator(cylinders, tree)
-    return _scheme_or_chain_membership(func, realizer, tree)
 
 
 class Preserved(Record):
@@ -561,7 +545,7 @@ class Broken(Record):
     image: LocallyConstantFunction
 
 
-def automorphism_probe(theta, realizer, tree, depth, candidate_cap=512):
+def automorphism_probe(theta, realizer, depth, candidate_cap=512):
     """Does relabeling depth-`depth` vertices by `theta` preserve the group?
 
     Candidates are realized members: pair vectors over moved vertices first,
@@ -569,6 +553,7 @@ def automorphism_probe(theta, realizer, tree, depth, candidate_cap=512):
     candidate whose relabeled image has no integer witness breaks the probe.
     Basis vectors realize generators, so `candidate_cap` drops only subsets.
     """
+    tree = realizer.tree
     tree.ensure_depth(depth)
     m = tree.level_count(depth)
     images = tuple(int(t) for t in theta)
@@ -605,11 +590,11 @@ def automorphism_probe(theta, realizer, tree, depth, candidate_cap=512):
 
     checked = 0
     for alpha in candidates:
-        func = _realize(alpha, realizer, tree)
+        func = realizer.phi(alpha)
         pulled = LocallyConstantFunction(
             depth, tuple(func.values[inverse[j - 1] - 1] for j in range(1, m + 1))
         )
-        verdict = _scheme_or_chain_membership(pulled, realizer, tree)
+        verdict = realizer.membership(pulled)
         checked += 1
         if isinstance(verdict, NotMember):
             return Broken(func, pulled)
@@ -641,24 +626,20 @@ def parse_chain_dump(text):
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "chain v1":
         raise ValueError("expected header 'chain v1'")
-    squares = []
+    pairs = []
     witnesses = []
     funcs = []
     for ln in lines[1:]:
         if ln.startswith("A "):
             head, _, rest = ln.partition(":")
             index = int(head.split()[1])
-            if index != len(squares):
+            if index != len(pairs):
                 raise ValueError(f"chain squares out of order at {ln!r}")
             body, _, det_part = rest.rpartition("det=")
-            rows = [
-                [int(t) for t in chunk.split()]
-                for chunk in body.split(";")
-            ]
-            claimed = int(det_part)
-            if matops.det(rows) != claimed:
+            pair = _checked_square(index, (chunk.split() for chunk in body.split(";")))
+            if pair[1] != int(det_part):
                 raise ValueError(f"determinant mismatch in {ln!r}")
-            squares.append(rows)
+            pairs.append(pair)
         elif ln.startswith("witness depth="):
             head, _, rest = ln.partition(":")
             depth = int(head.split("=")[1])
@@ -673,4 +654,4 @@ def parse_chain_dump(text):
             )
         else:
             raise ValueError(f"unexpected line {ln!r}")
-    return build_chain(squares), witnesses, funcs
+    return _chain(pairs), witnesses, funcs

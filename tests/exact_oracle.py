@@ -12,7 +12,8 @@ determinants.  The walkers that follow are the former enumeration,
 lex-first and square-bijection searches that the Hall-pruned
 brattice.reduction.iter_minimal_reductions replaced.
 The last section is the former Fraction realization path: chain products
-and inverses over Fractions, and r_map, to_R_basis, refine and indicator
+and inverses over Fractions, the constant-width fold of per-square
+inverses, and r_map, to_R_basis, refine and indicator
 walking every vertex up to its ancestor, which the integer top-down passes
 in brattice.k0 and brattice.pathspace replaced, and the exactness report
 that ties a chain's determinants, adjugates and scales together.  The
@@ -340,6 +341,21 @@ def r_map(beta, tree):
 def phi(alpha, chain, tree):
     n = len(alpha) - 1
     return r_map(mat_vec(a_matrix(chain, n), [Fraction(x) for x in alpha]), tree)
+
+
+def phi_type1(a, chain, tree):
+    """The former constant-width realization at the chain's depth: the
+    inverse of each square, in level order, applied to the value vector."""
+    if chain.mode == "growth":
+        raise ValueError("growing chains use phi")
+    d = chain.depth
+    values = [Fraction(x) for x in a]
+    for k in range(d - 1, -1, -1):
+        values = mat_vec(inverse([list(r) for r in chain.squares[k]]), values)
+    tree.ensure_depth(d)
+    if len(values) != tree.level_count(d):
+        raise ValueError("vector length does not match the level width")
+    return LocallyConstantFunction(d, tuple(values))
 
 
 def to_R_basis(func, tree):

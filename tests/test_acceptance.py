@@ -27,16 +27,15 @@ from brattice.errors import RankDeficient
 from brattice.k0 import (
     Auto,
     Broken,
+    ChainRealizer,
     ExplicitColumn,
     K0Witness,
     NotMember,
+    WeightScheme,
     automorphism_probe,
     complete_chain,
-    indicator_membership,
     membership,
     phi,
-    phi_type1,
-    weight_scheme,
     witness_vector,
 )
 from brattice.pathspace import (
@@ -46,6 +45,7 @@ from brattice.pathspace import (
     compare_invariants,
     end_census,
     functions_equal,
+    indicator,
     refine,
 )
 from brattice.reduction import (
@@ -188,7 +188,7 @@ def test_criterion_05_commuting_square():
             build_minimal_diagram(corpus.get("propersub").diagram(), "theorem"),
         ),
     }
-    dyadic_scheme = weight_scheme(corpus.get("dyadic").diagram())
+    dyadic_scheme = WeightScheme(corpus.get("dyadic").diagram())
     growth["dyadic"] = (dyadic_scheme.chain(9), dyadic_scheme.tree)
     for name, (chain, tree) in growth.items():
         for n in range(0, 9):
@@ -205,11 +205,11 @@ def test_criterion_05_commuting_square():
             width = diagram.level_count(d)
             for _ in range(100):
                 alpha = [rng.randint(-9, 9) for _ in range(width)]
-                here = phi_type1(alpha, chains[d], tree)
+                here = ChainRealizer(chains[d], tree, constant=True).phi(alpha)
                 pushed = matops.mat_vec(
                     diagram.matrix(d).to_lists(), [Fraction(x) for x in alpha]
                 )
-                nxt = phi_type1(pushed, chains[d + 1], tree)
+                nxt = ChainRealizer(chains[d + 1], tree, constant=True).phi(pushed)
                 if not functions_equal(refine(here, d + 1, tree), nxt, tree):
                     problems.append((name, d, alpha))
     _report(
@@ -272,7 +272,7 @@ def test_criterion_07_strict_subgroup_rejection():
 
 
 def test_criterion_08_doubling_closed_forms():
-    scheme = weight_scheme(corpus.get("dyadic").diagram())
+    scheme = WeightScheme(corpus.get("dyadic").diagram())
     t0 = time.monotonic()
     chain = scheme.chain(10)
     elapsed = time.monotonic() - t0
@@ -304,7 +304,7 @@ def test_criterion_08_doubling_closed_forms():
             if phi(alpha, chain, tree).values != want:
                 problems.append((n, alpha, "phi off closed form"))
 
-    verdict = automorphism_probe((2, 1, 3, 4), scheme, tree, 3)
+    verdict = automorphism_probe((2, 1, 3, 4), scheme, 3)
     if not isinstance(verdict, Broken):
         problems.append("swap probe not broken")
     elif verdict.witness.values != (Fraction(1, 2), Fraction(1, 4), 0, 0):
@@ -345,7 +345,7 @@ def test_criterion_09_weight_scheme_laws():
     for trial in range(100):
         diagram = _rand_unique_minimal(rng)
         depth = diagram.explicit_depth
-        scheme = weight_scheme(diagram)
+        scheme = WeightScheme(diagram)
         scheme.ensure_depth(depth)
         tree = scheme.tree
         chain = scheme.chain(depth)
@@ -376,12 +376,12 @@ def test_criterion_09_weight_scheme_laws():
 
         for _ in range(5):
             alpha = [rng.randint(-6, 6) for _ in range(depth + 1)]
-            if phi(alpha, chain, tree).values != scheme.phi_closed(alpha).values:
+            if phi(alpha, chain, tree).values != scheme.phi(alpha).values:
                 problems.append((trial, alpha, "phi off closed form"))
 
         for level in range(depth + 1):
             for v in range(1, tree.level_count(level) + 1):
-                verdict = indicator_membership(Cylinder(level, v), scheme, tree)
+                verdict = scheme.membership(indicator(Cylinder(level, v), tree))
                 if not isinstance(verdict, K0Witness):
                     problems.append((trial, level, v, "indicator not a member"))
     _report(9, not problems, "100 random forced diagrams: weight laws plus witnesses")
@@ -435,7 +435,7 @@ def _corpus_chains(depth):
         "propersub": complete_chain(
             corpus.get("propersub").diagram(), [ExplicitColumn((0, 1))], depth
         ),
-        "dyadic": weight_scheme(corpus.get("dyadic").diagram()).chain(depth),
+        "dyadic": WeightScheme(corpus.get("dyadic").diagram()).chain(depth),
     }
 
 
@@ -478,7 +478,7 @@ def test_criterion_11_exactness_suite():
                 width = diagram.level_count(d)
                 for _ in range(20):
                     alpha = [rng.randint(-9, 9) for _ in range(width)]
-                    f = phi_type1(alpha, sub, tree)
+                    f = ChainRealizer(sub, tree, constant=True).phi(alpha)
                     if any((v * scale).denominator != 1 for v in f.values):
                         problems.append((name, d, "image outside lattice"))
     _report(11, not problems, "adjugate, divisibility, and lattice laws to depth 10")

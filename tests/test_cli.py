@@ -133,6 +133,13 @@ def test_option_the_verb_ignores_is_a_usage_error(capsys, argv):
     assert "unrecognized arguments" in err
 
 
+NO_CHAIN = "a completed chain, which --weight does not build"
+
+
+def type1_refusal(what, ref):
+    return f"{what} needs levels that branch; {ref} is type1, whose chain realizes only through k0 phi"
+
+
 # options a verb takes for one kind of input only
 UNUSABLE_OPTIONS = {
     "reduce diagram --json --enumerate": (
@@ -153,6 +160,57 @@ UNUSABLE_OPTIONS = {
     "k0 phi type2 --depth": (
         ("k0", "phi", "corpus:gicar", "--alpha", "1,2", "--depth", "3"),
         "--depth needs a type1 diagram; elsewhere the depth follows --alpha",
+    ),
+    # --weight builds no chain, so the chain options have nothing to act on
+    "k0 positive --weight --column": (
+        ("k0", "positive", "corpus:dyadic", "--weight", "--func", "depth=2: 1/2 1/4 1",
+         "--bound", "1", "--column", "9,9", "--depth", "1"),
+        f"--column needs {NO_CHAIN}",
+    ),
+    "k0 positive --weight --bound": (
+        ("k0", "positive", "corpus:dyadic", "--weight", "--func", "depth=2: 1/2 1/4 1", "--bound", "1"),
+        f"--bound needs {NO_CHAIN}",
+    ),
+    "k0 positive --weight --depth": (
+        ("k0", "positive", "corpus:dyadic", "--weight", "--func", "depth=2: 1/2 1/4 1", "--depth", "1"),
+        f"--depth needs {NO_CHAIN}",
+    ),
+    "k0 phi --weight --strategy": (
+        ("k0", "phi", "corpus:dyadic", "--weight", "--strategy", "alternating", "--alpha", "1,2,3,4"),
+        f"--strategy needs {NO_CHAIN}",
+    ),
+    "k0 member --weight --column": (
+        ("k0", "member", "corpus:dyadic", "--weight", "--column", "0,1", "--func", "depth=1: 1 1"),
+        f"--column needs {NO_CHAIN}",
+    ),
+    "k0 probe --weight --strategy": (
+        ("k0", "probe", "corpus:dyadic", "--weight", "--strategy=theorem", "--swap", "1", "2"),
+        f"--strategy needs {NO_CHAIN}",
+    ),
+    "k0 chain --weight --column": (
+        ("k0", "chain", "corpus:dyadic", "--weight", "--column", "0,1"),
+        f"--column needs {NO_CHAIN}",
+    ),
+    # type1 levels never branch: only k0 phi reads their chain
+    "k0 member type1": (
+        ("k0", "member", "corpus:threeline", "--func", "depth=2: 1 2 3"),
+        type1_refusal("k0 member", "corpus:threeline"),
+    ),
+    "k0 positive type1": (
+        ("k0", "positive", "corpus:uhf2", "--func", "depth=1: 1"),
+        type1_refusal("k0 positive", "corpus:uhf2"),
+    ),
+    "k0 probe type1": (
+        ("k0", "probe", "corpus:threeline", "--swap", "1", "2", "--depth", "3"),
+        type1_refusal("k0 probe", "corpus:threeline"),
+    ),
+    "k0 probe type1 uhf2": (
+        ("k0", "probe", "corpus:uhf2", "--perm", "1"),
+        type1_refusal("k0 probe", "corpus:uhf2"),
+    ),
+    "k0 phi type1 --weight": (
+        ("k0", "phi", "corpus:uhf2", "--weight", "--alpha", "3"),
+        type1_refusal("--weight", "corpus:uhf2"),
     ),
 }
 
@@ -555,6 +613,18 @@ def test_corpus_list(capsys):
     code, out, _ = run(capsys, "corpus", "--list")
     assert code == 0
     assert any(line.startswith("gicar:") for line in out.splitlines())
+
+
+def test_corpus_list_json(capsys):
+    code, out, _ = run(capsys, "corpus", "--list", "--json")
+    assert code == 0
+    entries = json.loads(out)["entries"]
+    assert [e["name"] for e in entries] == [e.name for e in corpus.ENTRIES]
+    assert entries[0] == {
+        "description": corpus.ENTRIES[0].description,
+        "kind": corpus.ENTRIES[0].kind,
+        "name": corpus.ENTRIES[0].name,
+    }
 
 
 def test_corpus_single_entry_json(capsys):

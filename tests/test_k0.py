@@ -1,5 +1,6 @@
 """Completions, chains, realization maps, membership, positivity, probes."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brattice import corpus, matops
-from brattice.diagram import BratteliDiagram, MultiplicityMatrix, ShapeClass
+from brattice.diagram import BratteliDiagram, MultiplicityMatrix, PeriodicTail, ShapeClass
 from brattice.errors import (
     DepthExceeded,
     NotInK0,
@@ -20,6 +21,7 @@ from brattice.errors import (
 from brattice.k0 import (
     Auto,
     Broken,
+    ChainRealizer,
     ExplicitColumn,
     K0Witness,
     NotMember,
@@ -28,24 +30,23 @@ from brattice.k0 import (
     Preserved,
     Unknown,
     WeightColumn,
+    WeightScheme,
     automorphism_probe,
     build_chain,
     complete_chain,
     complete_matrix,
-    indicator_membership,
     membership,
     phi,
-    phi_type1,
     positivity,
     r_map,
     to_R_basis,
-    weight_scheme,
     witness_vector,
 )
 from brattice.pathspace import (
     Cylinder,
     LocallyConstantFunction,
     build_minimal_diagram,
+    indicator,
     refine,
 )
 
@@ -55,6 +56,21 @@ UHF2 = corpus.get("uhf2").diagram()
 UHF6 = corpus.get("uhf6").diagram()
 DYADIC = corpus.get("dyadic").diagram()
 PROPERSUB = corpus.get("propersub").diagram()
+
+
+def width2(*squares):
+    """A type1 diagram: a 2 x 1 bootstrap matrix, then the squares in turn."""
+    return BratteliDiagram(
+        (MultiplicityMatrix([[1], [1]]),),
+        PeriodicTail(squares, 1),
+        ShapeClass("type1", 2),
+        "width2",
+    )
+
+
+WIDTH2 = width2(((1, 1), (0, 1)))
+# squares that do not commute, so the order of the fold shows
+TYPE1 = {"width2": WIDTH2, "width2-alternating": width2(((1, 1), (0, 1)), ((1, 0), (1, 1)))}
 
 
 def explicit_chain(depth):
@@ -184,7 +200,7 @@ def test_completed_chains_take_their_determinants_from_the_null_vectors(monkeypa
         complete_chain(GICAR, Auto(), depth),
         explicit_chain(depth),
         complete_chain(DYADIC, Auto(), depth),
-        weight_scheme(DYADIC).chain(depth),
+        WeightScheme(DYADIC).chain(depth),
     ]
     monkeypatch.undo()
     for chain in chains:
@@ -216,13 +232,13 @@ def test_chain_dets_and_scales_frozen():
     assert tuple(uhf2.group_scale(n) for n in (1, 2, 3)) == (2, 4, 8)
     uhf6 = complete_chain(UHF6, Auto(), 4)
     assert tuple(uhf6.group_scale(n) for n in (1, 2, 3, 4)) == (2, 6, 12, 36)
-    scheme = weight_scheme(DYADIC).chain(3)
+    scheme = WeightScheme(DYADIC).chain(3)
     assert tuple(abs(d) for d in scheme.dets) == (2, 4, 8)
     assert tuple(scheme.group_scale(n) for n in (1, 2, 3)) == (2, 8, 64)
 
 
 def test_dyadic_a_matrix_closed_form():
-    chain = weight_scheme(DYADIC).chain(3)
+    chain = WeightScheme(DYADIC).chain(3)
     assert chain.a_matrix(2) == [
         [Fraction(1, 2), 0, 0],
         [Fraction(-1, 2), Fraction(1, 4), 0],
@@ -238,7 +254,7 @@ def test_exactness_reports():
         complete_chain(GICAR, Auto(), 4),
         complete_chain(UHF2, Auto(), 4),
         complete_chain(UHF6, Auto(), 4),
-        weight_scheme(DYADIC).chain(4),
+        WeightScheme(DYADIC).chain(4),
         explicit_chain(4),
     ]
     for chain in chains:
@@ -290,7 +306,7 @@ def test_function_with_wrong_value_count_is_rejected(values):
     right = build_minimal_diagram(GICAR, "rightmost")
     with pytest.raises(ValueError, match="level 2 has 3 vertices"):
         to_R_basis(LocallyConstantFunction(2, values), right)
-    scheme = weight_scheme(DYADIC)
+    scheme = WeightScheme(DYADIC)
     with pytest.raises(ValueError, match="level 2 has 3 vertices"):
         scheme.membership(LocallyConstantFunction(2, values))
     with pytest.raises(DepthExceeded):
@@ -329,11 +345,11 @@ def test_phi_commutes_with_pushforward():
 
 
 def test_phi_pow2_witness_function():
-    scheme = weight_scheme(DYADIC)
+    scheme = WeightScheme(DYADIC)
     chain = scheme.chain(3)
     f = phi((1, 1, 0, 0), chain, scheme.tree)
     assert f.values == (Fraction(1, 2), Fraction(1, 4), 0, 0)
-    assert scheme.phi_closed((1, 1, 0, 0)).values == f.values
+    assert scheme.phi((1, 1, 0, 0)).values == f.values
 
 
 def test_phi_mode_guards():
@@ -341,7 +357,7 @@ def test_phi_mode_guards():
     constant = complete_chain(UHF2, Auto(), 2)
     tree = build_minimal_diagram(GICAR, "theorem")
     with pytest.raises(ValueError):
-        phi_type1((1, 2), growth, tree)
+        ChainRealizer(growth, tree, constant=True).phi((1, 2))
     with pytest.raises(ValueError):
         phi((1,), constant, build_minimal_diagram(UHF2, "theorem"))
     with pytest.raises(DepthExceeded):
@@ -351,20 +367,27 @@ def test_phi_mode_guards():
 def test_phi_type1_frozen():
     tree = build_minimal_diagram(UHF2, "theorem")
     chain = complete_chain(UHF2, Auto(), 3)
-    assert phi_type1((3,), chain, tree).values == (Fraction(3, 8),)
+    assert ChainRealizer(chain, tree, constant=True).phi((3,)).values == (Fraction(3, 8),)
 
-    boot = MultiplicityMatrix([[1], [1]])
-    from brattice.diagram import PeriodicTail
+    chain2 = complete_chain(WIDTH2, Auto(), 1)
+    tree2 = build_minimal_diagram(WIDTH2, "theorem")
+    assert ChainRealizer(chain2, tree2, constant=True).phi((5, 2)).values == (3, 2)
 
-    width2 = BratteliDiagram(
-        (boot,),
-        PeriodicTail((((1, 1), (0, 1)),), 1),
-        ShapeClass("type1", 2),
-        "width2",
-    )
-    chain2 = complete_chain(width2, Auto(), 1)
-    tree2 = build_minimal_diagram(width2, "theorem")
-    assert phi_type1((5, 2), chain2, tree2).values == (3, 2)
+
+@pytest.mark.parametrize("name", ["uhf2", "uhf6", "threeline", *TYPE1])
+def test_type1_phi_matches_the_per_square_fold(name):
+    # one cached integer inverse of the product against the Fraction
+    # inverses of the squares, applied one level at a time
+    diagram = TYPE1[name] if name in TYPE1 else corpus.get(name).diagram()
+    tree = build_minimal_diagram(diagram, "theorem")
+    rng = random.Random(name)
+    for d in range(1, 9):
+        chain = complete_chain(diagram, Auto(), d)
+        realizer = ChainRealizer(chain, tree, constant=True)
+        width = len(chain.squares[0])
+        for _ in range(10):
+            alpha = [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3))) for _ in range(width)]
+            assert realizer.phi(alpha) == oracle.phi_type1(alpha, chain, tree)
 
 
 # --- membership and positivity -----------------------------------------------
@@ -402,7 +425,7 @@ def test_integer_functions_always_members():
 
 
 def test_pow2_membership_frozen():
-    scheme = weight_scheme(DYADIC)
+    scheme = WeightScheme(DYADIC)
     chain = scheme.chain(3)
     f = LocallyConstantFunction(3, (Fraction(1, 2), Fraction(1, 4), 0, 0))
     g = LocallyConstantFunction(3, (Fraction(1, 4), Fraction(1, 2), 0, 0))
@@ -416,9 +439,9 @@ def test_pow2_membership_frozen():
 def test_indicator_membership_frozen():
     tree = build_minimal_diagram(PROPERSUB, "theorem")
     chain = explicit_chain(2)
-    verdict = indicator_membership(Cylinder(1, 2), chain, tree)
+    verdict = ChainRealizer(chain, tree).membership(indicator(Cylinder(1, 2), tree))
     assert verdict == K0Witness((0, 1), 1)
-    scheme = weight_scheme(DYADIC)
+    scheme = WeightScheme(DYADIC)
     verdict = scheme.membership(
         LocallyConstantFunction(3, (1, 0, 0, 0))
     )
@@ -456,7 +479,7 @@ def test_positivity_unknown_on_finite_diagram():
 
 
 def test_weight_scheme_positivity():
-    scheme = weight_scheme(DYADIC)
+    scheme = WeightScheme(DYADIC)
     good = LocallyConstantFunction(2, (1, Fraction(1, 4), 0))
     out = scheme.positivity(good)
     assert isinstance(out, Positive)
@@ -468,7 +491,7 @@ def test_weight_scheme_positivity():
 
 
 def test_weight_scheme_frozen_values():
-    scheme = weight_scheme(DYADIC)
+    scheme = WeightScheme(DYADIC)
     assert scheme.weights(3) == (2, 4, 8, 1)
     assert scheme.weights(0) == (1,)
     assert tuple(scheme.b(n) for n in range(3)) == (1, 1, 1)
@@ -477,7 +500,7 @@ def test_weight_scheme_frozen_values():
 
 
 def test_weight_scheme_recursion_law():
-    scheme = weight_scheme(DYADIC)
+    scheme = WeightScheme(DYADIC)
     for level in range(5):
         mat = DYADIC.matrix(level)
         parents = scheme.tree.parents_at(level + 1)
@@ -491,11 +514,11 @@ def test_weight_scheme_recursion_law():
 
 def test_weight_scheme_needs_unique_minimal():
     with pytest.raises(NotUniqueMinimal):
-        weight_scheme(GICAR).weights(2)
+        WeightScheme(GICAR).weights(2)
 
 
 def test_weight_scheme_chain_matches_columns():
-    scheme = weight_scheme(DYADIC)
+    scheme = WeightScheme(DYADIC)
     for level, (square, _) in enumerate(scheme.completions(3)):
         mat = DYADIC.matrix(level)
         b = scheme.b(level)
@@ -509,23 +532,34 @@ def test_weight_scheme_chain_matches_columns():
 
 
 def test_probe_broken_frozen():
-    scheme = weight_scheme(DYADIC)
+    scheme = WeightScheme(DYADIC)
     theta = (2, 1, 3, 4)
-    verdict = automorphism_probe(theta, scheme, scheme.tree, 3)
+    verdict = automorphism_probe(theta, scheme, 3)
     assert isinstance(verdict, Broken)
     assert verdict.witness.values == (Fraction(1, 2), Fraction(1, 4), 0, 0)
     assert verdict.image.values == (Fraction(1, 4), Fraction(1, 2), 0, 0)
 
 
 def test_probe_identity_preserved():
-    scheme = weight_scheme(DYADIC)
-    verdict = automorphism_probe((1, 2, 3, 4), scheme, scheme.tree, 3)
+    scheme = WeightScheme(DYADIC)
+    verdict = automorphism_probe((1, 2, 3, 4), scheme, 3)
     assert isinstance(verdict, Preserved)
     assert verdict.checked > 0
+
+
+@pytest.mark.parametrize("name", ["dyadic", "propersub"])
+def test_probe_verdict_is_the_same_through_the_scheme_and_its_chain(name):
+    scheme = WeightScheme(corpus.get(name).diagram())
+    for depth in range(1, 4):
+        through_chain = ChainRealizer(scheme.chain(depth), scheme.tree)
+        m = scheme.tree.ensure_depth(depth).level_count(depth)
+        for theta in itertools.permutations(range(1, m + 1)):
+            want = automorphism_probe(theta, scheme, depth)
+            assert automorphism_probe(theta, through_chain, depth) == want
 
 
 def test_probe_preserved_on_unimodular_chain():
     chain = complete_chain(GICAR, Auto(), 3)
     tree = build_minimal_diagram(GICAR, "rightmost")
-    verdict = automorphism_probe((2, 1, 3, 4), chain, tree, 3)
+    verdict = automorphism_probe((2, 1, 3, 4), ChainRealizer(chain, tree), 3)
     assert isinstance(verdict, Preserved)

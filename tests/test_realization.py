@@ -15,12 +15,12 @@ from brattice.k0 import (
     ExplicitColumn,
     K0Witness,
     NotMember,
+    WeightScheme,
     complete_chain,
     membership,
     phi,
     r_map,
     to_R_basis,
-    weight_scheme,
     witness_vector,
 )
 from brattice.pathspace import (
@@ -38,7 +38,7 @@ DEPTHS = (0, 1, 8, DEPTH)
 def _realizers():
     gicar = corpus.get("gicar").diagram()
     prop = corpus.get("propersub").diagram()
-    scheme = weight_scheme(corpus.get("dyadic").diagram())
+    scheme = WeightScheme(corpus.get("dyadic").diagram())
     return {
         "gicar": (
             complete_chain(gicar, Auto(), DEPTH),
