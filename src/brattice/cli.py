@@ -386,19 +386,26 @@ def _realizer(args, diagram, depth):
             return scheme
         except NotUniqueMinimal:
             pass
+    if type1:
+        _refuse(args, "levels that branch; a type1 chain takes its squares as they are", "column")
     tree = build_minimal_diagram(diagram, _strategy(args.strategy or "theorem"))
-    return ChainRealizer(complete_chain(diagram, _hints(args), depth), tree, type1)
+    return ChainRealizer(complete_chain(diagram, _hints(args), depth), tree)
 
 
 def cmd_k0_phi(args):
     diagram = _need_diagram(args.input, "k0 phi")
     alpha = _parse_vector(args.alpha, "--alpha")
-    if diagram.shape.kind == "type1":
+    type1 = diagram.shape.kind == "type1"
+    if type1:
         depth = args.depth or _default_depth(diagram)
     else:
         _refuse(args, "a type1 diagram; elsewhere the depth follows --alpha", "depth")
         depth = max(len(alpha) - 1, 1)
-    func = _realizer(args, diagram, depth).phi(alpha)
+    realizer = _realizer(args, diagram, depth)
+    width = diagram.shape.width
+    if type1 and len(alpha) != width:
+        raise UsageError(f"--alpha on a type1 diagram needs {width} values, got {len(alpha)}")
+    func = realizer.phi(alpha)
     print(f"func depth={func.depth}: {_fmt_vec(func.values)}")
     return 0
 

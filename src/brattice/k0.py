@@ -115,16 +115,14 @@ class CompletedChain:
     """Invertible integer squares, one per level, with cached integer
     products and inverses.
 
-    mode 'growth' means sizes rise by one per level (the cumulative product
-    pads with an identity line before each new factor); 'constant' keeps one
-    size throughout.  A single square is compatible with both readings, and
-    both give the same depth-1 product.
+    Square sizes either rise by one per level from 2x2 or stay constant;
+    the running product starts from [[1]] and pads with identity lines up
+    to each next square's size, so both readings share one product.
     """
 
-    def __init__(self, squares, dets, mode):
+    def __init__(self, squares, dets):
         self.squares = squares
         self.dets = dets
-        self.mode = mode
         self._u = {}  # depth -> integer product, filled lazily
         self._inverse = {}  # depth -> (integer numerators, positive denominator)
 
@@ -146,13 +144,14 @@ class CompletedChain:
         if not 0 <= n <= self.depth:
             raise DepthExceeded(f"chain has depth {self.depth}, asked for {n}")
         if n == 0:
-            return matops.identity(1 if self.mode != "constant" else len(self.squares[0]))
+            return [[1]]
         if n not in self._u:
             prev = self.u_matrix(n - 1)
-            if self.mode != "constant":
-                size = len(prev)
-                prev = [row + [0] for row in prev] + [[0] * size + [1]]
-            self._u[n] = matops.mat_mul(self.squares[n - 1], prev)
+            square = self.squares[n - 1]
+            grow = len(square) - len(prev)
+            if grow:
+                prev = [row + [0] * grow for row in prev] + matops.identity(len(square))[len(prev):]
+            self._u[n] = matops.mat_mul(square, prev)
         return self._u[n]
 
     def inverse_parts(self, n):
@@ -186,22 +185,18 @@ def build_chain(completions):
 
 
 def _chain(pairs):
-    """A chain from (square, det) pairs; the mode comes from the square sizes."""
+    """A chain from (square, det) pairs whose sizes grow by one from 2x2 or
+    stay constant."""
     if not pairs:
         raise ValueError("chain needs at least one completion")
     squares, dets = zip(*pairs)
     sizes = [len(s) for s in squares]
-    if len(sizes) == 1:
-        mode = "either" if sizes[0] == 2 else "constant"
-    elif all(b == a + 1 for a, b in zip(sizes, sizes[1:])):
+    if len(set(sizes)) > 1:
+        if any(b != a + 1 for a, b in zip(sizes, sizes[1:])):
+            raise ValueError(f"level sizes {sizes} neither grow by one nor stay constant")
         if sizes[0] != 2:
             raise ValueError(f"growing chains start with a 2x2 square, got {sizes[0]}")
-        mode = "growth"
-    elif all(s == sizes[0] for s in sizes):
-        mode = "constant"
-    else:
-        raise ValueError(f"level sizes {sizes} neither grow by one nor stay constant")
-    return CompletedChain(squares, dets, mode)
+    return CompletedChain(squares, dets)
 
 
 def _square_matrices(diagram, count):
@@ -305,8 +300,8 @@ def to_R_basis(func, tree):
 
 def phi(alpha, chain, tree):
     """Function of an integer (or rational) vector at its own depth."""
-    if chain.mode == "constant":
-        raise ValueError("constant-width chains realize through ChainRealizer")
+    if tree.diagram.shape.kind == "type1":
+        raise ValueError("type1 trees realize through ChainRealizer")
     n = len(alpha) - 1
     if n > chain.depth:
         raise DepthExceeded(f"chain has depth {chain.depth}, vector needs {n}")
@@ -398,21 +393,20 @@ def positivity(func, chain, tree, bound=None):
 class ChainRealizer:
     """A completed chain read through a reduced tree.
 
-    `constant` marks a type1 chain: its levels never branch, so phi takes a
-    vector of the level width at the chain's depth, and membership and
-    positivity, which peel branches, do not apply.
+    A type1 tree never branches, so phi takes a vector of the level width
+    at the chain's depth, and membership and positivity, which peel
+    branches, do not apply.
     """
 
-    def __init__(self, chain, tree, constant=False):
+    def __init__(self, chain, tree):
         self.chain = chain
         self.tree = tree
-        self.constant = constant
 
     def phi(self, alpha):
-        if not self.constant:
+        if self.tree.diagram.shape.kind != "type1":
             return phi(alpha, self.chain, self.tree)
         chain = self.chain
-        if chain.mode == "growth":
+        if len(chain.squares[0]) != len(chain.squares[-1]):
             raise ValueError("growing chains have no constant-width reading")
         d = chain.depth
         nums, den = chain.inverse_parts(d)

@@ -320,11 +320,6 @@ def indicator(cylinders, tree):
     return LocallyConstantFunction(depth, tuple(int(x) for x in inside))
 
 
-def functions_equal(f, g, tree):
-    deep = max(f.depth, g.depth)
-    return refine(f, deep, tree).values == refine(g, deep, tree).values
-
-
 # ---------------------------------------------------------------------------
 # end structure
 

@@ -19,7 +19,8 @@ in brattice.k0 and brattice.pathspace replaced, and the exactness report
 that ties a chain's determinants, adjugates and scales together.  The
 module ends with helpers the library dropped once only tests called them:
 matrix equality, integrality and scaling, positive rows and columns, size
-vectors, distinguished vertices, and sums and multiples of functions.
+vectors, distinguished vertices, and equality, sums and multiples of
+functions.
 """
 
 from fractions import Fraction
@@ -307,11 +308,11 @@ def square_bijection(mat):
 # a chain never changes, so its products and inverses are computed once
 @cache
 def u_matrix(chain, n):
-    """The chain's product at depth n, padded and multiplied over Fractions."""
-    size = 1 if chain.mode != "constant" else len(chain.squares[0])
-    u = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    """The chain's product at depth n over Fractions, padded with identity
+    lines up to each next square's size."""
+    u = [[Fraction(1)]]
     for sq in chain.squares[:n]:
-        if chain.mode != "constant":
+        while len(u) < len(sq):
             u = [row + [Fraction(0)] for row in u] + [[Fraction(0)] * len(u) + [Fraction(1)]]
         u = mat_mul([list(row) for row in sq], u)
     return u
@@ -346,7 +347,7 @@ def phi(alpha, chain, tree):
 def phi_type1(a, chain, tree):
     """The former constant-width realization at the chain's depth: the
     inverse of each square, in level order, applied to the value vector."""
-    if chain.mode == "growth":
+    if len({len(sq) for sq in chain.squares}) > 1:
         raise ValueError("growing chains use phi")
     d = chain.depth
     values = [Fraction(x) for x in a]
@@ -409,7 +410,7 @@ def commuting_check(n, alpha, chain, tree):
     f_here = k0.phi(alpha, chain, tree)
     pushed = mat_vec(tree.diagram.matrix(n).to_lists(), [Fraction(x) for x in alpha])
     f_next = k0.phi(pushed, chain, tree)
-    return pathspace.functions_equal(pathspace.refine(f_here, n + 1, tree), f_next, tree)
+    return functions_equal(pathspace.refine(f_here, n + 1, tree), f_next, tree)
 
 
 def exactness_report(chain, n):
@@ -470,6 +471,11 @@ def r_vertices(tree, n):
     """The distinguished vertex at each level 0..n: root, then the larger
     branch child."""
     return [1] + [b.big_child for b in tree.levels(n)[1]]
+
+
+def functions_equal(f, g, tree):
+    deep = max(f.depth, g.depth)
+    return pathspace.refine(f, deep, tree).values == pathspace.refine(g, deep, tree).values
 
 
 def lcf_add(f, g):

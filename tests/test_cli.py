@@ -212,6 +212,11 @@ UNUSABLE_OPTIONS = {
         ("k0", "phi", "corpus:uhf2", "--weight", "--alpha", "3"),
         type1_refusal("--weight", "corpus:uhf2"),
     ),
+    # a type1 chain is the diagram's own squares: there is nothing to complete
+    "k0 phi type1 --column": (
+        ("k0", "phi", "corpus:uhf2", "--alpha", "3", "--column", "1"),
+        "--column needs levels that branch; a type1 chain takes its squares as they are",
+    ),
 }
 
 
@@ -445,6 +450,15 @@ def test_k0_phi_frozen(capsys):
     assert out.strip() == "func depth=2: 3 -1 1"
 
 
+def test_k0_phi_type1_alpha_needs_the_level_width(capsys):
+    for alpha, got in (("1,2", 2), ("1,2,3,4", 4)):
+        want = f"usage error: --alpha on a type1 diagram needs 3 values, got {got}\n"
+        assert run(capsys, "k0", "phi", "corpus:threeline", "--alpha", alpha) == (2, "", want)
+    code, out, _ = run(capsys, "k0", "phi", "corpus:threeline", "--alpha", "1,2,3")
+    assert code == 0
+    assert out.startswith("func depth=6: ")
+
+
 def test_k0_member_witness(capsys):
     code, out, _ = run(
         capsys, "k0", "member", "corpus:gicar", "--func", "depth=0: 1"
@@ -607,6 +621,32 @@ def test_corpus_all_green(capsys):
     assert code == 0
     assert f"all {total} records reproduced" in out
     assert "DRIFT" not in out
+
+
+def test_corpus_output_is_frozen(capsys):
+    # the labels, their order and their alignment, byte for byte
+    frozen = (Path(__file__).parent / "data" / "corpus.out").read_text(encoding="utf-8")
+    assert run(capsys, "corpus") == (0, frozen, "")
+
+
+def test_corpus_reports_drift(capsys, monkeypatch):
+    entry = corpus.get("uhf6")
+    first = entry.records[0]
+    wrong = corpus.ExpectedRecord(first.field, first.tag, (2, 6, 12, 37), first.derive)
+    patched = corpus.ExampleCorpusEntry(
+        entry.name, entry.description, entry.kind, entry.build, (wrong, *entry.records[1:])
+    )
+    monkeypatch.setattr(corpus, "ENTRIES", tuple(patched if e is entry else e for e in corpus.ENTRIES))
+    code, out, _ = run(capsys, "corpus")
+    assert code == 1
+    lines = out.splitlines()
+    assert [ln for ln in lines if ln.startswith("DRIFT")] == [
+        "DRIFT uhf6         scales 4                         [hand-checked]"
+    ]
+    assert lines[-1] == "1 record(s) drifted"
+    code, out, _ = run(capsys, "corpus", "--name", "uhf6", "--json")
+    assert code == 1
+    assert json.loads(out)["drift"] == 1
 
 
 def test_corpus_list(capsys):

@@ -27,6 +27,12 @@ def test_kind_guards():
         corpus.get("gicar").matrix()
 
 
+def test_records_carry_their_rederivation():
+    for entry in corpus.ENTRIES:
+        assert callable(entry.build)
+        assert all(callable(r.derive) for r in entry.records)
+
+
 def test_records_carry_tags():
     tags = {r.tag for e in corpus.ENTRIES for r in e.records}
     assert tags <= {"hand-checked", "closed-form", "enumeration", "exact-solve"}

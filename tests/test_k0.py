@@ -211,12 +211,14 @@ def test_completed_chains_take_their_determinants_from_the_null_vectors(monkeypa
 
 
 def test_build_chain_mode_inference():
-    assert build_chain([[[2, 0], [2, 1]]]).mode == "either"
-    assert build_chain([[[1, 1, 0], [0, 1, 0], [0, 0, 1]]]).mode == "constant"
+    # the square sizes decide the reading: one 2x2 square reads either
+    # way, a growing chain pads its product, a constant one keeps its width
+    assert build_chain([[[2, 0], [2, 1]]]).u_matrix(1) == [[2, 0], [2, 1]]
+    assert build_chain([[[1, 1, 0], [0, 1, 0], [0, 0, 1]]]).u_matrix(1) == [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
     two = build_chain([[[1, 1], [1, 0]], [[1, 0, 1], [1, 1, 0], [0, 1, 0]]])
-    assert two.mode == "growth"
+    assert two.u_matrix(2) == [[1, 1, 1], [2, 1, 0], [1, 0, 0]]
     rep = build_chain([[[2]], [[2]]])
-    assert rep.mode == "constant"
+    assert rep.u_matrix(2) == [[4]]
     with pytest.raises(ValueError):
         # growth must start from a 2x2 square
         eye3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -356,10 +358,11 @@ def test_phi_mode_guards():
     growth = complete_chain(GICAR, Auto(), 2)
     constant = complete_chain(UHF2, Auto(), 2)
     tree = build_minimal_diagram(GICAR, "theorem")
+    type1_tree = build_minimal_diagram(UHF2, "theorem")
     with pytest.raises(ValueError):
-        ChainRealizer(growth, tree, constant=True).phi((1, 2))
+        ChainRealizer(growth, type1_tree).phi((1, 2))
     with pytest.raises(ValueError):
-        phi((1,), constant, build_minimal_diagram(UHF2, "theorem"))
+        phi((1,), constant, type1_tree)
     with pytest.raises(DepthExceeded):
         phi((1, 2, 3, 4), growth, tree)
 
@@ -367,11 +370,11 @@ def test_phi_mode_guards():
 def test_phi_type1_frozen():
     tree = build_minimal_diagram(UHF2, "theorem")
     chain = complete_chain(UHF2, Auto(), 3)
-    assert ChainRealizer(chain, tree, constant=True).phi((3,)).values == (Fraction(3, 8),)
+    assert ChainRealizer(chain, tree).phi((3,)).values == (Fraction(3, 8),)
 
     chain2 = complete_chain(WIDTH2, Auto(), 1)
     tree2 = build_minimal_diagram(WIDTH2, "theorem")
-    assert ChainRealizer(chain2, tree2, constant=True).phi((5, 2)).values == (3, 2)
+    assert ChainRealizer(chain2, tree2).phi((5, 2)).values == (3, 2)
 
 
 @pytest.mark.parametrize("name", ["uhf2", "uhf6", "threeline", *TYPE1])
@@ -383,7 +386,7 @@ def test_type1_phi_matches_the_per_square_fold(name):
     rng = random.Random(name)
     for d in range(1, 9):
         chain = complete_chain(diagram, Auto(), d)
-        realizer = ChainRealizer(chain, tree, constant=True)
+        realizer = ChainRealizer(chain, tree)
         width = len(chain.squares[0])
         for _ in range(10):
             alpha = [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3))) for _ in range(width)]

@@ -25,7 +25,6 @@ from brattice.pathspace import (
     cylinder_children,
     end_census,
     format_tree_dump,
-    functions_equal,
     indicator,
     parse_tree_dump,
     refine,
@@ -205,8 +204,8 @@ def test_function_algebra():
     assert oracle.lcf_add(f, g).values == (1, Fraction(5, 2))
     assert oracle.lcf_scale(g, 2).values == (0, 1)
     deep = refine(f, 3, right)
-    assert functions_equal(f, deep, right)
-    assert not functions_equal(f, g, right)
+    assert oracle.functions_equal(f, deep, right)
+    assert not oracle.functions_equal(f, g, right)
     with pytest.raises(ValueError):
         oracle.lcf_add(f, refine(g, 2, right))
 
