@@ -27,6 +27,7 @@ from .diagram import (
     telescope,
     validate_diagram,
     write_dot,
+    zero_lines,
 )
 from .errors import BratticeError, NotUniqueMinimal, RankDeficient, Singular
 from .k0 import (
@@ -40,6 +41,7 @@ from .k0 import (
     WeightScheme,
     automorphism_probe,
     complete_chain,
+    first_square,
     format_chain_dump,
 )
 from .pathspace import (
@@ -164,10 +166,12 @@ def _hints(args):
     return Auto()
 
 
-def _default_depth(diagram):
-    if diagram.has_tail:
-        return max(diagram.explicit_depth, 6)
-    return max(diagram.explicit_depth, 1)
+def _depth(args, diagram):
+    """--depth when it is given, 0 included; else a default that covers the
+    explicit matrices, and six levels of a tail."""
+    if args.depth is not None:
+        return args.depth
+    return max(diagram.explicit_depth, 6 if diagram.has_tail else 1)
 
 
 def _write_file(path, text):
@@ -182,6 +186,14 @@ def _emit_json(payload):
     print(json.dumps(payload, sort_keys=True))
 
 
+def _emit(args, payload, *lines):
+    """The payload as one JSON line under --json, else the text lines."""
+    if args.json:
+        _emit_json(payload)
+    else:
+        print(*lines, sep="\n")
+
+
 def _fmt_vec(vec):
     return " ".join(str(x) for x in vec)
 
@@ -193,25 +205,14 @@ def _fmt_vec(vec):
 def cmd_validate(args):
     kind, obj = _load_input(args.input)
     if kind == "matrix":
-        issues = []
-        for i in range(1, obj.nrows + 1):
-            if not obj.row_support(i):
-                issues.append(f"row {i} is zero")
-        for j in range(1, obj.ncols + 1):
-            if not obj.col_support(j):
-                issues.append(f"column {j} is zero")
+        issues = zero_lines(obj)
     else:
         report = validate_diagram(obj, args.depth)
         issues = list(report.issues)
         if args.dot:
-            _write_file(args.dot, write_dot(obj, args.depth or _default_depth(obj)))
-    if args.json:
-        _emit_json({"input": args.input, "issues": issues, "valid": not issues})
-    elif issues:
-        for issue in issues:
-            print(f"violation: {issue}")
-    else:
-        print("valid")
+            _write_file(args.dot, write_dot(obj, _depth(args, obj)))
+    lines = [f"violation: {issue}" for issue in issues] or ["valid"]
+    _emit(args, {"input": args.input, "issues": issues, "valid": not issues}, *lines)
     return 1 if issues else 0
 
 
@@ -245,7 +246,8 @@ def _refuse(args, needs, *dests):
     """A usage error for the first of these options that was given, when
     the input at hand cannot use it."""
     for dest in dests:
-        if getattr(args, dest, None) not in (None, False):
+        value = getattr(args, dest, None)
+        if value is not None and value is not False:  # 0 is given
             raise UsageError(f"--{dest} needs {needs}")
 
 
@@ -258,7 +260,7 @@ def cmd_reduce(args):
     _refuse(args, "a matrix input", "enumerate", "json")
     strat = _strategy(args.strategy or "theorem")
     tree = build_minimal_diagram(obj, strat)
-    depth = args.depth or _default_depth(obj)
+    depth = _depth(args, obj)
     sys.stdout.write(format_tree_dump(tree, depth))
     if args.dot:
         _write_file(args.dot, write_tree_dot(tree, depth))
@@ -269,17 +271,8 @@ def _reduce_matrix(mat, args):
     _refuse(args, "a diagram input", "dot", "depth", "strategy")
     if args.enumerate is not None:
         shown, count = first_minimal_reductions(mat, args.enumerate)
-        if args.json:
-            _emit_json(
-                {
-                    "count": count,
-                    "maps": [list(p) for p in shown],
-                }
-            )
-        else:
-            for parents in shown:
-                print(f"map: {_fmt_vec(parents)}")
-            print(f"{count} reductions total")
+        lines = [f"map: {_fmt_vec(parents)}" for parents in shown] + [f"{count} reductions total"]
+        _emit(args, {"count": count, "maps": [list(p) for p in shown]}, *lines)
         return 0 if count else 1
     try:
         if mat.nrows == mat.ncols:
@@ -291,24 +284,13 @@ def _reduce_matrix(mat, args):
         msg = f"rank deficient; brute force found {found} reductions"
         if isinstance(exc, Singular):
             msg = f"singular; brute force found {found} reductions"
-        if args.json:
-            _emit_json({"error": msg, "reductions": found})
-        else:
-            print(msg)
+        _emit(args, {"error": msg, "reductions": found}, msg)
         return 1
-    if args.json:
-        _emit_json(
-            {
-                "branch_column": outcome.branch_col,
-                "method": outcome.method,
-                "parents": list(outcome.parents),
-            }
-        )
-    else:
-        print(f"parents: {_fmt_vec(outcome.parents)}")
-        if outcome.branch_col is not None:
-            print(f"branch column: {outcome.branch_col}")
-        print(f"method: {outcome.method}")
+    payload = {"branch_column": outcome.branch_col, "method": outcome.method, "parents": list(outcome.parents)}
+    lines = [f"parents: {_fmt_vec(outcome.parents)}", f"method: {outcome.method}"]
+    if outcome.branch_col is not None:
+        lines.insert(1, f"branch column: {outcome.branch_col}")
+    _emit(args, payload, *lines)
     return 0
 
 
@@ -342,23 +324,43 @@ def cmd_pathspace(args):
             verdict = compare_invariants(tree, other, args.depth)
             print(f"comparison[{args.strategy} vs {args.compare}]: {verdict}")
     if args.dot:
-        depth = args.depth or _default_depth(diagram)
-        _write_file(args.dot, write_tree_dot(tree, depth))
+        _write_file(args.dot, write_tree_dot(tree, _depth(args, diagram)))
     return 0
 
 
 _NO_CHAIN = "a completed chain, which --weight does not build"
 
 
+def _refuse_type1(args, diagram):
+    """The usage errors of a type1 diagram, whose levels never branch:
+    --weight, every k0 action but chain and phi, and --column."""
+    if diagram.shape.kind != "type1":
+        return
+    if args.weight or args.action not in ("chain", "phi"):
+        what = "--weight" if args.weight else f"k0 {args.action}"
+        raise UsageError(
+            f"{what} needs levels that branch; {args.input} is type1, "
+            "whose chain realizes only through k0 phi"
+        )
+    _refuse(args, "levels that branch; a type1 chain takes its squares as they are", "column")
+
+
+def _chain(args, diagram, depth):
+    """A chain of `depth` squares: the weight scheme's under --weight, else
+    a completed one."""
+    if depth < 1:
+        raise UsageError(f"a chain needs at least one square, --depth {depth} gives none")
+    if args.weight:
+        return WeightScheme(diagram).chain(depth)
+    return complete_chain(diagram, _hints(args), depth)
+
+
 def cmd_k0_chain(args):
     diagram = _need_diagram(args.input, "k0 chain")
-    depth = args.depth or _default_depth(diagram)
+    _refuse_type1(args, diagram)
     if args.weight:
         _refuse(args, _NO_CHAIN, "column")
-        chain = WeightScheme(diagram).chain(depth)
-    else:
-        chain = complete_chain(diagram, _hints(args), depth)
-    sys.stdout.write(format_chain_dump(chain))
+    sys.stdout.write(format_chain_dump(_chain(args, diagram, _depth(args, diagram))))
     return 0
 
 
@@ -366,13 +368,7 @@ def _realizer(args, diagram, depth):
     """The realizer a k0 action reads: the weight scheme under --weight, and
     for the probe also when the diagram is forced; otherwise a chain
     completed to `depth`, read through the --strategy tree."""
-    type1 = diagram.shape.kind == "type1"
-    if type1 and (args.weight or args.action != "phi"):
-        what = "--weight" if args.weight else f"k0 {args.action}"
-        raise UsageError(
-            f"{what} needs levels that branch; {args.input} is type1, "
-            "whose chain realizes only through k0 phi"
-        )
+    _refuse_type1(args, diagram)
     if args.weight:
         refused = ("column", "bound", "strategy")
         if args.action == "positive":
@@ -386,10 +382,14 @@ def _realizer(args, diagram, depth):
             return scheme
         except NotUniqueMinimal:
             pass
-    if type1:
-        _refuse(args, "levels that branch; a type1 chain takes its squares as they are", "column")
+    if diagram.shape.kind == "type1":
+        # phi realizes at level `depth`: the squares among matrices 0..depth-1
+        start = first_square(diagram)
+        if depth <= start:
+            raise UsageError(f"--depth {depth} on {args.input} reaches no square: they start at matrix {start}")
+        depth -= start
     tree = build_minimal_diagram(diagram, _strategy(args.strategy or "theorem"))
-    return ChainRealizer(complete_chain(diagram, _hints(args), depth), tree)
+    return ChainRealizer(_chain(args, diagram, depth), tree)
 
 
 def cmd_k0_phi(args):
@@ -397,7 +397,7 @@ def cmd_k0_phi(args):
     alpha = _parse_vector(args.alpha, "--alpha")
     type1 = diagram.shape.kind == "type1"
     if type1:
-        depth = args.depth or _default_depth(diagram)
+        depth = _depth(args, diagram)
     else:
         _refuse(args, "a type1 diagram; elsewhere the depth follows --alpha", "depth")
         depth = max(len(alpha) - 1, 1)
@@ -415,42 +415,23 @@ def cmd_k0_member(args):
     func = _parse_func(args.func, diagram)
     verdict = _realizer(args, diagram, max(func.depth, 1)).membership(func)
     if isinstance(verdict, K0Witness):
-        if args.json:
-            _emit_json(
-                {
-                    "depth": verdict.depth,
-                    "member": True,
-                    "witness": [str(x) for x in verdict.alpha],
-                }
-            )
-        else:
-            print(f"member: witness depth={verdict.depth}: {_fmt_vec(verdict.alpha)}")
+        payload = {"depth": verdict.depth, "member": True, "witness": [str(x) for x in verdict.alpha]}
+        _emit(args, payload, f"member: witness depth={verdict.depth}: {_fmt_vec(verdict.alpha)}")
         return 0
-    if args.json:
-        _emit_json({"depth": verdict.depth_checked, "member": False})
-    else:
-        print(f"NOT a member (checked exactly at depth {verdict.depth_checked})")
+    depth = verdict.depth_checked
+    _emit(args, {"depth": depth, "member": False}, f"NOT a member (checked exactly at depth {depth})")
     return 1
 
 
 def cmd_k0_positive(args):
     diagram = _need_diagram(args.input, "k0 positive")
     func = _parse_func(args.func, diagram)
-    realizer = _realizer(args, diagram, args.depth or max(func.depth, 1))
+    depth = max(func.depth, 1) if args.depth is None else args.depth
+    realizer = _realizer(args, diagram, depth)
     verdict = realizer.positivity(func, args.bound)
     if isinstance(verdict, Positive):
-        if args.json:
-            _emit_json(
-                {
-                    "level": verdict.level,
-                    "positive": True,
-                    "witness": [str(x) for x in verdict.witness],
-                }
-            )
-        else:
-            print(
-                f"positive at level {verdict.level}: {_fmt_vec(verdict.witness)}"
-            )
+        payload = {"level": verdict.level, "positive": True, "witness": [str(x) for x in verdict.witness]}
+        _emit(args, payload, f"positive at level {verdict.level}: {_fmt_vec(verdict.witness)}")
         return 0
     if isinstance(verdict, NotPositiveUpTo):
         if verdict.bound is None:
@@ -459,10 +440,7 @@ def cmd_k0_positive(args):
             msg = f"no nonnegative pushforward up to level {verdict.bound}"
     else:
         msg = f"inconclusive after {verdict.checked} levels"
-    if args.json:
-        _emit_json({"positive": False, "detail": msg})
-    else:
-        print(msg)
+    _emit(args, {"positive": False, "detail": msg}, msg)
     return 1
 
 
@@ -487,30 +465,23 @@ def cmd_k0_probe(args):
     if args.cap < 0:
         raise UsageError(f"--cap needs N >= 0, got {args.cap}")
     diagram = _need_diagram(args.input, "k0 probe")
-    depth = args.depth or 3
+    depth = 3 if args.depth is None else args.depth
     realizer = _realizer(args, diagram, depth)
     tree = realizer.tree
     tree.ensure_depth(depth)
     theta = _probe_theta(args, tree.level_count(depth))
     verdict = automorphism_probe(theta, realizer, depth, args.cap)
     if isinstance(verdict, Broken):
-        if args.json:
-            _emit_json(
-                {
-                    "broken": True,
-                    "image": [str(x) for x in verdict.image.values],
-                    "witness": [str(x) for x in verdict.witness.values],
-                }
-            )
-        else:
-            print("Broken:")
-            print(f"  witness depth={verdict.witness.depth}: {_fmt_vec(verdict.witness.values)}")
-            print(f"  image   depth={verdict.image.depth}: {_fmt_vec(verdict.image.values)}")
+        witness, image = verdict.witness, verdict.image
+        _emit(
+            args,
+            {"broken": True, "image": [str(x) for x in image.values], "witness": [str(x) for x in witness.values]},
+            "Broken:",
+            f"  witness depth={witness.depth}: {_fmt_vec(witness.values)}",
+            f"  image   depth={image.depth}: {_fmt_vec(image.values)}",
+        )
         return 1
-    if args.json:
-        _emit_json({"broken": False, "checked": verdict.checked})
-    else:
-        print(f"preserved across {verdict.checked} candidates")
+    _emit(args, {"broken": False, "checked": verdict.checked}, f"preserved across {verdict.checked} candidates")
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import compress
 from operator import index
 
 from . import matops
@@ -41,9 +42,10 @@ def _int_row(row, i):
 
 
 class MultiplicityMatrix:
-    """Immutable rectangular matrix of nonnegative integers."""
+    """Immutable rectangular matrix of nonnegative integers.  Its sparse
+    view, `supports` and `column_entries`, is scanned on first read and kept."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_supports", "_columns")
 
     def __init__(self, rows):
         data = tuple(_int_row(row, i) for i, row in enumerate(rows, start=1))
@@ -56,6 +58,8 @@ class MultiplicityMatrix:
             if min(row) < 0:
                 raise ValueError("multiplicities must be nonnegative")
         object.__setattr__(self, "rows", data)
+        object.__setattr__(self, "_supports", None)
+        object.__setattr__(self, "_columns", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiplicityMatrix is immutable")
@@ -68,6 +72,29 @@ class MultiplicityMatrix:
     def ncols(self):
         return len(self.rows[0])
 
+    @property
+    def supports(self):
+        """Each row's support, as a tuple of 0-based columns."""
+        supports = self._supports
+        if supports is None:
+            cols = range(len(self.rows[0]))
+            supports = tuple([tuple(compress(cols, row)) for row in self.rows])
+            object.__setattr__(self, "_supports", supports)
+        return supports
+
+    @property
+    def column_entries(self):
+        """Each column's nonzero entries, as a tuple of (0-based row, value)."""
+        columns = self._columns
+        if columns is None:
+            columns = [[] for _ in self.rows[0]]
+            for i, (row, support) in enumerate(zip(self.rows, self.supports)):
+                for q in support:
+                    columns[q].append((i, row[q]))
+            columns = tuple(map(tuple, columns))
+            object.__setattr__(self, "_columns", columns)
+        return columns
+
     def at(self, i, j):
         """Entry in row i, column j, both 1-based."""
         if not (1 <= i <= self.nrows and 1 <= j <= self.ncols):
@@ -76,14 +103,14 @@ class MultiplicityMatrix:
 
     def row_support(self, i):
         """1-based columns where row i (1-based) is positive."""
-        return tuple(j + 1 for j, x in enumerate(self.rows[i - 1]) if x > 0)
+        return tuple(q + 1 for q in self.supports[i - 1])
 
     def col_support(self, j):
         """1-based rows where column j (1-based) is positive."""
-        return tuple(i + 1 for i, row in enumerate(self.rows) if row[j - 1] > 0)
+        return tuple(i + 1 for i, _ in self.column_entries[j - 1])
 
     def is_row_monomial(self, i):
-        return len(self.row_support(i)) == 1
+        return len(self.supports[i - 1]) == 1
 
     def to_lists(self):
         return [list(row) for row in self.rows]
@@ -381,6 +408,16 @@ class BratteliDiagram(Record):
         return self.matrix(n - 1).nrows
 
 
+def zero_lines(mat):
+    """'row i is zero' and 'column j is zero', 1-based, for each empty line
+    of a matrix, read off its supports."""
+    supports = mat.supports
+    used = set().union(*supports)
+    return [f"row {i} is zero" for i, s in enumerate(supports, start=1) if not s] + [
+        f"column {q + 1} is zero" for q in range(mat.ncols) if q not in used
+    ]
+
+
 class ValidationReport(Record):
     ok: bool
     issues: tuple
@@ -396,12 +433,7 @@ def validate_diagram(diagram, depth=None):
     issues = []
     for n in range(depth):
         mat = diagram.matrix(n)
-        for i in range(1, mat.nrows + 1):
-            if not mat.row_support(i):
-                issues.append(f"matrix {n}: row {i} is zero")
-        for j in range(1, mat.ncols + 1):
-            if not mat.col_support(j):
-                issues.append(f"matrix {n}: column {j} is zero")
+        issues += (f"matrix {n}: {issue}" for issue in zero_lines(mat))
         if not matrix_fits_shape(diagram.shape, n, mat):
             issues.append(
                 f"matrix {n} is {mat.nrows}x{mat.ncols}, outside shape "
@@ -676,12 +708,9 @@ def write_dot(diagram, depth):
         out.append("  { rank=same; " + "; ".join(names) + "; }")
     for n in range(depth):
         mat = diagram.matrix(n)
-        for i in range(1, mat.nrows + 1):
-            for j in range(1, mat.ncols + 1):
-                mult = mat.at(i, j)
-                if mult == 0:
-                    continue
-                label = f' [label="x{mult}"]' if mult > 1 else ""
-                out.append(f'  "v{n}_{j}" -> "v{n + 1}_{i}"{label};')
+        for i, (row, support) in enumerate(zip(mat.rows, mat.supports), start=1):
+            for q in support:
+                label = f' [label="x{row[q]}"]' if row[q] > 1 else ""
+                out.append(f'  "v{n}_{q + 1}" -> "v{n + 1}_{i}"{label};')
     out.append("}")
     return "\n".join(out) + "\n"

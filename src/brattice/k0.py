@@ -199,25 +199,24 @@ def _chain(pairs):
     return CompletedChain(squares, dets)
 
 
-def _square_matrices(diagram, count):
-    """The first `count` square matrices of a diagram, in level order."""
-    out = []
-    n = 0
-    while len(out) < count:
-        mat = diagram.matrix(n)
-        if mat.nrows == mat.ncols:
-            out.append(mat)
-        n += 1
-    return out
+def first_square(diagram):
+    """The index of a type1 diagram's first square matrix: 1 when matrix 0
+    is a bootstrap column of width above 1, else 0."""
+    mat = diagram.matrix(0)
+    return int(mat.nrows != mat.ncols)
 
 
 def complete_chain(diagram, hints=None, depth=None):
-    """Build a chain for a diagram; hints may be one hint or a per-level list."""
+    """Build a chain of `depth` squares; hints may be one hint or a
+    per-level list.  A type1 chain takes the diagram's squares as they are,
+    from first_square on, and so reaches level first_square + depth."""
     if depth is None:
         depth = max(diagram.explicit_depth, 1)
-    depth = min(depth, diagram.max_matrix_index() + 1)
     if diagram.shape.kind == "type1":
-        return build_chain([mat.rows for mat in _square_matrices(diagram, depth)])
+        start = first_square(diagram)
+        depth = min(depth, diagram.max_matrix_index() + 1 - start)
+        return build_chain([diagram.matrix(start + k).rows for k in range(depth)])
+    depth = min(depth, diagram.max_matrix_index() + 1)
     if hints is None:
         hints = Auto()
     if hasattr(hints, "column"):
@@ -394,8 +393,8 @@ class ChainRealizer:
     """A completed chain read through a reduced tree.
 
     A type1 tree never branches, so phi takes a vector of the level width
-    at the chain's depth, and membership and positivity, which peel
-    branches, do not apply.
+    at the level the chain reaches, and membership and positivity, which
+    peel branches, do not apply.
     """
 
     def __init__(self, chain, tree):
@@ -408,10 +407,10 @@ class ChainRealizer:
         chain = self.chain
         if len(chain.squares[0]) != len(chain.squares[-1]):
             raise ValueError("growing chains have no constant-width reading")
-        d = chain.depth
-        nums, den = chain.inverse_parts(d)
+        nums, den = chain.inverse_parts(chain.depth)
         ints, scale = matops.clear_denominators(alpha)
         values = matops.mat_vec(nums, ints)
+        d = chain.depth + first_square(self.tree.diagram)
         self.tree.ensure_depth(d)
         if len(values) != self.tree.level_count(d):
             raise ValueError("vector length does not match the level width")
@@ -460,12 +459,9 @@ class WeightScheme:
         if j is None:
             raise NotUniqueMinimal(f"matrix {level} does not grow by a single branch")
         self.tree.ensure_depth(level + 1)
-        parents = self.tree.parents_at(level + 1)
+        # every row has one parent edge, the tree's choice
         prev = self._k[level]
-        row = tuple(
-            mat.at(child, parent) * prev[parent - 1]
-            for child, parent in enumerate(parents, start=1)
-        )
+        row = tuple(x[q] * prev[q] for x, (q,) in zip(mat.rows, mat.supports))
         self._k.append(row)
         self._j.append(j)
         big = max(mat.col_support(j))

@@ -56,9 +56,9 @@ class UserMap(Record):
         for lev, parents in self.maps:
             if lev == level:
                 return parents
-        cur = mat.nrows
-        if all(mat.is_row_monomial(i) for i in range(1, cur + 1)):
-            return tuple(mat.row_support(i)[0] for i in range(1, cur + 1))
+        supports = mat.supports
+        if all(len(support) == 1 for support in supports):
+            return tuple(support[0] + 1 for support in supports)
         raise DepthExceeded(
             f"user maps end before level {level} and the matrix "
             "does not force a unique choice"

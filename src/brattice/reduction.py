@@ -32,14 +32,11 @@ def _as_mm(m):
 def reduction_is_valid(mat, parents):
     """Support and surjectivity check for a row->column assignment."""
     mat = _as_mm(mat)
-    if len(parents) != mat.nrows:
-        return False
-    seen = set()
-    for i, j in enumerate(parents, start=1):
-        if not (1 <= j <= mat.ncols) or mat.at(i, j) == 0:
-            return False
-        seen.add(j)
-    return len(seen) == mat.ncols
+    return (
+        len(parents) == mat.nrows
+        and all(j - 1 in support for j, support in zip(parents, mat.supports))
+        and len(set(parents)) == mat.ncols
+    )
 
 
 def _pivot(y, last):
@@ -128,19 +125,18 @@ def minimal_reduce(mat):
     elimination otherwise.
     """
     mat = _as_mm(mat)
-    r, c = mat.nrows, mat.ncols
+    rows = mat.rows
+    r, c = len(rows), len(rows[0])
     if r != c + 1:
         raise ValueError(f"expected one more row than columns, got {r}x{c}")
-    rows = mat.rows
-    supports = [{q for q, x in enumerate(row) if x} for row in rows]
+    supports = mat.supports
     # a sparse level, where a column meets a third of the rows or fewer on
     # average, tries the peel first; the test costs O(r) on the supports
-    columns = list(zip(*rows))
-    nonzeros = None
+    entries = None
     y = None
     if 3 * sum(map(len, supports)) <= c * (c + 1):
-        nonzeros = [[(i, x) for i, x in enumerate(col) if x] for col in columns]
-        y = matops.peel_null_vector(nonzeros, r)
+        entries = mat.column_entries
+        y = matops.peel_null_vector(entries, r)
     if y is not None:
         # the one dependency among the rows: the lexicographically first
         # independent rows are all but the last row it involves
@@ -153,18 +149,20 @@ def minimal_reduce(mat):
             raise RankDeficient(f"rank is below {c}")
         out = next(i for i in range(r) if i not in top)
     # checked after the rank so a rank-deficient matrix keeps that verdict
-    zero = next((i for i in range(r) if not supports[i]), None)
-    if zero is not None:
-        raise ValueError(f"row {zero + 1} has no edge, so no reduction exists")
+    if () in supports:
+        raise ValueError(f"row {supports.index(()) + 1} has no edge, so no reduction exists")
     active = set(range(r))
-    # a column is removable when no row's support lies entirely inside it;
-    # supports only shrink, so a blocked column stays blocked
-    blocked = {q for support in supports if len(support) == 1 for q in support}
+    removed = set()
+    left = list(map(len, supports))  # the columns each row has not lost
+    # a column is removable when no row's remaining support lies entirely
+    # inside it; those only shrink, so a blocked column stays blocked
+    blocked = {support[0] for support in supports if len(support) == 1}
     cols = list(range(c))  # the columns left, for the elimination
+    columns = None  # the dense columns, built on the first elimination
     parents = [0] * r
     # None until a sparse level's first step looks for the matching; empty
     # when there is none
-    match = None if nonzeros is not None else {}
+    match = None if entries is not None else {}
     j0 = -1
     while True:
         # the columns before the last j0 are removed or blocked
@@ -172,31 +170,33 @@ def minimal_reduce(mat):
         if j0 is None:
             # every column is the whole support of some row: assignments are forced
             for i in active:
-                parents[i] = min(supports[i]) + 1
+                parents[i] = next(q for q in supports[i] if q not in removed) + 1
             break
         if match is None:
-            # the supports are still whole on the first step
-            col_rows = [[i for i, _ in nz if i != out] for nz in nonzeros]
+            # the top square's rows on each column
+            col_rows = [[i for i, _ in col if i != out] for col in entries]
             match = _triangular_matching(col_rows, supports) or {}
         if match:
             bottom = match[j0]
         else:
             # the dependency among the top rows without column j0, from one
             # elimination of the block transposed
+            if columns is None:
+                columns = list(zip(*rows))
             cols.remove(j0)
             pick = itemgetter(*top)
             y = matops._null_vector([list(pick(columns[q])) for q in cols], len(top))
             bottom = top.pop(_pivot(y, [rows[i][j0] for i in top]))
         active.remove(bottom)
+        removed.add(j0)
         parents[bottom] = j0 + 1
         # only the rows meeting j0 lose a column, and may block another
-        meets = enumerate(columns[j0]) if nonzeros is None else nonzeros[j0]
+        meets = enumerate(columns[j0]) if entries is None else entries[j0]
         for i, x in meets:
             if x and i in active:
-                support = supports[i]
-                support.discard(j0)
-                if len(support) == 1:
-                    blocked |= support
+                left[i] -= 1
+                if left[i] == 1:
+                    blocked.add(next(q for q in supports[i] if q not in removed))
     # c + 1 rows cover c columns, so exactly one column takes two rows
     branch = next(j for j in parents if parents.count(j) == 2)
     return ReductionOutcome(tuple(parents), branch, "tall")
@@ -255,18 +255,19 @@ def iter_minimal_reductions(mat):
     `row i -> column j` only when the rows below can still cover the columns
     left uncovered, so every node it visits leads to a map: the delay
     between maps is polynomial and a dead end costs one feasibility test.
+    The walk runs on 0-based columns and records each choice 1-based.
     """
     mat = _as_mm(mat)
-    r, c = mat.nrows, mat.ncols
-    supports = [mat.row_support(i) for i in range(1, r + 1)]
-    if not all(supports):
+    supports = mat.supports
+    r, c = len(supports), mat.ncols
+    if () in supports:
         return
-    col_rows = [()] + [tuple(i - 1 for i in mat.col_support(j)) for j in range(1, c + 1)]
-    degrees = [[0] * (c + 1)]  # degrees[i][j]: rows i.. (0-based) supporting column j
+    degrees = [[0] * c]  # degrees[i][j]: rows i.. supporting column j
     for sup in reversed(supports):
         degrees.append([d + (j in sup) for j, d in enumerate(degrees[-1])])
     degrees.reverse()
-    uncovered = set(range(1, c + 1))
+    uncovered = set(range(c))
+    col_rows = [[i for i, _ in col] for col in mat.column_entries]
     if not _coverable(uncovered, 0, degrees[0], col_rows, r):
         return
 
@@ -283,13 +284,13 @@ def iter_minimal_reductions(mat):
         floor = below[weak[1]] if len(weak) == 2 else len(uncovered)
         return iter(weak[:1] if forced else supports[i]), len(uncovered), floor
 
-    choice = [0] * r
+    choice = [0] * r  # 1-based
     first_cover = [False] * r  # whether choice[i] was the first row on its column
     frames = [open_row(0)]
     while frames:
         i = len(frames) - 1
         if first_cover[i]:  # back out of the previous branch at row i
-            uncovered.add(choice[i])
+            uncovered.add(choice[i] - 1)
         branches, n, floor = frames[i]
         for j in branches:
             need = n - (j in uncovered)
@@ -301,7 +302,7 @@ def iter_minimal_reductions(mat):
             first_cover[i] = False
             frames.pop()
             continue
-        choice[i] = j
+        choice[i] = j + 1
         first_cover[i] = j in uncovered
         uncovered.discard(j)
         if i + 1 == r:
@@ -310,7 +311,7 @@ def iter_minimal_reductions(mat):
             # the last row finishes the cover: it takes the one uncovered
             # column, or any column of its support when none is left
             for k in tuple(uncovered) or supports[-1]:
-                choice[-1] = k
+                choice[-1] = k + 1
                 yield tuple(choice)
         else:
             frames.append(open_row(i + 1))
@@ -350,10 +351,12 @@ def is_unique_minimal(mat):
     column carries two rows and the rest carry one.
     """
     mat = _as_mm(mat)
-    if not all(mat.is_row_monomial(i) for i in range(1, mat.nrows + 1)):
+    supports = mat.supports
+    if any(len(support) != 1 for support in supports):
         return False, None
-    counts = [len(mat.col_support(j)) for j in range(1, mat.ncols + 1)]
-    doubled = [j for j, n in enumerate(counts, start=1) if n == 2]
-    if len(doubled) == 1 and all(n in (1, 2) for n in counts):
-        return True, doubled[0]
+    counts = [0] * mat.ncols  # the rows on each column
+    for (q,) in supports:
+        counts[q] += 1
+    if counts.count(2) == 1 and counts.count(1) == len(counts) - 1:
+        return True, counts.index(2) + 1
     return True, None

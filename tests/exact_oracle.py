@@ -10,7 +10,9 @@ by minors.  Then come the former recursive minimal reduction, which
 rescans every sub-block, and the former Auto completion by trial
 determinants.  The walkers that follow are the former enumeration,
 lex-first and square-bijection searches that the Hall-pruned
-brattice.reduction.iter_minimal_reductions replaced.
+brattice.reduction.iter_minimal_reductions replaced; they, and the
+forcing test beside them, find supports by scanning every entry, which
+MultiplicityMatrix's kept sparse view replaced.
 The last section is the former Fraction realization path: chain products
 and inverses over Fractions, the constant-width fold of per-square
 inverses, and r_map, to_R_basis, refine and indicator
@@ -230,11 +232,35 @@ def auto_completion(rows):
     return None
 
 
+def dense_supports(rows):
+    """Each row's 1-based support columns, scanning every entry."""
+    return [tuple(j for j, x in enumerate(row, start=1) if x) for row in rows]
+
+
+def dense_column_entries(rows):
+    """Each column's (0-based row, value) pairs with a nonzero value,
+    scanning every entry."""
+    return [tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*rows)]
+
+
+def unique_minimal(rows):
+    """The forcing test by dense scans: whether every row has one nonzero
+    entry, and then the one column with two rows when every other column
+    has one."""
+    if any(sum(1 for x in row if x) != 1 for row in rows):
+        return False, None
+    counts = [sum(1 for x in col if x) for col in zip(*rows)]
+    doubled = [j for j, n in enumerate(counts, start=1) if n == 2]
+    if len(doubled) == 1 and all(n in (1, 2) for n in counts):
+        return True, doubled[0]
+    return True, None
+
+
 def enumerate_reductions(mat):
     """Every surjective support assignment in lexicographic order, walking
     each partial choice with only the count and union tests."""
     r, c = mat.nrows, mat.ncols
-    supports = [mat.row_support(i) for i in range(1, r + 1)]
+    supports = dense_supports(mat.rows)
     tail_union = [set() for _ in range(r + 1)]
     for i in range(r - 1, -1, -1):
         tail_union[i] = tail_union[i + 1] | set(supports[i])
@@ -258,7 +284,7 @@ def enumerate_reductions(mat):
 def lex_first_reduction(mat):
     """First surjective support assignment in lexicographic order, or None."""
     r, c = mat.nrows, mat.ncols
-    supports = [mat.row_support(i) for i in range(1, r + 1)]
+    supports = dense_supports(mat.rows)
     tail_union = [set() for _ in range(r + 1)]
     for i in range(r - 1, -1, -1):
         tail_union[i] = tail_union[i + 1] | set(supports[i])
@@ -283,13 +309,14 @@ def square_bijection(mat):
     """Lexicographically first support bijection of a square matrix by
     backtracking, or None when there is none."""
     n = mat.nrows
+    supports = dense_supports(mat.rows)
     used = [False] * (n + 1)
     choice = [0] * n
 
     def place(i):
         if i == n:
             return True
-        for j in mat.row_support(i + 1):
+        for j in supports[i]:
             if not used[j]:
                 used[j] = True
                 choice[i] = j
@@ -345,14 +372,16 @@ def phi(alpha, chain, tree):
 
 
 def phi_type1(a, chain, tree):
-    """The former constant-width realization at the chain's depth: the
-    inverse of each square, in level order, applied to the value vector."""
+    """The former constant-width realization: the inverse of each square,
+    in level order, applied to the value vector.  The function sits at the
+    level the chain reaches, one past its depth when the root is narrower
+    than the squares (a bootstrap column comes first)."""
     if len({len(sq) for sq in chain.squares}) > 1:
         raise ValueError("growing chains use phi")
-    d = chain.depth
     values = [Fraction(x) for x in a]
-    for k in range(d - 1, -1, -1):
+    for k in range(chain.depth - 1, -1, -1):
         values = mat_vec(inverse([list(r) for r in chain.squares[k]]), values)
+    d = chain.depth + (len(chain.squares[0]) != 1)
     tree.ensure_depth(d)
     if len(values) != tree.level_count(d):
         raise ValueError("vector length does not match the level width")

@@ -102,6 +102,58 @@ def test_negative_depth_is_a_usage_error(capsys, argv):
         assert run(capsys, *argv, *flags) == want
 
 
+def _dot_depth_zero(capsys, tmp_path, *argv):
+    """Exit code, stdout and the DOT file of a --depth 0 --dot run: the
+    root alone, with no edge."""
+    path = tmp_path / "out.dot"
+    code, out, err = run(capsys, *argv, "--depth", "0", "--dot", str(path))
+    assert err == "" and "->" not in path.read_text()
+    return code, out.replace(str(path), "FILE")
+
+
+def test_depth_zero_validate_draws_the_root_alone(capsys, tmp_path):
+    assert _dot_depth_zero(capsys, tmp_path, "validate", "corpus:gicar") == (0, "wrote FILE\nvalid\n")
+
+
+def test_depth_zero_reduce_dumps_no_level(capsys):
+    assert run(capsys, "reduce", "corpus:gicar", "--depth", "0") == (0, "tree v1\n", "")
+
+
+def test_depth_zero_pathspace_draws_the_root_alone(capsys, tmp_path):
+    code, out = _dot_depth_zero(capsys, tmp_path, "pathspace", "corpus:gicar")
+    assert (code, out.splitlines()[-1]) == (0, "wrote FILE")
+
+
+def test_depth_zero_k0_chain_is_a_usage_error(capsys):
+    want = (2, "", "usage error: a chain needs at least one square, --depth 0 gives none\n")
+    assert run(capsys, "k0", "chain", "corpus:gicar", "--depth", "0") == want
+    assert run(capsys, "k0", "chain", "corpus:dyadic", "--weight", "--depth", "0") == want
+
+
+def test_depth_zero_k0_phi_type1_is_a_usage_error(capsys):
+    for name, start in (("threeline", 1), ("uhf2", 0)):
+        want = f"usage error: --depth {start} on corpus:{name} reaches no square: they start at matrix {start}\n"
+        alpha = "1,2,3" if name == "threeline" else "1"
+        assert run(capsys, "k0", "phi", f"corpus:{name}", "--alpha", alpha, "--depth", str(start)) == (2, "", want)
+
+
+def test_depth_zero_k0_positive_is_a_usage_error(capsys):
+    want = (2, "", "usage error: a chain needs at least one square, --depth 0 gives none\n")
+    assert run(capsys, "k0", "positive", "corpus:gicar", "--func", "depth=0: 1", "--depth", "0") == want
+
+
+def test_depth_zero_k0_probe_reads_the_root(capsys):
+    # the root alone is forced, so the weight scheme answers; a completed
+    # chain needs a square
+    assert run(capsys, "k0", "probe", "corpus:gicar", "--perm", "1", "--depth", "0") == (
+        0,
+        "preserved across 1 candidates\n",
+        "",
+    )
+    code, _, err = run(capsys, "k0", "probe", "corpus:gicar", "--perm", "1", "--depth", "0", "--column", "0,1")
+    assert (code, err) == (2, "usage error: a chain needs at least one square, --depth 0 gives none\n")
+
+
 def test_every_depth_verb_is_covered():
     def takes_depth(arguments):
         return any(name == "--depth" for name, _ in arguments)
@@ -153,6 +205,9 @@ UNUSABLE_OPTIONS = {
         "--enumerate needs N >= 0, got -1",
     ),
     "reduce matrix --depth": (("reduce", "corpus:threebranch", "--depth", "2"), "--depth needs a diagram input"),
+    # a given 0 is given
+    "reduce matrix --depth 0": (("reduce", "corpus:threebranch", "--depth", "0"), "--depth needs a diagram input"),
+    "reduce diagram --enumerate 0": (("reduce", "corpus:gicar", "--enumerate", "0"), "--enumerate needs a matrix input"),
     "reduce matrix --strategy": (
         ("reduce", "corpus:threebranch", "--strategy=theorem"),
         "--strategy needs a diagram input",
@@ -173,6 +228,10 @@ UNUSABLE_OPTIONS = {
     ),
     "k0 positive --weight --depth": (
         ("k0", "positive", "corpus:dyadic", "--weight", "--func", "depth=2: 1/2 1/4 1", "--depth", "1"),
+        f"--depth needs {NO_CHAIN}",
+    ),
+    "k0 positive --weight --depth 0": (
+        ("k0", "positive", "corpus:dyadic", "--weight", "--func", "depth=2: 1/2 1/4 1", "--depth", "0"),
         f"--depth needs {NO_CHAIN}",
     ),
     "k0 phi --weight --strategy": (
@@ -212,9 +271,17 @@ UNUSABLE_OPTIONS = {
         ("k0", "phi", "corpus:uhf2", "--weight", "--alpha", "3"),
         type1_refusal("--weight", "corpus:uhf2"),
     ),
+    "k0 chain type1 --weight": (
+        ("k0", "chain", "corpus:uhf2", "--weight"),
+        type1_refusal("--weight", "corpus:uhf2"),
+    ),
     # a type1 chain is the diagram's own squares: there is nothing to complete
     "k0 phi type1 --column": (
         ("k0", "phi", "corpus:uhf2", "--alpha", "3", "--column", "1"),
+        "--column needs levels that branch; a type1 chain takes its squares as they are",
+    ),
+    "k0 chain type1 --column": (
+        ("k0", "chain", "corpus:threeline", "--column", "1,2,3"),
         "--column needs levels that branch; a type1 chain takes its squares as they are",
     ),
 }
@@ -457,6 +524,18 @@ def test_k0_phi_type1_alpha_needs_the_level_width(capsys):
     code, out, _ = run(capsys, "k0", "phi", "corpus:threeline", "--alpha", "1,2,3")
     assert code == 0
     assert out.startswith("func depth=6: ")
+
+
+def test_k0_phi_type1_after_a_bootstrap_column(tmp_path, capsys):
+    # levels 1..3 have width 2, so level 3 sits below the squares of
+    # matrices 1 and 2, whose product [[1, 1], [1, 2]] has inverse
+    # [[2, -1], [-1, 1]]
+    path = tmp_path / "t1.bd"
+    path.write_text("bdspec v1\nshape: type1 2\nmatrix 0:\n1\n1\nmatrix 1:\n1 1\n0 1\nmatrix 2:\n1 0\n1 1\ntail: none\n")
+    assert run(capsys, "k0", "phi", str(path), "--alpha", "1,2") == (0, "func depth=3: 0 1\n", "")
+    # a chain of depth 2 holds both squares
+    code, out, _ = run(capsys, "k0", "chain", str(path))
+    assert (code, out) == (0, "chain v1\nA 0: 1 1 ; 0 1 det=1\nA 1: 1 0 ; 1 1 det=1\n")
 
 
 def test_k0_member_witness(capsys):

@@ -393,6 +393,23 @@ def test_type1_phi_matches_the_per_square_fold(name):
             assert realizer.phi(alpha) == oracle.phi_type1(alpha, chain, tree)
 
 
+def test_type1_push_then_realize_equals_realize_then_refine():
+    # after a bootstrap column the squares sit one level down: a chain of
+    # depth d reaches level d + 1, where phi places its function
+    diagram = TYPE1["width2-alternating"]
+    tree = build_minimal_diagram(diagram, "theorem")
+    rng = random.Random(15)
+    for d in range(1, 6):
+        here = ChainRealizer(complete_chain(diagram, Auto(), d), tree)
+        there = ChainRealizer(complete_chain(diagram, Auto(), d + 1), tree)
+        for _ in range(3):
+            alpha = [rng.randint(-9, 9) for _ in range(2)]
+            func = here.phi(alpha)
+            assert func.depth == d + 1
+            pushed = matops.mat_vec(diagram.matrix(func.depth).to_lists(), alpha)
+            assert refine(func, d + 2, tree) == there.phi(pushed)
+
+
 # --- membership and positivity -----------------------------------------------
 
 

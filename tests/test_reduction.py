@@ -334,3 +334,77 @@ def test_minimal_reduce_rejects_zero_row():
     # a rank-deficient matrix keeps its rank verdict
     with pytest.raises(RankDeficient):
         minimal_reduce(MultiplicityMatrix([[1, 1], [1, 1], [0, 0]]))
+
+
+# --- the sparse view ---------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@_with_edge_cases
+@given(matrices(max_rows=7, max_cols=6))
+def test_sparse_view_matches_dense_scans(mm):
+    supports = oracle.dense_supports(mm.rows)
+    entries = oracle.dense_column_entries(mm.rows)
+    assert [tuple(q + 1 for q in s) for s in mm.supports] == supports
+    assert list(mm.column_entries) == entries
+    assert [mm.row_support(i) for i in range(1, mm.nrows + 1)] == supports
+    assert [mm.col_support(j) for j in range(1, mm.ncols + 1)] == [
+        tuple(i + 1 for i, _ in col) for col in entries
+    ]
+    assert [mm.is_row_monomial(i) for i in range(1, mm.nrows + 1)] == [len(s) == 1 for s in supports]
+
+
+@st.composite
+def tall_rows(draw, max_cols=7):
+    """(c+1) x c rows, from sparse to dense, sometimes one entry per row;
+    zero rows and columns and rank deficiency all occur."""
+    c = draw(st.integers(min_value=1, max_value=max_cols))
+    zeros = draw(st.integers(min_value=0, max_value=5))
+    entry = st.sampled_from((0,) * zeros + (1, 2, 3))
+    if draw(st.booleans()):
+        return [draw(st.lists(entry, min_size=c, max_size=c)) for _ in range(c + 1)]
+    picks = draw(st.lists(st.integers(min_value=0, max_value=c - 1), min_size=c + 1, max_size=c + 1))
+    return [[draw(st.integers(min_value=1, max_value=3)) if q == p else 0 for q in range(c)] for p in picks]
+
+
+def _reduce_verdict(mat):
+    try:
+        return minimal_reduce(mat).parents
+    except RankDeficient:
+        return "rank deficient"
+    except ValueError as exc:
+        return str(exc)
+
+
+def _oracle_reduce_verdict(rows):
+    if oracle.rank(rows) < len(rows[0]):
+        return "rank deficient"
+    zero = next((i for i, row in enumerate(rows, start=1) if not any(row)), None)
+    if zero is not None:
+        return f"row {zero} has no edge, so no reduction exists"
+    return oracle.minimal_reduce_parents(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@example([[1, 0], [0, 1], [0, 0]])
+@example([[1, 0], [1, 0], [0, 1]])
+@example(deadend(5).to_lists()[:5])
+@given(tall_rows())
+def test_reductions_on_fresh_and_read_views_match_dense_oracles(rows):
+    mm = MultiplicityMatrix(rows)
+    want = (
+        _oracle_reduce_verdict(rows),
+        oracle.enumerate_reductions(mm),
+        oracle.unique_minimal(rows),
+    )
+
+    def answers(mat):
+        return _reduce_verdict(mat), list(iter_minimal_reductions(mat)), is_unique_minimal(mat)
+
+    # the first pass builds the view, the second reads the kept one; a
+    # matrix whose columns were read first has both parts built up front
+    assert answers(mm) == want
+    assert answers(mm) == want
+    read = MultiplicityMatrix(rows)
+    assert read.column_entries is read.column_entries
+    assert answers(read) == want
