@@ -205,6 +205,7 @@ def _fmt_vec(vec):
 def cmd_validate(args):
     kind, obj = _load_input(args.input)
     if kind == "matrix":
+        _refuse(args, "a diagram input", "dot", "depth")
         issues = zero_lines(obj)
     else:
         report = validate_diagram(obj, args.depth)
@@ -228,6 +229,7 @@ def cmd_telescope(args):
 def cmd_dilate(args):
     diagram = _need_diagram(args.input, "dilate")
     if args.level is not None:
+        _refuse(args, "a normalized diagram, which --level does not build", "dot")
         order, factors = dilate_step(diagram.matrix(args.level))
         print(f"row order: {_fmt_vec(order)}")
         for k, fac in enumerate(factors, start=1):

@@ -64,6 +64,9 @@ class MultiplicityMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("MultiplicityMatrix is immutable")
 
+    def __reduce__(self):  # copies and pickles rebuild through __init__
+        return MultiplicityMatrix, (self.rows,)
+
     @property
     def nrows(self):
         return len(self.rows)

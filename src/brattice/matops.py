@@ -6,18 +6,13 @@ rank, det, inverse and the row scans share one fraction-free (Bareiss)
 elimination over Python ints: rational rows are cleared of their
 denominators on the way in, and Fractions appear only in the answers that
 need them (a determinant, an inverse).  int_inverse gives an inverse as
-integer numerators over one denominator, with no Fraction at all.
-peel_null_vector finds the null vector of a sparse block that is triangular
-up to permutation by back substitution alone, and leaves every other block
-to the elimination; it serves only the whole-level dependency that picks a
-minimal reduction's top rows, whose steps then follow a matching with no
-arithmetic (reduction.minimal_reduce).  No floats anywhere.  Pivoting is
-deterministic: the first nonzero candidate wins, so repeated runs agree bit
-for bit.
+integer numerators over one denominator, with no Fraction at all.  No
+floats anywhere.  Pivoting is deterministic: the first nonzero candidate
+wins, so repeated runs agree bit for bit.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 from .errors import Singular
@@ -216,62 +211,6 @@ def _null_vector(work, n):
     # an echelon row is zero before its pivot, and y is still zero there
     for row, col in zip(reversed(work), reversed(cols)):
         y[col] = -sum(map(mul, row, y)) // row[col]
-    return y
-
-
-def peel_null_vector(rows, n):
-    """A nonzero integer y with W·y = 0 for an (n-1) x n integer matrix W
-    given sparsely, each row a list of (column, value) pairs with nonzero
-    values; None when W is not triangular up to a permutation of its rows
-    and columns, and the caller eliminates instead.
-
-    Each row with one unknown column left is solved for it; when no such
-    row is left, one free column is set to 1, once.  A row whose pivot does
-    not divide the rest of its sum rescales the entries solved so far.  The
-    pivots found in this order are nonzero and triangular, which proves the
-    rank is n-1, so W·y = 0 pins y up to scale.
-    """
-    y = [0] * n
-    known = [False] * n
-    left = [len(row) for row in rows]  # unknown columns left in each row
-    if 0 in left:
-        return None
-    meets = [[] for _ in range(n)]  # the rows meeting each column
-    for e, row in enumerate(rows):
-        for k, _ in row:
-            meets[k].append(e)
-    ready = [e for e, m in enumerate(left) if m == 1]
-    free = False
-    for _ in range(n):
-        if ready:
-            e = ready.pop()
-            s = 0
-            for k, x in rows[e]:
-                if known[k]:
-                    s += x * y[k]
-                else:
-                    u, p = k, x
-            if s % p:
-                m = p // gcd(p, s)
-                y = [m * v for v in y]
-                s *= m
-            y[u] = -s // p
-        elif free:
-            return None  # a second free column: not triangular, stop early
-        else:
-            free = True
-            # a column of a row with the fewest unknowns left, which that
-            # row then solves; any unknown column when no row has one left
-            e = min(((m, f) for f, m in enumerate(left) if m), default=(0, None))[1]
-            u = known.index(False) if e is None else next(k for k, _ in rows[e] if not known[k])
-            y[u] = 1
-        known[u] = True
-        for f in meets[u]:
-            left[f] -= 1
-            if left[f] == 1:
-                ready.append(f)
-            elif left[f] == 0 and f != e:
-                return None  # row f has nothing left to solve: not triangular
     return y
 
 

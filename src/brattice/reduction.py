@@ -104,8 +104,8 @@ def minimal_reduce(mat):
     is the first row of column j0 on which y, the one dependency among the
     top rows without j0, is nonzero: one elimination per step.  A sparse
     level whose top square B0 = M[top, :] is triangular up to permutation
-    decides every step from the one matching of B0, `match`, found on the
-    first step by a structural pass, because:
+    decides every step from the one matching of B0, `match`, found before
+    the first step by a structural pass, because:
 
     - y satisfies y·B = λ·e_j0 with λ != 0, for the invertible square
       B = M[top, cols + {j0}] (its columns other than j0 are the block that
@@ -119,10 +119,14 @@ def minimal_reduce(mat):
       triangular under the same matching, so one matching decides every
       step.
 
-    Propersub and dyadic levels are forced before any step and never build
-    the matching.  The top rows of a sparse level come from
-    matops.peel_null_vector when the whole matrix peels, and from one
-    elimination otherwise.
+    A sparse level first looks for the matching of its first c rows.  When
+    there is one, those rows are `top`, with no arithmetic: in the order
+    they were matched, the rows and columns make that square triangular
+    with the matched entries on its diagonal, so its determinant is their
+    product up to sign, nonzero, and a scan from the top keeps all c rows.
+    Otherwise one elimination finds `top`, and a sparse level whose `top`
+    leaves out another row than the last looks for the matching of its
+    square.
     """
     mat = _as_mm(mat)
     rows = mat.rows
@@ -130,24 +134,28 @@ def minimal_reduce(mat):
     if r != c + 1:
         raise ValueError(f"expected one more row than columns, got {r}x{c}")
     supports = mat.supports
-    # a sparse level, where a column meets a third of the rows or fewer on
-    # average, tries the peel first; the test costs O(r) on the supports
     entries = None
-    y = None
+    match = None
+
+    def matching(out):
+        # the matching of the square of the rows other than `out`, if any
+        return _triangular_matching([[i for i, _ in col if i != out] for col in entries], supports)
+
+    # a sparse level, where a column meets a third of the rows or fewer on
+    # average, tries the matching first; the test costs O(r) on the supports
     if 3 * sum(map(len, supports)) <= c * (c + 1):
         entries = mat.column_entries
-        y = matops.peel_null_vector(entries, r)
-    if y is not None:
-        # the one dependency among the rows: the lexicographically first
-        # independent rows are all but the last row it involves
-        out = max(k for k, v in enumerate(y) if v)
-        top = [i for i in range(r) if i != out]
+        match = matching(c)
+    if match:
+        top = list(range(c))
     else:
         # the lexicographically first independent rows, scanning from the top
         top = matops.independent_rows(rows)
         if len(top) < c:
             raise RankDeficient(f"rank is below {c}")
         out = next(i for i in range(r) if i not in top)
+        if entries is not None and out != c:
+            match = matching(out)
     # checked after the rank so a rank-deficient matrix keeps that verdict
     if () in supports:
         raise ValueError(f"row {supports.index(()) + 1} has no edge, so no reduction exists")
@@ -160,9 +168,6 @@ def minimal_reduce(mat):
     cols = list(range(c))  # the columns left, for the elimination
     columns = None  # the dense columns, built on the first elimination
     parents = [0] * r
-    # None until a sparse level's first step looks for the matching; empty
-    # when there is none
-    match = None if entries is not None else {}
     j0 = -1
     while True:
         # the columns before the last j0 are removed or blocked
@@ -172,10 +177,6 @@ def minimal_reduce(mat):
             for i in active:
                 parents[i] = next(q for q in supports[i] if q not in removed) + 1
             break
-        if match is None:
-            # the top square's rows on each column
-            col_rows = [[i for i, _ in col if i != out] for col in entries]
-            match = _triangular_matching(col_rows, supports) or {}
         if match:
             bottom = match[j0]
         else:

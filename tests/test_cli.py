@@ -208,6 +208,15 @@ UNUSABLE_OPTIONS = {
     # a given 0 is given
     "reduce matrix --depth 0": (("reduce", "corpus:threebranch", "--depth", "0"), "--depth needs a diagram input"),
     "reduce diagram --enumerate 0": (("reduce", "corpus:gicar", "--enumerate", "0"), "--enumerate needs a matrix input"),
+    # a bare matrix has no levels to draw or materialize
+    "validate matrix --dot --depth": (
+        ("validate", "corpus:threebranch", "--dot", "never.dot", "--depth", "5"),
+        "--dot needs a diagram input",
+    ),
+    "dilate --level --dot": (
+        ("dilate", "corpus:threeline", "--level", "0", "--dot", "never.dot"),
+        "--dot needs a normalized diagram, which --level does not build",
+    ),
     "reduce matrix --strategy": (
         ("reduce", "corpus:threebranch", "--strategy=theorem"),
         "--strategy needs a diagram input",
@@ -379,6 +388,13 @@ def test_reduce_zero_row_matrix(tmp_path, capsys):
     code, out, _ = run(capsys, "reduce", str(path), "--enumerate", "3")
     assert code == 1
     assert out == "0 reductions total\n"
+
+
+def test_reduce_ladder_with_an_extra_row_inside_is_frozen(capsys):
+    # frozen before the first c rows' matching picked a sparse level's top rows
+    data = Path(__file__).parent / "data"
+    frozen = (data / "ladder-extra-row.out").read_text(encoding="utf-8")
+    assert run(capsys, "reduce", str(data / "ladder-extra-row.txt")) == (0, frozen, "")
 
 
 def test_reduce_enumerate_json(capsys):

@@ -1,5 +1,7 @@
 """Diagram structure: matrices, shapes, tails, telescoping, dilation, text."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -85,6 +87,20 @@ def test_multiplicity_matrix_takes_integral_values():
     # the reduction sees the entry, not a truncation of it
     with pytest.raises(ValueError, match="row 1, column 1: 0.5 is not an integer"):
         minimal_reduce([[0.5], [1]])
+
+
+def test_multiplicity_matrix_copies_and_pickles():
+    m = MultiplicityMatrix([[1, 0], [0, 1]])
+    assert m.supports == ((0,), (1,))
+    for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert twin == m
+        assert twin._supports is None  # the sparse view is rebuilt on read
+        assert twin.supports == m.supports
+    d = corpus.get("propersub").diagram()
+    level5 = d.matrix(5)
+    twin = copy.deepcopy(d)
+    assert twin.matrix(5) == level5
+    assert twin.matrix(7) == d.matrix(7)
 
 
 def test_rank():

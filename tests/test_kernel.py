@@ -221,10 +221,31 @@ def test_minimal_reduce_matches_rescanning_reduction(rows):
         assert minimal_reduce(rows).parents == oracle.minimal_reduce_parents(rows)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(tall_matrices(), st.builds(shuffled_ladder, st.randoms(use_true_random=False), st.integers(1, 14))))
+def test_first_rows_matching_makes_them_the_top_rows(rows):
+    # a triangular square on the first c rows is nonsingular, so the scan
+    # from the top keeps them all: minimal_reduce takes them with no
+    # elimination
+    c = len(rows[0])
+    match = _triangular_matching(
+        [[i for i in range(c) if rows[i][q]] for q in range(c)],
+        [[q for q, x in enumerate(row) if x] for row in rows],
+    )
+    if match is None:
+        return
+    assert matops.independent_rows(rows) == list(range(c))
+    if any(rows[c]):
+        assert minimal_reduce(rows).parents == oracle.minimal_reduce_parents(rows)
+    else:
+        with pytest.raises(ValueError, match="row .* has no edge"):
+            minimal_reduce(rows)
+
+
 @pytest.mark.parametrize("name", ["gicar", "propersub", "dyadic"])
 def test_theorem_tree_levels_match_rescanning_reduction(name):
-    # gicar goes deepest: its levels take the peel, and the oracle reaches
-    # depth 48 in about 5 s
+    # gicar goes deepest: its levels take the matching, and the oracle
+    # reaches depth 48 in about 5 s
     depth = 48 if name == "gicar" else 40
     d = corpus.get(name).diagram()
     tree = build_minimal_diagram(d, "theorem").ensure_depth(depth)
@@ -266,8 +287,11 @@ def test_matching_decides_shuffled_ladders(monkeypatch):
         assert oracle.rank(rows) == len(rows[0])  # the band square is nonsingular
         del found[:]
         assert minimal_reduce(rows).parents == oracle.minimal_reduce_parents(rows)
-        decided += bool(found and found[0])
-    # the rest are too dense to try it (small c) or keep the extra row on top
+        # a draw whose extra row sits above the band finds no matching on
+        # its first c rows, and one on its top rows after one elimination
+        decided += any(found)
+    # the rest are too dense to try it (small c), or the extra row lands in
+    # a top square that is not triangular
     assert 3 * decided >= len(draws)
 
 
@@ -311,6 +335,18 @@ def test_matching_frozen():
     assert _triangular_matching([[0], [0]], [[0, 1], []]) is None
 
 
+def test_extra_row_inside_the_ladder_takes_one_elimination(monkeypatch):
+    # the dependency leaves out row 6, so the first 6 rows are dependent and
+    # have no matching; one elimination finds the top rows, and their square
+    # has one
+    text = (DATA / "ladder-extra-row.txt").read_text()
+    rows = [list(map(int, line.split())) for line in text.splitlines()]
+    assert matops.independent_rows(rows) == [0, 1, 2, 3, 4, 6]
+    found = _spy_matchings(monkeypatch)
+    assert minimal_reduce(rows).parents == oracle.minimal_reduce_parents(rows)
+    assert len(found) == 2 and found[0] is None and found[1]
+
+
 def test_rank_deficiency_outranks_a_zero_row():
     with pytest.raises(RankDeficient):
         minimal_reduce([[1, 0], [0, 0], [2, 0]])
@@ -318,103 +354,27 @@ def test_rank_deficiency_outranks_a_zero_row():
         minimal_reduce([[1, 0], [0, 0], [0, 1]])
 
 
-# --- the triangular peel ----------------------------------------------------
-
-
-@st.composite
-def peel_blocks(draw):
-    """(n-1) x n dense integer blocks, with the shape they were drawn as;
-    rows and columns are shuffled.
-
-    - ladder: each row meets two or three neighbouring columns, as the
-      gicar levels do;
-    - triangle: a lower triangle with non-unit pivots beside one more
-      column, so that solving rescales;
-    - singletons: the same with nothing below the diagonal, so most rows
-      meet one column and force a zero;
-    - dense: every entry nonzero, n >= 3;
-    - deficient: a triangle with one row a multiple of another.
-    """
-    shape = draw(st.sampled_from(["ladder", "triangle", "singletons", "dense", "deficient"]))
-    n = draw(st.integers(3 if shape in ("dense", "deficient") else 2, 9))
-    value = st.integers(-4, 4).filter(bool)
-    if shape == "ladder":
-        width = draw(st.integers(2, 3))
-        dense = [[draw(value) if q <= j < q + width else 0 for j in range(n)] for q in range(n - 1)]
-    elif shape == "dense":
-        dense = [[draw(value) for _ in range(n)] for _ in range(n - 1)]
-    else:
-        below = st.just(0) if shape == "singletons" else st.integers(-3, 3)
-        dense = [
-            [draw(st.sampled_from([2, 3, -2, 5])) if i == j else draw(below) if j < i else 0
-             for j in range(n - 1)] + [draw(st.integers(-2, 2))]
-            for i in range(n - 1)
-        ]
-        if shape == "deficient":
-            a, b = draw(st.permutations(range(n - 1)))[:2]
-            dense[a] = [draw(value) * x for x in dense[b]]
-    order = draw(st.permutations(range(n)))
-    dense = [[row[q] for q in order] for row in draw(st.permutations(dense))]
-    return shape, n, dense
-
-
-@settings(max_examples=400, deadline=None)
-@given(peel_blocks())
-def test_peel_null_vector_matches_oracle(case):
-    shape, n, dense = case
-    y = matops.peel_null_vector([[(j, x) for j, x in enumerate(row) if x] for row in dense], n)
-    if shape == "ladder":
-        assert y is not None
-    if shape == "dense":
-        assert y is None  # hands back to elimination
-    if oracle.rank(dense) < n - 1:
-        assert y is None  # a peel proves the rank
-        with pytest.raises(Singular):
-            matops._null_vector([list(row) for row in dense], n)
-        return
-    if y is None:
-        y = matops._null_vector([list(row) for row in dense], n)
-    assert any(y)
-    assert all(isinstance(x, int) for x in y)
-    assert oracle.mat_vec(dense, y) == [0] * (n - 1)
-
-
-def test_peel_null_vector_frozen():
-    assert matops.peel_null_vector([], 1) == [1]
-    # the pivot 3 does not divide 1, so the entry solved first is rescaled
-    assert matops.peel_null_vector([[(0, 1), (1, 3)]], 2) == [3, -1]
-    # a singleton row forces its column to zero
-    assert matops.peel_null_vector([[(1, 2)], [(0, 1), (1, 1), (2, 1)]], 3) == [1, 0, -1]
-    # a row with no entries, and a block needing a second free column
-    assert matops.peel_null_vector([[]], 2) is None
-    assert matops.peel_null_vector([[(0, 1), (1, 1), (2, 1)], [(0, 1), (1, 2), (2, 3)]], 3) is None
-
-
 def _refuse(*args):
     raise AssertionError("unexpected call")
 
 
 def test_ladder_levels_reduce_without_elimination(monkeypatch):
-    # from 5 columns on, gicar levels pass the sparsity test: the whole
-    # level peels once, and the top square's matching decides every step
+    # from 5 columns on, gicar levels pass the sparsity test: the matching
+    # of the first c rows picks the top rows and decides every step
     d = corpus.get("gicar").diagram()
     want = [minimal_reduce(d.matrix(level)).parents for level in range(4, 24)]
-    peels = []
-    peel = matops.peel_null_vector
-    monkeypatch.setattr(matops, "peel_null_vector", lambda *args: peels.append(1) or peel(*args))
     monkeypatch.setattr(matops, "_null_vector", _refuse)
     monkeypatch.setattr(matops, "independent_rows", _refuse)
     found = _spy_matchings(monkeypatch)
     assert [minimal_reduce(d.matrix(level)).parents for level in range(4, 24)] == want
-    assert len(peels) == len(found) == 20
+    assert len(found) == 20
     assert all(found)
 
 
-def test_dense_levels_skip_the_peel(monkeypatch):
+def test_dense_levels_skip_the_matching(monkeypatch):
     rng = random.Random(8)
     rows = [[rng.randint(1, 3) for _ in range(8)] for _ in range(9)]
     assert oracle.rank(rows) == 8
     want = minimal_reduce(rows).parents
-    monkeypatch.setattr(matops, "peel_null_vector", _refuse)
     monkeypatch.setattr(reduction, "_triangular_matching", _refuse)
     assert minimal_reduce(rows).parents == want
