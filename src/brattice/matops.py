@@ -89,7 +89,7 @@ def _int_rows(m):
     return rows, scale
 
 
-def _eliminate(work, jordan=False):
+def _eliminate(work, jordan=False, done=0, tags=None):
     """Fraction-free (Bareiss) elimination of integer rows, in place.
 
     In each column the first nonzero candidate row is the pivot.  Forward
@@ -97,7 +97,15 @@ def _eliminate(work, jordan=False):
     pivot, so that every pivot ends equal to the last one.  Entries stay
     integer minors of the input, so every division is exact.  Returns the
     pivot columns, the sign of the row swaps and the last pivot (1 when
-    there is none).
+    there is none).  `tags`, a list beside `work`, follows the row swaps.
+
+    A forward elimination resumes from a recorded pivot prefix: when
+    work[:done] are the pivot rows that the first `done` steps of a forward
+    elimination of these rows left, in order, each of those steps finds its
+    pivot again at its own row and updates only the rows from `done` on,
+    which enter as they were input.  The prefix stays valid when a row
+    that never pivoted in it is deleted, or a column that is not one of
+    its pivot columns.
     """
     r = len(work)
     cols = []
@@ -110,12 +118,14 @@ def _eliminate(work, jordan=False):
             continue
         if row != piv:
             work[piv], work[row] = work[row], work[piv]
+            if tags is not None:
+                tags[piv], tags[row] = tags[row], tags[piv]
             sign = -sign
         prow = work[piv]
         p = prow[col]
         lo = 0 if jordan else col
         tail = prow[lo:]
-        for i in range(0 if jordan else piv + 1, r):
+        for i in range(0 if jordan else max(piv + 1, done), r):
             if i == piv:
                 continue
             wi = work[i]
@@ -193,21 +203,28 @@ def _null_vector(work, n):
     """The signed cofactors y[i] = (-1)**(i+n-1) * det(work without column
     i) of integer rows `work` of an (n-1) x n matrix of rank n-1, a nonzero
     y with work·y = 0; eliminates `work` in place and raises Singular when
-    the rank is lower.
-
-    Forward elimination leaves a single free column f, and its last pivot
-    is det(work without column f) times the sign of the row swaps.  y takes
-    that cofactor at f, and back substitution (Cramer's rule) then divides
-    exactly and yields the other cofactors.
-    """
+    the rank is lower."""
     if not work:
         return [1]
     cols, sign, last = _eliminate(work)
     if len(cols) < n - 1:
         raise Singular(f"rank is below {n - 1}")
+    return _cofactors(work, cols, n, sign * last)
+
+
+def _cofactors(work, cols, n, minor):
+    """The signed cofactors y[i] = (-1)**(i+n-1) * det(without column i) of
+    n-1 rows of n columns, from the echelon rows `work` with pivot columns
+    `cols` that their forward elimination left; work·y = 0.
+
+    The elimination leaves a single free column f, and `minor` is the
+    cofactor's determinant there: the last pivot times the sign of the row
+    swaps.  Back substitution (Cramer's rule) then divides exactly and
+    yields the other cofactors.  Any other sign of `minor` negates y.
+    """
     y = [0] * n
     free = set(range(n)).difference(cols).pop()
-    y[free] = (-1) ** (free + n - 1) * sign * last
+    y[free] = (-1) ** (free + n - 1) * minor
     # an echelon row is zero before its pivot, and y is still zero there
     for row, col in zip(reversed(work), reversed(cols)):
         y[col] = -sum(map(mul, row, y)) // row[col]

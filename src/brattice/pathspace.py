@@ -278,12 +278,6 @@ class LocallyConstantFunction(Record):
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
 
-    def value_at(self, vertex):
-        return self.values[vertex - 1]
-
-    def is_integral(self):
-        return all(v.denominator == 1 for v in self.values)
-
 
 def refine(func, to_depth, tree):
     """Re-express a function on a deeper level's cylinders: one pass down the
@@ -355,19 +349,23 @@ def end_census(tree, depth=None):
     """End count and condensation summary.
 
     Built-in families and constant-width diagrams have closed forms and come
-    back certified.  Anything else is a finite-depth report: a floor on the
-    end count plus a crude condensation estimate (frontier vertices whose
-    ancestry meets a branch parent within the last two levels).
+    back certified; a family first builds the levels of a default report,
+    so that its own single-growth check runs on them.  Anything else is a
+    finite-depth report: a floor on the end count plus a crude condensation
+    estimate (frontier vertices whose ancestry meets a branch parent within
+    the last two levels).
     """
     diagram = tree.diagram
+    default = min(tree.max_depth(), max(diagram.explicit_depth, 8))
     if diagram.has_tail and tree.family_tag in _FAMILY_CENSUS:
+        tree.ensure_depth(default)
         kind, count, cond = _FAMILY_CENSUS[tree.family_tag]
         return EndCensus(kind, count, cond, True, None)
     if diagram.has_tail and diagram.shape.kind == "type1":
         return EndCensus("finite", diagram.shape.width, 0, True, None)
 
     if depth is None:
-        depth = min(tree.max_depth(), max(diagram.explicit_depth, 8))
+        depth = default
     tree.ensure_depth(depth)
     frontier = tree.level_count(depth)
     recent = 0

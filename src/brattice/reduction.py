@@ -9,7 +9,6 @@ use.  All vertex labels in results are 1-based.
 from __future__ import annotations
 
 from itertools import islice
-from operator import itemgetter
 
 from . import matops
 from .diagram import MultiplicityMatrix
@@ -102,14 +101,22 @@ def minimal_reduce(mat):
 
     The row a step gives j0 to is found in one of two ways.  In general it
     is the first row of column j0 on which y, the one dependency among the
-    top rows without j0, is nonzero: one elimination per step.  A sparse
-    level whose top square B0 = M[top, :] is triangular up to permutation
+    top rows without j0, is nonzero.  One elimination per level finds every
+    y: that of W = B0ᵀ for the top square B0 = M[top, :], whose columns
+    are the top rows from the last.  A step deletes the row of j0 and the
+    column of the previous step's row, resumes from the first pivot either
+    held (see matops._eliminate), and reads y by back substitution.  Steps
+    take columns in rising order and often the first top row, so W's rows
+    go from the last column, and a step mostly resumes at its last pivot.
+    Only y's zero pattern is read, so W's order leaves the answer alone.
+
+    A sparse level whose top square B0 is triangular up to permutation
     decides every step from the one matching of B0, `match`, found before
     the first step by a structural pass, because:
 
-    - y satisfies y·B = λ·e_j0 with λ != 0, for the invertible square
-      B = M[top, cols + {j0}] (its columns other than j0 are the block that
-      y annihilates);
+    - y satisfies y·B = λ·e_j0 with λ != 0, for the invertible square B
+      of the top rows on the columns left (those other than j0 are the
+      block that y annihilates);
     - solving y·B = λ·e_j0 in the triangular order, column by column, gives
       0 to every row matched before column j0, and no row matched after j0
       meets column j0;
@@ -124,9 +131,9 @@ def minimal_reduce(mat):
     they were matched, the rows and columns make that square triangular
     with the matched entries on its diagonal, so its determinant is their
     product up to sign, nonzero, and a scan from the top keeps all c rows.
-    Otherwise one elimination finds `top`, and a sparse level whose `top`
-    leaves out another row than the last looks for the matching of its
-    square.
+    Otherwise W's full rank proves them `top`.  When they are dependent,
+    matops.independent_rows finds `top`, and a sparse level looks for the
+    matching of its square before W is eliminated again.
     """
     mat = _as_mm(mat)
     rows = mat.rows
@@ -141,32 +148,42 @@ def minimal_reduce(mat):
         # the matching of the square of the rows other than `out`, if any
         return _triangular_matching([[i for i, _ in col if i != out] for col in entries], supports)
 
+    # a column is removable when no row's remaining support lies entirely
+    # inside it; those only shrink, so a blocked column stays blocked
+    blocked = {support[0] for support in supports if len(support) == 1}
+
+    def eliminate(top):
+        # W for the rows `top`, eliminated; tags[k] is the column q of row
+        # k.  The rows go in the reverse of the order the steps delete them:
+        # first the blocked columns, which no step removes
+        tags = sorted(range(c), key=lambda q: (q not in blocked, -q))
+        work = [[rows[i][q] for i in reversed(top)] for q in tags]
+        return work, tags, matops._eliminate(work, tags=tags)[0]
+
     # a sparse level, where a column meets a third of the rows or fewer on
     # average, tries the matching first; the test costs O(r) on the supports
     if 3 * sum(map(len, supports)) <= c * (c + 1):
         entries = mat.column_entries
         match = matching(c)
-    if match:
-        top = list(range(c))
-    else:
-        # the lexicographically first independent rows, scanning from the top
-        top = matops.independent_rows(rows)
-        if len(top) < c:
-            raise RankDeficient(f"rank is below {c}")
-        out = next(i for i in range(r) if i not in top)
-        if entries is not None and out != c:
-            match = matching(out)
+    top = list(range(c))
+    if not match:
+        work, tags, cols = eliminate(top)
+        if len(cols) < c:
+            # the lexicographically first independent rows, scanning from the top
+            top = matops.independent_rows(rows)
+            if len(top) < c:
+                raise RankDeficient(f"rank is below {c}")
+            if entries is not None:
+                match = matching(next(i for i in range(r) if i not in top))
+            if not match:
+                work, tags, cols = eliminate(top)
     # checked after the rank so a rank-deficient matrix keeps that verdict
     if () in supports:
         raise ValueError(f"row {supports.index(()) + 1} has no edge, so no reduction exists")
     active = set(range(r))
     removed = set()
     left = list(map(len, supports))  # the columns each row has not lost
-    # a column is removable when no row's remaining support lies entirely
-    # inside it; those only shrink, so a blocked column stays blocked
-    blocked = {support[0] for support in supports if len(support) == 1}
-    cols = list(range(c))  # the columns left, for the elimination
-    columns = None  # the dense columns, built on the first elimination
+    gone = None  # the column of W that the previous step's row held
     parents = [0] * r
     j0 = -1
     while True:
@@ -180,19 +197,31 @@ def minimal_reduce(mat):
         if match:
             bottom = match[j0]
         else:
-            # the dependency among the top rows without column j0, from one
-            # elimination of the block transposed
-            if columns is None:
-                columns = list(zip(*rows))
-            cols.remove(j0)
-            pick = itemgetter(*top)
-            y = matops._null_vector([list(pick(columns[q])) for q in cols], len(top))
-            bottom = top.pop(_pivot(y, [rows[i][j0] for i in top]))
+            # every row of W pivots, so the row of j0 held pivot k
+            k = tags.index(j0)
+            if gone is not None:
+                if gone in cols:
+                    k = min(k, cols.index(gone))
+                for row in work[:k]:
+                    del row[gone]
+                cols = [q - (q > gone) for q in cols]
+            # the rows after the prefix enter again as input rows, if any
+            rest = [q for q in tags[k:] if q != j0]
+            del work[k:], tags[k:], cols[k:]
+            if rest:
+                tags += rest
+                work += [[rows[i][q] for i in reversed(top)] for q in rest]
+                cols = matops._eliminate(work, done=k, tags=tags)[0]
+            # y up to sign, over the top rows from the last
+            y = matops._cofactors(work, cols, len(top), work[-1][cols[-1]])
+            pick = _pivot(y[::-1], [rows[i][j0] for i in top])
+            bottom = top.pop(pick)
+            gone = len(top) - pick
         active.remove(bottom)
         removed.add(j0)
         parents[bottom] = j0 + 1
         # only the rows meeting j0 lose a column, and may block another
-        meets = enumerate(columns[j0]) if entries is None else entries[j0]
+        meets = enumerate(row[j0] for row in rows) if entries is None else entries[j0]
         for i, x in meets:
             if x and i in active:
                 left[i] -= 1

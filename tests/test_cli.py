@@ -397,6 +397,14 @@ def test_reduce_ladder_with_an_extra_row_inside_is_frozen(capsys):
     assert run(capsys, "reduce", str(data / "ladder-extra-row.txt")) == (0, frozen, "")
 
 
+def test_reduce_dense_33x32_is_frozen(capsys):
+    # frozen from one elimination per step, before the steps resumed one
+    # elimination per level
+    data = Path(__file__).parent / "data"
+    frozen = (data / "dense-33x32.out").read_text(encoding="utf-8")
+    assert run(capsys, "reduce", str(data / "dense-33x32.txt")) == (0, frozen, "")
+
+
 def test_reduce_enumerate_json(capsys):
     code, out, _ = run(
         capsys, "reduce", "corpus:threebranch", "--enumerate", "10", "--json"
@@ -486,6 +494,26 @@ def test_pathspace_compare_distinct(capsys):
     )
     assert code == 0
     assert "comparison[rightmost vs alternating]: distinct" in out
+
+
+def test_family_census_runs_the_family_check(capsys):
+    # uhf2 grows by doubling, not by a single branch, and propersub's level 2
+    # has no leftmost branch: a family census fails as the family's tree
+    # does, and certifies nothing
+    for name, family, want in (
+        ("uhf2", "rightmost", "family 'rightmost' needs single growth at level 1"),
+        ("propersub", "leftmost", "level 2: vertex 2 cannot attach to 1"),
+    ):
+        for argv in (
+            ("pathspace", f"corpus:{name}", "--strategy", family, "--census"),
+            ("pathspace", f"corpus:{name}", "--strategy", family, "--census", "--depth", "0"),
+            ("pathspace", f"corpus:{name}", "--strategy", family, "--compare", "alternating"),
+            ("reduce", f"corpus:{name}", "--strategy", family, "--depth", "3"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 1
+            assert "certified" not in out
+            assert want in out + err
 
 
 def test_pathspace_unknown_strategy(capsys):
