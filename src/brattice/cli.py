@@ -29,7 +29,7 @@ from .diagram import (
     write_dot,
     zero_lines,
 )
-from .errors import BratticeError, NotUniqueMinimal, RankDeficient, Singular
+from .errors import BratticeError, NotUniqueMinimal, RankDeficient
 from .k0 import (
     Auto,
     Broken,
@@ -113,7 +113,11 @@ def _need_diagram(ref, verb):
 
 def _strategy(text):
     if text.startswith("map:"):
-        maps, _ = parse_tree_dump(_read(text[len("map:"):]))
+        path = text[len("map:"):]
+        try:
+            maps, _ = parse_tree_dump(_read(path))
+        except ValueError as exc:
+            raise UsageError(f"{path}: {exc}") from None
         return UserMap(maps)
     try:
         return strategy_from_string(text)
@@ -281,11 +285,9 @@ def _reduce_matrix(mat, args):
             outcome = minimal_reduce_square(mat)
         else:
             outcome = minimal_reduce(mat)
-    except (RankDeficient, Singular) as exc:
+    except RankDeficient:
         _, found = first_minimal_reductions(mat, 0)
         msg = f"rank deficient; brute force found {found} reductions"
-        if isinstance(exc, Singular):
-            msg = f"singular; brute force found {found} reductions"
         _emit(args, {"error": msg, "reductions": found}, msg)
         return 1
     payload = {"branch_column": outcome.branch_col, "method": outcome.method, "parents": list(outcome.parents)}

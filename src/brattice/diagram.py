@@ -104,16 +104,9 @@ class MultiplicityMatrix:
             raise IndexOutOfRange(f"entry ({i},{j}) outside {self.nrows}x{self.ncols}")
         return self.rows[i - 1][j - 1]
 
-    def row_support(self, i):
-        """1-based columns where row i (1-based) is positive."""
-        return tuple(q + 1 for q in self.supports[i - 1])
-
     def col_support(self, j):
         """1-based rows where column j (1-based) is positive."""
         return tuple(i + 1 for i, _ in self.column_entries[j - 1])
-
-    def is_row_monomial(self, i):
-        return len(self.supports[i - 1]) == 1
 
     def to_lists(self):
         return [list(row) for row in self.rows]
@@ -228,6 +221,11 @@ def render_entry_token(tok):
     return tok.render() if isinstance(tok, PowToken) else str(int(tok))
 
 
+def _entry_at(tok, n):
+    """An entry token's value at level n."""
+    return tok.value_at(n) if isinstance(tok, PowToken) else tok
+
+
 class PeriodicTail(Record):
     """Repeat template matrices forever; entries may be level-indexed tokens.
 
@@ -257,63 +255,28 @@ class PeriodicTail(Record):
 
     def matrix_at(self, n):
         tpl = self.templates[(n - self.anchor) % self.period]
-        rows = [
-            [t.value_at(n) if isinstance(t, PowToken) else t for t in row]
-            for row in tpl
-        ]
-        return MultiplicityMatrix(rows)
-
-
-def _gicar_level(n):
-    rows = []
-    for i in range(1, n + 3):
-        row = [0] * (n + 1)
-        for j in (i - 1, i):
-            if 1 <= j <= n + 1:
-                row[j - 1] = 1
-        rows.append(row)
-    return MultiplicityMatrix(rows)
-
-
-def _dyadic_level(n):
-    rows = []
-    for i in range(1, n + 1):
-        row = [0] * (n + 1)
-        row[i - 1] = 1
-        rows.append(row)
-    big = [0] * (n + 1)
-    big[n] = 2 ** (n + 1)
-    rows.append(big)
-    last = [0] * (n + 1)
-    last[n] = 1
-    rows.append(last)
-    return MultiplicityMatrix(rows)
-
-
-def _dupline_level(n):
-    rows = []
-    for i in range(1, n + 2):
-        row = [0] * (n + 1)
-        row[i - 1] = 1
-        rows.append(row)
-    last = [0] * (n + 1)
-    last[n] = 1
-    rows.append(last)
-    return MultiplicityMatrix(rows)
+        return MultiplicityMatrix([[_entry_at(t, n) for t in row] for row in tpl])
 
 
 TAIL_FAMILIES = {
+    # (diagonal, corner) of each band; FamilyTail reads them
     # single-growth ladder with two parallel edges at each new vertex pair
-    "gicar": _gicar_level,
+    "gicar": (((-1, 1), (0, 1)), ()),
     # identity lines plus a 2^{n+1}-weighted fork column
-    "dyadic": _dyadic_level,
+    "dyadic": (((0, 1),), ((0, 0, 1), (1, 0, PowToken(2, 1, 1)))),
     # identity lines plus a plain fork column
-    "dupline": _dupline_level,
+    "dupline": (((0, 1),), ((0, 0, 1),)),
 }
 
 
 class FamilyTail(Record):
-    """Named built-in generator covering every level index it is asked for."""
+    """A named built-in band covering every level index it is asked for.
+
+    Level n is (n+2) x (n+1).  Every row i carries the diagonal pattern,
+    (column offset, entry) pairs, at those columns i + offset that exist;
+    then the corner block, (rows up from the last, columns left of the
+    last, entry) triples, overwrites entries counted from the bottom-right.
+    """
 
     name: str
 
@@ -322,7 +285,15 @@ class FamilyTail(Record):
             raise ValueError(f"unknown tail family {self.name!r}")
 
     def matrix_at(self, n):
-        return TAIL_FAMILIES[self.name](n)
+        diagonal, corner = TAIL_FAMILIES[self.name]
+        rows = [[0] * (n + 1) for _ in range(n + 2)]
+        for offset, entry in diagonal:
+            value = _entry_at(entry, n)
+            for i in range(max(0, -offset), min(n + 2, n + 1 - offset)):
+                rows[i][i + offset] = value
+        for up, left, entry in corner:
+            rows[n + 1 - up][n - left] = _entry_at(entry, n)
+        return MultiplicityMatrix(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +499,6 @@ def dilate_step(mat):
     return row_order, tuple(factors)
 
 
-def _permute_rows(mat, row_order_inverse):
-    rows = mat.to_lists()
-    return MultiplicityMatrix([rows[i] for i in row_order_inverse])
-
-
 def normalize_type2(diagram):
     """Rewrite a chain so every level grows by exactly one vertex.
 
@@ -577,7 +543,7 @@ def normalize_type2(diagram):
         for pos, orig in enumerate(row_order):
             inverse[orig] = pos
         factors = list(factors)
-        factors[-1] = _permute_rows(factors[-1], inverse)
+        factors[-1] = MultiplicityMatrix([factors[-1].rows[i] for i in inverse])
         out.extend(factors)
     result = BratteliDiagram(tuple(out), None, ShapeClass("type2"), diagram.name)
     check_valid(result)

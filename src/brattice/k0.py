@@ -167,21 +167,19 @@ class CompletedChain:
         return [[Fraction(x, d) for x in row] for row in nums]
 
 
-def _checked_square(k, raw):
-    """Completion k as a tuple of integer rows and its determinant, once it
-    is checked to be square and invertible."""
-    rows = tuple(tuple(int(x) for x in row) for row in raw)
-    if any(len(r) != len(rows) for r in rows):
-        raise ValueError(f"completion {k} is not square")
-    d = matops.det([list(r) for r in rows])
-    if d == 0:
-        raise SingularCompletion(f"completion {k} is singular")
-    return rows, int(d)
-
-
-def build_chain(completions):
-    """Wrap completed squares into a chain, checking sizes and invertibility."""
-    return _chain([_checked_square(k, raw) for k, raw in enumerate(completions)])
+def build_chain(squares):
+    """Wrap completed squares into a chain, checking that each is square
+    and invertible."""
+    pairs = []
+    for k, raw in enumerate(squares):
+        rows = tuple(tuple(int(x) for x in row) for row in raw)
+        if any(len(r) != len(rows) for r in rows):
+            raise ValueError(f"completion {k} is not square")
+        d = matops.det([list(r) for r in rows])
+        if d == 0:
+            raise SingularCompletion(f"completion {k} is singular")
+        pairs.append((rows, int(d)))
+    return _chain(pairs)
 
 
 def _chain(pairs):
@@ -438,7 +436,6 @@ class WeightScheme:
         self.diagram = diagram
         self.tree = MinimalDiagram(diagram, UserMap(()))
         self._k = [(1,)]
-        self._j = []
         self._b = []
 
     @property
@@ -463,38 +460,25 @@ class WeightScheme:
         prev = self._k[level]
         row = tuple(x[q] * prev[q] for x, (q,) in zip(mat.rows, mat.supports))
         self._k.append(row)
-        self._j.append(j)
         big = max(mat.col_support(j))
         self._b.append(row[big - 1])
-
-    def k(self, vertex, level):
-        self.ensure_depth(level)
-        return self._k[level][vertex - 1]
 
     def weights(self, level):
         self.ensure_depth(level)
         return self._k[level]
-
-    def branch_col(self, level):
-        """Branch column of the matrix between level and level+1."""
-        self.ensure_depth(level + 1)
-        return self._j[level]
 
     def b(self, level):
         """Weight of the larger branch child created by matrix `level`."""
         self.ensure_depth(level + 1)
         return self._b[level]
 
-    def completions(self, depth):
-        """complete_matrix's (square, det) pair at each level below depth."""
+    def chain(self, depth):
+        """The chain whose level-k column is b(k) at the larger branch child."""
         self.ensure_depth(depth)
-        return [
+        return _chain([
             complete_matrix(self.diagram.matrix(level), WeightColumn(self.b(level)))
             for level in range(depth)
-        ]
-
-    def chain(self, depth):
-        return _chain(self.completions(depth))
+        ])
 
     def phi(self, alpha):
         n = len(alpha) - 1
@@ -595,53 +579,9 @@ def automorphism_probe(theta, realizer, depth, candidate_cap=512):
 # chain dump format
 
 
-def format_chain_dump(chain, witnesses=(), funcs=()):
+def format_chain_dump(chain):
     lines = ["chain v1"]
     for k, sq in enumerate(chain.squares):
         rows = " ; ".join(" ".join(str(x) for x in row) for row in sq)
         lines.append(f"A {k}: {rows} det={chain.dets[k]}")
-    for w in witnesses:
-        lines.append(
-            f"witness depth={w.depth}: " + " ".join(str(x) for x in w.alpha)
-        )
-    for f in funcs:
-        lines.append(
-            f"func depth={f.depth}: " + " ".join(matops.frac_str(v) for v in f.values)
-        )
     return "\n".join(lines) + "\n"
-
-
-def parse_chain_dump(text):
-    """Returns (chain, witnesses, funcs); determinants are re-verified."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "chain v1":
-        raise ValueError("expected header 'chain v1'")
-    pairs = []
-    witnesses = []
-    funcs = []
-    for ln in lines[1:]:
-        if ln.startswith("A "):
-            head, _, rest = ln.partition(":")
-            index = int(head.split()[1])
-            if index != len(pairs):
-                raise ValueError(f"chain squares out of order at {ln!r}")
-            body, _, det_part = rest.rpartition("det=")
-            pair = _checked_square(index, (chunk.split() for chunk in body.split(";")))
-            if pair[1] != int(det_part):
-                raise ValueError(f"determinant mismatch in {ln!r}")
-            pairs.append(pair)
-        elif ln.startswith("witness depth="):
-            head, _, rest = ln.partition(":")
-            depth = int(head.split("=")[1])
-            witnesses.append(K0Witness(tuple(int(t) for t in rest.split()), depth))
-        elif ln.startswith("func depth="):
-            head, _, rest = ln.partition(":")
-            depth = int(head.split("=")[1])
-            funcs.append(
-                LocallyConstantFunction(
-                    depth, tuple(Fraction(t) for t in rest.split())
-                )
-            )
-        else:
-            raise ValueError(f"unexpected line {ln!r}")
-    return _chain(pairs), witnesses, funcs

@@ -126,10 +126,9 @@ class BranchData(Record):
 class MinimalDiagram:
     """Reduced tree over a diagram; levels appear on demand."""
 
-    def __init__(self, diagram, strategy, family_tag=None):
+    def __init__(self, diagram, strategy):
         self.diagram = diagram
         self.strategy = strategy
-        self.family_tag = family_tag
         self._parents = []  # _parents[k] covers level k+1, 1-based entries
         self._branches = []  # BranchData | None per materialized level
 
@@ -247,8 +246,7 @@ def build_minimal_diagram(diagram, strategy):
     """Attach a reduction strategy to a diagram and return the lazy tree."""
     if isinstance(strategy, str):
         strategy = strategy_from_string(strategy)
-    family_tag = strategy.name if isinstance(strategy, NamedFamily) else None
-    tree = MinimalDiagram(diagram, strategy, family_tag)
+    tree = MinimalDiagram(diagram, strategy)
     if diagram.explicit_depth:
         tree.ensure_depth(min(diagram.explicit_depth, tree.max_depth()))
     return tree
@@ -357,9 +355,10 @@ def end_census(tree, depth=None):
     """
     diagram = tree.diagram
     default = min(tree.max_depth(), max(diagram.explicit_depth, 8))
-    if diagram.has_tail and tree.family_tag in _FAMILY_CENSUS:
+    family = tree.strategy.name if isinstance(tree.strategy, NamedFamily) else None
+    if diagram.has_tail and family in _FAMILY_CENSUS:
         tree.ensure_depth(default)
-        kind, count, cond = _FAMILY_CENSUS[tree.family_tag]
+        kind, count, cond = _FAMILY_CENSUS[family]
         return EndCensus(kind, count, cond, True, None)
     if diagram.has_tail and diagram.shape.kind == "type1":
         return EndCensus("finite", diagram.shape.width, 0, True, None)
@@ -413,34 +412,39 @@ def format_tree_dump(tree, depth):
 
 
 def parse_tree_dump(text):
-    """Returns (maps, branches): maps is a tuple of (level, parents)."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "tree v1":
-        raise ValueError("expected header 'tree v1'")
+    """Returns (maps, branches): maps is a tuple of (level, parents).  A
+    malformed line raises ValueError naming its 1-based line number."""
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1] != "tree v1":
+        raise ValueError(f"line {lines[0][0] if lines else 1}: expected header 'tree v1'")
     maps = []
     branches = {}
-    for ln in lines[1:]:
-        if ln.startswith("level "):
-            head, _, rest = ln.partition(":")
-            level = int(head.split()[1])
-            parents = []
-            for tok in rest.split():
-                if not tok.startswith("parent("):
-                    raise ValueError(f"bad token {tok!r}")
-                j, p = tok[len("parent("):].split(")=")
-                if int(j) != len(parents) + 1:
-                    raise ValueError(f"parents out of order in {ln!r}")
-                parents.append(int(p))
-            maps.append((level, tuple(parents)))
-        elif ln.startswith("branch "):
-            head, _, rest = ln.partition(":")
-            level = int(head.split()[1])
-            fields = dict(tok.split("=") for tok in rest.split())
-            branches[level] = BranchData(
-                int(fields["a"]), int(fields["r'"]), int(fields["r"])
-            )
-        else:
-            raise ValueError(f"unexpected line {ln!r}")
+    for no, ln in lines[1:]:
+        head, _, rest = ln.partition(":")
+        words = head.split()
+        try:
+            if len(words) != 2 or words[0] not in ("level", "branch"):
+                raise ValueError("expected 'level N:' or 'branch N:'")
+            level = int(words[1])
+            tokens = [tok.partition("=") for tok in rest.split()]
+            if not all(sep for _, sep, _ in tokens):
+                raise ValueError("expected key=value tokens")
+            if words[0] == "level":
+                parents = []
+                for key, _, value in tokens:
+                    if key != f"parent({len(parents) + 1})":
+                        raise ValueError(f"expected parent({len(parents) + 1}), got {key}")
+                    parents.append(int(value))
+                maps.append((level, tuple(parents)))
+            else:
+                fields = {key: value for key, _, value in tokens}
+                branches[level] = BranchData(
+                    int(fields["a"]), int(fields["r'"]), int(fields["r"])
+                )
+        except KeyError as exc:
+            raise ValueError(f"line {no}: no {exc.args[0]}= field in {ln!r}") from None
+        except ValueError as exc:
+            raise ValueError(f"line {no}: {exc} in {ln!r}") from None
     return tuple(maps), branches
 
 

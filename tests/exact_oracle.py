@@ -22,7 +22,9 @@ that ties a chain's determinants, adjugates and scales together.  The
 module ends with helpers the library dropped once only tests called them:
 matrix equality, integrality and scaling, positive rows and columns, size
 vectors, distinguished vertices, and equality, sums and multiples of
-functions.
+functions.  Last come the three hand-written level builders of the
+built-in tail families, which brattice.diagram's band descriptions
+replaced.
 """
 
 from fractions import Fraction
@@ -516,3 +518,44 @@ def lcf_add(f, g):
 def lcf_scale(f, s):
     s = Fraction(s)
     return LocallyConstantFunction(f.depth, tuple(s * v for v in f.values))
+
+
+def gicar_level(n):
+    rows = []
+    for i in range(1, n + 3):
+        row = [0] * (n + 1)
+        for j in (i - 1, i):
+            if 1 <= j <= n + 1:
+                row[j - 1] = 1
+        rows.append(row)
+    return rows
+
+
+def dyadic_level(n):
+    rows = []
+    for i in range(1, n + 1):
+        row = [0] * (n + 1)
+        row[i - 1] = 1
+        rows.append(row)
+    big = [0] * (n + 1)
+    big[n] = 2 ** (n + 1)
+    rows.append(big)
+    last = [0] * (n + 1)
+    last[n] = 1
+    rows.append(last)
+    return rows
+
+
+def dupline_level(n):
+    rows = []
+    for i in range(1, n + 2):
+        row = [0] * (n + 1)
+        row[i - 1] = 1
+        rows.append(row)
+    last = [0] * (n + 1)
+    last[n] = 1
+    rows.append(last)
+    return rows
+
+
+FAMILY_LEVELS = {"gicar": gicar_level, "dyadic": dyadic_level, "dupline": dupline_level}

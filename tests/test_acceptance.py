@@ -49,6 +49,7 @@ from brattice.pathspace import (
 )
 from brattice.reduction import (
     enumerate_minimal_reductions,
+    is_unique_minimal,
     minimal_reduce,
     pivot_row,
     reduction_is_valid,
@@ -357,10 +358,10 @@ def test_criterion_09_weight_scheme_laws():
             for child, parent in enumerate(parents, start=1):
                 if cur[child - 1] != mat.at(child, parent) * prev[parent - 1]:
                     problems.append((trial, level, child, "step recursion"))
-            j = scheme.branch_col(level)
+            j = is_unique_minimal(mat)[1]
             if max(mat.col_support(j)) != j + 1:
                 problems.append((trial, level, "branch rows not adjacent"))
-            if scheme.b(level) != mat.at(j + 1, j) * scheme.k(j, level):
+            if scheme.b(level) != mat.at(j + 1, j) * prev[j - 1]:
                 problems.append((trial, level, "b formula"))
 
         for n in range(depth + 1):
@@ -370,7 +371,7 @@ def test_criterion_09_weight_scheme_laws():
                     child = tree.ancestor(n, i, lev)
                     parent = tree.ancestor(n, i, lev - 1)
                     along *= diagram.matrix(lev - 1).at(child, parent)
-                if scheme.k(i, n) != along:
+                if scheme.weights(n)[i - 1] != along:
                     problems.append((trial, n, i, "path product"))
 
         for _ in range(5):

@@ -378,6 +378,19 @@ def test_reduce_rank_deficient_message(capsys):
     assert out.strip() == "rank deficient; brute force found 0 reductions"
 
 
+def test_reduce_square_matrix(capsys):
+    assert run(capsys, "reduce", "corpus:squareswap") == (0, "parents: 2 1\nmethod: square\n", "")
+    code, out, err = run(capsys, "reduce", "corpus:squareswap", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"branch_column": None, "method": "square", "parents": [2, 1]}
+
+
+def test_reduce_rank_deficient_square(tmp_path, capsys):
+    path = tmp_path / "mat.txt"
+    path.write_text("1 2\n2 4\n")
+    assert run(capsys, "reduce", str(path)) == (1, "rank deficient; brute force found 2 reductions\n", "")
+
+
 def test_reduce_zero_row_matrix(tmp_path, capsys):
     path = tmp_path / "mat.txt"
     path.write_text("1 0\n0 1\n0 0\n")
@@ -452,6 +465,26 @@ def test_reduce_diagram_dumps_tree(capsys):
     assert code == 0
     assert out.startswith("tree v1")
     assert "level 3:" in out
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("tree v1\nbranch 1: a=1\n", "line 2: no r'= field in 'branch 1: a=1'"),
+        (
+            "tree v1\nlevel 1: parent(1)=x\n",
+            "line 2: invalid literal for int() with base 10: 'x' in 'level 1: parent(1)=x'",
+        ),
+        ("tree v1\nbranch 1: a=1 b\n", "line 2: expected key=value tokens in 'branch 1: a=1 b'"),
+    ],
+    ids=["missing-field", "bad-parent", "bare-token"],
+)
+def test_malformed_map_file_is_a_usage_error_naming_its_line(tmp_path, capsys, text, message):
+    path = tmp_path / "map.tree"
+    path.write_text(text)
+    code, out, err = run(capsys, "reduce", "corpus:gicar", "--depth", "1", "--strategy", f"map:{path}")
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {path}: {message}\n"
 
 
 def test_reduce_tree_dot(tmp_path, capsys):

@@ -50,10 +50,8 @@ def test_multiplicity_matrix_basics():
     m = MultiplicityMatrix([[2, 1], [1, 0], [2, 0]])
     assert (m.nrows, m.ncols) == (3, 2)
     assert m.at(1, 2) == 1
-    assert m.row_support(2) == (1,)
+    assert m.supports == ((0, 1), (0,), (0,))
     assert m.col_support(2) == (1,)
-    assert m.is_row_monomial(2)
-    assert not m.is_row_monomial(1)
     assert oracle.has_positive_rows_and_cols(m)
 
 
@@ -144,6 +142,18 @@ def test_family_levels_are_well_formed():
             mat = diagram.matrix(n)
             assert (mat.nrows, mat.ncols) == (n + 2, n + 1), name
             assert oracle.has_positive_rows_and_cols(mat), name
+
+
+@pytest.mark.parametrize("name", sorted(oracle.FAMILY_LEVELS))
+def test_family_bands_match_the_former_builders(name):
+    tail = FamilyTail(name)
+    for n in range(70):
+        assert tail.matrix_at(n).to_lists() == oracle.FAMILY_LEVELS[name](n), (name, n)
+
+
+def test_unknown_tail_family_is_refused():
+    with pytest.raises(ValueError, match="unknown tail family 'pascal'"):
+        FamilyTail("pascal")
 
 
 def test_size_vectors():

@@ -49,6 +49,7 @@ from brattice.pathspace import (
     indicator,
     refine,
 )
+from brattice.reduction import is_unique_minimal
 
 
 GICAR = corpus.get("gicar").diagram()
@@ -515,8 +516,6 @@ def test_weight_scheme_frozen_values():
     assert scheme.weights(3) == (2, 4, 8, 1)
     assert scheme.weights(0) == (1,)
     assert tuple(scheme.b(n) for n in range(3)) == (1, 1, 1)
-    assert scheme.k(1, 3) == 2
-    assert scheme.k(4, 3) == 1
 
 
 def test_weight_scheme_recursion_law():
@@ -528,7 +527,7 @@ def test_weight_scheme_recursion_law():
         cur = scheme.weights(level + 1)
         for child, parent in enumerate(parents, start=1):
             assert cur[child - 1] == mat.at(child, parent) * prev[parent - 1]
-        big = max(mat.col_support(scheme.branch_col(level)))
+        big = max(mat.col_support(is_unique_minimal(mat)[1]))
         assert scheme.b(level) == cur[big - 1]
 
 
@@ -539,11 +538,11 @@ def test_weight_scheme_needs_unique_minimal():
 
 def test_weight_scheme_chain_matches_columns():
     scheme = WeightScheme(DYADIC)
-    for level, (square, _) in enumerate(scheme.completions(3)):
+    for level, square in enumerate(scheme.chain(3).squares):
         mat = DYADIC.matrix(level)
         b = scheme.b(level)
         col = [row[-1] for row in square]
-        big = max(mat.col_support(scheme.branch_col(level)))
+        big = max(mat.col_support(is_unique_minimal(mat)[1]))
         assert col[big - 1] == b
         assert all(x == 0 for i, x in enumerate(col, start=1) if i != big)
 

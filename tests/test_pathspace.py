@@ -255,6 +255,16 @@ def test_tree_dump_round_trip():
     assert format_tree_dump(rebuilt, 4) == text
 
 
+def test_tree_dump_errors_name_their_line():
+    # blank lines count: the numbers are the file's own
+    with pytest.raises(ValueError, match=r"^line 2: expected header 'tree v1'$"):
+        parse_tree_dump("\ntree v2\n")
+    with pytest.raises(ValueError, match=r"^line 4: expected parent\(2\), got parent\(3\) in "):
+        parse_tree_dump("tree v1\nlevel 1: parent(1)=1\n\nlevel 2: parent(1)=1 parent(3)=1\n")
+    with pytest.raises(ValueError, match=r"^line 3: expected 'level N:' or 'branch N:' in 'level:'$"):
+        parse_tree_dump("tree v1\nlevel 1: parent(1)=1\nlevel:\n")
+
+
 def test_tree_dot_marks_branch_parents():
     right = build_minimal_diagram(GICAR, "rightmost")
     dot = write_tree_dot(right, 3)
