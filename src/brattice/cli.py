@@ -13,23 +13,21 @@ from __future__ import annotations
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
 
 from . import corpus as corpus_lib
 from .diagram import (
-    BdspecParseError,
-    MultiplicityMatrix,
     dilate_step,
     format_bdspec,
-    is_ascii_uint,
     normalize_type2,
-    parse_bdspec,
+    read_input,
     telescope,
     validate_diagram,
     write_dot,
     zero_lines,
 )
-from .errors import BratticeError, NotUniqueMinimal, RankDeficient
+from .errors import BratticeError, NotUniqueMinimal, ParseError, RankDeficient
 from .k0 import (
     Auto,
     Broken,
@@ -66,12 +64,18 @@ class UsageError(Exception):
     pass
 
 
-def _read(path):
+def _parse_file(path, parse):
+    """parse(text) of the file at `path`; a ParseError learns the path."""
     try:
         with open(path, encoding="utf-8") as f:
-            return f.read()
-    except OSError as exc:
+            text = f.read()
+    except (OSError, UnicodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
+    try:
+        return parse(text)
+    except ParseError as exc:
+        exc.path = path
+        raise
 
 
 def _load_input(ref):
@@ -85,23 +89,7 @@ def _load_input(ref):
         if entry.kind == "diagram":
             return "diagram", entry.diagram()
         return "matrix", entry.matrix()
-    text = _read(ref)
-    meat = [
-        (no, ln.strip())
-        for no, ln in enumerate(text.splitlines(), start=1)
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
-    if meat and meat[0][1] == "bdspec v1":
-        return "diagram", parse_bdspec(text, name=ref)
-    rows = []
-    for no, ln in meat:
-        toks = ln.split()
-        if not all(is_ascii_uint(t) for t in toks):
-            raise UsageError(f"{ref}: line {no}: neither a bdspec file nor a bare matrix")
-        rows.append([int(t) for t in toks])
-    if not rows:
-        raise UsageError(f"{ref}: empty input")
-    return "matrix", MultiplicityMatrix(rows)
+    return _parse_file(ref, partial(read_input, name=ref))
 
 
 def _need_diagram(ref, verb):
@@ -113,12 +101,7 @@ def _need_diagram(ref, verb):
 
 def _strategy(text):
     if text.startswith("map:"):
-        path = text[len("map:"):]
-        try:
-            maps, _ = parse_tree_dump(_read(path))
-        except ValueError as exc:
-            raise UsageError(f"{path}: {exc}") from None
-        return UserMap(maps)
+        return UserMap(_parse_file(text[len("map:"):], parse_tree_dump))
     try:
         return strategy_from_string(text)
     except ValueError as exc:
@@ -127,14 +110,12 @@ def _strategy(text):
 
 def _parse_func(text, diagram):
     head, sep, rest = text.partition(":")
-    head = head.strip()
-    if not sep or not head.startswith("depth="):
+    key, eq, depth = head.strip().partition("=")
+    depth = _values(depth, "--func", int) if sep and eq and key == "depth" else ()
+    if len(depth) != 1:
         raise UsageError(f"--func must look like 'depth=N: v1 v2 ...', got {text!r}")
-    try:
-        depth = int(head[len("depth="):])
-        values = tuple(Fraction(t) for t in rest.replace(",", " ").split())
-    except ValueError as exc:
-        raise UsageError(f"bad --func value: {exc}") from None
+    (depth,) = depth
+    values = _values(rest, "--func")
     if depth < 0:
         raise UsageError(f"--func depth must be >= 0, got {depth}")
     # depths past the diagram keep their DepthExceeded verdict
@@ -147,26 +128,18 @@ def _parse_func(text, diagram):
     return LocallyConstantFunction(depth, values)
 
 
-def _parse_vector(text, flag):
+def _values(text, flag, convert=Fraction):
+    """The comma- or space-separated values of a flag, each through convert;
+    a bad one is a usage error naming the flag."""
     try:
-        values = tuple(Fraction(t) for t in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise UsageError(f"bad {flag} value: {exc}") from None
-    if not values:
-        raise UsageError(f"{flag} needs at least one value")
-    return values
-
-
-def _parse_ints(text, flag):
-    try:
-        return tuple(int(t) for t in text.replace(",", " ").split())
-    except ValueError as exc:
+        return tuple(map(convert, text.replace(",", " ").split()))
+    except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad {flag} value: {exc}") from None
 
 
 def _hints(args):
     if getattr(args, "column", None):
-        return [ExplicitColumn(_parse_ints(args.column, "--column"))]
+        return [ExplicitColumn(_values(args.column, "--column", int))]
     return Auto()
 
 
@@ -223,7 +196,7 @@ def cmd_validate(args):
 
 def cmd_telescope(args):
     diagram = _need_diagram(args.input, "telescope")
-    out = telescope(diagram, _parse_ints(args.levels, "--levels"))
+    out = telescope(diagram, _values(args.levels, "--levels", int))
     sys.stdout.write(format_bdspec(out))
     if args.dot:
         _write_file(args.dot, write_dot(out, out.explicit_depth))
@@ -281,10 +254,7 @@ def _reduce_matrix(mat, args):
         _emit(args, {"count": count, "maps": [list(p) for p in shown]}, *lines)
         return 0 if count else 1
     try:
-        if mat.nrows == mat.ncols:
-            outcome = minimal_reduce_square(mat)
-        else:
-            outcome = minimal_reduce(mat)
+        outcome = (minimal_reduce_square if mat.nrows == mat.ncols else minimal_reduce)(mat)
     except RankDeficient:
         _, found = first_minimal_reductions(mat, 0)
         msg = f"rank deficient; brute force found {found} reductions"
@@ -398,7 +368,9 @@ def _realizer(args, diagram, depth):
 
 def cmd_k0_phi(args):
     diagram = _need_diagram(args.input, "k0 phi")
-    alpha = _parse_vector(args.alpha, "--alpha")
+    alpha = _values(args.alpha, "--alpha")
+    if not alpha:
+        raise UsageError("--alpha needs at least one value")
     type1 = diagram.shape.kind == "type1"
     if type1:
         depth = _depth(args, diagram)
@@ -450,7 +422,7 @@ def cmd_k0_positive(args):
 
 def _probe_theta(args, count):
     if args.perm:
-        images = _parse_ints(args.perm, "--perm")
+        images = _values(args.perm, "--perm", int)
     elif args.swap:
         i, j = args.swap
         if not (1 <= i <= count and 1 <= j <= count):
@@ -766,16 +738,13 @@ def _run(argv):
         if isinstance(target, dict):
             target = target[args.action][1]
         return target(args)
-    except BdspecParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    except ParseError as exc:
+        print(f"parse error: {exc.path}: {exc}", file=sys.stderr)
         return 2
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except BratticeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (BratticeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import partial
 from itertools import compress
 from operator import index
 
 from . import matops
 from .config import depth_limit
-from .errors import DepthExceeded, IndexOutOfRange, NotDilatable, RankDeficient
+from .errors import DepthExceeded, IndexOutOfRange, NotDilatable, ParseError, RankDeficient
 from .record import Record
 
 
@@ -129,8 +130,7 @@ def multiplicity_rank(m):
 
 def mm_product(later, earlier):
     """Composite multiplicities across two steps: `later` applied after `earlier`."""
-    prod = matops.mat_mul(later.to_lists(), earlier.to_lists())
-    return MultiplicityMatrix([[int(x) for x in row] for row in prod])
+    return MultiplicityMatrix(matops.mat_mul(later.rows, earlier.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -159,23 +159,17 @@ def matrix_fits_shape(shape, n, mat):
 
 def infer_shape(mats):
     """Best-effort shape from a materialized prefix; type2 wins ties."""
-    if all(m.nrows == n + 2 and m.ncols == n + 1 for n, m in enumerate(mats)):
-        return ShapeClass("type2")
-    if mats:
-        width = mats[0].nrows
-        ok = mats[0].ncols == 1 and all(
-            m.nrows == width and m.ncols == width for m in mats[1:]
-        )
-        if ok:
-            return ShapeClass("type1", width)
+    for shape in [ShapeClass("type2")] + [ShapeClass("type1", m.nrows) for m in mats[:1]]:
+        if all(matrix_fits_shape(shape, n, m) for n, m in enumerate(mats)):
+            return shape
     return ShapeClass("irregular")
 
 
 # ---------------------------------------------------------------------------
 # tails
 
-_POW_RE = re.compile(r"^(\d+)\^\{([^{}]+)\}$")
-_AFFINE_RE = re.compile(r"^(?:(\d+)\*?)?n([+-]\d+)?$|^([+-]?\d+)$")
+_POW_RE = re.compile(r"^(\d+)\^\{([^{}]+)\}$", re.ASCII)
+_AFFINE_RE = re.compile(r"^(?:(\d+)\*?)?n([+-]\d+)?$|^([+-]?\d+)$", re.ASCII)
 
 
 class PowToken(Record):
@@ -185,11 +179,15 @@ class PowToken(Record):
     coeff: int
     offset: int
 
-    def value_at(self, n):
+    def exponent(self, n):
+        """coeff*n + offset; a negative one raises ValueError."""
         exp = self.coeff * n + self.offset
         if exp < 0:
             raise ValueError(f"negative exponent at level {n} in {self.render()}")
-        return self.base ** exp
+        return exp
+
+    def value_at(self, n):
+        return self.base ** self.exponent(n)
 
     def render(self):
         if self.coeff == 0:
@@ -201,10 +199,10 @@ class PowToken(Record):
 
 
 def parse_entry_token(tok):
-    """An integer literal or a power token like 2^{n+1}."""
+    """An unsigned integer or a power token like 2^{n+1}."""
     m = _POW_RE.match(tok)
     if not m:
-        return int(tok)
+        return read_uint(tok)
     base = int(m.group(1))
     inner = m.group(2).replace(" ", "")
     am = _AFFINE_RE.match(inner)
@@ -215,10 +213,6 @@ def parse_entry_token(tok):
     coeff = int(am.group(1)) if am.group(1) else 1
     offset = int(am.group(2)) if am.group(2) else 0
     return PowToken(base, coeff, offset)
-
-
-def render_entry_token(tok):
-    return tok.render() if isinstance(tok, PowToken) else str(int(tok))
 
 
 def _entry_at(tok, n):
@@ -249,8 +243,7 @@ class PeriodicTail(Record):
     def period(self):
         return len(self.templates)
 
-    @property
-    def width(self):
+    def columns_at(self, n):
         return len(self.templates[0])
 
     def matrix_at(self, n):
@@ -284,6 +277,9 @@ class FamilyTail(Record):
         if self.name not in TAIL_FAMILIES:
             raise ValueError(f"unknown tail family {self.name!r}")
 
+    def columns_at(self, n):
+        return n + 1
+
     def matrix_at(self, n):
         diagonal, corner = TAIL_FAMILIES[self.name]
         rows = [[0] * (n + 1) for _ in range(n + 2)]
@@ -298,6 +294,16 @@ class FamilyTail(Record):
 
 # ---------------------------------------------------------------------------
 # diagrams
+
+
+def _check_chain(n, cols, rows):
+    """Refuse a matrix of `cols` columns as matrix n below a level of `rows`
+    vertices; level 0 is the root alone."""
+    if cols != rows:
+        raise ValueError(
+            f"matrix {n} has {cols} columns but matrix {n - 1} has {rows} rows"
+            if n else "matrix 0 must have exactly one column"
+        )
 
 
 class BratteliDiagram(Record):
@@ -319,25 +325,15 @@ class BratteliDiagram(Record):
         object.__setattr__(self, "matrices", mats)
         if not mats and self.tail is None:
             raise ValueError("diagram needs at least one matrix or a tail rule")
-        for k in range(len(mats) - 1):
-            if mats[k + 1].ncols != mats[k].nrows:
-                raise ValueError(
-                    f"matrix {k + 1} has {mats[k + 1].ncols} columns but "
-                    f"matrix {k} has {mats[k].nrows} rows"
-                )
-        if isinstance(self.tail, PeriodicTail) and mats:
-            if self.tail.width != mats[-1].nrows:
-                raise ValueError("periodic tail width does not match last matrix")
-        if self.matrix(0).ncols != 1:
-            raise ValueError("matrix 0 must have exactly one column")
+        cols = [m.ncols for m in mats]
+        if self.tail is not None:
+            cols.append(self.tail.columns_at(len(mats)))
+        for n, (c, rows) in enumerate(zip(cols, [1] + [m.nrows for m in mats])):
+            _check_chain(n, c, rows)
         if self.shape is None:
             probe_count = len(mats) if self.tail is None else max(len(mats), 3)
             probe = [self.matrix(k) for k in range(probe_count)]
             object.__setattr__(self, "shape", infer_shape(probe))
-        if self.tail is not None and isinstance(self.tail, FamilyTail) and mats:
-            gen = self.tail.matrix_at(len(mats))
-            if gen.ncols != mats[-1].nrows:
-                raise ValueError("family tail does not chain with the last matrix")
 
     @property
     def explicit_depth(self):
@@ -395,8 +391,6 @@ def zero_lines(mat):
 class ValidationReport(Record):
     ok: bool
     issues: tuple
-    shape: ShapeClass
-    levels_checked: int
 
 
 def validate_diagram(diagram, depth=None):
@@ -413,7 +407,7 @@ def validate_diagram(diagram, depth=None):
                 f"matrix {n} is {mat.nrows}x{mat.ncols}, outside shape "
                 f"{diagram.shape.label()}"
             )
-    return ValidationReport(not issues, tuple(issues), diagram.shape, depth)
+    return ValidationReport(not issues, tuple(issues))
 
 
 def check_valid(diagram, depth=None):
@@ -421,7 +415,6 @@ def check_valid(diagram, depth=None):
     report = validate_diagram(diagram, depth)
     if not report.ok:
         raise ValueError(f"invalid diagram: {report.issues[0]}")
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +532,7 @@ def normalize_type2(diagram):
         except RankDeficient as exc:
             raise NotDilatable(str(exc)) from exc
         # undo the permutation inside the last factor so the chain composes
-        inverse = [0] * len(row_order)
-        for pos, orig in enumerate(row_order):
-            inverse[orig] = pos
+        inverse = sorted(range(len(row_order)), key=row_order.__getitem__)
         factors = list(factors)
         factors[-1] = MultiplicityMatrix([factors[-1].rows[i] for i in inverse])
         out.extend(factors)
@@ -569,101 +560,128 @@ def format_bdspec(diagram):
         for tpl in diagram.tail.templates:
             lines.append("template:")
             for row in tpl:
-                lines.append(" ".join(render_entry_token(t) for t in row))
+                lines.append(" ".join(t.render() if isinstance(t, PowToken) else str(t) for t in row))
     return "\n".join(lines) + "\n"
 
 
-def is_ascii_uint(tok):
-    """ASCII digits only: str.isdigit() also accepts digits such as '²' that
-    int() rejects."""
-    return tok.isascii() and tok.isdigit()
+# reading: every input file passes one line filter, and every integer in
+# it one check; a bad line raises ParseError with the text's own number
 
 
-class BdspecParseError(ValueError):
-    """Malformed bdspec text; carries the 1-based source line number."""
-
-    def __init__(self, lineno, message):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
+def meaningful_lines(text):
+    """(number, line) of each stripped line neither blank nor a '#' comment."""
+    lines = enumerate(map(str.strip, text.splitlines()), start=1)
+    return [(no, ln) for no, ln in lines if ln[:1] not in ("", "#")]
 
 
-def parse_bdspec(text, name=""):
-    lines = [
-        (no, ln.strip())
-        for no, ln in enumerate(text.splitlines(), start=1)
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
-    if not lines or lines[0][1] != "bdspec v1":
-        raise BdspecParseError(lines[0][0] if lines else 1, "expected header 'bdspec v1'")
-    if len(lines) < 2 or not lines[1][1].startswith("shape:"):
-        raise BdspecParseError(
-            lines[1][0] if len(lines) > 1 else lines[0][0],
-            "expected 'shape:' after the header",
-        )
-    shape_words = lines[1][1][len("shape:"):].split()
-    if shape_words == ["type2"]:
-        shape = ShapeClass("type2")
-    elif len(shape_words) == 2 and shape_words[0] == "type1" and is_ascii_uint(shape_words[1]):
-        shape = ShapeClass("type1", int(shape_words[1]))
-    elif shape_words == ["irregular"]:
-        shape = ShapeClass("irregular")
-    else:
-        raise BdspecParseError(lines[1][0], f"unknown shape {' '.join(shape_words)!r}")
+def read_uint(tok):
+    """ASCII digits only: int() also takes '-3', '1_0' and '２'."""
+    if tok.isascii() and tok.isdigit():
+        return int(tok)
+    raise ValueError(f"{tok!r} is not an unsigned integer")
 
-    mats = []
-    tail = None
-    i = 2
-    while i < len(lines):
-        no, ln = lines[i]
-        if ln.startswith("matrix "):
-            head = ln[len("matrix "):].rstrip(":")
-            if not is_ascii_uint(head) or int(head) != len(mats):
-                raise BdspecParseError(no, f"matrix blocks must be consecutive, got {ln!r}")
-            i += 1
-            rows = []
-            while i < len(lines) and is_ascii_uint(lines[i][1][0]):
-                row_no, row_ln = lines[i]
-                try:
-                    rows.append([int(t) for t in row_ln.split()])
-                except ValueError:
-                    raise BdspecParseError(row_no, f"bad matrix row {row_ln!r}") from None
-                i += 1
-            try:
-                mats.append(MultiplicityMatrix(rows))
-            except ValueError as exc:
-                raise BdspecParseError(no, str(exc)) from None
-        elif ln.startswith("tail:"):
-            words = ln[len("tail:"):].split()
-            i += 1
-            if words == ["none"]:
-                tail = None
-            elif len(words) == 2 and words[0] == "family":
-                tail = FamilyTail(words[1])
-            elif len(words) == 2 and words[0] == "periodic" and is_ascii_uint(words[1]):
-                period = int(words[1])
-                templates = []
-                while i < len(lines) and lines[i][1] == "template:":
-                    i += 1
-                    tpl = []
-                    while i < len(lines) and lines[i][1] != "template:" and not lines[i][1].startswith(("matrix", "tail")):
-                        row_no, row_ln = lines[i]
-                        try:
-                            tpl.append(tuple(parse_entry_token(t) for t in row_ln.split()))
-                        except ValueError as exc:
-                            raise BdspecParseError(row_no, str(exc)) from None
-                        i += 1
-                    templates.append(tuple(tpl))
-                if len(templates) != period:
-                    raise BdspecParseError(
-                        no,
-                        f"tail: periodic {period} needs {period} templates, got {len(templates)}",
-                    )
-                tail = PeriodicTail(tuple(templates), len(mats))
-            else:
-                raise BdspecParseError(no, f"unknown tail {' '.join(words)!r}")
+
+def read_row(no, line, entry=read_uint):
+    """Each token of row `line` through `entry`; a bad one names line `no`."""
+    try:
+        return tuple(map(entry, line.split()))
+    except ValueError as exc:
+        raise ParseError(no, f"bad row {line!r}: {exc}") from None
+
+
+def read_matrix(no, rows):
+    """The matrix of numbered rows, in a block that line `no` heads."""
+    data = []
+    for row_no, line in rows:
+        data.append(read_row(row_no, line))
+        if len(data[-1]) != len(data[0]):
+            raise ParseError(row_no, f"ragged row: {len(data[-1])} entries, the first row has {len(data[0])}")
+    return _on_line(no, MultiplicityMatrix, data)
+
+
+def read_input(text, name=""):
+    """('diagram', BratteliDiagram) under a 'bdspec v1' header, else ('matrix', rows)."""
+    lines = meaningful_lines(text)
+    if lines and lines[0][1] == "bdspec v1":
+        return "diagram", _bdspec(lines, name)
+    return "matrix", read_matrix(1, lines)
+
+
+def _on_line(no, call, *args):
+    """call(*args), whose ValueError becomes a ParseError naming line `no`."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        raise ParseError(no, str(exc)) from None
+
+
+def _blocks(lines, head):
+    """(number, head line, body lines up to the next head) per line that
+    starts with `head`; the first line heads a block whatever it holds."""
+    blocks = []
+    for no, ln in lines:
+        if ln.startswith(head) or not blocks:
+            blocks.append((no, ln, []))
         else:
-            raise BdspecParseError(no, f"unexpected line {ln!r}")
-    return BratteliDiagram(tuple(mats), tail, shape, name)
+            blocks[-1][2].append((no, ln))
+    return blocks
+
+
+def _bdspec(lines, name):
+    """The diagram of the meaningful lines under a 'bdspec v1' header."""
+    if len(lines) < 2 or not lines[1][1].startswith("shape:"):
+        raise ParseError(lines[min(1, len(lines) - 1)][0], "expected 'shape:' after the header")
+    no, words = lines[1][0], lines[1][1][len("shape:"):].split()
+    if words[:1] == ["type1"] and len(words) == 2:
+        shape = ShapeClass("type1", _on_line(no, read_uint, words[1]))
+    elif words in (["type2"], ["irregular"]):
+        shape = ShapeClass(words[0])
+    else:
+        raise ParseError(no, f"unknown shape {' '.join(words)!r}")
+    # the tail, if any, ends the file
+    at = next((i for i, (_, ln) in enumerate(lines) if ln.startswith("tail:")), len(lines))
+    mats, rows, tail = [], 1, None
+    for no, ln, body in _blocks(lines[2:at], "matrix "):
+        if ln.rstrip(":") != f"matrix {len(mats)}":
+            raise ParseError(no, f"expected 'matrix {len(mats)}:', got {ln!r}")
+        mat = read_matrix(no, body)
+        _on_line(no, _check_chain, len(mats), mat.ncols, rows)
+        mats.append(mat)
+        rows = mat.nrows
+    if at < len(lines):
+        no, ln = lines[at]
+        tail = _tail(no, ln[len("tail:"):].split(), lines[at + 1:], len(mats))
+        if tail is not None:
+            _on_line(no, _check_chain, len(mats), tail.columns_at(len(mats)), rows)
+    return _on_line(lines[-1][0], BratteliDiagram, tuple(mats), tail, shape, name)
+
+
+def _tail(no, words, body, anchor):
+    """The tail of `tail:` line `no`; its templates serve levels from `anchor` on."""
+    if words == ["none"] or words[:1] == ["family"] and len(words) == 2:
+        if body:
+            raise ParseError(body[0][0], f"unexpected line {body[0][1]!r}")
+        return None if words == ["none"] else _on_line(no, FamilyTail, words[1])
+    if words[:1] != ["periodic"] or len(words) != 2:
+        raise ParseError(no, f"unknown tail {' '.join(words)!r}")
+    period = _on_line(no, read_uint, words[1])
+    templates = []
+    for k, (head_no, head, rows) in enumerate(_blocks(body, "template")):
+        if head != "template:":
+            raise ParseError(head_no, f"expected 'template:', got {head!r}")
+        entry = partial(_template_entry, anchor + k)
+        templates.append(tuple(read_row(row_no, row, entry) for row_no, row in rows))
+    if len(templates) != period:
+        raise ParseError(no, f"tail: periodic {period} needs {period} templates, got {len(templates)}")
+    return _on_line(no, PeriodicTail, tuple(templates), anchor)
+
+
+def _template_entry(level, tok):
+    """A template token whose exponent is >= 0 at `level`, its first level."""
+    tok = parse_entry_token(tok)
+    if isinstance(tok, PowToken):
+        tok.exponent(level)
+    return tok
 
 
 def write_dot(diagram, depth):

@@ -11,6 +11,14 @@ class BratticeError(Exception):
     """Base class for all package-specific errors."""
 
 
+class ParseError(BratticeError, ValueError):
+    """Malformed input text: its 1-based line number, and its file's path."""
+
+    def __init__(self, lineno, message):
+        super().__init__(f"line {lineno}: {message}")
+        self.lineno, self.path = lineno, None
+
+
 class IndexOutOfRange(BratticeError, IndexError):
     """A level or vertex index falls outside the diagram."""
 

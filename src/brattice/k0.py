@@ -365,18 +365,17 @@ def positivity(func, chain, tree, bound=None):
         raise NotInK0(f"no integer witness at depth {verdict.depth_checked}")
     if bound is None:
         bound = tree.max_depth()
-    alpha = [Fraction(x) for x in verdict.alpha]
-    level = verdict.depth
+    alpha, level = list(verdict.alpha), verdict.depth
     while True:
         if all(x >= 0 for x in alpha):
-            return Positive(level, tuple(int(x) for x in alpha))
+            return Positive(level, tuple(alpha))
         if level >= bound:
             return NotPositiveUpTo(bound)
         try:
             mat = tree.diagram.matrix(level)
         except DepthExceeded:
             return Unknown(level)
-        alpha = matops.mat_vec(mat.to_lists(), alpha)
+        alpha = matops.mat_vec(mat.rows, alpha)
         level += 1
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DepthExceeded, Uncertified, UnsupportedUserMap
+from .diagram import meaningful_lines, read_uint
+from .errors import DepthExceeded, ParseError, Uncertified, UnsupportedUserMap
 from .record import Record
 from .reduction import iter_minimal_reductions, minimal_reduce, minimal_reduce_square
 
@@ -399,6 +400,10 @@ def compare_invariants(tree_a, tree_b, depth=None):
 # text formats
 
 
+def _branch_text(b):
+    return f"a={b.parent} r'={b.small_child} r={b.big_child}"
+
+
 def format_tree_dump(tree, depth):
     lines = ["tree v1"]
     for lev, (parents, b) in enumerate(zip(*tree.levels(depth)), start=1):
@@ -407,45 +412,45 @@ def format_tree_dump(tree, depth):
         )
         lines.append(f"level {lev}: {inner}")
         if b is not None:
-            lines.append(f"branch {lev}: a={b.parent} r'={b.small_child} r={b.big_child}")
+            lines.append(f"branch {lev}: {_branch_text(b)}")
     return "\n".join(lines) + "\n"
 
 
 def parse_tree_dump(text):
-    """Returns (maps, branches): maps is a tuple of (level, parents).  A
-    malformed line raises ValueError naming its 1-based line number."""
-    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    """The (level, parents) maps of a `tree v1` dump; a `branch N:` line must
+    be the one level N's parents imply, and a bad line raises ParseError."""
+    lines = meaningful_lines(text)
     if not lines or lines[0][1] != "tree v1":
-        raise ValueError(f"line {lines[0][0] if lines else 1}: expected header 'tree v1'")
-    maps = []
-    branches = {}
+        raise ParseError(lines[0][0] if lines else 1, "expected header 'tree v1'")
+    maps = {}
     for no, ln in lines[1:]:
         head, _, rest = ln.partition(":")
         words = head.split()
         try:
             if len(words) != 2 or words[0] not in ("level", "branch"):
                 raise ValueError("expected 'level N:' or 'branch N:'")
-            level = int(words[1])
-            tokens = [tok.partition("=") for tok in rest.split()]
-            if not all(sep for _, sep, _ in tokens):
-                raise ValueError("expected key=value tokens")
-            if words[0] == "level":
-                parents = []
-                for key, _, value in tokens:
-                    if key != f"parent({len(parents) + 1})":
-                        raise ValueError(f"expected parent({len(parents) + 1}), got {key}")
-                    parents.append(int(value))
-                maps.append((level, tuple(parents)))
-            else:
-                fields = {key: value for key, _, value in tokens}
-                branches[level] = BranchData(
-                    int(fields["a"]), int(fields["r'"]), int(fields["r"])
-                )
-        except KeyError as exc:
-            raise ValueError(f"line {no}: no {exc.args[0]}= field in {ln!r}") from None
+            level = read_uint(words[1])
+            if words[0] == "branch":
+                if level not in maps:
+                    raise ValueError(f"no level {level} line above")
+                b = MinimalDiagram._branch_from(maps[level])
+                if b is None or rest.split() != _branch_text(b).split():
+                    want = "no branch" if b is None else repr(_branch_text(b))
+                    raise ValueError(f"level {level} implies {want}")
+                continue
+            if level in maps:
+                raise ValueError(f"a second level {level} line")
+            parents = []
+            for key, sep, value in (tok.partition("=") for tok in rest.split()):
+                if not sep:
+                    raise ValueError("expected key=value tokens")
+                if key != f"parent({len(parents) + 1})":
+                    raise ValueError(f"expected parent({len(parents) + 1}), got {key}")
+                parents.append(read_uint(value))
+            maps[level] = tuple(parents)
         except ValueError as exc:
-            raise ValueError(f"line {no}: {exc} in {ln!r}") from None
-    return tuple(maps), branches
+            raise ParseError(no, f"{exc} in {ln!r}") from None
+    return tuple(maps.items())
 
 
 def write_tree_dot(tree, depth):

@@ -12,7 +12,7 @@ import pytest
 import brattice
 from brattice import corpus
 from brattice.cli import K0_ACTIONS, VERBS, _read_argv, main
-from brattice.diagram import MultiplicityMatrix, multiplicity_rank, parse_bdspec, telescope
+from brattice.diagram import MultiplicityMatrix, multiplicity_rank, read_input, telescope
 
 
 def run(capsys, *argv):
@@ -44,18 +44,17 @@ def test_validate_parse_error_carries_line(tmp_path, capsys):
     path.write_text("bdspec v1\nshape: type2\nmatrix 0:\n1\nx\n")
     code, out, err = run(capsys, "validate", str(path))
     assert code == 2
-    assert "parse error: line 5" in err
+    assert err.startswith(f"parse error: {path}: line 5: ")
 
 
-def test_bare_matrix_non_ascii_digit_is_usage_error(tmp_path, capsys):
+def test_bare_matrix_non_ascii_digit_is_parse_error(tmp_path, capsys):
     # '²' passes str.isdigit() but int() rejects it
     path = tmp_path / "mat.txt"
     path.write_text("2 1\n1 ²\n1 1\n", encoding="utf-8")
     code, out, err = run(capsys, "reduce", str(path))
     assert code == 2
     assert out == ""
-    assert err.startswith("usage error:")
-    assert "line 2" in err
+    assert err == f"parse error: {path}: line 2: bad row '1 ²': '²' is not an unsigned integer\n"
 
 
 def test_bdspec_non_ascii_digit_is_parse_error(tmp_path, capsys):
@@ -63,7 +62,68 @@ def test_bdspec_non_ascii_digit_is_parse_error(tmp_path, capsys):
     path.write_text("bdspec v1\nshape: type2\nmatrix ²:\n1\n", encoding="utf-8")
     code, _, err = run(capsys, "validate", str(path))
     assert code == 2
-    assert "parse error: line 3" in err
+    assert err.startswith(f"parse error: {path}: line 3: ")
+
+
+# rows that int() alone would take, and the checks that used to run only
+# once the whole file was read; each names the line of its block
+MALFORMED_FILES = [
+    ("ragged-matrix", "1 2\n3\n", 2, "ragged row: 1 entries, the first row has 2"),
+    ("bdspec-underscore", "bdspec v1\nshape: type1 1\nmatrix 0:\n1_0\n", 4, "bad row '1_0'"),
+    ("bdspec-fullwidth", "bdspec v1\nshape: irregular\nmatrix 0:\n1 \uff12\n", 4, "bad row '1 \uff12'"),
+    ("unknown-family", "bdspec v1\nshape: type2\ntail: family pascal\n", 3, "unknown tail family 'pascal'"),
+    ("matrix-0-two-columns", "bdspec v1\nshape: irregular\nmatrix 0:\n1 1\n", 3, "matrix 0 must have exactly one column"),
+    (
+        "matrix-1-unchained",
+        "bdspec v1\nshape: irregular\nmatrix 0:\n1\n1\n# a comment\nmatrix 1:\n1 1 1\n",
+        7,
+        "matrix 1 has 3 columns but matrix 0 has 2 rows",
+    ),
+    (
+        "periodic-width",
+        "bdspec v1\nshape: type1 2\nmatrix 0:\n1\n1\ntail: periodic 1\ntemplate:\n1\n",
+        6,
+        "matrix 1 has 1 columns but matrix 0 has 2 rows",
+    ),
+    (
+        "non-square-template",
+        "bdspec v1\nshape: type1 2\nmatrix 0:\n1\n1\ntail: periodic 1\ntemplate:\n1 1\n1\n",
+        6,
+        "periodic templates must be square and equal-sized",
+    ),
+    (
+        "negative-exponent",
+        "bdspec v1\nshape: type1 1\nmatrix 0:\n1\ntail: periodic 1\ntemplate:\n2^{n-5}\n",
+        7,
+        "negative exponent at level 1 in 2^{n-5}",
+    ),
+    (
+        "negative-literal",
+        "bdspec v1\nshape: type1 1\nmatrix 0:\n1\ntail: periodic 1\ntemplate:\n-3\n",
+        7,
+        "'-3' is not an unsigned integer",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text, lineno, message", [case[1:] for case in MALFORMED_FILES], ids=[case[0] for case in MALFORMED_FILES]
+)
+def test_malformed_file_is_a_parse_error_naming_its_line(tmp_path, capsys, text, lineno, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: {path}: line {lineno}: ")
+    assert message in err and err.count("\n") == 1
+
+
+def test_unreadable_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"1 \xe9\n")
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert err.startswith(f"usage error: cannot read {path}: ")
 
 
 def test_missing_file_is_usage_error(capsys):
@@ -307,7 +367,7 @@ def test_option_the_input_cannot_use_is_a_usage_error(capsys, argv, message):
 def test_telescope_folds_levels(capsys):
     code, out, _ = run(capsys, "telescope", "corpus:gicar", "--levels", "0,2")
     assert code == 0
-    folded = parse_bdspec(out)
+    folded = read_input(out)[1]
     assert folded.matrix(0).to_lists() == [[1], [2], [1]]
     assert folded.max_matrix_index() == 0
 
@@ -337,7 +397,7 @@ def test_huge_entries_print_in_full(tmp_path, capsys):
     cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     code, out, err = run(capsys, "telescope", str(path), "--levels", "0,8,16")
     assert (code, err) == (0, "")
-    entry = telescope(parse_bdspec(HUGE_TAIL), [0, 8, 16]).matrix(1).at(1, 2)
+    entry = telescope(read_input(HUGE_TAIL)[1], [0, 8, 16]).matrix(1).at(1, 2)
     assert entry > 10**4500
     assert f"\n1 {_decimal(entry)}\n" in out
     code, out, err = run(capsys, "k0", "chain", str(path), "--depth", "16")
@@ -358,7 +418,7 @@ def test_dilate_single_level(capsys):
 def test_dilate_normalizes_bootstrap(capsys):
     code, out, _ = run(capsys, "dilate", "corpus:threeline")
     assert code == 0
-    folded = parse_bdspec(out)
+    folded = read_input(out)[1]
     assert folded.shape.kind == "type2"
 
 
@@ -470,21 +530,24 @@ def test_reduce_diagram_dumps_tree(capsys):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("tree v1\nbranch 1: a=1\n", "line 2: no r'= field in 'branch 1: a=1'"),
+        (
+            "tree v1\nlevel 1: parent(1)=1 parent(2)=1\nbranch 1: a=1\n",
+            "line 3: level 1 implies \"a=1 r'=1 r=2\" in 'branch 1: a=1'",
+        ),
         (
             "tree v1\nlevel 1: parent(1)=x\n",
-            "line 2: invalid literal for int() with base 10: 'x' in 'level 1: parent(1)=x'",
+            "line 2: 'x' is not an unsigned integer in 'level 1: parent(1)=x'",
         ),
-        ("tree v1\nbranch 1: a=1 b\n", "line 2: expected key=value tokens in 'branch 1: a=1 b'"),
+        ("tree v1\nlevel 1: parent(1)=1 b\n", "line 2: expected key=value tokens in 'level 1: parent(1)=1 b'"),
     ],
     ids=["missing-field", "bad-parent", "bare-token"],
 )
-def test_malformed_map_file_is_a_usage_error_naming_its_line(tmp_path, capsys, text, message):
+def test_malformed_map_file_is_a_parse_error_naming_its_line(tmp_path, capsys, text, message):
     path = tmp_path / "map.tree"
     path.write_text(text)
     code, out, err = run(capsys, "reduce", "corpus:gicar", "--depth", "1", "--strategy", f"map:{path}")
     assert (code, out) == (2, "")
-    assert err == f"usage error: {path}: {message}\n"
+    assert err == f"parse error: {path}: {message}\n"
 
 
 def test_reduce_tree_dot(tmp_path, capsys):
@@ -699,8 +762,19 @@ def test_k0_positive_definitive(capsys):
         (("positive", "corpus:gicar", "--func", "depth=2: 1 2 3 4"), "--func"),
         (("member", "corpus:gicar", "--weight", "--func", "depth=0:"), "--func"),
         (("phi", "corpus:gicar", "--alpha", ""), "--alpha"),
+        # Fraction raises ZeroDivisionError, not ValueError, on these
+        (("phi", "corpus:gicar", "--alpha", "1/0,2"), "--alpha"),
+        (("member", "corpus:propersub", "--func", "depth=1: 1/0 1"), "--func"),
     ],
-    ids=["negative-depth", "too-few-values", "too-many-values", "weight-no-values", "empty-alpha"],
+    ids=[
+        "negative-depth",
+        "too-few-values",
+        "too-many-values",
+        "weight-no-values",
+        "empty-alpha",
+        "zero-denominator-alpha",
+        "zero-denominator-func",
+    ],
 )
 def test_k0_malformed_vector_is_usage_error(capsys, argv, flag):
     code, out, err = run(capsys, "k0", *argv)

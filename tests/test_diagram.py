@@ -10,7 +10,6 @@ import pytest
 
 from brattice import corpus
 from brattice.diagram import (
-    BdspecParseError,
     BratteliDiagram,
     FamilyTail,
     MultiplicityMatrix,
@@ -24,8 +23,8 @@ from brattice.diagram import (
     mm_product,
     multiplicity_rank,
     normalize_type2,
-    parse_bdspec,
     parse_entry_token,
+    read_input,
     telescope,
     validate_diagram,
     write_dot,
@@ -34,6 +33,7 @@ from brattice.errors import (
     DepthExceeded,
     IndexOutOfRange,
     NotDilatable,
+    ParseError,
     RankDeficient,
 )
 from brattice.reduction import minimal_reduce
@@ -324,18 +324,18 @@ def test_bdspec_round_trip():
     for name in ("gicar", "uhf2", "uhf6", "propersub", "pinch", "threeline"):
         diagram = corpus.get(name).diagram()
         text = format_bdspec(diagram)
-        back = parse_bdspec(text, name=diagram.name)
+        back = read_input(text, diagram.name)[1]
         assert back.matrices == diagram.matrices
         assert back.tail == diagram.tail
         assert back.shape == diagram.shape
 
 
 def test_bdspec_parse_errors_carry_line_numbers():
-    with pytest.raises(BdspecParseError) as info:
-        parse_bdspec("bdspec v1\nshape: type2\nmatrix 0:\n1\nwat\n")
+    with pytest.raises(ParseError) as info:
+        read_input("bdspec v1\nshape: type2\nmatrix 0:\n1\nwat\n")
     assert info.value.lineno == 5
-    with pytest.raises(BdspecParseError):
-        parse_bdspec("not a header\n")
+    with pytest.raises(ParseError):
+        read_input("not a header\n")
 
 
 def test_write_dot_mentions_every_vertex():

@@ -8,7 +8,7 @@ from brattice.diagram import (
     PowToken,
     ShapeClass,
     format_bdspec,
-    parse_bdspec,
+    read_input,
 )
 from brattice.k0 import Auto, build_chain, complete_chain, format_chain_dump
 
@@ -65,7 +65,7 @@ def test_pow_token_tail_round_trip():
     )
     text = format_bdspec(diagram)
     assert "2^{n+1}" in text
-    back = parse_bdspec(text)
+    back = read_input(text)[1]
     assert format_bdspec(back) == text
     # tokens stay symbolic: entries grow with the level
     assert back.matrix(1).at(1, 2) == 4
@@ -76,4 +76,4 @@ def test_family_tail_round_trip_is_exact():
     for name in ("gicar", "dyadic", "propersub"):
         diagram = corpus.get(name).diagram()
         text = format_bdspec(diagram)
-        assert format_bdspec(parse_bdspec(text)) == text
+        assert format_bdspec(read_input(text)[1]) == text

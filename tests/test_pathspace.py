@@ -11,7 +11,7 @@ from brattice.diagram import (
     MultiplicityMatrix,
     ShapeClass,
 )
-from brattice.errors import DepthExceeded, Uncertified, UnsupportedUserMap
+from brattice.errors import DepthExceeded, ParseError, Uncertified, UnsupportedUserMap
 from brattice.pathspace import (
     BranchData,
     Cylinder,
@@ -247,12 +247,19 @@ def test_compare_invariants():
 def test_tree_dump_round_trip():
     right = build_minimal_diagram(GICAR, "rightmost")
     text = format_tree_dump(right, 4)
-    maps, branches = parse_tree_dump(text)
+    maps = parse_tree_dump(text)
     assert maps == tuple((lev, right.parents_at(lev)) for lev in range(1, 5))
-    for lev in range(1, 5):
-        assert branches[lev] == right.branch(lev)
     rebuilt = build_minimal_diagram(GICAR, UserMap(maps))
+    assert [rebuilt.branch(lev) for lev in range(1, 5)] == [right.branch(lev) for lev in range(1, 5)]
     assert format_tree_dump(rebuilt, 4) == text
+    # a '#' line is skipped, as in bdspec and bare matrix files
+    assert parse_tree_dump(text.replace("\nlevel 2", "\n# level 2 next\nlevel 2")) == maps
+    # a branch line must be the one its level's parents imply
+    tampered = text.replace("branch 2: a=2 r'=2 r=3", "branch 2: a=1 r'=1 r=2")
+    with pytest.raises(ParseError, match=r"""^line 5: level 2 implies "a=2 r'=2 r=3" in """):
+        parse_tree_dump(tampered)
+    with pytest.raises(ParseError, match=r"^line 2: no level 3 line above in "):
+        parse_tree_dump("tree v1\nbranch 3: a=3 r'=3 r=4\n")
 
 
 def test_tree_dump_errors_name_their_line():
