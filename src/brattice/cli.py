@@ -254,7 +254,10 @@ def _reduce_matrix(mat, args):
         _emit(args, {"count": count, "maps": [list(p) for p in shown]}, *lines)
         return 0 if count else 1
     try:
-        outcome = (minimal_reduce_square if mat.nrows == mat.ncols else minimal_reduce)(mat)
+        if mat.nrows == mat.ncols:
+            outcome = minimal_reduce_square(mat)
+        else:
+            outcome = minimal_reduce(mat)
     except RankDeficient:
         _, found = first_minimal_reductions(mat, 0)
         msg = f"rank deficient; brute force found {found} reductions"
@@ -503,17 +506,31 @@ def cmd_corpus(args):
 # ---------------------------------------------------------------------------
 # wiring
 
+
+def _input_arg(text):
+    """The input argument.  argparse reads a token that holds a space and
+    names no option of the verb as a positional, so an option the verb does
+    not take, such as `--func=depth=0: 1`, would reach here as a path."""
+    name = text.partition("=")[0]
+    table = [*VERBS.values(), *K0_ACTIONS.values()]
+    if any(name == flag for _, _, arguments in table for flag, _ in arguments):
+        import argparse  # only argparse calls this
+
+        raise argparse.ArgumentTypeError(f"{name} is not an option of this command")
+    return text
+
+
 # One table drives dispatch, the direct reader and the argparse fallback.
 # An argument is (name, add_argument keywords); a verb is (help, target,
 # arguments), and its target is a handler or, for k0, a table of actions.
 # An entry lists only the options its handler reads, so any other option
 # is a usage error.
-_INPUT = ("input", {"help": "bdspec file, bare matrix file, or corpus:NAME"})
+_INPUT = ("input", {"type": _input_arg, "help": "bdspec file, bare matrix file, or corpus:NAME"})
 _DEPTH = ("--depth", {"type": int})
 _DOT = ("--dot", {"metavar": "FILE"})
 _JSON = ("--json", {"action": "store_true"})
 _FUNC = ("--func", {"required": True, "help": "'depth=N: v1 v2 ...'"})
-_K0_INPUT = ("input", {"help": "bdspec file or corpus:NAME"})
+_K0_INPUT = ("input", {"type": _input_arg, "help": "bdspec file or corpus:NAME"})
 _COLUMN = ("--column", {"help": "explicit level-0 completion column, e.g. '0,1'"})
 _WEIGHT = ("--weight", {"action": "store_true", "help": "use the weight scheme"})
 _STRATEGY = ("--strategy", {"help": "tree a completed chain is read through (default: theorem)"})

@@ -215,6 +215,10 @@ def parse_entry_token(tok):
     return PowToken(base, coeff, offset)
 
 
+def render_entry_token(tok):
+    return tok.render() if isinstance(tok, PowToken) else str(int(tok))
+
+
 def _entry_at(tok, n):
     """An entry token's value at level n."""
     return tok.value_at(n) if isinstance(tok, PowToken) else tok
@@ -532,7 +536,9 @@ def normalize_type2(diagram):
         except RankDeficient as exc:
             raise NotDilatable(str(exc)) from exc
         # undo the permutation inside the last factor so the chain composes
-        inverse = sorted(range(len(row_order)), key=row_order.__getitem__)
+        inverse = [0] * len(row_order)
+        for pos, orig in enumerate(row_order):
+            inverse[orig] = pos
         factors = list(factors)
         factors[-1] = MultiplicityMatrix([factors[-1].rows[i] for i in inverse])
         out.extend(factors)
@@ -560,7 +566,7 @@ def format_bdspec(diagram):
         for tpl in diagram.tail.templates:
             lines.append("template:")
             for row in tpl:
-                lines.append(" ".join(t.render() if isinstance(t, PowToken) else str(t) for t in row))
+                lines.append(" ".join(render_entry_token(t) for t in row))
     return "\n".join(lines) + "\n"
 
 
@@ -595,7 +601,9 @@ def read_matrix(no, rows):
     for row_no, line in rows:
         data.append(read_row(row_no, line))
         if len(data[-1]) != len(data[0]):
-            raise ParseError(row_no, f"ragged row: {len(data[-1])} entries, the first row has {len(data[0])}")
+            raise ParseError(
+                row_no, f"ragged row: {len(data[-1])} entries, the first row has {len(data[0])}"
+            )
     return _on_line(no, MultiplicityMatrix, data)
 
 

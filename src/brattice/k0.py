@@ -365,7 +365,8 @@ def positivity(func, chain, tree, bound=None):
         raise NotInK0(f"no integer witness at depth {verdict.depth_checked}")
     if bound is None:
         bound = tree.max_depth()
-    alpha, level = list(verdict.alpha), verdict.depth
+    alpha = list(verdict.alpha)
+    level = verdict.depth
     while True:
         if all(x >= 0 for x in alpha):
             return Positive(level, tuple(alpha))

@@ -245,6 +245,25 @@ def test_option_the_verb_ignores_is_a_usage_error(capsys, argv):
     assert "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pathspace", "--strategy", "theorem", "--depth", "0", "--func=depth=0: 1"],
+        ["k0", "chain", "--alpha=1, 2"],
+    ],
+)
+def test_untaken_option_with_a_spaced_value_is_not_the_input(capsys, argv):
+    # argparse reads such a token as a positional; with no input given it
+    # must not become the path
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    name = argv[-1].partition("=")[0]
+    assert f"argument input: {name} is not an option of this command" in err
+
+
 NO_CHAIN = "a completed chain, which --weight does not build"
 
 

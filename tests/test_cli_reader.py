@@ -134,9 +134,7 @@ def _carries_untaken(argv):
             return False
         arguments = target[argv[1]][2]
     untaken = _untaken(arguments)
-    # argparse reads a token with a space that names no option of the verb
-    # as a positional: `pathspace --func=depth=0: 1` gives it as the input
-    return any(tok.partition("=")[0] in untaken and " " not in tok for tok in argv)
+    return any(tok.partition("=")[0] in untaken for tok in argv)
 
 
 def test_vocabulary_covers_the_table():
