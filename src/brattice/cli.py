@@ -105,7 +105,7 @@ def _strategy(text):
     try:
         return strategy_from_string(text)
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(f"bad --strategy value: {exc}") from None
 
 
 def _parse_func(text, diagram):

@@ -107,7 +107,9 @@ def strategy_from_string(text):
     if text in ("rightmost", "leftmost", "alternating"):
         return NamedFamily(text)
     if text.startswith("positions:"):
-        nums = tuple(int(t) for t in text[len("positions:"):].split(",") if t)
+        nums = tuple(map(read_uint, text[len("positions:"):].replace(",", " ").split()))
+        if 0 in nums:
+            raise ValueError("positions are 1-based, got 0")
         return NamedFamily("positions", nums)
     raise ValueError(f"unknown strategy {text!r}")
 

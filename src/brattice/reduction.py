@@ -63,31 +63,38 @@ def pivot_row(b):
     return _pivot(y, [r[s - 1] for r in rows]) + 1
 
 
-def _triangular_matching(col_rows, row_cols):
-    """The one row-column matching of a square whose nonzero pattern is
-    triangular up to a permutation of its rows and columns, as a dict
-    column -> row; None when the square is not triangular.
+def _triangular_matching(columns, supports, out):
+    """The one row-column matching of the square of the rows other than
+    `out`, when its nonzero pattern is triangular up to a permutation of its
+    rows and columns, as a list: column -> row; None when it is not.
 
-    `col_rows[q]` lists the rows meeting column q and `row_cols[i]` the
-    columns meeting row i.  A column with one unmatched row left can only be
-    matched to that row; the pass matches such columns until every column
-    is matched or none is left to match.  No arithmetic is done.
+    `columns[q]` lists the nonzero entries of column q as (row, value)
+    pairs and `supports[i]` the columns meeting row i: a matrix's kept
+    sparse view, read in place.  A column with one unmatched row left can
+    only be matched to that row; the pass matches such columns until every
+    column is matched or none is left to match.  No arithmetic is done.
     """
-    left = [len(rs) for rs in col_rows]  # unmatched rows left in each column
-    match = {}
-    matched = set()
+    used = [False] * len(supports)  # the rows matched, and `out`
+    used[out] = True
+    left = list(map(len, columns))  # unused rows left in each column
+    for q in supports[out]:
+        left[q] -= 1
+    match = [0] * len(columns)
     ready = [q for q, n in enumerate(left) if n == 1]
     for q in ready:  # the loop also visits the columns appended below
-        row = next((i for i in col_rows[q] if i not in matched), None)
-        if row is None:
+        for row, _ in columns[q]:
+            if not used[row]:
+                break
+        else:
             return None  # its one row went to another column: singular pattern
         match[q] = row
-        matched.add(row)
-        for p in row_cols[row]:
+        used[row] = True
+        for p in supports[row]:
             left[p] -= 1
             if left[p] == 1:
                 ready.append(p)
-    return match if len(match) == len(col_rows) else None
+    # a column enters `ready` once, when one row is left in it
+    return match if len(ready) == len(columns) else None
 
 
 def minimal_reduce(mat):
@@ -110,9 +117,9 @@ def minimal_reduce(mat):
     go from the last column, and a step mostly resumes at its last pivot.
     Only y's zero pattern is read, so W's order leaves the answer alone.
 
-    A sparse level whose top square B0 is triangular up to permutation
-    decides every step from the one matching of B0, `match`, found before
-    the first step by a structural pass, because:
+    A level whose top square B0 is triangular up to permutation decides
+    every step from the one matching of B0, `match`, found before the first
+    step by a structural pass, because:
 
     - y satisfies y·B = λ·e_j0 with λ != 0, for the invertible square B
       of the top rows on the columns left (those other than j0 are the
@@ -126,14 +133,25 @@ def minimal_reduce(mat):
       triangular under the same matching, so one matching decides every
       step.
 
-    A sparse level first looks for the matching of its first c rows.  When
-    there is one, those rows are `top`, with no arithmetic: in the order
-    they were matched, the rows and columns make that square triangular
-    with the matched entries on its diagonal, so its determinant is their
+    The pass is tried exactly when the square has a row with one column.
+    That is necessary, not a guess: in the order the pass matches them, the
+    rows and columns make the square triangular, so its last matched row
+    meets only its own column.  The test is O(c) on the kept supports, and
+    a dense level fails it without building the column view.
+
+    A level first looks for the matching of its first c rows.  When there
+    is one, those rows are `top`, with no arithmetic: in the order they
+    were matched, the rows and columns make that square triangular with
+    the matched entries on its diagonal, so its determinant is their
     product up to sign, nonzero, and a scan from the top keeps all c rows.
     Otherwise W's full rank proves them `top`.  When they are dependent,
-    matops.independent_rows finds `top`, and a sparse level looks for the
-    matching of its square before W is eliminated again.
+    matops.independent_rows finds `top`, and the matching of its square is
+    looked for before W is eliminated again.
+
+    The steps keep flat lists: a row is still to assign while its parent is
+    0, a column is `removed` once a step gives it away and `blocked` once
+    some row has only it left, and the columns are scanned once, in rising
+    order, because a column blocked during a step lies after that step's j0.
     """
     mat = _as_mm(mat)
     rows = mat.rows
@@ -142,30 +160,33 @@ def minimal_reduce(mat):
         raise ValueError(f"expected one more row than columns, got {r}x{c}")
     supports = mat.supports
     entries = None
-    match = None
 
-    def matching(out):
-        # the matching of the square of the rows other than `out`, if any
-        return _triangular_matching([[i for i, _ in col if i != out] for col in entries], supports)
+    def matching(top, out):
+        # the matching of the square of the rows `top`, tried when one of
+        # them has a single column
+        nonlocal entries
+        if any(len(supports[i]) == 1 for i in top):
+            entries = mat.column_entries
+            return _triangular_matching(entries, supports, out)
+        return None
 
     # a column is removable when no row's remaining support lies entirely
     # inside it; those only shrink, so a blocked column stays blocked
-    blocked = {support[0] for support in supports if len(support) == 1}
+    blocked = [False] * c
+    for support in supports:
+        if len(support) == 1:
+            blocked[support[0]] = True
 
     def eliminate(top):
         # W for the rows `top`, eliminated; tags[k] is the column q of row
         # k.  The rows go in the reverse of the order the steps delete them:
         # first the blocked columns, which no step removes
-        tags = sorted(range(c), key=lambda q: (q not in blocked, -q))
+        tags = sorted(range(c), key=lambda q: (not blocked[q], -q))
         work = [[rows[i][q] for i in reversed(top)] for q in tags]
         return work, tags, matops._eliminate(work, tags=tags)[0]
 
-    # a sparse level, where a column meets a third of the rows or fewer on
-    # average, tries the matching first; the test costs O(r) on the supports
-    if 3 * sum(map(len, supports)) <= c * (c + 1):
-        entries = mat.column_entries
-        match = matching(c)
     top = list(range(c))
+    match = matching(top, c)
     if not match:
         work, tags, cols = eliminate(top)
         if len(cols) < c:
@@ -173,27 +194,21 @@ def minimal_reduce(mat):
             top = matops.independent_rows(rows)
             if len(top) < c:
                 raise RankDeficient(f"rank is below {c}")
-            if entries is not None:
-                match = matching(next(i for i in range(r) if i not in top))
+            match = matching(top, next(i for i in range(r) if i not in top))
             if not match:
                 work, tags, cols = eliminate(top)
     # checked after the rank so a rank-deficient matrix keeps that verdict
     if () in supports:
         raise ValueError(f"row {supports.index(()) + 1} has no edge, so no reduction exists")
-    active = set(range(r))
-    removed = set()
+    removed = [False] * c
     left = list(map(len, supports))  # the columns each row has not lost
     gone = None  # the column of W that the previous step's row held
     parents = [0] * r
-    j0 = -1
-    while True:
-        # the columns before the last j0 are removed or blocked
-        j0 = next((j for j in range(j0 + 1, c) if j not in blocked), None)
-        if j0 is None:
-            # every column is the whole support of some row: assignments are forced
-            for i in active:
-                parents[i] = next(q for q in supports[i] if q not in removed) + 1
-            break
+    for j0 in range(c):
+        # a column blocked by a step lies after that step's j0: the ones
+        # before it were removed or blocked already
+        if blocked[j0]:
+            continue
         if match:
             bottom = match[j0]
         else:
@@ -217,19 +232,30 @@ def minimal_reduce(mat):
             pick = _pivot(y[::-1], [rows[i][j0] for i in top])
             bottom = top.pop(pick)
             gone = len(top) - pick
-        active.remove(bottom)
-        removed.add(j0)
+        removed[j0] = True
         parents[bottom] = j0 + 1
         # only the rows meeting j0 lose a column, and may block another
         meets = enumerate(row[j0] for row in rows) if entries is None else entries[j0]
         for i, x in meets:
-            if x and i in active:
+            if x and not parents[i]:
                 left[i] -= 1
                 if left[i] == 1:
-                    blocked.add(next(q for q in supports[i] if q not in removed))
+                    for q in supports[i]:
+                        if not removed[q]:
+                            blocked[q] = True
+                            break
+    # every column left is the whole support of some row: assignments are forced
+    for i, support in enumerate(supports):
+        if not parents[i]:
+            for q in support:
+                if not removed[q]:
+                    parents[i] = q + 1
+                    break
     # c + 1 rows cover c columns, so exactly one column takes two rows
-    branch = next(j for j in parents if parents.count(j) == 2)
-    return ReductionOutcome(tuple(parents), branch, "tall")
+    takes = [0] * (c + 1)
+    for j in parents:
+        takes[j] += 1
+    return ReductionOutcome(tuple(parents), takes.index(2), "tall")
 
 
 def minimal_reduce_square(mat):

@@ -489,6 +489,14 @@ def test_reduce_ladder_with_an_extra_row_inside_is_frozen(capsys):
     assert run(capsys, "reduce", str(data / "ladder-extra-row.txt")) == (0, frozen, "")
 
 
+def test_reduce_small_shuffled_ladder_is_frozen(capsys):
+    # frozen when a density test sent this 5 x 4 level to elimination; its
+    # one-column row now lets the matching decide it
+    data = Path(__file__).parent / "data"
+    frozen = (data / "ladder-small.out").read_text(encoding="utf-8")
+    assert run(capsys, "reduce", str(data / "ladder-small.txt")) == (0, frozen, "")
+
+
 def test_reduce_dense_33x32_is_frozen(capsys):
     # frozen from one elimination per step, before the steps resumed one
     # elimination per level
@@ -635,6 +643,17 @@ def test_pathspace_unknown_strategy(capsys):
     code, _, err = run(capsys, "pathspace", "corpus:gicar", "--strategy", "bogus")
     assert code == 2
     assert err.startswith("usage error:")
+
+
+@pytest.mark.parametrize(
+    "text", ["positions:1_0", "positions:１", "positions:-1", "positions:a", "positions:0", "positions:2,0"]
+)
+def test_strategy_positions_read_as_unsigned_integers(capsys, text):
+    # positions are 1-based unsigned integers, read as every other input is
+    code, out, err = run(capsys, "reduce", "corpus:gicar", "--depth", "2", "--strategy", text)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: bad --strategy value:")
+    assert "invalid literal" not in err
 
 
 def test_pathspace_json_round(capsys):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brattice import corpus, matops, reduction
+from brattice.diagram import MultiplicityMatrix
 from brattice.errors import RankDeficient, Singular
 from brattice.pathspace import build_minimal_diagram, format_tree_dump
 from brattice.reduction import _pivot, _triangular_matching, minimal_reduce, pivot_row
@@ -306,6 +307,13 @@ def test_minimal_reduce_matches_rescanning_reduction_up_to_24_columns(shape):
             assert minimal_reduce(rows).parents == oracle.minimal_reduce_parents(rows)
 
 
+def matching(rows, out):
+    """The triangular matching of the rows other than `out`, on the sparse
+    view of integer rows of any sign, read by dense scans."""
+    supports = [tuple(q for q, x in enumerate(row) if x) for row in rows]
+    return _triangular_matching(oracle.dense_column_entries(rows), supports, out)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(tall_matrices(), st.builds(shuffled_ladder, st.randoms(use_true_random=False), st.integers(1, 14))))
 def test_first_rows_matching_makes_them_the_top_rows(rows):
@@ -313,10 +321,7 @@ def test_first_rows_matching_makes_them_the_top_rows(rows):
     # from the top keeps them all: minimal_reduce takes them with no
     # elimination
     c = len(rows[0])
-    match = _triangular_matching(
-        [[i for i in range(c) if rows[i][q]] for q in range(c)],
-        [[q for q, x in enumerate(row) if x] for row in rows],
-    )
+    match = matching(rows, c)
     if match is None:
         return
     assert matops.independent_rows(rows) == list(range(c))
@@ -355,8 +360,8 @@ def _spy_matchings(monkeypatch):
     none, in call order."""
     found = []
 
-    def spy(col_rows, row_cols):
-        found.append(_triangular_matching(col_rows, row_cols))
+    def spy(columns, supports, out):
+        found.append(_triangular_matching(columns, supports, out))
         return found[-1]
 
     monkeypatch.setattr(reduction, "_triangular_matching", spy)
@@ -375,9 +380,9 @@ def test_matching_decides_shuffled_ladders(monkeypatch):
         # a draw whose extra row sits above the band finds no matching on
         # its first c rows, and one on its top rows after one elimination
         decided += any(found)
-    # the rest are too dense to try it (small c), or the extra row lands in
-    # a top square that is not triangular
-    assert 3 * decided >= len(draws)
+    # in the rest the extra row lands in a top square that is not
+    # triangular
+    assert decided >= 109
 
 
 @st.composite
@@ -399,12 +404,10 @@ def test_matching_picks_the_row_elimination_picks(case):
     square, j0 = case
     n = len(square)
     columns = [list(col) for col in zip(*square)]
-    match = _triangular_matching(
-        [[i for i, x in enumerate(col) if x] for col in columns],
-        [[q for q, x in enumerate(row) if x] for row in square],
-    )
-    assert sorted(match) == sorted(match.values()) == list(range(n))
-    assert all(square[i][q] for q, i in match.items())
+    # the square under a zero row, which the pass leaves out
+    match = matching(square + [[0] * n], n)
+    assert sorted(match) == list(range(n))
+    assert all(square[i][q] for q, i in enumerate(match))
     # the first step: the one dependency among the rows without column j0
     y = matops._null_vector([col for q, col in enumerate(columns) if q != j0], n)
     assert match[j0] == _pivot(y, columns[j0])
@@ -412,12 +415,31 @@ def test_matching_picks_the_row_elimination_picks(case):
 
 def test_matching_frozen():
     # column 1 meets only row 0, which leaves row 1 to column 0
-    assert _triangular_matching([[0, 1], [0]], [[0, 1], [0]]) == {1: 0, 0: 1}
+    assert matching([[1, 1], [1, 0], [0, 0]], 2) == [1, 0]
     # a full 2 x 2 pattern, and a column no row meets
-    assert _triangular_matching([[0, 1], [0, 1]], [[0, 1], [0, 1]]) is None
-    assert _triangular_matching([[0], []], [[0], []]) is None
+    assert matching([[1, 1], [1, 1], [0, 0]], 2) is None
+    assert matching([[1, 0], [0, 0], [0, 0]], 2) is None
     # two columns left with the same one row
-    assert _triangular_matching([[0], [0]], [[0, 1], []]) is None
+    assert matching([[1, 1], [0, 0], [0, 0]], 2) is None
+    # the row left out is passed over wherever it stands
+    rows = [[1, 1], [1, 0], [0, 1]]
+    assert [matching(rows, out) for out in range(3)] == [[1, 2], [0, 2], [1, 0]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    triangular_squares().map(lambda case: case[0] + [[0] * len(case[0])]),
+    st.builds(shuffled_ladder, st.randoms(use_true_random=False), st.integers(1, 14)),
+    tall_matrices(),
+))
+def test_every_matched_square_has_a_one_column_row(rows):
+    # the gate minimal_reduce puts before the pass loses no square: in the
+    # order the pass matches them, a matched square is triangular, so its
+    # last matched row has one nonzero entry
+    for out in range(len(rows)):
+        if matching(rows, out) is not None:
+            square = rows[:out] + rows[out + 1:]
+            assert any(sum(map(bool, row)) == 1 for row in square)
 
 
 def test_extra_row_inside_the_ladder_takes_one_elimination(monkeypatch):
@@ -445,22 +467,28 @@ def _refuse(*args):
 
 
 def test_ladder_levels_reduce_without_elimination(monkeypatch):
-    # from 5 columns on, gicar levels pass the sparsity test: the matching
-    # of the first c rows picks the top rows and decides every step
-    d = corpus.get("gicar").diagram()
-    want = [minimal_reduce(d.matrix(level)).parents for level in range(4, 24)]
+    # every theorem level of the three ladders, from the first, has a
+    # one-column row among its first c rows: their matching picks the top
+    # rows and decides every step
+    levels = [corpus.get(name).diagram().matrix(level)
+              for name in ("gicar", "dyadic", "propersub") for level in range(24)]
+    want = [oracle.minimal_reduce_parents(mat.to_lists()) for mat in levels]
     for name in ("_eliminate", "_cofactors", "_null_vector", "independent_rows"):
         monkeypatch.setattr(matops, name, _refuse)
     found = _spy_matchings(monkeypatch)
-    assert [minimal_reduce(d.matrix(level)).parents for level in range(4, 24)] == want
-    assert len(found) == 20
+    assert [minimal_reduce(mat).parents for mat in levels] == want
+    assert len(found) == 72
     assert all(found)
 
 
 def test_dense_levels_skip_the_matching(monkeypatch):
+    # no row has a single column, so the matching is not tried and the
+    # column view is not built
     rng = random.Random(8)
     rows = [[rng.randint(1, 3) for _ in range(8)] for _ in range(9)]
     assert oracle.rank(rows) == 8
-    want = minimal_reduce(rows).parents
+    want = oracle.minimal_reduce_parents(rows)
     monkeypatch.setattr(reduction, "_triangular_matching", _refuse)
-    assert minimal_reduce(rows).parents == want
+    mat = MultiplicityMatrix(rows)
+    assert minimal_reduce(mat).parents == want
+    assert mat._columns is None

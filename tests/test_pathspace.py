@@ -51,6 +51,7 @@ def test_strategy_from_string():
     assert isinstance(strategy_from_string("lexfirst"), LexFirst)
     assert strategy_from_string("rightmost") == NamedFamily("rightmost")
     assert strategy_from_string("positions:1,2") == NamedFamily("positions", (1, 2))
+    assert strategy_from_string("positions:1, 2") == NamedFamily("positions", (1, 2))
     with pytest.raises(ValueError):
         strategy_from_string("bogus")
 
