@@ -7,7 +7,6 @@ positivity exactly, and breaks a would-be automorphism with a witness.
 from fractions import Fraction
 
 from brattice import corpus
-from brattice.matops import frac_str
 from brattice.k0 import (
     Broken,
     ExplicitColumn,
@@ -34,7 +33,7 @@ def main():
     print()
 
     def fmt(values):
-        return "(" + ", ".join(frac_str(v) for v in values) + ")"
+        return "(" + ", ".join(str(v) for v in values) + ")"
 
     alpha = (1, 1, 0, 0)
     f = phi(alpha, chain, tree)

@@ -17,6 +17,7 @@ from functools import partial
 from types import SimpleNamespace
 
 from . import corpus as corpus_lib
+from .config import read_uint
 from .diagram import (
     dilate_step,
     format_bdspec,
@@ -111,7 +112,7 @@ def _strategy(text):
 def _parse_func(text, diagram):
     head, sep, rest = text.partition(":")
     key, eq, depth = head.strip().partition("=")
-    depth = _values(depth, "--func", int) if sep and eq and key == "depth" else ()
+    depth = _values(depth, "--func", integer) if sep and eq and key == "depth" else ()
     if len(depth) != 1:
         raise UsageError(f"--func must look like 'depth=N: v1 v2 ...', got {text!r}")
     (depth,) = depth
@@ -128,7 +129,22 @@ def _parse_func(text, diagram):
     return LocallyConstantFunction(depth, values)
 
 
-def _values(text, flag, convert=Fraction):
+def integer(tok):
+    """An optional '-', then the ASCII digits read_uint takes."""
+    try:
+        return -read_uint(tok[1:]) if tok[:1] == "-" else read_uint(tok)
+    except ValueError:
+        raise ValueError(f"{tok!r} is not an integer") from None
+
+
+def rational(tok):
+    """[-]N or [-]N/D, the denominator unsigned; a zero one raises
+    ZeroDivisionError."""
+    num, slash, den = tok.partition("/")
+    return Fraction(integer(num), read_uint(den) if slash else 1)
+
+
+def _values(text, flag, convert=rational):
     """The comma- or space-separated values of a flag, each through convert;
     a bad one is a usage error naming the flag."""
     try:
@@ -139,7 +155,7 @@ def _values(text, flag, convert=Fraction):
 
 def _hints(args):
     if getattr(args, "column", None):
-        return [ExplicitColumn(_values(args.column, "--column", int))]
+        return [ExplicitColumn(_values(args.column, "--column", integer))]
     return Auto()
 
 
@@ -157,16 +173,12 @@ def _write_file(path, text):
     print(f"wrote {path}")
 
 
-def _emit_json(payload):
-    import json  # only the --json verbs pay for loading it
-
-    print(json.dumps(payload, sort_keys=True))
-
-
 def _emit(args, payload, *lines):
     """The payload as one JSON line under --json, else the text lines."""
     if args.json:
-        _emit_json(payload)
+        import json  # only the --json verbs pay for loading it
+
+        print(json.dumps(payload, sort_keys=True))
     else:
         print(*lines, sep="\n")
 
@@ -196,11 +208,7 @@ def cmd_validate(args):
 
 def cmd_telescope(args):
     diagram = _need_diagram(args.input, "telescope")
-    out = telescope(diagram, _values(args.levels, "--levels", int))
-    sys.stdout.write(format_bdspec(out))
-    if args.dot:
-        _write_file(args.dot, write_dot(out, out.explicit_depth))
-    return 0
+    return _write_bdspec(args, telescope(diagram, _values(args.levels, "--levels", integer)))
 
 
 def cmd_dilate(args):
@@ -214,10 +222,14 @@ def cmd_dilate(args):
             for row in fac.rows:
                 print("  " + _fmt_vec(row))
         return 0
-    out = normalize_type2(diagram)
-    sys.stdout.write(format_bdspec(out))
+    return _write_bdspec(args, normalize_type2(diagram))
+
+
+def _write_bdspec(args, diagram):
+    """A built diagram as bdspec on stdout, and drawn under --dot."""
+    sys.stdout.write(format_bdspec(diagram))
     if args.dot:
-        _write_file(args.dot, write_dot(out, out.explicit_depth))
+        _write_file(args.dot, write_dot(diagram, diagram.explicit_depth))
     return 0
 
 
@@ -275,31 +287,27 @@ def cmd_pathspace(args):
     diagram = _need_diagram(args.input, "pathspace")
     tree = build_minimal_diagram(diagram, _strategy(args.strategy))
     census = end_census(tree, args.depth)
-    if args.json:
-        payload = {
-            "certified": census.certified,
-            "condensation": census.condensation,
-            "count": census.count,
-            "kind": census.kind,
-            "strategy": args.strategy,
-        }
-        if args.compare:
-            other = build_minimal_diagram(diagram, _strategy(args.compare))
-            payload["comparison"] = compare_invariants(tree, other, args.depth)
-        _emit_json(payload)
-    else:
-        print(f"census[{args.strategy}]: {census.summary()}")
-        if args.census:
-            print(f"  kind: {census.kind}")
-            print(f"  count: {'infinite' if census.count is None else census.count}")
-            print(f"  condensation: {census.condensation}")
-            print(f"  certified: {'yes' if census.certified else 'no'}")
-            if census.depth_examined is not None:
-                print(f"  depth examined: {census.depth_examined}")
-        if args.compare:
-            other = build_minimal_diagram(diagram, _strategy(args.compare))
-            verdict = compare_invariants(tree, other, args.depth)
-            print(f"comparison[{args.strategy} vs {args.compare}]: {verdict}")
+    payload = {
+        "certified": census.certified,
+        "condensation": census.condensation,
+        "count": census.count,
+        "kind": census.kind,
+        "strategy": args.strategy,
+    }
+    lines = [f"census[{args.strategy}]: {census.summary()}"]
+    if args.census:
+        lines.append(f"  kind: {census.kind}")
+        lines.append(f"  count: {'infinite' if census.count is None else census.count}")
+        lines.append(f"  condensation: {census.condensation}")
+        lines.append(f"  certified: {'yes' if census.certified else 'no'}")
+        if census.depth_examined is not None:
+            lines.append(f"  depth examined: {census.depth_examined}")
+    if args.compare:
+        # compared before anything prints, so a refusal prints no half verdict
+        other = build_minimal_diagram(diagram, _strategy(args.compare))
+        payload["comparison"] = verdict = compare_invariants(tree, other, args.depth)
+        lines.append(f"comparison[{args.strategy} vs {args.compare}]: {verdict}")
+    _emit(args, payload, *lines)
     if args.dot:
         _write_file(args.dot, write_tree_dot(tree, _depth(args, diagram)))
     return 0
@@ -425,7 +433,7 @@ def cmd_k0_positive(args):
 
 def _probe_theta(args, count):
     if args.perm:
-        images = _values(args.perm, "--perm", int)
+        images = _values(args.perm, "--perm", integer)
     elif args.swap:
         i, j = args.swap
         if not (1 <= i <= count and 1 <= j <= count):
@@ -471,35 +479,21 @@ def cmd_corpus(args):
         if not entries:
             raise UsageError(f"no corpus entry {args.name!r}")
     if args.list:
-        if args.json:
-            _emit_json(
-                {
-                    "entries": [
-                        {"description": e.description, "kind": e.kind, "name": e.name}
-                        for e in entries
-                    ]
-                }
-            )
-        else:
-            for e in entries:
-                print(f"{e.name}: {e.description} [{e.kind}]")
+        payload = {
+            "entries": [{"description": e.description, "kind": e.kind, "name": e.name} for e in entries]
+        }
+        _emit(args, payload, *(f"{e.name}: {e.description} [{e.kind}]" for e in entries))
         return 0
-    drift = 0
     rows = []
+    lines = []
     for entry in entries:
         for field, tag, ok in corpus_lib.verify(entry):
             rows.append({"entry": entry.name, "field": field, "ok": ok, "tag": tag})
-            if not ok:
-                drift += 1
-            if not args.json:
-                mark = "ok   " if ok else "DRIFT"
-                print(f"{mark} {entry.name:12s} {field:32s} [{tag}]")
-    if args.json:
-        _emit_json({"drift": drift, "records": rows})
-    elif drift:
-        print(f"{drift} record(s) drifted")
-    else:
-        print(f"all {len(rows)} records reproduced")
+            mark = "ok   " if ok else "DRIFT"
+            lines.append(f"{mark} {entry.name:12s} {field:32s} [{tag}]")
+    drift = sum(not row["ok"] for row in rows)
+    lines.append(f"{drift} record(s) drifted" if drift else f"all {len(rows)} records reproduced")
+    _emit(args, {"drift": drift, "records": rows}, *lines)
     return 1 if drift else 0
 
 
@@ -526,7 +520,7 @@ def _input_arg(text):
 # An entry lists only the options its handler reads, so any other option
 # is a usage error.
 _INPUT = ("input", {"type": _input_arg, "help": "bdspec file, bare matrix file, or corpus:NAME"})
-_DEPTH = ("--depth", {"type": int})
+_DEPTH = ("--depth", {"type": integer})
 _DOT = ("--dot", {"metavar": "FILE"})
 _JSON = ("--json", {"action": "store_true"})
 _FUNC = ("--func", {"required": True, "help": "'depth=N: v1 v2 ...'"})
@@ -552,7 +546,7 @@ K0_ACTIONS = {
     "positive": (
         "positivity scan",
         cmd_k0_positive,
-        _K0_TREE + (_JSON, _FUNC, ("--bound", {"type": int, "help": "pushforward scan limit"})),
+        _K0_TREE + (_JSON, _FUNC, ("--bound", {"type": integer, "help": "pushforward scan limit"})),
     ),
     "probe": (
         "vertex-relabeling automorphism probe",
@@ -560,9 +554,9 @@ K0_ACTIONS = {
         _K0_TREE
         + (
             _JSON,
-            ("--swap", {"type": int, "nargs": 2, "metavar": ("I", "J")}),
+            ("--swap", {"type": integer, "nargs": 2, "metavar": ("I", "J")}),
             ("--perm", {"help": "full image list, e.g. '2,1,3'"}),
-            ("--cap", {"type": int, "default": 512, "help": "budget; pairs and basis always run"}),
+            ("--cap", {"type": integer, "default": 512, "help": "budget; pairs and basis always run"}),
         ),
     ),
 }
@@ -573,7 +567,7 @@ VERBS = {
         cmd_validate,
         (
             _INPUT,
-            ("--depth", {"type": int, "help": "levels to materialize"}),
+            ("--depth", {"type": integer, "help": "levels to materialize"}),
             ("--dot", {"metavar": "FILE", "help": "write a DOT rendering"}),
             _JSON,
         ),
@@ -586,7 +580,7 @@ VERBS = {
     "dilate": (
         "split tall steps into single-growth factors",
         cmd_dilate,
-        (_INPUT, ("--level", {"type": int, "help": "dilate one matrix instead of normalizing"}), _DOT),
+        (_INPUT, ("--level", {"type": integer, "help": "dilate one matrix instead of normalizing"}), _DOT),
     ),
     "reduce": (
         "minimal reduction of a matrix or whole diagram",
@@ -594,7 +588,7 @@ VERBS = {
         (
             _INPUT,
             ("--strategy", {"help": "diagram inputs only (default: theorem)"}),
-            ("--enumerate", {"type": int, "metavar": "N", "help": "list the first N valid maps"}),
+            ("--enumerate", {"type": integer, "metavar": "N", "help": "list the first N valid maps"}),
             _DEPTH,
             _DOT,
             _JSON,

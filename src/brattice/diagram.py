@@ -16,7 +16,7 @@ from itertools import compress
 from operator import index
 
 from . import matops
-from .config import depth_limit
+from .config import depth_limit, read_uint
 from .errors import DepthExceeded, IndexOutOfRange, NotDilatable, ParseError, RankDeficient
 from .record import Record
 
@@ -99,12 +99,6 @@ class MultiplicityMatrix:
             object.__setattr__(self, "_columns", columns)
         return columns
 
-    def at(self, i, j):
-        """Entry in row i, column j, both 1-based."""
-        if not (1 <= i <= self.nrows and 1 <= j <= self.ncols):
-            raise IndexOutOfRange(f"entry ({i},{j}) outside {self.nrows}x{self.ncols}")
-        return self.rows[i - 1][j - 1]
-
     def col_support(self, j):
         """1-based rows where column j (1-based) is positive."""
         return tuple(i + 1 for i, _ in self.column_entries[j - 1])
@@ -123,9 +117,8 @@ class MultiplicityMatrix:
 
 
 def multiplicity_rank(m):
-    """Exact rank of a multiplicity matrix (or raw rows)."""
-    rows = m.rows if isinstance(m, MultiplicityMatrix) else m
-    return matops.rank([list(r) for r in rows])
+    """Exact rank of a multiplicity matrix."""
+    return matops.rank(m.to_lists())
 
 
 def mm_product(later, earlier):
@@ -393,7 +386,6 @@ def zero_lines(mat):
 
 
 class ValidationReport(Record):
-    ok: bool
     issues: tuple
 
 
@@ -411,13 +403,13 @@ def validate_diagram(diagram, depth=None):
                 f"matrix {n} is {mat.nrows}x{mat.ncols}, outside shape "
                 f"{diagram.shape.label()}"
             )
-    return ValidationReport(not issues, tuple(issues))
+    return ValidationReport(tuple(issues))
 
 
 def check_valid(diagram, depth=None):
     """Raise when validate_diagram has complaints; used as an op precondition."""
     report = validate_diagram(diagram, depth)
-    if not report.ok:
+    if report.issues:
         raise ValueError(f"invalid diagram: {report.issues[0]}")
 
 
@@ -578,13 +570,6 @@ def meaningful_lines(text):
     """(number, line) of each stripped line neither blank nor a '#' comment."""
     lines = enumerate(map(str.strip, text.splitlines()), start=1)
     return [(no, ln) for no, ln in lines if ln[:1] not in ("", "#")]
-
-
-def read_uint(tok):
-    """ASCII digits only: int() also takes '-3', '1_0' and '２'."""
-    if tok.isascii() and tok.isdigit():
-        return int(tok)
-    raise ValueError(f"{tok!r} is not an unsigned integer")
 
 
 def read_row(no, line, entry=read_uint):

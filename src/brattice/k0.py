@@ -16,7 +16,6 @@ from fractions import Fraction
 from operator import mul
 
 from . import matops
-from .diagram import MultiplicityMatrix
 from .errors import (
     DepthExceeded,
     NotInK0,
@@ -51,20 +50,6 @@ class Auto(Record):
         return [int(p == i) for p in range(len(z))]
 
 
-class WeightColumn(Record):
-    """Place b at the larger branch child of a unique-minimal matrix."""
-
-    b: int
-    label = "weight column"
-
-    def column(self, mat, z):
-        flag, j = is_unique_minimal(mat)
-        if not flag or j is None:
-            raise NotUniqueMinimal("weight column needs a unique minimal reduction")
-        big = max(mat.col_support(j))
-        return [self.b if i == big else 0 for i in range(1, mat.nrows + 1)]
-
-
 class ExplicitColumn(Record):
     """A given integer column, one entry per row."""
 
@@ -86,8 +71,6 @@ def complete_matrix(mat, hint=Auto()):
     given the matrix and its left null vector z, and a `label` that names
     it when that column keeps the square singular.
     """
-    if not isinstance(mat, MultiplicityMatrix):
-        mat = MultiplicityMatrix(mat)
     r, c = mat.nrows, mat.ncols
     if r != c + 1:
         raise ValueError(f"completion needs one more row than columns, got {r}x{c}")
@@ -120,9 +103,16 @@ class CompletedChain:
     to each next square's size, so both readings share one product.
     """
 
-    def __init__(self, squares, dets):
-        self.squares = squares
-        self.dets = dets
+    def __init__(self, pairs):  # one (square, det) pair per level
+        if not pairs:
+            raise ValueError("chain needs at least one completion")
+        self.squares, self.dets = zip(*pairs)
+        sizes = [len(s) for s in self.squares]
+        if len(set(sizes)) > 1:
+            if any(b != a + 1 for a, b in zip(sizes, sizes[1:])):
+                raise ValueError(f"level sizes {sizes} neither grow by one nor stay constant")
+            if sizes[0] != 2:
+                raise ValueError(f"growing chains start with a 2x2 square, got {sizes[0]}")
         self._u = {}  # depth -> integer product, filled lazily
         self._inverse = {}  # depth -> (integer numerators, positive denominator)
 
@@ -179,22 +169,7 @@ def build_chain(squares):
         if d == 0:
             raise SingularCompletion(f"completion {k} is singular")
         pairs.append((rows, int(d)))
-    return _chain(pairs)
-
-
-def _chain(pairs):
-    """A chain from (square, det) pairs whose sizes grow by one from 2x2 or
-    stay constant."""
-    if not pairs:
-        raise ValueError("chain needs at least one completion")
-    squares, dets = zip(*pairs)
-    sizes = [len(s) for s in squares]
-    if len(set(sizes)) > 1:
-        if any(b != a + 1 for a, b in zip(sizes, sizes[1:])):
-            raise ValueError(f"level sizes {sizes} neither grow by one nor stay constant")
-        if sizes[0] != 2:
-            raise ValueError(f"growing chains start with a 2x2 square, got {sizes[0]}")
-    return CompletedChain(squares, dets)
+    return CompletedChain(pairs)
 
 
 def first_square(diagram):
@@ -204,19 +179,15 @@ def first_square(diagram):
     return int(mat.nrows != mat.ncols)
 
 
-def complete_chain(diagram, hints=None, depth=None):
+def complete_chain(diagram, hints, depth):
     """Build a chain of `depth` squares; hints may be one hint or a
     per-level list.  A type1 chain takes the diagram's squares as they are,
     from first_square on, and so reaches level first_square + depth."""
-    if depth is None:
-        depth = max(diagram.explicit_depth, 1)
     if diagram.shape.kind == "type1":
         start = first_square(diagram)
         depth = min(depth, diagram.max_matrix_index() + 1 - start)
         return build_chain([diagram.matrix(start + k).rows for k in range(depth)])
     depth = min(depth, diagram.max_matrix_index() + 1)
-    if hints is None:
-        hints = Auto()
     if hasattr(hints, "column"):
         hints = [hints] * depth
     # complete_matrix hands back each determinant with its square
@@ -224,7 +195,7 @@ def complete_chain(diagram, hints=None, depth=None):
         complete_matrix(diagram.matrix(k), hints[k] if k < len(hints) else Auto())
         for k in range(depth)
     ]
-    return _chain(pairs)
+    return CompletedChain(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +407,7 @@ class WeightScheme:
         self.diagram = diagram
         self.tree = MinimalDiagram(diagram, UserMap(()))
         self._k = [(1,)]
-        self._b = []
+        self._big = []  # per absorbed matrix: the 0-based row of its larger branch child
 
     @property
     def depth(self):
@@ -460,8 +431,7 @@ class WeightScheme:
         prev = self._k[level]
         row = tuple(x[q] * prev[q] for x, (q,) in zip(mat.rows, mat.supports))
         self._k.append(row)
-        big = max(mat.col_support(j))
-        self._b.append(row[big - 1])
+        self._big.append(max(mat.col_support(j)) - 1)
 
     def weights(self, level):
         self.ensure_depth(level)
@@ -470,15 +440,24 @@ class WeightScheme:
     def b(self, level):
         """Weight of the larger branch child created by matrix `level`."""
         self.ensure_depth(level + 1)
-        return self._b[level]
+        return self._k[level + 1][self._big[level]]
 
     def chain(self, depth):
-        """The chain whose level-k column is b(k) at the larger branch child."""
+        """The chain whose level-k column is b(k) at the larger branch child.
+
+        No completion is singular.  Every row of a forced single-growth
+        matrix meets one column, so its left null vector z vanishes on every
+        row but the branch column's two and is nonzero on both; the new
+        column then gives det = z[big] * b(k), a product of nonzero factors.
+        """
         self.ensure_depth(depth)
-        return _chain([
-            complete_matrix(self.diagram.matrix(level), WeightColumn(self.b(level)))
-            for level in range(depth)
-        ])
+        pairs = []
+        for level in range(depth):
+            mat = self.diagram.matrix(level)
+            column = [0] * mat.nrows
+            column[self._big[level]] = self.b(level)
+            pairs.append(complete_matrix(mat, ExplicitColumn(column)))
+        return CompletedChain(pairs)
 
     def phi(self, alpha):
         n = len(alpha) - 1
@@ -492,7 +471,7 @@ class WeightScheme:
         if len(func.values) != len(ks):
             raise ValueError(f"level {n} has {len(ks)} vertices, got {len(func.values)} values")
         alpha = [v * ks[i] for i, v in enumerate(func.values)]
-        if matops.vec_is_integral(alpha):
+        if all(x.denominator == 1 for x in alpha):
             return K0Witness(tuple(int(x) for x in alpha), n)
         return NotMember(n)
 

@@ -244,12 +244,3 @@ def left_null_vector(m):
     work, _ = _int_rows(list(zip(*m)))
     return _null_vector(work, r)
 
-
-def vec_is_integral(v):
-    return all(Fraction(x).denominator == 1 for x in v)
-
-
-def frac_str(x):
-    """Render a Fraction compactly: integers without the /1 tail."""
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"

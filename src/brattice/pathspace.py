@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .diagram import meaningful_lines, read_uint
+from .config import read_uint
+from .diagram import meaningful_lines
 from .errors import DepthExceeded, ParseError, Uncertified, UnsupportedUserMap
 from .record import Record
 from .reduction import iter_minimal_reductions, minimal_reduce, minimal_reduce_square
@@ -240,10 +241,6 @@ class MinimalDiagram:
             v = parents[lev - 1][v - 1]
         return v
 
-    def children(self, level, vertex):
-        parents = self.parents_at(level + 1)
-        return tuple(j for j, p in enumerate(parents, start=1) if p == vertex)
-
 
 def build_minimal_diagram(diagram, strategy):
     """Attach a reduction strategy to a diagram and return the lazy tree."""
@@ -266,8 +263,8 @@ class Cylinder(Record):
 
 def cylinder_children(tree, cyl):
     """The next level's cylinders sitting inside this one."""
-    kids = tree.children(cyl.level, cyl.vertex)
-    return tuple(Cylinder(cyl.level + 1, j) for j in kids)
+    parents = tree.parents_at(cyl.level + 1)
+    return tuple(Cylinder(cyl.level + 1, j) for j, p in enumerate(parents, start=1) if p == cyl.vertex)
 
 
 class LocallyConstantFunction(Record):
@@ -289,9 +286,9 @@ def refine(func, to_depth, tree):
         return func
     if func.depth < 0:
         raise DepthExceeded(f"no level {func.depth}")
-    tree.ensure_depth(to_depth)
+    levels, _ = tree.levels(to_depth)
     values = func.values
-    for parents in tree._parents[func.depth:to_depth]:
+    for parents in levels[func.depth:]:
         values = [values[p - 1] for p in parents]
     return LocallyConstantFunction(to_depth, tuple(values))
 
@@ -307,10 +304,10 @@ def indicator(cylinders, tree):
     if min(levels) < 0:
         raise DepthExceeded(f"no level {min(levels)}")
     depth = max(levels)
-    tree.ensure_depth(depth)
+    levels, _ = tree.levels(depth)
     marked = {(c.level, c.vertex) for c in cyls}
     inside = [(0, 1) in marked]
-    for lev, parents in enumerate(tree._parents[:depth], start=1):
+    for lev, parents in enumerate(levels, start=1):
         inside = [inside[p - 1] or (lev, j) in marked for j, p in enumerate(parents, start=1)]
     return LocallyConstantFunction(depth, tuple(int(x) for x in inside))
 
@@ -368,23 +365,17 @@ def end_census(tree, depth=None):
 
     if depth is None:
         depth = default
-    tree.ensure_depth(depth)
-    frontier = tree.level_count(depth)
-    recent = 0
-    for j in range(1, frontier + 1):
-        hit = False
-        for lev in (depth, depth - 1):
-            if lev < 1:
-                continue
-            b = tree.branch(lev)
-            if b is None:
-                continue
-            if tree.ancestor(depth, j, lev - 1) == b.parent:
-                hit = True
-                break
-        if hit:
-            recent += 1
-    return EndCensus("at-least", frontier, recent, False, depth)
+    levels, branches = tree.levels(depth)
+    # a frontier vertex counts when the branch parent of the last level or
+    # the one above is its parent or grandparent: mark those branch parents
+    # from level depth - 2 on and carry the marks down to the frontier
+    top = max(depth - 2, 0)
+    marked = [False] * (len(levels[top - 1]) if top else 1)
+    for parents, b in zip(levels[top:], branches[top:]):
+        if b is not None:
+            marked[b.parent - 1] = True
+        marked = [marked[p - 1] for p in parents]
+    return EndCensus("at-least", len(marked), sum(marked), False, depth)
 
 
 def compare_invariants(tree_a, tree_b, depth=None):
@@ -457,20 +448,15 @@ def parse_tree_dump(text):
 
 def write_tree_dot(tree, depth):
     """Graphviz rendering; branch parents are double circles."""
-    tree.ensure_depth(depth)
+    levels, branches = tree.levels(depth)
     out = ["digraph tree {", "  rankdir=TB;", "  node [shape=circle];"]
     out.append('  "t0_1" [label="0:1"];')
-    for lev in range(1, depth + 1):
-        b = tree.branch(lev)
-        names = []
-        for j in range(1, tree.level_count(lev) + 1):
-            nm = f'"t{lev}_{j}"'
-            names.append(nm)
-            out.append(f'  {nm} [label="{lev}:{j}"];')
+    for lev, (parents, b) in enumerate(zip(levels, branches), start=1):
+        names = [f'"t{lev}_{j}"' for j in range(1, len(parents) + 1)]
+        out += (f'  {nm} [label="{lev}:{j}"];' for j, nm in enumerate(names, start=1))
         out.append("  { rank=same; " + "; ".join(names) + "; }")
         if b is not None:
             out.append(f'  "t{lev - 1}_{b.parent}" [shape=doublecircle];')
-        for j in range(1, tree.level_count(lev) + 1):
-            out.append(f'  "t{lev - 1}_{tree.parent(lev, j)}" -> "t{lev}_{j}";')
+        out += (f'  "t{lev - 1}_{p}" -> {nm};' for nm, p in zip(names, parents))
     out.append("}")
     return "\n".join(out) + "\n"

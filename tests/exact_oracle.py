@@ -435,6 +435,21 @@ def indicator(cylinders, tree):
     return LocallyConstantFunction(depth, tuple(values))
 
 
+def census_floor(tree, depth):
+    """(frontier vertices, those whose parent or grandparent is the branch
+    parent of the last level or the one above), one ancestor walk each."""
+    tree.ensure_depth(depth)
+    frontier = tree.level_count(depth)
+    recent = 0
+    for j in range(1, frontier + 1):
+        for lev in (depth, depth - 1):
+            b = tree.branch(lev) if lev >= 1 else None
+            if b is not None and tree.ancestor(depth, j, lev - 1) == b.parent:
+                recent += 1
+                break
+    return frontier, recent
+
+
 def commuting_check(n, alpha, chain, tree):
     """One square of the level diagram: push the vector, compare the
     library's functions."""

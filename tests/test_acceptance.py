@@ -144,18 +144,18 @@ def test_criterion_04_dilation_round_trip():
                 problems.append((trial, idx, "not single growth"))
                 continue
             shape_ok = all(
-                fac.at(i + 1, j + 1) == (1 if i == j else 0)
+                fac.rows[i][j] == (1 if i == j else 0)
                 for i in range(lead)
                 for j in range(w)
             ) and all(
-                fac.at(i + 1, j + 1) == 0
+                fac.rows[i][j] == 0
                 for i in range(lead, w + 1)
                 for j in range(lead)
             )
             if not shape_ok:
                 problems.append((trial, idx, "identity block broken"))
             block = [
-                [fac.at(i + 1, j + 1) for j in range(lead, w)]
+                [fac.rows[i][j] for j in range(lead, w)]
                 for i in range(lead, w + 1)
             ]
             if matops.rank(block) != w - lead:
@@ -356,12 +356,12 @@ def test_criterion_09_weight_scheme_laws():
             cur = scheme.weights(level + 1)
             parents = tree.parents_at(level + 1)
             for child, parent in enumerate(parents, start=1):
-                if cur[child - 1] != mat.at(child, parent) * prev[parent - 1]:
+                if cur[child - 1] != mat.rows[child - 1][parent - 1] * prev[parent - 1]:
                     problems.append((trial, level, child, "step recursion"))
             j = is_unique_minimal(mat)[1]
             if max(mat.col_support(j)) != j + 1:
                 problems.append((trial, level, "branch rows not adjacent"))
-            if scheme.b(level) != mat.at(j + 1, j) * prev[j - 1]:
+            if scheme.b(level) != mat.rows[j][j - 1] * prev[j - 1]:
                 problems.append((trial, level, "b formula"))
 
         for n in range(depth + 1):
@@ -370,7 +370,7 @@ def test_criterion_09_weight_scheme_laws():
                 for lev in range(1, n + 1):
                     child = tree.ancestor(n, i, lev)
                     parent = tree.ancestor(n, i, lev - 1)
-                    along *= diagram.matrix(lev - 1).at(child, parent)
+                    along *= diagram.matrix(lev - 1).rows[child - 1][parent - 1]
                 if scheme.weights(n)[i - 1] != along:
                     problems.append((trial, n, i, "path product"))
 

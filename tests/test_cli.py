@@ -416,7 +416,7 @@ def test_huge_entries_print_in_full(tmp_path, capsys):
     cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     code, out, err = run(capsys, "telescope", str(path), "--levels", "0,8,16")
     assert (code, err) == (0, "")
-    entry = telescope(read_input(HUGE_TAIL)[1], [0, 8, 16]).matrix(1).at(1, 2)
+    entry = telescope(read_input(HUGE_TAIL)[1], [0, 8, 16]).matrix(1).rows[0][1]
     assert entry > 10**4500
     assert f"\n1 {_decimal(entry)}\n" in out
     code, out, err = run(capsys, "k0", "chain", str(path), "--depth", "16")
@@ -577,6 +577,21 @@ def test_malformed_map_file_is_a_parse_error_naming_its_line(tmp_path, capsys, t
     assert err == f"parse error: {path}: {message}\n"
 
 
+def test_map_that_leaves_a_parent_childless_is_refused(tmp_path, capsys):
+    # gicar's level-3 rows 2 and 3 may attach to 1 and 3, which leaves
+    # level-2 vertex 2 without a child
+    path = tmp_path / "map.tree"
+    path.write_text(
+        "tree v1\n"
+        "level 1: parent(1)=1 parent(2)=1\n"
+        "level 2: parent(1)=1 parent(2)=2 parent(3)=2\n"
+        "level 3: parent(1)=1 parent(2)=1 parent(3)=3 parent(4)=3\n"
+    )
+    code, out, err = run(capsys, "reduce", "corpus:gicar", "--depth", "3", "--strategy", f"map:{path}")
+    assert (code, out) == (1, "")
+    assert err == "error: level 3: parents [2] have no children\n"
+
+
 def test_reduce_tree_dot(tmp_path, capsys):
     dot = tmp_path / "tree.dot"
     code, out, _ = run(
@@ -637,6 +652,14 @@ def test_family_census_runs_the_family_check(capsys):
             assert code == 1
             assert "certified" not in out
             assert want in out + err
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_pathspace_compare_refusal_prints_no_half_verdict(capsys, json_flag):
+    # the theorem census is uncertified: the comparison is refused before
+    # the census line prints
+    argv = ("pathspace", "corpus:gicar", "--compare", "rightmost", *json_flag)
+    assert run(capsys, *argv) == (1, "", "error: both censuses must be certified to compare\n")
 
 
 def test_pathspace_unknown_strategy(capsys):
@@ -792,6 +815,30 @@ def test_k0_positive_definitive(capsys):
     assert out.strip() == "not positive (definitive)"
 
 
+# the lines no other test runs, pinned so that a change to them shows
+POSITIVE_VERDICTS = {
+    "scan-bound": (("corpus:gicar", "--func", "depth=2: 1 7 -5"), "no nonnegative pushforward up to level 64"),
+    "inconclusive": (
+        ("corpus:gicar", "--func", "depth=2: 1 7 -5", "--depth", "2", "--bound", "100"),
+        "inconclusive after 64 levels",
+    ),
+    "definitive": (("corpus:dyadic", "--weight", "--func", "depth=1: -1 1"), "not positive (definitive)"),
+}
+
+
+@pytest.mark.parametrize("argv, line", POSITIVE_VERDICTS.values(), ids=POSITIVE_VERDICTS)
+def test_k0_positive_verdict_lines(capsys, monkeypatch, argv, line):
+    monkeypatch.delenv("BRATTICE_DEPTH_LIMIT", raising=False)
+    assert run(capsys, "k0", "positive", *argv) == (1, line + "\n", "")
+
+
+def test_k0_positive_scan_bound_json(capsys):
+    argv = ("k0", "positive", "corpus:gicar", "--func", "depth=2: 1 7 -5", "--bound", "3", "--json")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"detail": "no nonnegative pushforward up to level 3", "positive": False}
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -820,6 +867,61 @@ def test_k0_malformed_vector_is_usage_error(capsys, argv, flag):
     assert out == ""
     assert err.startswith("usage error:")
     assert flag in err
+
+
+# one number a flag may not take, per flag: flags read an optional '-' and
+# ASCII digits, and a fraction's denominator is unsigned
+BAD_FLAG_NUMBERS = {
+    "depth": ("reduce", "corpus:gicar", "--depth", "1_0"),
+    "depth-fullwidth": ("reduce", "corpus:gicar", "--depth", "\uff11"),
+    "level": ("dilate", "corpus:gicar", "--level", "1_0"),
+    "enumerate": ("reduce", "corpus:threebranch", "--enumerate", "+3"),
+    "bound": ("k0", "positive", "corpus:gicar", "--func", "depth=0: 1", "--bound", "+3"),
+    "swap": ("k0", "probe", "corpus:dyadic", "--swap", "1", "\uff12"),
+    "cap": ("k0", "probe", "corpus:dyadic", "--swap", "1", "2", "--cap", " 5"),
+    "levels": ("telescope", "corpus:gicar", "--levels", "0,1_0"),
+    "column": ("k0", "chain", "corpus:gicar", "--depth", "2", "--column", "0,\uff11"),
+    "perm": ("k0", "probe", "corpus:dyadic", "--depth", "1", "--perm", "2,+1"),
+    "func-depth": ("k0", "member", "corpus:gicar", "--func", "depth=0_1: 1 1"),
+    "func-value": ("k0", "member", "corpus:gicar", "--func", "depth=1: 1 0.5"),
+    "alpha-exponent": ("k0", "phi", "corpus:gicar", "--alpha", "1e3,2"),
+    "alpha-fullwidth": ("k0", "phi", "corpus:gicar", "--alpha", "\uff11,2"),
+    "alpha-underscore": ("k0", "phi", "corpus:gicar", "--alpha", "1_0/3,1"),
+    "alpha-signed-denominator": ("k0", "phi", "corpus:gicar", "--alpha", "1/-3,1"),
+}
+
+
+@pytest.mark.parametrize("argv", BAD_FLAG_NUMBERS.values(), ids=BAD_FLAG_NUMBERS)
+def test_flag_numbers_read_as_files_read_them(capsys, argv):
+    flag = [tok for tok in argv if tok.startswith("--")][-1]
+    try:
+        code, out, err = run(capsys, *argv)
+    except SystemExit as exc:  # argparse refuses a bad int flag
+        code, (out, err) = exc.code, capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert flag in err
+
+
+def test_flag_numbers_keep_signs_and_fractions(capsys):
+    assert run(capsys, "k0", "phi", "corpus:gicar", "--alpha=-1/3,2") == (0, "func depth=1: 2 -1/3\n", "")
+    assert run(capsys, "reduce", "corpus:gicar", "--depth=-1") == (2, "", "usage error: --depth needs N >= 0, got -1\n")
+    code, out, _ = run(capsys, "k0", "member", "corpus:gicar", "--func", "depth=1: 1 -1/2")
+    assert (code, out) == (1, "NOT a member (checked exactly at depth 1)\n")
+
+
+@pytest.mark.parametrize("value", ["1_0", "\uff110", " 5", "x", "0", "-3"])
+def test_depth_limit_is_read_as_an_unsigned_integer(capsys, monkeypatch, value):
+    monkeypatch.setenv("BRATTICE_DEPTH_LIMIT", value)
+    code, out, err = run(capsys, "reduce", "corpus:gicar", "--depth", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: BRATTICE_DEPTH_LIMIT must be ")
+
+
+def test_depth_limit_takes_ascii_digits(capsys, monkeypatch):
+    monkeypatch.setenv("BRATTICE_DEPTH_LIMIT", "10")
+    assert run(capsys, "reduce", "corpus:gicar", "--depth", "10")[0] == 0
+    code, _, err = run(capsys, "reduce", "corpus:gicar", "--depth", "11")
+    assert (code, err) == (1, "error: level 11 requested, diagram allows 10\n")
 
 
 def test_k0_func_past_the_diagram_keeps_its_verdict(capsys, monkeypatch):

@@ -13,16 +13,16 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from brattice.cli import K0_ACTIONS, VERBS, _attach_negative_vectors, _read_argv, build_parser, main
+from brattice.cli import K0_ACTIONS, VERBS, _attach_negative_vectors, _read_argv, build_parser, integer, main
 
-INTS = ["0", "1", "3", " 2", "1_0", "٣"]
+INTS = ["0", "1", "3", " 2", "1_0", "٣", "+1", "1e3"]
 VALUES = {
     "input": ["corpus:gicar", "corpus:dyadic", "corpus:threebranch", "corpus:nosuch", "no/such"],
     "strategy": ["theorem", "rightmost", "alternating", "bogus"],
     "compare": ["rightmost", "bogus"],
-    "levels": ["0,2", "2,0"],
+    "levels": ["0,2", "2,0", "0,1_0"],
     "column": ["0,1", "-1,1"],
-    "alpha": ["1,2", "-5,2", "1,2,3"],
+    "alpha": ["1,2", "-5,2", "1,2,3", "1e3,2", "1_0/3,1"],
     "func": ["depth=0: 1", "depth=1: 1 2", "depth=-1: 1", "bad"],
     "perm": ["2,1,3", "1,1", "-1,2"],
     "name": ["uhf2", "nosuch"],
@@ -69,7 +69,7 @@ def command_lines(draw):
 
 def _piece(draw, name, kw):
     """The tokens of one argument with a value from the vocabulary."""
-    pool = INTS if kw.get("type") is int else VALUES.get(name.lstrip("-"), ["a"])
+    pool = INTS if kw.get("type") is integer else VALUES.get(name.lstrip("-"), ["a"])
     values = [draw(st.sampled_from(pool)) for _ in range(kw.get("nargs", 1))]
     if name[0] != "-":
         return values
@@ -142,7 +142,7 @@ def test_vocabulary_covers_the_table():
     free = {
         name.lstrip("-")
         for name, kw in OPTIONS.items()
-        if kw.get("type") is not int and kw.get("action") != "store_true"
+        if kw.get("type") is not integer and kw.get("action") != "store_true"
     }
     assert free <= set(VALUES)
     assert set(VALUES) - {"input"} <= free
@@ -230,6 +230,14 @@ def test_reader_takes_the_valid_lines(line):
         "k0 phi corpus:gicar --alpha 1,2 --json",
         "k0 member corpus:gicar --func 'depth=0: 1' --depth 5",
         "validate corpus:gicar --strategy theorem",
+        # int flags read numbers as files do: no '_', no '+', no non-ASCII
+        # digit, no space, no exponent
+        "reduce corpus:gicar --depth 1_0",
+        "reduce corpus:gicar --depth \uff11",
+        "k0 positive corpus:gicar --func 'depth=0: 1' --bound +3",
+        "k0 probe corpus:dyadic --cap ' 5'",
+        "k0 probe corpus:dyadic --swap 1 2.0",
+        "dilate corpus:gicar --level 1e0",
     ],
 )
 def test_reader_declines_what_argparse_must_see(line):

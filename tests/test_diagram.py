@@ -49,7 +49,7 @@ THREELINE = corpus.get("threeline").diagram()
 def test_multiplicity_matrix_basics():
     m = MultiplicityMatrix([[2, 1], [1, 0], [2, 0]])
     assert (m.nrows, m.ncols) == (3, 2)
-    assert m.at(1, 2) == 1
+    assert m.rows == ((2, 1), (1, 0), (2, 0))
     assert m.supports == ((0, 1), (0,), (0,))
     assert m.col_support(2) == (1,)
     assert oracle.has_positive_rows_and_cols(m)
@@ -217,7 +217,7 @@ def test_validate_reports_zero_rows():
         (MultiplicityMatrix([[1], [0]]),), None, ShapeClass("irregular"), "bad"
     )
     report = validate_diagram(bad)
-    assert not report.ok
+    assert report.issues
     assert any("row 2 is zero" in issue for issue in report.issues)
 
 

@@ -29,7 +29,6 @@ from brattice.k0 import (
     Positive,
     Preserved,
     Unknown,
-    WeightColumn,
     WeightScheme,
     automorphism_probe,
     build_chain,
@@ -82,10 +81,10 @@ def explicit_chain(depth):
 # --- completions -------------------------------------------------------------
 
 
-def completed(rows, hint):
+def completed(mat, hint):
     """complete_matrix's square as lists, once its determinant is checked
     against a Bareiss determinant of the square."""
-    square, det = complete_matrix(rows, hint)
+    square, det = complete_matrix(mat, hint)
     lists = [list(row) for row in square]
     assert det == matops.det(lists)
     return lists
@@ -110,13 +109,6 @@ def test_complete_matrix_explicit():
         complete_matrix(GICAR.matrix(0), ExplicitColumn((1, 1)))
     with pytest.raises(ValueError):
         complete_matrix(GICAR.matrix(0), ExplicitColumn((1, 0, 0)))
-
-
-def test_complete_matrix_weight_column():
-    got = completed(corpus.get("forced").matrix(), WeightColumn(5))
-    assert got == [[1, 0, 0], [0, 1, 0], [0, 1, 5]]
-    with pytest.raises(NotUniqueMinimal):
-        complete_matrix(corpus.get("twocol").matrix(), WeightColumn(1))
 
 
 def test_complete_matrix_guards():
@@ -154,11 +146,12 @@ def test_auto_succeeds_on_random_full_rank():
 ))
 def test_auto_matches_trial_determinants(rows):
     want = oracle.auto_completion(rows)
+    mat = MultiplicityMatrix(rows)
     if want is None:
         with pytest.raises(RankDeficient):
-            complete_matrix(rows, Auto())
+            complete_matrix(mat, Auto())
     else:
-        assert completed(rows, Auto()) == want
+        assert completed(mat, Auto()) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -168,23 +161,24 @@ def test_auto_matches_trial_determinants(rows):
 )))
 def test_explicit_column_is_singular_exactly_when_the_determinant_vanishes(case):
     rows, col = case
+    mat = MultiplicityMatrix(rows)
     square = [row + [x] for row, x in zip(rows, col)]
     if matops.rank(rows) < len(rows[0]):
         # every completion is singular, and the rank verdict comes first
         assert matops.det(square) == 0
         with pytest.raises(RankDeficient):
-            complete_matrix(rows, ExplicitColumn(col))
+            complete_matrix(mat, ExplicitColumn(col))
     elif matops.det(square) == 0:
         with pytest.raises(SingularCompletion):
-            complete_matrix(rows, ExplicitColumn(col))
+            complete_matrix(mat, ExplicitColumn(col))
     else:
-        assert completed(rows, ExplicitColumn(col)) == square
+        assert completed(mat, ExplicitColumn(col)) == square
 
 
 def test_auto_matches_trial_determinants_on_gicar_levels():
     for level in range(40):
-        rows = GICAR.matrix(level).to_lists()
-        assert completed(rows, Auto()) == oracle.auto_completion(rows)
+        mat = GICAR.matrix(level)
+        assert completed(mat, Auto()) == oracle.auto_completion(mat.to_lists())
 
 
 # --- chains ------------------------------------------------------------------
@@ -526,7 +520,7 @@ def test_weight_scheme_recursion_law():
         prev = scheme.weights(level)
         cur = scheme.weights(level + 1)
         for child, parent in enumerate(parents, start=1):
-            assert cur[child - 1] == mat.at(child, parent) * prev[parent - 1]
+            assert cur[child - 1] == mat.rows[child - 1][parent - 1] * prev[parent - 1]
         big = max(mat.col_support(is_unique_minimal(mat)[1]))
         assert scheme.b(level) == cur[big - 1]
 
@@ -545,6 +539,21 @@ def test_weight_scheme_chain_matches_columns():
         big = max(mat.col_support(is_unique_minimal(mat)[1]))
         assert col[big - 1] == b
         assert all(x == 0 for i, x in enumerate(col, start=1) if i != big)
+
+
+@pytest.mark.parametrize("name", ["dyadic", "propersub"])
+def test_weight_scheme_chain_determinant_is_z_big_times_b(name):
+    # the left null vector of a forced single-growth matrix is nonzero on
+    # the branch column's two rows alone, so no weight completion is singular
+    diagram = corpus.get(name).diagram()
+    scheme = WeightScheme(diagram)
+    chain = scheme.chain(8)
+    for level in range(8):
+        mat = diagram.matrix(level)
+        branch = mat.col_support(is_unique_minimal(mat)[1])
+        z = matops.left_null_vector(mat.rows)
+        assert [i for i, x in enumerate(z, start=1) if x] == list(branch)
+        assert chain.dets[level] == z[max(branch) - 1] * scheme.b(level) != 0
 
 
 # --- probes ------------------------------------------------------------------

@@ -234,6 +234,27 @@ def test_census_uncertified_on_finite_prefix():
     assert census.depth_examined is not None
 
 
+@pytest.mark.parametrize(
+    "name, strategy",
+    [
+        ("gicar", "theorem"),
+        ("gicar", "lexfirst"),
+        ("propersub", "theorem"),
+        ("dyadic", "theorem"),
+        ("gicar-16", "positions:2,1,3"),
+        ("gicar-16", "alternating"),
+    ],
+)
+def test_census_floor_matches_the_ancestor_walk(name, strategy):
+    # a family on a diagram without a tail gets the finite report too
+    diagram = finite_gicar(16) if name == "gicar-16" else corpus.get(name).diagram()
+    tree = build_minimal_diagram(diagram, strategy)
+    for depth in range(17):
+        census = end_census(tree, depth)
+        assert census.kind == "at-least"
+        assert (census.count, census.condensation) == oracle.census_floor(tree, depth)
+
+
 def test_compare_invariants():
     right = build_minimal_diagram(GICAR, "rightmost")
     alt = build_minimal_diagram(GICAR, "alternating")
@@ -279,3 +300,24 @@ def test_tree_dot_marks_branch_parents():
     assert "doublecircle" in dot
     assert '"t0_1" -> "t1_1"' in dot
     assert '"t2_3" -> "t3_4"' in dot
+    assert write_tree_dot(right, 2).splitlines() == [
+        "digraph tree {",
+        "  rankdir=TB;",
+        "  node [shape=circle];",
+        '  "t0_1" [label="0:1"];',
+        '  "t1_1" [label="1:1"];',
+        '  "t1_2" [label="1:2"];',
+        '  { rank=same; "t1_1"; "t1_2"; }',
+        '  "t0_1" [shape=doublecircle];',
+        '  "t0_1" -> "t1_1";',
+        '  "t0_1" -> "t1_2";',
+        '  "t2_1" [label="2:1"];',
+        '  "t2_2" [label="2:2"];',
+        '  "t2_3" [label="2:3"];',
+        '  { rank=same; "t2_1"; "t2_2"; "t2_3"; }',
+        '  "t1_2" [shape=doublecircle];',
+        '  "t1_1" -> "t2_1";',
+        '  "t1_2" -> "t2_2";',
+        '  "t1_2" -> "t2_3";',
+        "}",
+    ]

@@ -306,7 +306,7 @@ def test_coverable_matches_brute_force_hall(mm, data):
     col_rows = [()] + [tuple(i - 1 for i in mm.col_support(j)) for j in range(1, c + 1)]
     degree = [0] + [sum(1 for i in rows if i >= first) for rows in col_rows[1:]]
     want = any(
-        all(mm.at(row + 1, j) for row, j in zip(pick, sorted(cols)))
+        all(mm.rows[row][j - 1] for row, j in zip(pick, sorted(cols)))
         for pick in itertools.permutations(range(first, r), len(cols))
     )
     assert _coverable(cols, first, degree, col_rows, r) == want
