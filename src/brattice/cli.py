@@ -197,8 +197,7 @@ def cmd_validate(args):
         _refuse(args, "a diagram input", "dot", "depth")
         issues = zero_lines(obj)
     else:
-        report = validate_diagram(obj, args.depth)
-        issues = list(report.issues)
+        issues = validate_diagram(obj, args.depth)
         if args.dot:
             _write_file(args.dot, write_dot(obj, _depth(args, obj)))
     lines = [f"violation: {issue}" for issue in issues] or ["valid"]
@@ -243,8 +242,6 @@ def _refuse(args, needs, *dests):
 
 
 def cmd_reduce(args):
-    if args.enumerate is not None and args.enumerate < 0:
-        raise UsageError(f"--enumerate needs N >= 0, got {args.enumerate}")
     kind, obj = _load_input(args.input)
     if kind == "matrix":
         return _reduce_matrix(obj, args)
@@ -449,14 +446,10 @@ def _probe_theta(args, count):
 
 
 def cmd_k0_probe(args):
-    if args.cap < 0:
-        raise UsageError(f"--cap needs N >= 0, got {args.cap}")
     diagram = _need_diagram(args.input, "k0 probe")
     depth = 3 if args.depth is None else args.depth
     realizer = _realizer(args, diagram, depth)
-    tree = realizer.tree
-    tree.ensure_depth(depth)
-    theta = _probe_theta(args, tree.level_count(depth))
+    theta = _probe_theta(args, realizer.tree.level_count(depth))
     verdict = automorphism_probe(theta, realizer, depth, args.cap)
     if isinstance(verdict, Broken):
         witness, image = verdict.witness, verdict.image
@@ -473,7 +466,7 @@ def cmd_k0_probe(args):
 
 
 def cmd_corpus(args):
-    entries = corpus_lib.entries()
+    entries = corpus_lib.ENTRIES
     if args.name:
         entries = [e for e in entries if e.name == args.name]
         if not entries:
@@ -743,8 +736,10 @@ def _run(argv):
     if cap is not None:
         sys.set_int_max_str_digits(0)
     try:
-        if getattr(args, "depth", None) is not None and args.depth < 0:
-            raise UsageError(f"--depth needs N >= 0, got {args.depth}")
+        for flag in ("depth", "level", "enumerate", "bound", "cap"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 0:
+                raise UsageError(f"--{flag} needs N >= 0, got {value}")
         target = VERBS[args.verb][1]
         if isinstance(target, dict):
             target = target[args.action][1]

@@ -162,7 +162,6 @@ def _swap12(diagram, depth):
     """The witness values when swapping the first two depth vertices breaks
     the weight scheme's group, else 'preserved'."""
     scheme = WeightScheme(diagram)
-    scheme.tree.ensure_depth(depth)
     images = list(range(1, scheme.tree.level_count(depth) + 1))
     images[0], images[1] = images[1], images[0]
     verdict = automorphism_probe(images, scheme, depth)
@@ -386,9 +385,6 @@ ENTRIES = (
         ),
     ),
 )
-
-def entries():
-    return ENTRIES
 
 
 def get(name):

@@ -25,10 +25,10 @@ from .record import Record
 # multiplicity matrices
 
 
-def _int_row(row, i):
-    """Row i (1-based) of a matrix as a tuple of ints.  Integral Fractions
-    become ints; a float or any other value raises ValueError naming its
-    row and column, because a multiplicity has to be exact."""
+def int_row(row, i):
+    """Row i (1-based) of a matrix, or a vector read as row i, as a tuple of
+    ints.  Integral Fractions become ints; a float or any other value raises
+    ValueError naming its row and column, because the entry has to be exact."""
     try:
         return tuple(map(index, row))
     except TypeError:
@@ -42,14 +42,17 @@ def _int_row(row, i):
     return tuple(out)
 
 
-class MultiplicityMatrix:
+class MultiplicityMatrix(Record):
     """Immutable rectangular matrix of nonnegative integers.  Its sparse
-    view, `supports` and `column_entries`, is scanned on first read and kept."""
+    view, `supports` and `column_entries`, is scanned on first read and kept
+    outside the fields."""
 
-    __slots__ = ("rows", "_supports", "_columns")
+    rows: tuple
+    _supports = None
+    _columns = None
 
-    def __init__(self, rows):
-        data = tuple(_int_row(row, i) for i, row in enumerate(rows, start=1))
+    def __post_init__(self):
+        data = tuple(int_row(row, i) for i, row in enumerate(self.rows, start=1))
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and column")
         width = len(data[0])
@@ -59,11 +62,6 @@ class MultiplicityMatrix:
             if min(row) < 0:
                 raise ValueError("multiplicities must be nonnegative")
         object.__setattr__(self, "rows", data)
-        object.__setattr__(self, "_supports", None)
-        object.__setattr__(self, "_columns", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiplicityMatrix is immutable")
 
     def __reduce__(self):  # copies and pickles rebuild through __init__
         return MultiplicityMatrix, (self.rows,)
@@ -105,15 +103,6 @@ class MultiplicityMatrix:
 
     def to_lists(self):
         return [list(row) for row in self.rows]
-
-    def __eq__(self, other):
-        return isinstance(other, MultiplicityMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"MultiplicityMatrix({[list(r) for r in self.rows]})"
 
 
 def multiplicity_rank(m):
@@ -385,12 +374,9 @@ def zero_lines(mat):
     ]
 
 
-class ValidationReport(Record):
-    issues: tuple
-
-
 def validate_diagram(diagram, depth=None):
-    """Check positivity and the declared shape over a materialized prefix."""
+    """The issues of positivity and of the declared shape over a
+    materialized prefix, as a tuple of strings."""
     if depth is None:
         depth = max(diagram.explicit_depth, 3 if diagram.has_tail else 0)
     depth = min(depth, diagram.max_matrix_index() + 1)
@@ -403,14 +389,14 @@ def validate_diagram(diagram, depth=None):
                 f"matrix {n} is {mat.nrows}x{mat.ncols}, outside shape "
                 f"{diagram.shape.label()}"
             )
-    return ValidationReport(tuple(issues))
+    return tuple(issues)
 
 
-def check_valid(diagram, depth=None):
+def check_valid(diagram):
     """Raise when validate_diagram has complaints; used as an op precondition."""
-    report = validate_diagram(diagram, depth)
-    if report.issues:
-        raise ValueError(f"invalid diagram: {report.issues[0]}")
+    issues = validate_diagram(diagram)
+    if issues:
+        raise ValueError(f"invalid diagram: {issues[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +435,6 @@ def dilate_step(mat):
     index (0-based) now sitting at each position, and factors multiply as
     factors[-1] ... factors[0] to give the reordered matrix.
     """
-    if not isinstance(mat, MultiplicityMatrix):
-        mat = MultiplicityMatrix(mat)
     r, c = mat.nrows, mat.ncols
     if r <= c:
         raise ValueError(f"dilate_step needs more rows than columns, got {r}x{c}")
@@ -464,9 +448,6 @@ def dilate_step(mat):
     pm = [rows[i] for i in row_order]
 
     d = r - c
-    if d == 1:
-        return row_order, (MultiplicityMatrix(pm),)
-
     factors = []
     for i in range(1, d + 1):
         lead = i - 1
@@ -506,23 +487,18 @@ def normalize_type2(diagram):
     for a, b in zip(sizes, sizes[1:]):
         if b < a:
             raise NotDilatable("level sizes must not shrink")
-    # retained levels: 0, then the last level of each size above 1
-    retained = [0]
-    for value in sorted(set(sizes[1:])):
-        if value == 1:
-            continue
-        retained.append(max(n for n, s in enumerate(sizes) if s == value))
-    if retained[-1] != k:
-        retained.append(k)
-    if len(retained) < 2:
+    if sizes[k] == 1:
         raise NotDilatable("diagram never grows")
+    # retained levels: 0, then the last level of each size above 1, the
+    # last of them k; their sizes strictly rise, so every step is tall
+    retained = [0]
+    for value in sorted(set(sizes) - {1}):
+        retained.append(max(n for n, s in enumerate(sizes) if s == value))
 
     folded = telescope(diagram, retained)
     out = []
     for step_index in range(folded.explicit_depth):
         step = folded.matrix(step_index)
-        if step.nrows == step.ncols:
-            raise NotDilatable("a square step survived folding")
         try:
             row_order, factors = dilate_step(step)
         except RankDeficient as exc:

@@ -16,6 +16,7 @@ from fractions import Fraction
 from operator import mul
 
 from . import matops
+from .diagram import check_valid, int_row
 from .errors import (
     DepthExceeded,
     NotInK0,
@@ -57,7 +58,7 @@ class ExplicitColumn(Record):
     label = "explicit column"
 
     def column(self, mat, z):
-        col = [int(x) for x in self.entries]
+        col = [int_row((x,), i)[0] for i, x in enumerate(self.entries, start=1)]
         if len(col) != mat.nrows:
             raise ValueError(f"column needs {mat.nrows} entries, got {len(col)}")
         return col
@@ -162,7 +163,10 @@ def build_chain(squares):
     and invertible."""
     pairs = []
     for k, raw in enumerate(squares):
-        rows = tuple(tuple(int(x) for x in row) for row in raw)
+        try:
+            rows = tuple(int_row(row, i) for i, row in enumerate(raw, start=1))
+        except ValueError as exc:
+            raise ValueError(f"completion {k}: {exc}") from None
         if any(len(r) != len(rows) for r in rows):
             raise ValueError(f"completion {k} is not square")
         d = matops.det([list(r) for r in rows])
@@ -401,13 +405,10 @@ class WeightScheme:
     """
 
     def __init__(self, diagram):
-        from .diagram import check_valid
-
         check_valid(diagram)
         self.diagram = diagram
         self.tree = MinimalDiagram(diagram, UserMap(()))
         self._k = [(1,)]
-        self._big = []  # per absorbed matrix: the 0-based row of its larger branch child
 
     @property
     def depth(self):
@@ -431,7 +432,6 @@ class WeightScheme:
         prev = self._k[level]
         row = tuple(x[q] * prev[q] for x, (q,) in zip(mat.rows, mat.supports))
         self._k.append(row)
-        self._big.append(max(mat.col_support(j)) - 1)
 
     def weights(self, level):
         self.ensure_depth(level)
@@ -440,7 +440,7 @@ class WeightScheme:
     def b(self, level):
         """Weight of the larger branch child created by matrix `level`."""
         self.ensure_depth(level + 1)
-        return self._k[level + 1][self._big[level]]
+        return self._k[level + 1][self.tree.branch(level + 1).big_child - 1]
 
     def chain(self, depth):
         """The chain whose level-k column is b(k) at the larger branch child.
@@ -451,11 +451,12 @@ class WeightScheme:
         column then gives det = z[big] * b(k), a product of nonzero factors.
         """
         self.ensure_depth(depth)
+        _, branches = self.tree.levels(depth)
         pairs = []
-        for level in range(depth):
+        for level, branch in enumerate(branches):
             mat = self.diagram.matrix(level)
             column = [0] * mat.nrows
-            column[self._big[level]] = self.b(level)
+            column[branch.big_child - 1] = self.b(level)
             pairs.append(complete_matrix(mat, ExplicitColumn(column)))
         return CompletedChain(pairs)
 
@@ -506,10 +507,8 @@ def automorphism_probe(theta, realizer, depth, candidate_cap=512):
     candidate whose relabeled image has no integer witness breaks the probe.
     Basis vectors realize generators, so `candidate_cap` drops only subsets.
     """
-    tree = realizer.tree
-    tree.ensure_depth(depth)
-    m = tree.level_count(depth)
-    images = tuple(int(t) for t in theta)
+    m = realizer.tree.level_count(depth)
+    images = int_row(theta, 1)
     if sorted(images) != list(range(1, m + 1)):
         raise ValueError(f"theta must permute 1..{m}")
     inverse = [0] * m

@@ -17,9 +17,6 @@ from operator import mul
 
 from .errors import Singular
 
-Matrix = list  # list of rows; row = list of Fraction/int
-Vector = list
-
 
 def dims(m):
     """Return (rows, cols) and check the matrix is rectangular."""

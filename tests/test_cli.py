@@ -39,6 +39,15 @@ def test_validate_zero_row_matrix(tmp_path, capsys):
     assert "violation: row 2 is zero" in out
 
 
+def test_shape_violation_is_a_verdict_and_refuses_the_weight_scheme(tmp_path, capsys):
+    path = tmp_path / "wide.bdspec"
+    path.write_text("bdspec v1\nshape: type2\nmatrix 0:\n1\n1\n1\n")
+    violation = "matrix 0 is 3x1, outside shape type2"
+    assert run(capsys, "validate", str(path)) == (1, f"violation: {violation}\n", "")
+    argv = ("k0", "phi", str(path), "--weight", "--alpha", "1,2")
+    assert run(capsys, *argv) == (1, "", f"error: invalid diagram: {violation}\n")
+
+
 def test_validate_parse_error_carries_line(tmp_path, capsys):
     path = tmp_path / "bad.bd"
     path.write_text("bdspec v1\nshape: type2\nmatrix 0:\n1\nx\n")
@@ -160,6 +169,23 @@ def test_negative_depth_is_a_usage_error(capsys, argv):
     for flags, depth in ((["--depth", "-1"], -1), (["--depth=-2"], -2)):
         want = (2, "", f"usage error: --depth needs N >= 0, got {depth}\n")
         assert run(capsys, *argv, *flags) == want
+
+
+# the other count flags, each on a line that runs when the count is valid
+COUNT_FLAGS = {
+    "--level": ("dilate", "corpus:threeline"),
+    "--enumerate": ("reduce", "corpus:fan43"),
+    "--bound": ("k0", "positive", "corpus:gicar", "--func", "depth=2: 1 -1 1"),
+    "--cap": ("k0", "probe", "corpus:dyadic", "--depth", "3", "--perm", "2,3,1,4"),
+}
+
+
+@pytest.mark.parametrize("flag", COUNT_FLAGS)
+def test_negative_count_is_a_usage_error(capsys, flag):
+    for flags, value in (([flag, "-1"], -1), ([f"{flag}=-2"], -2)):
+        want = (2, "", f"usage error: {flag} needs N >= 0, got {value}\n")
+        assert run(capsys, *COUNT_FLAGS[flag], *flags) == want
+    assert run(capsys, *COUNT_FLAGS[flag], flag, "0")[0] != 2
 
 
 def _dot_depth_zero(capsys, tmp_path, *argv):
@@ -441,6 +467,20 @@ def test_dilate_normalizes_bootstrap(capsys):
     assert folded.shape.kind == "type2"
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("shape: type1 1\nmatrix 0:\n2\nmatrix 1:\n3\n", "diagram never grows"),
+        ("shape: irregular\nmatrix 0:\n1\n1\nmatrix 1:\n1 1\n1 1\n1 1\n1 1\n", "matrix has rank below 2"),
+    ],
+    ids=["never-grows", "rank-1-step"],
+)
+def test_dilate_refuses_a_diagram_it_cannot_normalize(tmp_path, capsys, body, message):
+    path = tmp_path / "in.bdspec"
+    path.write_text("bdspec v1\n" + body)
+    assert run(capsys, "dilate", str(path)) == (1, "", f"error: {message}\n")
+
+
 # --- reduce ------------------------------------------------------------------
 
 
@@ -669,7 +709,7 @@ def test_pathspace_unknown_strategy(capsys):
 
 
 @pytest.mark.parametrize(
-    "text", ["positions:1_0", "positions:１", "positions:-1", "positions:a", "positions:0", "positions:2,0"]
+    "text", ["positions:1_0", "positions:１", "positions:-1", "positions:a", "positions:0", "positions:2,0", "positions:"]
 )
 def test_strategy_positions_read_as_unsigned_integers(capsys, text):
     # positions are 1-based unsigned integers, read as every other input is
@@ -832,6 +872,11 @@ def test_k0_positive_verdict_lines(capsys, monkeypatch, argv, line):
     assert run(capsys, "k0", "positive", *argv) == (1, line + "\n", "")
 
 
+def test_k0_positive_weight_non_member_has_no_witness(capsys):
+    argv = ("k0", "positive", "corpus:dyadic", "--weight", "--func", "depth=1: 1/3 1")
+    assert run(capsys, *argv) == (1, "", "error: no integer witness at depth 1\n")
+
+
 def test_k0_positive_scan_bound_json(capsys):
     argv = ("k0", "positive", "corpus:gicar", "--func", "depth=2: 1 7 -5", "--bound", "3", "--json")
     code, out, err = run(capsys, *argv)
@@ -972,6 +1017,15 @@ def test_k0_probe_negative_cap_is_a_usage_error(capsys):
     )
     assert (code, out) == (2, "")
     assert err == "usage error: --cap needs N >= 0, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [((), "k0 probe needs --swap I J or --perm LIST"), (("--swap", "1", "9"), "--swap indices must lie in 1..3")],
+)
+def test_k0_probe_needs_a_relabeling_of_the_level(capsys, flags, message):
+    argv = ("k0", "probe", "corpus:gicar", "--depth", "2", *flags)
+    assert run(capsys, *argv) == (2, "", f"usage error: {message}\n")
 
 
 def test_k0_probe_bad_perm(capsys):

@@ -87,6 +87,17 @@ def test_multiplicity_matrix_takes_integral_values():
         minimal_reduce([[0.5], [1]])
 
 
+def test_multiplicity_matrix_keeps_its_sparse_view_outside_the_fields():
+    read, fresh = MultiplicityMatrix([[1, 0], [1, 1]]), MultiplicityMatrix(((1, 0), (1, 1)))
+    assert read.column_entries == (((0, 1), (1, 1)), ((1, 1),))
+    assert fresh._supports is None
+    assert read == fresh and hash(read) == hash(fresh) and len({read, fresh}) == 1
+    for name, value in (("rows", ((1,),)), ("_supports", ())):
+        with pytest.raises(AttributeError):
+            setattr(fresh, name, value)
+    assert fresh.rows == ((1, 0), (1, 1)) and fresh._supports is None
+
+
 def test_multiplicity_matrix_copies_and_pickles():
     m = MultiplicityMatrix([[1, 0], [0, 1]])
     assert m.supports == ((0,), (1,))
@@ -216,9 +227,9 @@ def test_validate_reports_zero_rows():
     bad = BratteliDiagram(
         (MultiplicityMatrix([[1], [0]]),), None, ShapeClass("irregular"), "bad"
     )
-    report = validate_diagram(bad)
-    assert report.issues
-    assert any("row 2 is zero" in issue for issue in report.issues)
+    issues = validate_diagram(bad)
+    assert issues
+    assert any("row 2 is zero" in issue for issue in issues)
 
 
 def test_telescope_frozen():

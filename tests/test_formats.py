@@ -14,8 +14,8 @@ from brattice.k0 import Auto, build_chain, complete_chain, format_chain_dump
 
 
 def read_chain_dump(text):
-    """The squares, as rows of digit strings, and the printed determinants
-    of a `chain v1` dump."""
+    """The squares, as rows of ints, and the printed determinants of a
+    `chain v1` dump."""
     header, *lines = text.splitlines()
     assert header == "chain v1"
     squares, dets = [], []
@@ -23,7 +23,7 @@ def read_chain_dump(text):
         head, _, rest = line.partition(": ")
         assert head == f"A {k}"
         body, _, det = rest.rpartition(" det=")
-        squares.append([row.split() for row in body.split(";")])
+        squares.append([[int(x) for x in row.split()] for row in body.split(";")])
         dets.append(int(det))
     return squares, tuple(dets)
 

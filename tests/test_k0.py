@@ -111,6 +111,20 @@ def test_complete_matrix_explicit():
         complete_matrix(GICAR.matrix(0), ExplicitColumn((1, 0, 0)))
 
 
+def test_k0_front_doors_refuse_inexact_entries():
+    """A float is refused, not truncated: completion columns, chain squares
+    and probe relabelings are read as multiplicity matrices are."""
+    with pytest.raises(ValueError, match=r"^row 1, column 1: 0.5 is not an integer$"):
+        complete_matrix(PROPERSUB.matrix(0), ExplicitColumn((0.5, 1.9)))
+    with pytest.raises(ValueError, match=r"^completion 0: row 1, column 1: 1.5 is not an integer$"):
+        build_chain([((1.5, 0), (0, 1))])
+    with pytest.raises(ValueError, match=r"^row 1, column 2: 1.0 is not an integer$"):
+        automorphism_probe((2, 1.0, 3, 4), WeightScheme(DYADIC), 3)
+    # an integral Fraction is exact
+    assert completed(PROPERSUB.matrix(0), ExplicitColumn((Fraction(0), Fraction(2, 2)))) == [[2, 0], [2, 1]]
+    assert build_chain([((Fraction(4, 2), 0), (2, 1))]).dets == (2,)
+
+
 def test_complete_matrix_guards():
     with pytest.raises(ValueError):
         complete_matrix(MultiplicityMatrix([[1, 1]]), Auto())

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from brattice.diagram import BratteliDiagram, FamilyTail, ShapeClass
+from brattice.diagram import BratteliDiagram, FamilyTail, MultiplicityMatrix, ShapeClass
 from brattice.k0 import K0Witness
 from brattice.pathspace import (
     BranchData,
@@ -145,6 +145,7 @@ def test_library_records_keep_their_dataclass_repr():
     )
     assert repr(UserMap(())) == "UserMap(maps=())"
     assert repr(ShapeClass("type1", 2)) == "ShapeClass(kind='type1', width=2)"
+    assert repr(MultiplicityMatrix([[1], [2]])) == "MultiplicityMatrix(rows=((1,), (2,)))"
     gicar = BratteliDiagram((), FamilyTail("gicar"))
     assert gicar.shape == ShapeClass("type2") and gicar.name == ""
 
