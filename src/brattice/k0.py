@@ -114,8 +114,9 @@ class CompletedChain:
                 raise ValueError(f"level sizes {sizes} neither grow by one nor stay constant")
             if sizes[0] != 2:
                 raise ValueError(f"growing chains start with a 2x2 square, got {sizes[0]}")
-        self._u = {}  # depth -> integer product, filled lazily
+        self._u = [[[1]]]  # _u[n] is the integer product at depth n, extended lazily
         self._inverse = {}  # depth -> (integer numerators, positive denominator)
+        self._bands = {}  # (depth, inverse?) -> band view of the product or its inverse
 
     @property
     def depth(self):
@@ -131,19 +132,19 @@ class CompletedChain:
         return out
 
     def u_matrix(self, n):
-        """Integer product taking basis vectors at depth n to R-basis vectors."""
+        """Integer product taking basis vectors at depth n to R-basis vectors,
+        extended one level at a time from the deepest product computed."""
         if not 0 <= n <= self.depth:
             raise DepthExceeded(f"chain has depth {self.depth}, asked for {n}")
-        if n == 0:
-            return [[1]]
-        if n not in self._u:
-            prev = self.u_matrix(n - 1)
-            square = self.squares[n - 1]
+        u = self._u
+        while len(u) <= n:
+            prev = u[-1]
+            square = self.squares[len(u) - 1]
             grow = len(square) - len(prev)
             if grow:
                 prev = [row + [0] * grow for row in prev] + matops.identity(len(square))[len(prev):]
-            self._u[n] = matops.mat_mul(square, prev)
-        return self._u[n]
+            u.append(matops.mat_mul(square, prev))
+        return u[n]
 
     def inverse_parts(self, n):
         """The inverse of u_matrix(n) as integer numerators over one positive
@@ -151,6 +152,15 @@ class CompletedChain:
         if n not in self._inverse:
             self._inverse[n] = matops.int_inverse(self.u_matrix(n))
         return self._inverse[n]
+
+    def band(self, n, inverse=False):
+        """The band view (matops.band_rows) of u_matrix(n), or of the
+        numerators of inverse_parts(n), built on the first query at depth n."""
+        key = (n, inverse)
+        if key not in self._bands:
+            m = self.inverse_parts(n)[0] if inverse else self.u_matrix(n)
+            self._bands[key] = matops.band_rows(m)
+        return self._bands[key]
 
     def a_matrix(self, n):
         """Rational inverse of u_matrix(n), built from inverse_parts(n)."""
@@ -222,40 +232,41 @@ def r_map(beta, tree, denominator=1):
     cylinder at its level's distinguished vertex, and every value is divided
     by `denominator`.
 
-    One pass down the tree: a vertex's sum is its parent's, plus beta[lev]
-    when it is the level's distinguished vertex.  Integer coefficients stay
-    integer until the final division.
+    One pass down the tree's gather maps: a vertex's sum is its parent's,
+    plus beta[lev] when it is the level's distinguished vertex.  Integer
+    coefficients stay integer until the final division.
     """
     n = len(beta) - 1
-    levels, branches = tree.levels(n)
+    gathers, branches = tree.gathers(n)
     rs = _big_children(branches)
     sums = [beta[0]]
-    for lev, parents in enumerate(levels, start=1):
-        sums = [sums[p - 1] for p in parents]
+    for lev, (down, _) in enumerate(gathers, start=1):
+        sums = list(map(sums.__getitem__, down))
         sums[rs[lev] - 1] += beta[lev]
     return LocallyConstantFunction(n, tuple(Fraction(v, denominator) for v in sums))
 
 
 def _R_numerators(func, tree):
     """The coefficients of to_R_basis as integer numerators over one
-    positive denominator: the values are cleared once and peeled as ints."""
+    positive denominator: the values are cleared once and peeled as ints.
+
+    Every parent but the branch one has one child, and the branch parent's
+    first child is its smaller one, so each level moves up the tree's `up`
+    gather map; a childless parent reads the 0 appended past the level.
+    """
     n = func.depth
-    levels, branches = tree.levels(n)
+    gathers, branches = tree.gathers(n)
     _big_children(branches)  # every level must branch exactly once
-    counts = [1] + [len(parents) for parents in levels]
+    width = len(gathers[-1][0]) if n else 1
     gamma, d = matops.clear_denominators(func.values)
-    if len(gamma) != counts[n]:
-        raise ValueError(f"level {n} has {counts[n]} vertices, got {len(gamma)} values")
+    if len(gamma) != width:
+        raise ValueError(f"level {n} has {width} vertices, got {len(gamma)} values")
     beta = [0] * (n + 1)
     for lev in range(n, 0, -1):
         b = branches[lev - 1]
         beta[lev] = gamma[b.big_child - 1] - gamma[b.small_child - 1]
-        shallower = [0] * counts[lev - 1]
-        for child, parent in enumerate(levels[lev - 1], start=1):
-            if child == b.big_child:
-                continue
-            shallower[parent - 1] = gamma[child - 1]
-        gamma = shallower
+        gamma.append(0)
+        gamma = list(map(gamma.__getitem__, gathers[lev - 1][1]))
     beta[0] = gamma[0]
     return beta, d
 
@@ -277,9 +288,9 @@ def phi(alpha, chain, tree):
     n = len(alpha) - 1
     if n > chain.depth:
         raise DepthExceeded(f"chain has depth {chain.depth}, vector needs {n}")
-    nums, d = chain.inverse_parts(n)
+    _, d = chain.inverse_parts(n)
     ints, scale = matops.clear_denominators(alpha)
-    return r_map(matops.mat_vec(nums, ints), tree, d * scale)
+    return r_map(matops.band_vec(chain.band(n, inverse=True), ints), tree, d * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +313,7 @@ def _witness_numerators(func, chain, tree):
     if n > chain.depth:
         raise DepthExceeded(f"chain has depth {chain.depth}, function sits at {n}")
     beta, d = _R_numerators(func, tree)
-    return matops.mat_vec(chain.u_matrix(n), beta), d
+    return matops.band_vec(chain.band(n), beta), d
 
 
 def witness_vector(func, chain, tree):
@@ -380,9 +391,9 @@ class ChainRealizer:
         chain = self.chain
         if len(chain.squares[0]) != len(chain.squares[-1]):
             raise ValueError("growing chains have no constant-width reading")
-        nums, den = chain.inverse_parts(chain.depth)
+        _, den = chain.inverse_parts(chain.depth)
         ints, scale = matops.clear_denominators(alpha)
-        values = matops.mat_vec(nums, ints)
+        values = matops.band_vec(chain.band(chain.depth, inverse=True), ints)
         d = chain.depth + first_square(self.tree.diagram)
         self.tree.ensure_depth(d)
         if len(values) != self.tree.level_count(d):

@@ -64,6 +64,26 @@ def mat_vec(a, v):
     return [sum(map(mul, row, v)) for row in a]
 
 
+def band_rows(m):
+    """The band view of m: its column count, and for each row the first
+    nonzero column with the entries through the row's last nonzero one (an
+    all-zero row keeps none).  band_vec multiplies inside the bands only."""
+    _, c = dims(m)
+    rows = []
+    for row in m:
+        nz = [j for j, x in enumerate(row) if x]
+        rows.append((nz[0], tuple(row[nz[0]:nz[-1] + 1])) if nz else (0, ()))
+    return c, tuple(rows)
+
+
+def band_vec(band, v):
+    """mat_vec(m, v) for band = band_rows(m)."""
+    c, rows = band
+    if len(v) != c:
+        raise ValueError(f"shape mismatch: {len(rows)}x{c} times vector of length {len(v)}")
+    return [sum(map(mul, entries, v[lo:])) for lo, entries in rows]
+
+
 def clear_denominators(v):
     """Integer numerators of the entries of v over their least common
     denominator, and that denominator.  An integer vector is copied as it is."""

@@ -135,6 +135,7 @@ class MinimalDiagram:
         self.strategy = strategy
         self._parents = []  # _parents[k] covers level k+1, 1-based entries
         self._branches = []  # BranchData | None per materialized level
+        self._gathers = []  # (down, up) gather maps per level, built by gathers()
 
     # -- materialization
 
@@ -201,17 +202,39 @@ class MinimalDiagram:
 
     # -- queries
 
+    def _check_level(self, level, lowest=1):
+        """Refuse a level below `lowest`, then materialize through `level`."""
+        if level < lowest:
+            raise DepthExceeded(f"no level {level}")
+        self.ensure_depth(level)
+
     def levels(self, n):
         """Parent tuples and branch records of levels 1..n after one depth
         check, for callers that walk every level (the per-level accessors
         check the depth on each call)."""
-        if n < 0:
-            raise DepthExceeded(f"no level {n}")
-        self.ensure_depth(n)
+        self._check_level(n, 0)
         return self._parents[:n], self._branches[:n]
 
+    def gathers(self, n):
+        """Gather maps and branch records of levels 1..n after one depth
+        check, like levels(n).  The maps are built on the first reader that
+        asks, never while a level materializes, and kept.  Per level, `down`
+        holds each vertex's 0-based parent, and `up` each vertex of the level
+        above's 0-based first child (one past the level's last vertex when it
+        has none), so list(map(values.__getitem__, down)) moves a level's
+        values one level down and the same with `up` one level up."""
+        self._check_level(n, 0)
+        kept = self._gathers
+        for parents in self._parents[len(kept):n]:
+            down = tuple(p - 1 for p in parents)
+            up = [len(down)] * (len(kept[-1][0]) if kept else 1)
+            for child in range(len(down) - 1, -1, -1):
+                up[down[child]] = child
+            kept.append((down, tuple(up)))
+        return kept[:n], self._branches[:n]
+
     def parents_at(self, level):
-        self.ensure_depth(level)
+        self._check_level(level)
         return self._parents[level - 1]
 
     def parent(self, level, vertex):
@@ -221,7 +244,7 @@ class MinimalDiagram:
         return parents[vertex - 1]
 
     def branch(self, level):
-        self.ensure_depth(level)
+        self._check_level(level)
         return self._branches[level - 1]
 
     def level_count(self, level):
@@ -286,10 +309,10 @@ def refine(func, to_depth, tree):
         return func
     if func.depth < 0:
         raise DepthExceeded(f"no level {func.depth}")
-    levels, _ = tree.levels(to_depth)
     values = func.values
-    for parents in levels[func.depth:]:
-        values = [values[p - 1] for p in parents]
+    gathers, _ = tree.gathers(to_depth)
+    for down, _ in gathers[func.depth:]:
+        values = list(map(values.__getitem__, down))
     return LocallyConstantFunction(to_depth, tuple(values))
 
 

@@ -18,7 +18,9 @@ and inverses over Fractions, the constant-width fold of per-square
 inverses, and r_map, to_R_basis, refine and indicator
 walking every vertex up to its ancestor, which the integer top-down passes
 in brattice.k0 and brattice.pathspace replaced, and the exactness report
-that ties a chain's determinants, adjugates and scales together.  The
+that ties a chain's determinants, adjugates and scales together, and
+the per-vertex passes over 1-based parent tuples that the tree's kept
+gather maps replaced in r_map, the to_R_basis peel and refine.  The
 module ends with helpers the library dropped once only tests called them:
 matrix equality, integrality and scaling, positive rows and columns, size
 vectors, distinguished vertices, and equality, sums and multiples of
@@ -30,7 +32,7 @@ replaced.
 from fractions import Fraction
 from functools import cache
 
-from brattice import k0, pathspace
+from brattice import k0, matops, pathspace
 from brattice.errors import Singular
 from brattice.pathspace import Cylinder, LocallyConstantFunction
 
@@ -433,6 +435,50 @@ def indicator(cylinders, tree):
                 values[j - 1] = Fraction(1)
                 break
     return LocallyConstantFunction(depth, tuple(values))
+
+
+def r_map_loop(beta, tree, denominator=1):
+    """The former r_map pass: each level's sums built one vertex at a time
+    from its 1-based parent tuple."""
+    n = len(beta) - 1
+    levels, branches = tree.levels(n)
+    rs = [1] + [b.big_child for b in branches]
+    sums = [beta[0]]
+    for lev, parents in enumerate(levels, start=1):
+        sums = [sums[p - 1] for p in parents]
+        sums[rs[lev] - 1] += beta[lev]
+    return LocallyConstantFunction(n, tuple(Fraction(v, denominator) for v in sums))
+
+
+def R_numerators_loop(func, tree):
+    """The former integer peel: each child but the level's larger branch
+    child hands its value to its parent, one vertex at a time; a childless
+    parent keeps 0."""
+    n = func.depth
+    levels, branches = tree.levels(n)
+    counts = [1] + [len(parents) for parents in levels]
+    gamma, d = matops.clear_denominators(func.values)
+    beta = [0] * (n + 1)
+    for lev in range(n, 0, -1):
+        b = branches[lev - 1]
+        beta[lev] = gamma[b.big_child - 1] - gamma[b.small_child - 1]
+        shallower = [0] * counts[lev - 1]
+        for child, parent in enumerate(levels[lev - 1], start=1):
+            if child != b.big_child:
+                shallower[parent - 1] = gamma[child - 1]
+        gamma = shallower
+    beta[0] = gamma[0]
+    return beta, d
+
+
+def refine_loop(func, to_depth, tree):
+    """The former refine pass: each vertex takes its parent's value, one
+    vertex at a time."""
+    levels, _ = tree.levels(to_depth)
+    values = func.values
+    for parents in levels[func.depth:]:
+        values = [values[p - 1] for p in parents]
+    return LocallyConstantFunction(to_depth, tuple(values))
 
 
 def census_floor(tree, depth):

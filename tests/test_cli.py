@@ -1053,6 +1053,34 @@ def test_corpus_output_is_frozen(capsys):
     assert run(capsys, "corpus") == (0, frozen, "")
 
 
+# the depth-32 queries whose outputs were frozen before k0 multiplied
+# inside row bands and walked gather maps; CI diffs the same two lines
+ALPHA_32 = "3,-1,4,-1,5,-9,2,6,-5,3,5,-8,9,-7,9,3,-2,3,-8,4,6,-2,6,4,-3,3,8,-3,2,7,-9,5,0"
+FUNC_32 = (
+    "depth=32: 1/2 -13/2 13/2 23/2 51/2 67/2 95/2 105/2 133/2 149/2 177/2 181/2 203/2"
+    " 233/2 245/2 265/2 287/2 295/2 313/2 335/2 353/2 353/2 365/2 381/2 409/2 435/2"
+    " 439/2 465/2 479/2 497/2 519/2 535/2 559/2"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, frozen",
+    [
+        (("k0", "phi", "corpus:gicar", f"--alpha={ALPHA_32}"), "k0-phi-gicar-32.out"),
+        (("k0", "member", "corpus:propersub", "--column", "0,1", "--func", FUNC_32), "k0-member-propersub-32.out"),
+    ],
+)
+def test_depth_32_k0_outputs_are_frozen(capsys, argv, frozen):
+    want = (Path(__file__).parent / "data" / frozen).read_text(encoding="utf-8")
+    assert run(capsys, *argv) == (0, want, "")
+
+
+def test_k0_phi_at_depth_1100_ends_in_a_verdict(capsys, monkeypatch):
+    monkeypatch.setenv("BRATTICE_DEPTH_LIMIT", "3000")
+    code, out, err = run(capsys, "k0", "phi", "corpus:uhf2", "--depth", "1100", "--alpha", "1")
+    assert (code, out, err) == (0, f"func depth=1100: 1/{2**1100}\n", "")
+
+
 def test_corpus_reports_drift(capsys, monkeypatch):
     entry = corpus.get("uhf6")
     first = entry.records[0]

@@ -287,6 +287,22 @@ def test_chain_depth_guard():
         phi((), chain, build_minimal_diagram(GICAR, "rightmost"))
 
 
+def test_deep_type1_chain_matches_fraction_path(monkeypatch):
+    # one product per level, extended by a loop: no recursion at depth 1100
+    monkeypatch.setenv("BRATTICE_DEPTH_LIMIT", "3000")
+    uhf2 = corpus.get("uhf2").diagram()
+    chain = complete_chain(uhf2, Auto(), 1100)
+    assert chain.depth == 1100
+    realizer = ChainRealizer(chain, build_minimal_diagram(uhf2, "theorem"))
+    got = realizer.phi((1,))
+    assert got == oracle.phi_type1((1,), chain, realizer.tree)
+    assert got == LocallyConstantFunction(1100, (Fraction(1, 2**1100),))
+    # a product extends from the deepest one already computed
+    partial = complete_chain(uhf2, Auto(), 1100)
+    assert partial.u_matrix(7) == [[2**7]]
+    assert partial.u_matrix(1100) == chain.u_matrix(1100) == [[2**1100]]
+
+
 # --- the R basis -------------------------------------------------------------
 
 
@@ -587,6 +603,15 @@ def test_probe_identity_preserved():
     verdict = automorphism_probe((1, 2, 3, 4), scheme, 3)
     assert isinstance(verdict, Preserved)
     assert verdict.checked > 0
+
+
+def test_probe_refuses_a_level_below_the_root():
+    scheme = WeightScheme(DYADIC)
+    scheme.tree.ensure_depth(3)
+    # level -2 once read the tree's level 1 through negative indexing
+    for theta in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(DepthExceeded):
+            automorphism_probe(theta, scheme, -2)
 
 
 @pytest.mark.parametrize("name", ["dyadic", "propersub"])

@@ -180,6 +180,49 @@ def test_one_by_one_and_single_row_cases():
         pivot_row([[0]])
 
 
+@st.composite
+def banded(draw):
+    """Integer matrices up to 6 x 8 whose rows have zero runs at both ends:
+    all-zero rows, full rows and 1 x 1 matrices among them."""
+    r = draw(st.integers(1, 6))
+    c = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(r):
+        lo = draw(st.integers(0, c))
+        hi = draw(st.integers(lo, c))
+        inner = draw(st.lists(st.integers(-9, 9), min_size=hi - lo, max_size=hi - lo))
+        rows.append([0] * lo + inner + [0] * (c - hi))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(banded(), st.data())
+def test_band_product_matches_dense_product(m, data):
+    v = data.draw(st.lists(st.integers(-(10**30), 10**30), min_size=len(m[0]), max_size=len(m[0])))
+    c, rows = matops.band_rows(m)
+    assert c == len(m[0])
+    for row, (lo, entries) in zip(m, rows):
+        # the band keeps exactly the first through the last nonzero entry
+        if entries:
+            assert entries[0] and entries[-1]
+        assert [0] * lo + list(entries) + [0] * (c - lo - len(entries)) == row
+    assert matops.band_vec((c, rows), v) == matops.mat_vec(m, v)
+
+
+def test_band_product_edge_cases():
+    for m, v, want in (
+        ([[0]], [7], [0]),
+        ([[5]], [7], [35]),
+        ([[0, 0, 0], [1, 2, 3], [0, 4, 0]], [1, 1, 2], [0, 9, 4]),
+    ):
+        assert matops.band_vec(matops.band_rows(m), v) == want == matops.mat_vec(m, v)
+    band = matops.band_rows([[0, 1], [0, 0]])
+    assert band == (2, ((1, (1,)), (0, ())))
+    for short in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="shape mismatch: 2x2 times vector"):
+            matops.band_vec(band, short)
+
+
 def test_sixteen_by_sixteen_inverse_matches_oracle():
     # a lower 0/1 ladder times an upper triangle with 2 on the diagonal
     n = 16

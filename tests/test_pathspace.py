@@ -152,6 +152,24 @@ def test_user_map_dead_ends_need_irregular_shape():
     assert cylinder_children(tree, Cylinder(1, 1)) == (Cylinder(2, 1),)
 
 
+def test_levels_below_one_are_refused():
+    tree = build_minimal_diagram(GICAR, "rightmost").ensure_depth(5)
+    assert tree.level_count(0) == 1
+    assert tree.level_count(5) == 6
+    for level in (0, -1, -2):
+        for read in (tree.parents_at, tree.branch, lambda lev: tree.parent(lev, 1)):
+            with pytest.raises(DepthExceeded):
+                read(level)
+        with pytest.raises(DepthExceeded):
+            cylinder_children(tree, Cylinder(level - 1, 1))
+    with pytest.raises(DepthExceeded):
+        tree.level_count(-1)
+    assert cylinder_children(tree, Cylinder(0, 1)) == (Cylinder(1, 1), Cylinder(1, 2))
+    assert tree.gathers(0) == ([], [])
+    with pytest.raises(DepthExceeded):
+        tree.gathers(-1)
+
+
 def test_ensure_depth_limit():
     fin = finite_gicar(3)
     tree = build_minimal_diagram(fin, "rightmost")

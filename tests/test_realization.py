@@ -1,14 +1,17 @@
 """The integer realization path (phi, membership, refine, indicator) against
-the former Fraction path kept in exact_oracle."""
+the former Fraction path kept in exact_oracle, and its gather walks against
+the per-vertex loops kept there."""
 
+import random
 from fractions import Fraction
+from functools import cache
 
 import exact_oracle as oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brattice import corpus, diagram
+from brattice import cli, corpus, diagram
 from brattice.errors import DepthExceeded
 from brattice.k0 import (
     Auto,
@@ -16,6 +19,7 @@ from brattice.k0 import (
     K0Witness,
     NotMember,
     WeightScheme,
+    _R_numerators,
     complete_chain,
     membership,
     phi,
@@ -26,7 +30,10 @@ from brattice.k0 import (
 from brattice.pathspace import (
     Cylinder,
     LocallyConstantFunction,
+    MinimalDiagram,
+    UserMap,
     build_minimal_diagram,
+    format_tree_dump,
     indicator,
     refine,
 )
@@ -35,24 +42,24 @@ DEPTH = 16
 DEPTHS = (0, 1, 8, DEPTH)
 
 
-def _realizers():
+def _realizers(depth):
     gicar = corpus.get("gicar").diagram()
     prop = corpus.get("propersub").diagram()
     scheme = WeightScheme(corpus.get("dyadic").diagram())
     return {
         "gicar": (
-            complete_chain(gicar, Auto(), DEPTH),
-            build_minimal_diagram(gicar, "rightmost").ensure_depth(DEPTH),
+            complete_chain(gicar, Auto(), depth),
+            build_minimal_diagram(gicar, "rightmost").ensure_depth(depth),
         ),
         "propersub": (
-            complete_chain(prop, [ExplicitColumn((0, 1))], DEPTH),
-            build_minimal_diagram(prop, "theorem").ensure_depth(DEPTH),
+            complete_chain(prop, [ExplicitColumn((0, 1))], depth),
+            build_minimal_diagram(prop, "theorem").ensure_depth(depth),
         ),
-        "dyadic": (scheme.chain(DEPTH), scheme.tree.ensure_depth(DEPTH)),
+        "dyadic": (scheme.chain(depth), scheme.tree.ensure_depth(depth)),
     }
 
 
-REALIZERS = _realizers()
+REALIZERS = _realizers(DEPTH)
 NAMES = sorted(REALIZERS)
 HALF = LocallyConstantFunction(1, (0, Fraction(1, 2)))
 
@@ -187,3 +194,96 @@ def test_tree_levels_match_the_per_level_accessors():
     assert tree.levels(0) == ([], [])
     with pytest.raises(DepthExceeded):
         tree.levels(-1)
+
+
+# --- band products and gather maps against the dense passes they replaced ---
+
+DEEP = 32
+
+
+@cache
+def _deep_realizers():
+    return _realizers(DEEP)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_depth_32_queries_match_fraction_path(name):
+    chain, tree = _deep_realizers()[name]
+    rng = random.Random(DEEP)
+    for _ in range(3):
+        alpha = tuple(rng.randint(-30, 30) for _ in range(DEEP + 1))
+        got = phi(alpha, chain, tree)
+        assert got == oracle.phi(alpha, chain, tree)
+        assert membership(got, chain, tree) == K0Witness(alpha, DEEP)
+        rational = [Fraction(rng.randint(-30, 30), rng.randint(1, 6)) for _ in alpha]
+        assert phi(rational, chain, tree) == oracle.phi(rational, chain, tree)
+        values = [Fraction(rng.randint(-30, 30), rng.randint(1, 2)) for _ in range(tree.level_count(DEEP))]
+        func = LocallyConstantFunction(DEEP, values)
+        want = oracle.witness_vector(func, chain, tree)
+        assert witness_vector(func, chain, tree) == want
+        if all(x.denominator == 1 for x in want):
+            assert membership(func, chain, tree) == K0Witness(tuple(int(x) for x in want), DEEP)
+        else:
+            assert membership(func, chain, tree) == NotMember(DEEP)
+    for n in (1, 9, DEEP):
+        func = refine(HALF, n, tree)
+        assert func == oracle.refine(HALF, n, tree)
+        assert refine(func, DEEP, tree) == oracle.refine(func, DEEP, tree)
+
+
+@pytest.mark.parametrize("name", ["gicar", "propersub"])
+def test_depth_32_bands_keep_561_of_1089_entries(name):
+    chain, _ = _deep_realizers()[name]
+    for inverse in (False, True):
+        width, rows = chain.band(DEEP, inverse)
+        assert (width, len(rows)) == (DEEP + 1, DEEP + 1)
+        assert sum(len(entries) for _, entries in rows) == 561
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(NAMES), st.sampled_from(DEPTHS), st.data())
+def test_gather_walks_match_per_vertex_loops(name, n, data):
+    _, tree = REALIZERS[name]
+    beta = data.draw(st.lists(st.integers(-30, 30), min_size=n + 1, max_size=n + 1), label="beta")
+    d = data.draw(st.integers(1, 12), label="denominator")
+    assert r_map(beta, tree, d) == oracle.r_map_loop(beta, tree, d)
+    func = LocallyConstantFunction(n, data.draw(vectors(tree.level_count(n)), label="values"))
+    assert _R_numerators(func, tree) == oracle.R_numerators_loop(func, tree)
+    deeper = data.draw(st.integers(n, DEPTH), label="to")
+    assert refine(func, deeper, tree) == oracle.refine_loop(func, deeper, tree)
+
+
+# level 1 doubles the root's one child, level 2 gives both children to
+# vertex 1, so vertex 2 of level 1 has none, and level 3 doubles vertex 2
+CHILDLESS = "bdspec v1\nshape: irregular\nmatrix 0:\n1\n1\nmatrix 1:\n1 0\n1 0\nmatrix 2:\n1 0\n1 1\n0 1\n"
+
+
+def test_peel_reads_zero_at_a_childless_parent():
+    _, pinched = diagram.read_input(CHILDLESS)
+    tree = build_minimal_diagram(pinched, UserMap(((1, (1, 1)), (2, (1, 1)), (3, (1, 2, 2)))))
+    gathers, _ = tree.gathers(3)
+    # level 2: both vertices go down to vertex 1, whose first child is 1;
+    # vertex 2 has no child and reads one past the level
+    assert gathers[1] == ((0, 0), (0, 2))
+    for values in ((1, 2, 3), (Fraction(1, 2), 0, -7)):
+        func = LocallyConstantFunction(3, values)
+        assert _R_numerators(func, tree) == oracle.R_numerators_loop(func, tree)
+        assert to_R_basis(func, tree) == oracle.to_R_basis(func, tree)
+
+
+def test_tree_builds_compute_no_gather(monkeypatch, capsys):
+    calls = []
+    gathers = MinimalDiagram.gathers
+    monkeypatch.setattr(MinimalDiagram, "gathers", lambda self, n: calls.append(n) or gathers(self, n))
+    for name, strategy in (("gicar", "theorem"), ("gicar", "rightmost"), ("propersub", "theorem")):
+        tree = build_minimal_diagram(corpus.get(name).diagram(), strategy)
+        format_tree_dump(tree, 24)
+        assert tree._gathers == []
+    assert cli.main(["reduce", "corpus:gicar", "--depth", "24"]) == 0
+    assert cli.main(["pathspace", "corpus:gicar", "--census", "--depth", "24"]) == 0
+    capsys.readouterr()
+    assert calls == []
+    # the k0 readers do build them, once per level
+    r_map(tuple(range(9)), tree)
+    assert calls == [8]
+    assert len(tree._gathers) == 8
