@@ -37,10 +37,10 @@ from .k0 import (
     K0Witness,
     NotPositiveUpTo,
     Positive,
+    Type1Realizer,
     WeightScheme,
     automorphism_probe,
     complete_chain,
-    first_square,
     format_chain_dump,
 )
 from .pathspace import (
@@ -315,7 +315,7 @@ _NO_CHAIN = "a completed chain, which --weight does not build"
 
 def _refuse_type1(args, diagram):
     """The usage errors of a type1 diagram, whose levels never branch:
-    --weight, every k0 action but chain and phi, and --column."""
+    --weight, every k0 action but chain and phi, --column and --strategy."""
     if diagram.shape.kind != "type1":
         return
     if args.weight or args.action not in ("chain", "phi"):
@@ -324,17 +324,19 @@ def _refuse_type1(args, diagram):
             f"{what} needs levels that branch; {args.input} is type1, "
             "whose chain realizes only through k0 phi"
         )
-    _refuse(args, "levels that branch; a type1 chain takes its squares as they are", "column")
+    _refuse(args, "levels that branch; a type1 chain takes its squares as they are", "column", "strategy")
 
 
 def _chain(args, diagram, depth):
     """A chain of `depth` squares: the weight scheme's under --weight, else
-    a completed one."""
+    a completed one.  A depth that --depth did not give, a default or one
+    read off the input, is cut at the diagram's end; a given one past it is
+    an error."""
     if depth < 1:
         raise UsageError(f"a chain needs at least one square, --depth {depth} gives none")
     if args.weight:
         return WeightScheme(diagram).chain(depth)
-    return complete_chain(diagram, _hints(args), depth)
+    return complete_chain(diagram, _hints(args), depth, cut=getattr(args, "depth", None) is None)
 
 
 def cmd_k0_chain(args):
@@ -364,12 +366,6 @@ def _realizer(args, diagram, depth):
             return scheme
         except NotUniqueMinimal:
             pass
-    if diagram.shape.kind == "type1":
-        # phi realizes at level `depth`: the squares among matrices 0..depth-1
-        start = first_square(diagram)
-        if depth <= start:
-            raise UsageError(f"--depth {depth} on {args.input} reaches no square: they start at matrix {start}")
-        depth -= start
     tree = build_minimal_diagram(diagram, _strategy(args.strategy or "theorem"))
     return ChainRealizer(_chain(args, diagram, depth), tree)
 
@@ -379,16 +375,17 @@ def cmd_k0_phi(args):
     alpha = _values(args.alpha, "--alpha")
     if not alpha:
         raise UsageError("--alpha needs at least one value")
-    type1 = diagram.shape.kind == "type1"
-    if type1:
+    if diagram.shape.kind == "type1":
+        _refuse_type1(args, diagram)
         depth = _depth(args, diagram)
+        realizer = Type1Realizer(diagram, depth)
+        if depth <= realizer.start:
+            raise UsageError(f"--depth {depth} on {args.input} reaches no square: they start at matrix {realizer.start}")
+        if len(alpha) != diagram.shape.width:
+            raise UsageError(f"--alpha on a type1 diagram needs {diagram.shape.width} values, got {len(alpha)}")
     else:
         _refuse(args, "a type1 diagram; elsewhere the depth follows --alpha", "depth")
-        depth = max(len(alpha) - 1, 1)
-    realizer = _realizer(args, diagram, depth)
-    width = diagram.shape.width
-    if type1 and len(alpha) != width:
-        raise UsageError(f"--alpha on a type1 diagram needs {width} values, got {len(alpha)}")
+        realizer = _realizer(args, diagram, max(len(alpha) - 1, 1))
     func = realizer.phi(alpha)
     print(f"func depth={func.depth}: {_fmt_vec(func.values)}")
     return 0

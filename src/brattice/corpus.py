@@ -26,9 +26,9 @@ from .errors import RankDeficient
 from .k0 import (
     Auto,
     Broken,
-    ChainRealizer,
     ExplicitColumn,
     NotMember,
+    Type1Realizer,
     WeightScheme,
     automorphism_probe,
     complete_chain,
@@ -240,8 +240,7 @@ ENTRIES = (
             ExpectedRecord("telescope 0,2", "hand-checked", ((4,),),
                            lambda d: telescope(d, (0, 2)).matrix(0).rows),
             ExpectedRecord("phi_type1 3 : 3", "hand-checked", (Fraction(3, 8),),
-                           lambda d: ChainRealizer(
-                               complete_chain(d, Auto(), 3), _theorem(d)).phi((3,)).values),
+                           lambda d: Type1Realizer(d, 3).phi((3,)).values),
             ExpectedRecord("scales 3", "hand-checked", (2, 4, 8),
                            lambda d: _scales(d, Auto(), 3)),
             ExpectedRecord("census theorem", "closed-form", ("finite", 1, 0),

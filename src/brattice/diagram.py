@@ -97,10 +97,6 @@ class MultiplicityMatrix(Record):
             object.__setattr__(self, "_columns", columns)
         return columns
 
-    def col_support(self, j):
-        """1-based rows where column j (1-based) is positive."""
-        return tuple(i + 1 for i, _ in self.column_entries[j - 1])
-
     def to_lists(self):
         return [list(row) for row in self.rows]
 
@@ -334,6 +330,12 @@ class BratteliDiagram(Record):
         if self.tail is not None:
             return depth_limit() - 1
         return len(self.matrices) - 1
+
+    def check_depth(self, n):
+        """Refuse level n when it lies past the levels the diagram allows."""
+        allowed = self.max_matrix_index() + 1
+        if n > allowed:
+            raise DepthExceeded(f"level {n} requested, diagram allows {allowed}")
 
     def matrix(self, n):
         """Multiplicity matrix connecting level n to level n+1."""

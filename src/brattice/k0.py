@@ -193,15 +193,19 @@ def first_square(diagram):
     return int(mat.nrows != mat.ncols)
 
 
-def complete_chain(diagram, hints, depth):
+def complete_chain(diagram, hints, depth, cut=False):
     """Build a chain of `depth` squares; hints may be one hint or a
     per-level list.  A type1 chain takes the diagram's squares as they are,
-    from first_square on, and so reaches level first_square + depth."""
-    if diagram.shape.kind == "type1":
-        start = first_square(diagram)
+    from first_square on, and so reaches level first_square + depth.  A
+    chain that would reach past the diagram raises DepthExceeded, or under
+    `cut` stops at the diagram's last level."""
+    type1 = diagram.shape.kind == "type1"
+    start = first_square(diagram) if type1 else 0
+    if cut:
         depth = min(depth, diagram.max_matrix_index() + 1 - start)
+    diagram.check_depth(start + depth)
+    if type1:
         return build_chain([diagram.matrix(start + k).rows for k in range(depth)])
-    depth = min(depth, diagram.max_matrix_index() + 1)
     if hasattr(hints, "column"):
         hints = [hints] * depth
     # complete_matrix hands back each determinant with its square
@@ -284,7 +288,7 @@ def to_R_basis(func, tree):
 def phi(alpha, chain, tree):
     """Function of an integer (or rational) vector at its own depth."""
     if tree.diagram.shape.kind == "type1":
-        raise ValueError("type1 trees realize through ChainRealizer")
+        raise ValueError("type1 diagrams realize through Type1Realizer")
     n = len(alpha) - 1
     if n > chain.depth:
         raise DepthExceeded(f"chain has depth {chain.depth}, vector needs {n}")
@@ -374,37 +378,39 @@ def positivity(func, chain, tree, bound=None):
 
 
 class ChainRealizer:
-    """A completed chain read through a reduced tree.
-
-    A type1 tree never branches, so phi takes a vector of the level width
-    at the level the chain reaches, and membership and positivity, which
-    peel branches, do not apply.
-    """
+    """A completed chain read through a reduced tree."""
 
     def __init__(self, chain, tree):
         self.chain = chain
         self.tree = tree
 
     def phi(self, alpha):
-        if self.tree.diagram.shape.kind != "type1":
-            return phi(alpha, self.chain, self.tree)
-        chain = self.chain
-        if len(chain.squares[0]) != len(chain.squares[-1]):
-            raise ValueError("growing chains have no constant-width reading")
-        _, den = chain.inverse_parts(chain.depth)
-        ints, scale = matops.clear_denominators(alpha)
-        values = matops.band_vec(chain.band(chain.depth, inverse=True), ints)
-        d = chain.depth + first_square(self.tree.diagram)
-        self.tree.ensure_depth(d)
-        if len(values) != self.tree.level_count(d):
-            raise ValueError("vector length does not match the level width")
-        return LocallyConstantFunction(d, tuple(Fraction(v, den * scale) for v in values))
+        return phi(alpha, self.chain, self.tree)
 
     def membership(self, func):
         return membership(func, self.chain, self.tree)
 
     def positivity(self, func, bound=None):
         return positivity(func, self.chain, self.tree, bound)
+
+
+class Type1Realizer:
+    """A type1 diagram's squares from first_square on, read as one chain
+    down to `level`.  Its levels keep one width and never branch, so phi
+    reads no tree, and membership and positivity, which peel branches, do
+    not apply."""
+
+    def __init__(self, diagram, level):
+        self.diagram = diagram
+        self.level = level
+        self.start = first_square(diagram)
+
+    def phi(self, alpha):
+        chain = complete_chain(self.diagram, Auto(), self.level - self.start)
+        _, den = chain.inverse_parts(chain.depth)
+        ints, scale = matops.clear_denominators(alpha)
+        values = matops.band_vec(chain.band(chain.depth, inverse=True), ints)
+        return LocallyConstantFunction(self.level, tuple(Fraction(v, den * scale) for v in values))
 
 
 class WeightScheme:

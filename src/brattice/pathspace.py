@@ -10,6 +10,7 @@ ever append, so a shared tree deepens idempotently.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .config import read_uint
 from .diagram import meaningful_lines
@@ -67,27 +68,18 @@ class UserMap(Record):
         )
 
 
+LAST = 0  # positions are 1-based, so 0 is free to name a level's last vertex
+
+
 class NamedFamily(Record):
-    """Built-in single-growth parent patterns with known end structure."""
+    """A single-growth parent pattern.  Level n branches the parent at
+    positions[(n - 1) % len(positions)], clamped to the level above, where
+    LAST names its last vertex.  `census` is the closed-form (kind, count,
+    condensation) of the family's ends on a tail, or None."""
 
-    name: str  # rightmost | leftmost | alternating | positions
-    positions: tuple | None = None
-
-    def __post_init__(self):
-        if self.name not in ("rightmost", "leftmost", "alternating", "positions"):
-            raise ValueError(f"unknown family {self.name!r}")
-        if self.name == "positions" and not self.positions:
-            raise ValueError("positions family needs a nonempty position list")
-
-    def _branch_position(self, level, prev_count):
-        if self.name == "rightmost":
-            return prev_count
-        if self.name == "leftmost":
-            return 1
-        if self.name == "alternating":
-            return prev_count if level % 2 == 0 else 1
-        raw = self.positions[(level - 1) % len(self.positions)]
-        return max(1, min(raw, prev_count))
+    name: str
+    positions: tuple
+    census: tuple | None = None
 
     def parents(self, mat, level):
         prev, cur = mat.ncols, mat.nrows
@@ -95,20 +87,28 @@ class NamedFamily(Record):
             raise UnsupportedUserMap(
                 f"family {self.name!r} needs single growth at level {level}"
             )
-        a = self._branch_position(level, prev)
+        a = min(self.positions[(level - 1) % len(self.positions)], prev) or prev
         return tuple(j if j <= a else j - 1 for j in range(1, cur + 1))
+
+
+# the named strategies, built on demand; a family carries its rule and census
+_STRATEGIES = {
+    "theorem": Theorem,
+    "lexfirst": LexFirst,
+    "rightmost": partial(NamedFamily, "rightmost", (LAST,), ("countably-infinite", None, 1)),
+    "leftmost": partial(NamedFamily, "leftmost", (1,), ("countably-infinite", None, 1)),
+    "alternating": partial(NamedFamily, "alternating", (1, LAST), ("countably-infinite", None, 2)),
+}
 
 
 def strategy_from_string(text):
     text = text.strip().lower()
-    if text == "theorem":
-        return Theorem()
-    if text == "lexfirst":
-        return LexFirst()
-    if text in ("rightmost", "leftmost", "alternating"):
-        return NamedFamily(text)
+    if text in _STRATEGIES:
+        return _STRATEGIES[text]()
     if text.startswith("positions:"):
         nums = tuple(map(read_uint, text[len("positions:"):].replace(",", " ").split()))
+        if not nums:
+            raise ValueError("positions family needs a nonempty position list")
         if 0 in nums:
             raise ValueError("positions are 1-based, got 0")
         return NamedFamily("positions", nums)
@@ -147,10 +147,7 @@ class MinimalDiagram:
         return self.diagram.max_matrix_index() + 1
 
     def ensure_depth(self, n):
-        if n > self.max_depth():
-            raise DepthExceeded(
-                f"level {n} requested, diagram allows {self.max_depth()}"
-            )
+        self.diagram.check_depth(n)
         while self.depth < n:
             self._materialize_next()
         return self
@@ -359,30 +356,23 @@ class EndCensus(Record):
         return f"{ends}, {self.condensation} condensation points [{tag}]"
 
 
-_FAMILY_CENSUS = {
-    "rightmost": ("countably-infinite", None, 1),
-    "leftmost": ("countably-infinite", None, 1),
-    "alternating": ("countably-infinite", None, 2),
-}
-
-
 def end_census(tree, depth=None):
     """End count and condensation summary.
 
-    Built-in families and constant-width diagrams have closed forms and come
-    back certified; a family first builds the levels of a default report,
-    so that its own single-growth check runs on them.  Anything else is a
+    A strategy with a census of its own (a built-in family) and a
+    constant-width diagram have closed forms and come back certified; a
+    family first builds the levels of a default report, so that its own
+    single-growth check runs on them.  Anything else is a
     finite-depth report: a floor on the end count plus a crude condensation
     estimate (frontier vertices whose ancestry meets a branch parent within
     the last two levels).
     """
     diagram = tree.diagram
     default = min(tree.max_depth(), max(diagram.explicit_depth, 8))
-    family = tree.strategy.name if isinstance(tree.strategy, NamedFamily) else None
-    if diagram.has_tail and family in _FAMILY_CENSUS:
+    census = getattr(tree.strategy, "census", None)
+    if diagram.has_tail and census is not None:
         tree.ensure_depth(default)
-        kind, count, cond = _FAMILY_CENSUS[family]
-        return EndCensus(kind, count, cond, True, None)
+        return EndCensus(*census, True, None)
     if diagram.has_tail and diagram.shape.kind == "type1":
         return EndCensus("finite", diagram.shape.width, 0, True, None)
 

@@ -22,9 +22,9 @@ that ties a chain's determinants, adjugates and scales together, and
 the per-vertex passes over 1-based parent tuples that the tree's kept
 gather maps replaced in r_map, the to_R_basis peel and refine.  The
 module ends with helpers the library dropped once only tests called them:
-matrix equality, integrality and scaling, positive rows and columns, size
-vectors, distinguished vertices, and equality, sums and multiples of
-functions.  Last come the three hand-written level builders of the
+matrix equality, integrality and scaling, positive rows and columns,
+column supports, size vectors, distinguished vertices, and equality, sums
+and multiples of functions.  Last come the three hand-written level builders of the
 built-in tail families, which brattice.diagram's band descriptions
 replaced.
 """
@@ -549,6 +549,12 @@ def scale(m, s):
 def has_positive_rows_and_cols(mat):
     """No zero row and no zero column in a MultiplicityMatrix."""
     return all(any(row) for row in mat.rows) and all(any(col) for col in zip(*mat.rows))
+
+
+def col_support(mat, j):
+    """1-based rows where column j (1-based) of a MultiplicityMatrix is
+    positive, read off its kept column view."""
+    return tuple(i + 1 for i, _ in mat.column_entries[j - 1])
 
 
 def size_vector(diagram, n):

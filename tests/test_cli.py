@@ -398,6 +398,11 @@ UNUSABLE_OPTIONS = {
         ("k0", "chain", "corpus:threeline", "--column", "1,2,3"),
         "--column needs levels that branch; a type1 chain takes its squares as they are",
     ),
+    # nor a tree to read it through
+    "k0 phi type1 --strategy": (
+        ("k0", "phi", "corpus:uhf2", "--alpha", "3", "--strategy", "rightmost"),
+        "--strategy needs levels that branch; a type1 chain takes its squares as they are",
+    ),
 }
 
 
@@ -976,6 +981,37 @@ def test_k0_func_past_the_diagram_keeps_its_verdict(capsys, monkeypatch):
     assert err.strip() == "error: chain has depth 8, function sits at 9"
 
 
+@pytest.mark.parametrize(
+    "argv, level",
+    [
+        (("k0", "chain", "corpus:gicar", "--depth", "100"), 100),
+        (("k0", "chain", "corpus:gicar", "--depth", "65"), 65),
+        # threeline's squares start at matrix 1, so 64 of them reach level 65
+        (("k0", "chain", "corpus:threeline", "--depth", "64"), 65),
+        (("k0", "phi", "corpus:threeline", "--alpha", "1,2,3", "--depth", "100"), 100),
+        (("k0", "phi", "corpus:threeline", "--alpha", "1,2,3", "--depth", "65"), 65),
+        (("k0", "positive", "corpus:gicar", "--func", "depth=1: 1 2", "--depth", "100"), 100),
+    ],
+)
+def test_k0_depth_past_the_diagram_is_an_error(capsys, argv, level):
+    assert run(capsys, *argv) == (1, "", f"error: level {level} requested, diagram allows 64\n")
+
+
+def test_k0_chain_depth_past_a_finite_diagram_is_an_error(tmp_path, capsys):
+    path = tmp_path / "two.bd"
+    path.write_text("bdspec v1\nshape: type2\nmatrix 0:\n1\n1\nmatrix 1:\n1 0\n1 1\n0 1\ntail: none\n")
+    code, out, _ = run(capsys, "k0", "chain", str(path), "--depth", "2")
+    assert (code, out.count("det=")) == (0, 2)
+    assert run(capsys, "k0", "chain", str(path), "--depth", "10") == (
+        1,
+        "",
+        "error: level 10 requested, diagram allows 2\n",
+    )
+    # the default covers the diagram, and stops at its end
+    code, out, _ = run(capsys, "k0", "chain", str(path))
+    assert (code, out.count("det=")) == (0, 2)
+
+
 def test_k0_probe_broken(capsys):
     code, out, _ = run(
         capsys, "k0", "probe", "corpus:dyadic", "--swap", "1", "2", "--depth", "3"
@@ -1071,6 +1107,19 @@ FUNC_32 = (
     ],
 )
 def test_depth_32_k0_outputs_are_frozen(capsys, argv, frozen):
+    want = (Path(__file__).parent / "data" / frozen).read_text(encoding="utf-8")
+    assert run(capsys, *argv) == (0, want, "")
+
+
+# type1 phi outputs frozen while they were still read through a reduced tree
+@pytest.mark.parametrize(
+    "argv, frozen",
+    [
+        (("k0", "phi", "corpus:threeline", "--alpha", "1,-2,3", "--depth", "40"), "k0-phi-threeline-40.out"),
+        (("k0", "phi", "corpus:uhf6", "--alpha", "5", "--depth", "40"), "k0-phi-uhf6-40.out"),
+    ],
+)
+def test_type1_k0_phi_outputs_are_frozen(capsys, argv, frozen):
     want = (Path(__file__).parent / "data" / frozen).read_text(encoding="utf-8")
     assert run(capsys, *argv) == (0, want, "")
 

@@ -51,7 +51,7 @@ def test_multiplicity_matrix_basics():
     assert (m.nrows, m.ncols) == (3, 2)
     assert m.rows == ((2, 1), (1, 0), (2, 0))
     assert m.supports == ((0, 1), (0,), (0,))
-    assert m.col_support(2) == (1,)
+    assert oracle.col_support(m, 2) == (1,)
     assert oracle.has_positive_rows_and_cols(m)
 
 

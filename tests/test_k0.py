@@ -28,12 +28,14 @@ from brattice.k0 import (
     NotPositiveUpTo,
     Positive,
     Preserved,
+    Type1Realizer,
     Unknown,
     WeightScheme,
     automorphism_probe,
     build_chain,
     complete_chain,
     complete_matrix,
+    first_square,
     membership,
     phi,
     positivity,
@@ -287,15 +289,27 @@ def test_chain_depth_guard():
         phi((), chain, build_minimal_diagram(GICAR, "rightmost"))
 
 
+def test_chain_past_the_diagram_is_refused_unless_cut():
+    with pytest.raises(DepthExceeded, match="^level 65 requested, diagram allows 64$"):
+        complete_chain(GICAR, Auto(), 65)
+    assert complete_chain(GICAR, Auto(), 65, cut=True).depth == 64
+    # a type1 chain counts squares: after a bootstrap column, 64 reach level 65
+    threeline = corpus.get("threeline").diagram()
+    with pytest.raises(DepthExceeded, match="^level 65 requested, diagram allows 64$"):
+        complete_chain(threeline, Auto(), 64)
+    assert complete_chain(threeline, Auto(), 64, cut=True).depth == 63
+    with pytest.raises(DepthExceeded, match="^level 65 requested, diagram allows 64$"):
+        Type1Realizer(threeline, 65).phi((1, 2, 3))
+
+
 def test_deep_type1_chain_matches_fraction_path(monkeypatch):
     # one product per level, extended by a loop: no recursion at depth 1100
     monkeypatch.setenv("BRATTICE_DEPTH_LIMIT", "3000")
     uhf2 = corpus.get("uhf2").diagram()
     chain = complete_chain(uhf2, Auto(), 1100)
     assert chain.depth == 1100
-    realizer = ChainRealizer(chain, build_minimal_diagram(uhf2, "theorem"))
-    got = realizer.phi((1,))
-    assert got == oracle.phi_type1((1,), chain, realizer.tree)
+    got = Type1Realizer(uhf2, 1100).phi((1,))
+    assert got == oracle.phi_type1((1,), chain, build_minimal_diagram(uhf2, "theorem"))
     assert got == LocallyConstantFunction(1100, (Fraction(1, 2**1100),))
     # a product extends from the deepest one already computed
     partial = complete_chain(uhf2, Auto(), 1100)
@@ -393,13 +407,9 @@ def test_phi_mode_guards():
 
 
 def test_phi_type1_frozen():
-    tree = build_minimal_diagram(UHF2, "theorem")
-    chain = complete_chain(UHF2, Auto(), 3)
-    assert ChainRealizer(chain, tree).phi((3,)).values == (Fraction(3, 8),)
-
-    chain2 = complete_chain(WIDTH2, Auto(), 1)
-    tree2 = build_minimal_diagram(WIDTH2, "theorem")
-    assert ChainRealizer(chain2, tree2).phi((5, 2)).values == (3, 2)
+    assert Type1Realizer(UHF2, 3).phi((3,)).values == (Fraction(3, 8),)
+    # after WIDTH2's bootstrap column, level 2 sits below its first square
+    assert Type1Realizer(WIDTH2, 2).phi((5, 2)).values == (3, 2)
 
 
 @pytest.mark.parametrize("name", ["uhf2", "uhf6", "threeline", *TYPE1])
@@ -411,7 +421,7 @@ def test_type1_phi_matches_the_per_square_fold(name):
     rng = random.Random(name)
     for d in range(1, 9):
         chain = complete_chain(diagram, Auto(), d)
-        realizer = ChainRealizer(chain, tree)
+        realizer = Type1Realizer(diagram, first_square(diagram) + d)
         width = len(chain.squares[0])
         for _ in range(10):
             alpha = [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3))) for _ in range(width)]
@@ -425,8 +435,8 @@ def test_type1_push_then_realize_equals_realize_then_refine():
     tree = build_minimal_diagram(diagram, "theorem")
     rng = random.Random(15)
     for d in range(1, 6):
-        here = ChainRealizer(complete_chain(diagram, Auto(), d), tree)
-        there = ChainRealizer(complete_chain(diagram, Auto(), d + 1), tree)
+        here = Type1Realizer(diagram, d + 1)
+        there = Type1Realizer(diagram, d + 2)
         for _ in range(3):
             alpha = [rng.randint(-9, 9) for _ in range(2)]
             func = here.phi(alpha)
@@ -551,7 +561,7 @@ def test_weight_scheme_recursion_law():
         cur = scheme.weights(level + 1)
         for child, parent in enumerate(parents, start=1):
             assert cur[child - 1] == mat.rows[child - 1][parent - 1] * prev[parent - 1]
-        big = max(mat.col_support(is_unique_minimal(mat)[1]))
+        big = max(oracle.col_support(mat, is_unique_minimal(mat)[1]))
         assert scheme.b(level) == cur[big - 1]
 
 
@@ -566,7 +576,7 @@ def test_weight_scheme_chain_matches_columns():
         mat = DYADIC.matrix(level)
         b = scheme.b(level)
         col = [row[-1] for row in square]
-        big = max(mat.col_support(is_unique_minimal(mat)[1]))
+        big = max(oracle.col_support(mat, is_unique_minimal(mat)[1]))
         assert col[big - 1] == b
         assert all(x == 0 for i, x in enumerate(col, start=1) if i != big)
 
@@ -580,7 +590,7 @@ def test_weight_scheme_chain_determinant_is_z_big_times_b(name):
     chain = scheme.chain(8)
     for level in range(8):
         mat = diagram.matrix(level)
-        branch = mat.col_support(is_unique_minimal(mat)[1])
+        branch = oracle.col_support(mat, is_unique_minimal(mat)[1])
         z = matops.left_null_vector(mat.rows)
         assert [i for i, x in enumerate(z, start=1) if x] == list(branch)
         assert chain.dets[level] == z[max(branch) - 1] * scheme.b(level) != 0

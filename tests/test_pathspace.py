@@ -15,6 +15,7 @@ from brattice.errors import DepthExceeded, ParseError, Uncertified, UnsupportedU
 from brattice.pathspace import (
     BranchData,
     Cylinder,
+    LAST,
     LexFirst,
     LocallyConstantFunction,
     NamedFamily,
@@ -37,6 +38,7 @@ GICAR = corpus.get("gicar").diagram()
 PROPERSUB = corpus.get("propersub").diagram()
 PINCH = corpus.get("pinch").diagram()
 THREELINE = corpus.get("threeline").diagram()
+UHF2 = corpus.get("uhf2").diagram()
 
 PINCH_MAPS = UserMap(((1, (1, 1)), (2, (1,))))
 
@@ -49,7 +51,7 @@ def finite_gicar(depth):
 def test_strategy_from_string():
     assert isinstance(strategy_from_string("theorem"), Theorem)
     assert isinstance(strategy_from_string("lexfirst"), LexFirst)
-    assert strategy_from_string("rightmost") == NamedFamily("rightmost")
+    assert strategy_from_string("rightmost") == NamedFamily("rightmost", (LAST,), ("countably-infinite", None, 1))
     assert strategy_from_string("positions:1,2") == NamedFamily("positions", (1, 2))
     assert strategy_from_string("positions:1, 2") == NamedFamily("positions", (1, 2))
     with pytest.raises(ValueError):
@@ -57,7 +59,7 @@ def test_strategy_from_string():
 
 
 def test_strategies_choose_the_parents_a_tree_records():
-    for strategy in (Theorem(), LexFirst(), NamedFamily("alternating"), PINCH_MAPS):
+    for strategy in (Theorem(), LexFirst(), NamedFamily("alternating", (1, LAST)), PINCH_MAPS):
         diagram = PINCH if strategy is PINCH_MAPS else GICAR
         tree = build_minimal_diagram(diagram, strategy).ensure_depth(2)
         for lev in (1, 2):
@@ -91,6 +93,59 @@ def test_positions_strategy():
     assert pos.parents_at(4) == (1, 2, 2, 3, 4)
     big = build_minimal_diagram(GICAR, "positions:9")
     assert big.parents_at(2) == (1, 2, 2)
+
+
+# each family's parents on gicar's levels 1..5, its census there, and its
+# census on uhf2 (None: the family refuses uhf2's square steps), frozen
+# while the families were still told apart by name
+FAMILY_RULES = {
+    "rightmost": (
+        [(1, 1), (1, 2, 2), (1, 2, 3, 3), (1, 2, 3, 4, 4), (1, 2, 3, 4, 5, 5)],
+        ("countably-infinite", None, 1, True),
+        None,
+    ),
+    "leftmost": (
+        [(1, 1), (1, 1, 2), (1, 1, 2, 3), (1, 1, 2, 3, 4), (1, 1, 2, 3, 4, 5)],
+        ("countably-infinite", None, 1, True),
+        None,
+    ),
+    "alternating": (
+        [(1, 1), (1, 2, 2), (1, 1, 2, 3), (1, 2, 3, 4, 4), (1, 1, 2, 3, 4, 5)],
+        ("countably-infinite", None, 2, True),
+        None,
+    ),
+    "positions:2,1,3": (
+        [(1, 1), (1, 1, 2), (1, 2, 3, 3), (1, 2, 2, 3, 4), (1, 1, 2, 3, 4, 5)],
+        ("at-least", 9, 4, False),
+        ("finite", 1, 0, True),
+    ),
+    "positions:9": (
+        [(1, 1), (1, 2, 2), (1, 2, 3, 3), (1, 2, 3, 4, 4), (1, 2, 3, 4, 5, 5)],
+        ("at-least", 9, 3, False),
+        ("finite", 1, 0, True),
+    ),
+}
+
+
+def _census_fields(tree):
+    c = end_census(tree)
+    return c.kind, c.count, c.condensation, c.certified
+
+
+@pytest.mark.parametrize("text", FAMILY_RULES)
+def test_family_rules_keep_their_parents_censuses_and_refusals(text):
+    parents, gicar_census, uhf2_census = FAMILY_RULES[text]
+    tree = build_minimal_diagram(GICAR, text)
+    assert [tree.parents_at(lev) for lev in range(1, 6)] == parents
+    assert _census_fields(tree) == gicar_census
+    refusal = f"^family '{text.partition(':')[0]}' needs single growth at level 1$"
+    with pytest.raises(UnsupportedUserMap, match=refusal):
+        build_minimal_diagram(UHF2, text).ensure_depth(1)
+    if uhf2_census is None:
+        with pytest.raises(UnsupportedUserMap, match=refusal):
+            end_census(build_minimal_diagram(UHF2, text))
+    else:
+        assert _census_fields(build_minimal_diagram(UHF2, text)) == uhf2_census
 
 
 def test_branch_data():

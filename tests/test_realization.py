@@ -287,3 +287,21 @@ def test_tree_builds_compute_no_gather(monkeypatch, capsys):
     r_map(tuple(range(9)), tree)
     assert calls == [8]
     assert len(tree._gathers) == 8
+
+
+def test_type1_phi_materializes_no_tree_level(monkeypatch, capsys):
+    # a type1 chain is the diagram's own squares: phi reads no tree
+    levels = []
+    materialize = MinimalDiagram._materialize_next
+    monkeypatch.setattr(MinimalDiagram, "_materialize_next", lambda self: levels.append(self) or materialize(self))
+    for argv in (
+        ["k0", "phi", "corpus:threeline", "--alpha", "1,-2,3", "--depth", "40"],
+        ["k0", "phi", "corpus:uhf2", "--alpha", "3"],
+        ["k0", "phi", "corpus:uhf6", "--alpha", "5", "--depth", "12"],
+    ):
+        assert cli.main(argv) == 0
+    assert levels == []
+    # a type2 phi reads its tree, so the spy sees it
+    assert cli.main(["k0", "phi", "corpus:gicar", "--alpha", "1,2,3"]) == 0
+    capsys.readouterr()
+    assert len(levels) == 2

@@ -15,6 +15,7 @@ from brattice.k0 import K0Witness
 from brattice.pathspace import (
     BranchData,
     Cylinder,
+    LAST,
     LexFirst,
     LocallyConstantFunction,
     NamedFamily,
@@ -134,7 +135,7 @@ def test_unequal_fields_and_foreign_objects():
 def test_library_records_keep_their_dataclass_repr():
     assert repr(Cylinder(1, 2)) == "Cylinder(level=1, vertex=2)"
     assert repr(Theorem()) == "Theorem()"
-    assert repr(NamedFamily("rightmost")) == "NamedFamily(name='rightmost', positions=None)"
+    assert repr(NamedFamily("rightmost", (LAST,))) == "NamedFamily(name='rightmost', positions=(0,), census=None)"
     assert repr(BranchData(1, 2, 3)) == "BranchData(parent=1, small_child=2, big_child=3)"
     assert repr(K0Witness((1, -2), 3)) == "K0Witness(alpha=(1, -2), depth=3)"
     assert repr(ReductionOutcome((1, 1), 1, "pivot")) == (
@@ -161,6 +162,24 @@ def test_cli_start_up_skips_heavy_modules():
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == ""
+
+
+def test_cli_import_builds_no_family():
+    # the family table holds builders: a family record compiles its
+    # __init__ when a strategy names it, not when the CLI starts
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = (
+        "import brattice.cli\n"
+        "from brattice.pathspace import NamedFamily, strategy_from_string\n"
+        "from brattice.record import _first_init\n"
+        "print(NamedFamily.__init__ is _first_init)\n"
+        "strategy_from_string('alternating')\n"
+        "print(NamedFamily.__init__ is _first_init)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["True", "False"]
 
 
 def test_valid_command_lines_skip_argparse():
