@@ -41,6 +41,7 @@ from .k0 import (
     WeightScheme,
     automorphism_probe,
     complete_chain,
+    first_square,
     format_chain_dump,
 )
 from .pathspace import (
@@ -120,7 +121,7 @@ def _parse_func(text, diagram):
     if depth < 0:
         raise UsageError(f"--func depth must be >= 0, got {depth}")
     # depths past the diagram keep their DepthExceeded verdict
-    if depth <= diagram.max_matrix_index() + 1:
+    if depth <= diagram.level_bound():
         width = diagram.level_count(depth)
         if len(values) != width:
             raise UsageError(
@@ -160,11 +161,11 @@ def _hints(args):
 
 
 def _depth(args, diagram):
-    """--depth when it is given, 0 included; else a default that covers the
-    explicit matrices, and six levels of a tail."""
+    """--depth when it is given, 0 included; else the diagram's default,
+    six levels of a tail."""
     if args.depth is not None:
         return args.depth
-    return max(diagram.explicit_depth, 6 if diagram.has_tail else 1)
+    return diagram.default_depth(6)
 
 
 def _write_file(path, text):
@@ -327,16 +328,21 @@ def _refuse_type1(args, diagram):
     _refuse(args, "levels that branch; a type1 chain takes its squares as they are", "column", "strategy")
 
 
+def _reach(args, diagram, depth):
+    """`depth`, when a chain to that level holds a square."""
+    start = first_square(diagram)
+    if depth <= start:
+        raise UsageError(f"a chain to level {depth} of {args.input} holds no square; its squares start at matrix {start}")
+    return depth
+
+
 def _chain(args, diagram, depth):
-    """A chain of `depth` squares: the weight scheme's under --weight, else
-    a completed one.  A depth that --depth did not give, a default or one
-    read off the input, is cut at the diagram's end; a given one past it is
-    an error."""
-    if depth < 1:
-        raise UsageError(f"a chain needs at least one square, --depth {depth} gives none")
+    """The chain to level `depth`: the weight scheme's under --weight, else
+    a completed one."""
+    depth = _reach(args, diagram, depth)
     if args.weight:
         return WeightScheme(diagram).chain(depth)
-    return complete_chain(diagram, _hints(args), depth, cut=getattr(args, "depth", None) is None)
+    return complete_chain(diagram, _hints(args), depth)
 
 
 def cmd_k0_chain(args):
@@ -377,10 +383,7 @@ def cmd_k0_phi(args):
         raise UsageError("--alpha needs at least one value")
     if diagram.shape.kind == "type1":
         _refuse_type1(args, diagram)
-        depth = _depth(args, diagram)
-        realizer = Type1Realizer(diagram, depth)
-        if depth <= realizer.start:
-            raise UsageError(f"--depth {depth} on {args.input} reaches no square: they start at matrix {realizer.start}")
+        realizer = Type1Realizer(diagram, _reach(args, diagram, _depth(args, diagram)))
         if len(alpha) != diagram.shape.width:
             raise UsageError(f"--alpha on a type1 diagram needs {diagram.shape.width} values, got {len(alpha)}")
     else:

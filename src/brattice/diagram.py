@@ -325,17 +325,23 @@ class BratteliDiagram(Record):
     def has_tail(self):
         return self.tail is not None
 
-    def max_matrix_index(self):
-        """Largest usable matrix index (inclusive); respects the depth limit."""
+    def level_bound(self):
+        """The deepest level the diagram allows: its last level, or under a
+        tail the depth limit."""
         if self.tail is not None:
-            return depth_limit() - 1
-        return len(self.matrices) - 1
+            return depth_limit()
+        return len(self.matrices)
 
     def check_depth(self, n):
-        """Refuse level n when it lies past the levels the diagram allows."""
-        allowed = self.max_matrix_index() + 1
+        """Refuse level n when it lies past the level bound."""
+        allowed = self.level_bound()
         if n > allowed:
             raise DepthExceeded(f"level {n} requested, diagram allows {allowed}")
+
+    def default_depth(self, k):
+        """The depth a reader takes when none is given: every explicit
+        level, and at least k levels when a tail follows, within the bound."""
+        return min(max(len(self.matrices), k if self.tail is not None else 0), self.level_bound())
 
     def matrix(self, n):
         """Multiplicity matrix connecting level n to level n+1."""
@@ -343,16 +349,9 @@ class BratteliDiagram(Record):
             raise IndexOutOfRange(f"matrix index {n} is negative")
         if n < len(self.matrices):
             return self.matrices[n]
-        if self.tail is None:
-            raise DepthExceeded(
-                f"matrix {n} requested but the diagram ends at {len(self.matrices) - 1}"
-            )
-        if n > self.max_matrix_index():
-            raise DepthExceeded(
-                f"matrix {n} exceeds the depth limit {depth_limit()}"
-            )
-        # the tail builds each level once per diagram; the limit check above
-        # runs first, so a lowered limit still hides levels kept here
+        # the tail builds each level once per diagram; the bound check runs
+        # first, so a lowered limit still hides levels kept here
+        self.check_depth(n + 1)
         generated = self.__dict__.setdefault("_generated", {})
         mat = generated.get(n)
         if mat is None:
@@ -380,8 +379,8 @@ def validate_diagram(diagram, depth=None):
     """The issues of positivity and of the declared shape over a
     materialized prefix, as a tuple of strings."""
     if depth is None:
-        depth = max(diagram.explicit_depth, 3 if diagram.has_tail else 0)
-    depth = min(depth, diagram.max_matrix_index() + 1)
+        depth = diagram.default_depth(3)
+    diagram.check_depth(depth)
     issues = []
     for n in range(depth):
         mat = diagram.matrix(n)
@@ -418,9 +417,7 @@ def telescope(diagram, indices):
         raise IndexOutOfRange("telescope indices must strictly increase")
     if len(idx) < 2:
         raise IndexOutOfRange("telescope needs at least two retained levels")
-    top = idx[-1]
-    if top - 1 > diagram.max_matrix_index():
-        raise IndexOutOfRange(f"level {top} is beyond the diagram")
+    diagram.check_depth(idx[-1])
     mats = []
     for a, b in zip(idx, idx[1:]):
         prod = diagram.matrix(a)
@@ -657,7 +654,7 @@ def _template_entry(level, tok):
 
 def write_dot(diagram, depth):
     """Graphviz rendering of the first `depth` levels."""
-    depth = min(depth, diagram.max_matrix_index() + 1)
+    diagram.check_depth(depth)
     out = ["digraph diagram {", "  rankdir=TB;", "  node [shape=circle];"]
     for n in range(depth + 1):
         names = [f'"v{n}_{j}"' for j in range(1, diagram.level_count(n) + 1)]

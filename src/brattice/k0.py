@@ -187,25 +187,23 @@ def build_chain(squares):
 
 
 def first_square(diagram):
-    """The index of a type1 diagram's first square matrix: 1 when matrix 0
-    is a bootstrap column of width above 1, else 0."""
+    """The index of the first matrix a chain completes or takes as it is: 1
+    when a type1 diagram's matrix 0 is a bootstrap column of width above 1,
+    else 0."""
+    if diagram.shape.kind != "type1":
+        return 0
     mat = diagram.matrix(0)
     return int(mat.nrows != mat.ncols)
 
 
-def complete_chain(diagram, hints, depth, cut=False):
-    """Build a chain of `depth` squares; hints may be one hint or a
-    per-level list.  A type1 chain takes the diagram's squares as they are,
-    from first_square on, and so reaches level first_square + depth.  A
-    chain that would reach past the diagram raises DepthExceeded, or under
-    `cut` stops at the diagram's last level."""
-    type1 = diagram.shape.kind == "type1"
-    start = first_square(diagram) if type1 else 0
-    if cut:
-        depth = min(depth, diagram.max_matrix_index() + 1 - start)
-    diagram.check_depth(start + depth)
-    if type1:
-        return build_chain([diagram.matrix(start + k).rows for k in range(depth)])
+def complete_chain(diagram, hints, depth):
+    """Build the chain that reaches level `depth`; hints may be one hint or
+    a per-level list.  A type1 chain takes the diagram's squares as they
+    are, from first_square on.  A level past the diagram raises
+    DepthExceeded."""
+    diagram.check_depth(depth)
+    if diagram.shape.kind == "type1":
+        return build_chain([diagram.matrix(k).rows for k in range(first_square(diagram), depth)])
     if hasattr(hints, "column"):
         hints = [hints] * depth
     # complete_matrix hands back each determinant with its square
@@ -290,8 +288,6 @@ def phi(alpha, chain, tree):
     if tree.diagram.shape.kind == "type1":
         raise ValueError("type1 diagrams realize through Type1Realizer")
     n = len(alpha) - 1
-    if n > chain.depth:
-        raise DepthExceeded(f"chain has depth {chain.depth}, vector needs {n}")
     _, d = chain.inverse_parts(n)
     ints, scale = matops.clear_denominators(alpha)
     return r_map(matops.band_vec(chain.band(n, inverse=True), ints), tree, d * scale)
@@ -313,11 +309,8 @@ class NotMember(Record):
 def _witness_numerators(func, chain, tree):
     """The coordinate vector of a function at its own depth, as integer
     numerators over one positive denominator."""
-    n = func.depth
-    if n > chain.depth:
-        raise DepthExceeded(f"chain has depth {chain.depth}, function sits at {n}")
     beta, d = _R_numerators(func, tree)
-    return matops.band_vec(chain.band(n), beta), d
+    return matops.band_vec(chain.band(func.depth), beta), d
 
 
 def witness_vector(func, chain, tree):
@@ -354,7 +347,7 @@ def positivity(func, chain, tree, bound=None):
     if isinstance(verdict, NotMember):
         raise NotInK0(f"no integer witness at depth {verdict.depth_checked}")
     if bound is None:
-        bound = tree.max_depth()
+        bound = tree.diagram.level_bound()
     alpha = list(verdict.alpha)
     level = verdict.depth
     while True:
@@ -403,10 +396,9 @@ class Type1Realizer:
     def __init__(self, diagram, level):
         self.diagram = diagram
         self.level = level
-        self.start = first_square(diagram)
 
     def phi(self, alpha):
-        chain = complete_chain(self.diagram, Auto(), self.level - self.start)
+        chain = complete_chain(self.diagram, Auto(), self.level)
         _, den = chain.inverse_parts(chain.depth)
         ints, scale = matops.clear_denominators(alpha)
         values = matops.band_vec(chain.band(chain.depth, inverse=True), ints)
@@ -432,6 +424,7 @@ class WeightScheme:
         return len(self._k) - 1
 
     def ensure_depth(self, n):
+        self.diagram.check_depth(n)
         while self.depth < n:
             self._extend()
         return self

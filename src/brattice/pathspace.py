@@ -143,9 +143,6 @@ class MinimalDiagram:
     def depth(self):
         return len(self._parents)
 
-    def max_depth(self):
-        return self.diagram.max_matrix_index() + 1
-
     def ensure_depth(self, n):
         self.diagram.check_depth(n)
         while self.depth < n:
@@ -268,7 +265,7 @@ def build_minimal_diagram(diagram, strategy):
         strategy = strategy_from_string(strategy)
     tree = MinimalDiagram(diagram, strategy)
     if diagram.explicit_depth:
-        tree.ensure_depth(min(diagram.explicit_depth, tree.max_depth()))
+        tree.ensure_depth(diagram.default_depth(0))
     return tree
 
 
@@ -368,7 +365,7 @@ def end_census(tree, depth=None):
     the last two levels).
     """
     diagram = tree.diagram
-    default = min(tree.max_depth(), max(diagram.explicit_depth, 8))
+    default = diagram.default_depth(8)
     census = getattr(tree.strategy, "census", None)
     if diagram.has_tail and census is not None:
         tree.ensure_depth(default)

@@ -430,8 +430,9 @@ def _corpus_chains(depth):
         "gicar": complete_chain(corpus.get("gicar").diagram(), Auto(), depth),
         "uhf2": complete_chain(corpus.get("uhf2").diagram(), Auto(), depth),
         "uhf6": complete_chain(corpus.get("uhf6").diagram(), Auto(), depth),
+        # after its bootstrap column, depth squares reach level depth + 1
         "threeline": complete_chain(
-            corpus.get("threeline").diagram(), Auto(), depth
+            corpus.get("threeline").diagram(), Auto(), depth + 1
         ),
         "propersub": complete_chain(
             corpus.get("propersub").diagram(), [ExplicitColumn((0, 1))], depth
@@ -474,7 +475,7 @@ def test_criterion_11_exactness_suite():
                         problems.append((name, n, "image outside lattice"))
         else:
             for d in range(1, 11):
-                sub = complete_chain(diagram, Auto(), d)
+                sub = complete_chain(diagram, Auto(), first_square(diagram) + d)
                 scale = sub.group_scale(d)
                 width = diagram.level_count(d)
                 for _ in range(20):

@@ -210,22 +210,30 @@ def test_depth_zero_pathspace_draws_the_root_alone(capsys, tmp_path):
     assert (code, out.splitlines()[-1]) == (0, "wrote FILE")
 
 
+def _no_square(name, depth, start=0):
+    return (
+        2,
+        "",
+        f"usage error: a chain to level {depth} of corpus:{name} holds no square; "
+        f"its squares start at matrix {start}\n",
+    )
+
+
 def test_depth_zero_k0_chain_is_a_usage_error(capsys):
-    want = (2, "", "usage error: a chain needs at least one square, --depth 0 gives none\n")
-    assert run(capsys, "k0", "chain", "corpus:gicar", "--depth", "0") == want
-    assert run(capsys, "k0", "chain", "corpus:dyadic", "--weight", "--depth", "0") == want
+    assert run(capsys, "k0", "chain", "corpus:gicar", "--depth", "0") == _no_square("gicar", 0)
+    assert run(capsys, "k0", "chain", "corpus:dyadic", "--weight", "--depth", "0") == _no_square("dyadic", 0)
 
 
 def test_depth_zero_k0_phi_type1_is_a_usage_error(capsys):
     for name, start in (("threeline", 1), ("uhf2", 0)):
-        want = f"usage error: --depth {start} on corpus:{name} reaches no square: they start at matrix {start}\n"
         alpha = "1,2,3" if name == "threeline" else "1"
-        assert run(capsys, "k0", "phi", f"corpus:{name}", "--alpha", alpha, "--depth", str(start)) == (2, "", want)
+        got = run(capsys, "k0", "phi", f"corpus:{name}", "--alpha", alpha, "--depth", str(start))
+        assert got == _no_square(name, start, start)
 
 
 def test_depth_zero_k0_positive_is_a_usage_error(capsys):
-    want = (2, "", "usage error: a chain needs at least one square, --depth 0 gives none\n")
-    assert run(capsys, "k0", "positive", "corpus:gicar", "--func", "depth=0: 1", "--depth", "0") == want
+    got = run(capsys, "k0", "positive", "corpus:gicar", "--func", "depth=0: 1", "--depth", "0")
+    assert got == _no_square("gicar", 0)
 
 
 def test_depth_zero_k0_probe_reads_the_root(capsys):
@@ -236,8 +244,8 @@ def test_depth_zero_k0_probe_reads_the_root(capsys):
         "preserved across 1 candidates\n",
         "",
     )
-    code, _, err = run(capsys, "k0", "probe", "corpus:gicar", "--perm", "1", "--depth", "0", "--column", "0,1")
-    assert (code, err) == (2, "usage error: a chain needs at least one square, --depth 0 gives none\n")
+    got = run(capsys, "k0", "probe", "corpus:gicar", "--perm", "1", "--depth", "0", "--column", "0,1")
+    assert got == _no_square("gicar", 0)
 
 
 def test_every_depth_verb_is_covered():
@@ -419,7 +427,7 @@ def test_telescope_folds_levels(capsys):
     assert code == 0
     folded = read_input(out)[1]
     assert folded.matrix(0).to_lists() == [[1], [2], [1]]
-    assert folded.max_matrix_index() == 0
+    assert folded.level_bound() == 1
 
 
 def test_telescope_bad_levels(capsys):
@@ -450,7 +458,8 @@ def test_huge_entries_print_in_full(tmp_path, capsys):
     entry = telescope(read_input(HUGE_TAIL)[1], [0, 8, 16]).matrix(1).rows[0][1]
     assert entry > 10**4500
     assert f"\n1 {_decimal(entry)}\n" in out
-    code, out, err = run(capsys, "k0", "chain", str(path), "--depth", "16")
+    # after the bootstrap column, the chain to level 17 ends with matrix 16
+    code, out, err = run(capsys, "k0", "chain", str(path), "--depth", "17")
     assert (code, err) == (0, "")
     assert out.splitlines()[-1] == f"A 15: 1 {_decimal(2**16000)} ; 0 1 det=1"
     # the cap is lifted for the call only
@@ -978,7 +987,7 @@ def test_k0_func_past_the_diagram_keeps_its_verdict(capsys, monkeypatch):
     monkeypatch.setenv("BRATTICE_DEPTH_LIMIT", "8")
     code, _, err = run(capsys, "k0", "member", "corpus:gicar", "--func", "depth=9: 1")
     assert code == 1
-    assert err.strip() == "error: chain has depth 8, function sits at 9"
+    assert err.strip() == "error: level 9 requested, diagram allows 8"
 
 
 @pytest.mark.parametrize(
@@ -986,8 +995,7 @@ def test_k0_func_past_the_diagram_keeps_its_verdict(capsys, monkeypatch):
     [
         (("k0", "chain", "corpus:gicar", "--depth", "100"), 100),
         (("k0", "chain", "corpus:gicar", "--depth", "65"), 65),
-        # threeline's squares start at matrix 1, so 64 of them reach level 65
-        (("k0", "chain", "corpus:threeline", "--depth", "64"), 65),
+        (("k0", "chain", "corpus:threeline", "--depth", "65"), 65),
         (("k0", "phi", "corpus:threeline", "--alpha", "1,2,3", "--depth", "100"), 100),
         (("k0", "phi", "corpus:threeline", "--alpha", "1,2,3", "--depth", "65"), 65),
         (("k0", "positive", "corpus:gicar", "--func", "depth=1: 1 2", "--depth", "100"), 100),
@@ -995,6 +1003,102 @@ def test_k0_func_past_the_diagram_keeps_its_verdict(capsys, monkeypatch):
 )
 def test_k0_depth_past_the_diagram_is_an_error(capsys, argv, level):
     assert run(capsys, *argv) == (1, "", f"error: level {level} requested, diagram allows 64\n")
+
+
+# one line past the diagram per verb, with and without --weight: each names
+# the level it asks for in the one wording and exits 1 (a matrix index n
+# asks for level n + 1)
+PAST_THE_DIAGRAM = {
+    "validate": (("validate", "corpus:gicar", "--depth", "100"), 100),
+    "telescope": (("telescope", "corpus:gicar", "--levels", "0,65"), 65),
+    "dilate": (("dilate", "corpus:gicar", "--level", "100"), 101),
+    "reduce": (("reduce", "corpus:gicar", "--depth", "65"), 65),
+    "pathspace": (("pathspace", "corpus:gicar", "--census", "--depth", "65"), 65),
+    "k0 chain": (("k0", "chain", "corpus:gicar", "--depth", "100"), 100),
+    "k0 chain --weight": (("k0", "chain", "corpus:dyadic", "--weight", "--depth", "100"), 100),
+    "k0 phi": (("k0", "phi", "corpus:threeline", "--alpha", "1,2,3", "--depth", "100"), 100),
+    "k0 member": (("k0", "member", "corpus:gicar", "--func", "depth=70: 1"), 70),
+    "k0 member --weight": (("k0", "member", "corpus:gicar", "--weight", "--func", "depth=70: 1"), 70),
+    "k0 positive": (("k0", "positive", "corpus:gicar", "--func", "depth=1: 1 2", "--depth", "100"), 100),
+    "k0 positive --weight": (("k0", "positive", "corpus:dyadic", "--weight", "--func", "depth=70: 1"), 70),
+    "k0 probe": (("k0", "probe", "corpus:gicar", "--swap", "1", "2", "--depth", "100"), 100),
+    "k0 probe --weight": (("k0", "probe", "corpus:dyadic", "--weight", "--swap", "1", "2", "--depth", "100"), 100),
+}
+
+
+@pytest.mark.parametrize("argv, level", PAST_THE_DIAGRAM.values(), ids=PAST_THE_DIAGRAM)
+def test_past_the_diagram_every_verb_names_the_level(capsys, argv, level):
+    assert run(capsys, *argv) == (1, "", f"error: level {level} requested, diagram allows 64\n")
+
+
+def test_validate_refuses_a_depth_past_the_diagram(capsys, tmp_path):
+    # refused before any level is checked or drawn
+    path = tmp_path / "past.dot"
+    got = run(capsys, "validate", "corpus:gicar", "--depth", "100", "--dot", str(path))
+    assert got == (1, "", "error: level 100 requested, diagram allows 64\n")
+    assert not path.exists()
+    assert run(capsys, "validate", "corpus:gicar", "--depth", "64") == (0, "valid\n", "")
+
+
+# a type1 file whose squares differ, after a bootstrap column
+ALTERNATING = (
+    "bdspec v1\nshape: type1 2\nmatrix 0:\n1\n1\n"
+    "tail: periodic 2\ntemplate:\n1 1\n0 1\ntemplate:\n1 0\n1 1\n"
+)
+
+
+@pytest.mark.parametrize("ref", ["corpus:threeline", "ALTERNATING"])
+def test_type1_depth_names_a_level(capsys, tmp_path, ref):
+    # after the bootstrap column, the chain to level N takes matrices
+    # 1..N-1, and phi's function sits at level N
+    if ref == "ALTERNATING":
+        ref = str(tmp_path / "alternating.bd")
+        Path(ref).write_text(ALTERNATING)
+    diagram = corpus.get("threeline").diagram() if ref.startswith("corpus:") else read_input(ALTERNATING)[1]
+    alpha = ",".join(map(str, range(1, diagram.shape.width + 1)))
+    for n in (2, 3, 8, 64):
+        code, out, err = run(capsys, "k0", "chain", ref, "--depth", str(n))
+        squares = [line.split(": ", 1)[1].rsplit(" det=", 1)[0] for line in out.splitlines()[1:]]
+        want = [" ; ".join(" ".join(map(str, row)) for row in diagram.matrix(k).rows) for k in range(1, n)]
+        assert (code, err, squares) == (0, "", want)
+        code, out, err = run(capsys, "k0", "phi", ref, "--alpha", alpha, "--depth", str(n))
+        assert (code, err, out.partition(":")[0]) == (0, "", f"func depth={n}")
+    for action, value in (("chain", ()), ("phi", ("--alpha", alpha))):
+        code, _, err = run(capsys, "k0", action, ref, *value, "--depth", "1")
+        assert (code, err) == (2, f"usage error: a chain to level 1 of {ref} holds no square; its squares start at matrix 1\n")
+
+
+def test_type1_chain_default_takes_every_square_of_a_finite_file(tmp_path, capsys):
+    path = tmp_path / "finite.bd"
+    path.write_text("bdspec v1\nshape: type1 2\nmatrix 0:\n1\n1\nmatrix 1:\n1 1\n0 1\nmatrix 2:\n1 0\n1 1\ntail: none\n")
+    want = "chain v1\nA 0: 1 1 ; 0 1 det=1\nA 1: 1 0 ; 1 1 det=1\n"
+    assert run(capsys, "k0", "chain", str(path)) == (0, want, "")
+    assert run(capsys, "k0", "chain", str(path), "--depth", "3") == (0, want, "")
+    assert run(capsys, "k0", "chain", str(path), "--depth", "4") == (1, "", "error: level 4 requested, diagram allows 3\n")
+
+
+# the defaults on gicar under a lowered limit, frozen before the diagram
+# owned its default depths: each fits the limit
+LIMIT_4_DEFAULTS = {
+    ("k0", "chain", "corpus:gicar"): (
+        "chain v1\n"
+        "A 0: 1 1 ; 1 0 det=-1\n"
+        "A 1: 1 0 1 ; 1 1 0 ; 0 1 0 det=1\n"
+        "A 2: 1 0 0 1 ; 1 1 0 0 ; 0 1 1 0 ; 0 0 1 0 det=-1\n"
+        "A 3: 1 0 0 0 1 ; 1 1 0 0 0 ; 0 1 1 0 0 ; 0 0 1 1 0 ; 0 0 0 1 0 det=1\n"
+    ),
+    ("validate", "corpus:gicar"): "valid\n",
+    ("pathspace", "corpus:gicar", "--census"): (
+        "census[theorem]: >= 5 ends (uncertified), 3 condensation points [uncertified]\n"
+        "  kind: at-least\n  count: 5\n  condensation: 3\n  certified: no\n  depth examined: 4\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", LIMIT_4_DEFAULTS, ids=" ".join)
+def test_defaults_fit_a_lowered_depth_limit(capsys, monkeypatch, argv):
+    monkeypatch.setenv("BRATTICE_DEPTH_LIMIT", "4")
+    assert run(capsys, *argv) == (0, LIMIT_4_DEFAULTS[argv], "")
 
 
 def test_k0_chain_depth_past_a_finite_diagram_is_an_error(tmp_path, capsys):
@@ -1122,6 +1226,12 @@ def test_depth_32_k0_outputs_are_frozen(capsys, argv, frozen):
 def test_type1_k0_phi_outputs_are_frozen(capsys, argv, frozen):
     want = (Path(__file__).parent / "data" / frozen).read_text(encoding="utf-8")
     assert run(capsys, *argv) == (0, want, "")
+
+
+def test_type1_k0_chain_output_is_frozen(capsys):
+    # the chain to level 8: threeline's matrices 1..7
+    want = (Path(__file__).parent / "data" / "k0-chain-threeline-8.out").read_text(encoding="utf-8")
+    assert run(capsys, "k0", "chain", "corpus:threeline", "--depth", "8") == (0, want, "")
 
 
 def test_k0_phi_at_depth_1100_ends_in_a_verdict(capsys, monkeypatch):

@@ -184,12 +184,54 @@ def test_level_counts():
 
 def test_depth_limit_env(monkeypatch):
     monkeypatch.setenv("BRATTICE_DEPTH_LIMIT", "5")
-    assert GICAR.max_matrix_index() == 4
+    assert GICAR.level_bound() == 5
     GICAR.matrix(4)
     with pytest.raises(DepthExceeded):
         GICAR.matrix(5)
     monkeypatch.delenv("BRATTICE_DEPTH_LIMIT")
     GICAR.matrix(5)
+
+
+def test_one_bound_and_one_wording(monkeypatch):
+    # the last level of a finite diagram, the depth limit under a tail
+    assert (PINCH.level_bound(), UHF2.level_bound(), GICAR.level_bound()) == (64, 64, 64)
+    finite = telescope(GICAR, (0, 2, 5))
+    assert finite.level_bound() == 2
+    refused = {
+        "a tail matrix": lambda: GICAR.matrix(64),
+        "a finite matrix": lambda: finite.matrix(2),
+        "validate": lambda: validate_diagram(GICAR, 65),
+        "dot": lambda: write_dot(GICAR, 65),
+        "telescope": lambda: telescope(GICAR, (0, 2, 100)),
+        "finite telescope": lambda: telescope(finite, (0, 3)),
+    }
+    want = {
+        "a tail matrix": "level 65 requested, diagram allows 64",
+        "a finite matrix": "level 3 requested, diagram allows 2",
+        "validate": "level 65 requested, diagram allows 64",
+        "dot": "level 65 requested, diagram allows 64",
+        "telescope": "level 100 requested, diagram allows 64",
+        "finite telescope": "level 3 requested, diagram allows 2",
+    }
+    for what, call in refused.items():
+        with pytest.raises(DepthExceeded) as info:
+            call()
+        assert str(info.value) == want[what], what
+    assert validate_diagram(GICAR, 64) == ()
+    monkeypatch.setenv("BRATTICE_DEPTH_LIMIT", "4")
+    with pytest.raises(DepthExceeded, match="^level 5 requested, diagram allows 4$"):
+        GICAR.matrix(4)
+
+
+def test_default_depths_cover_the_explicit_matrices_within_the_bound(monkeypatch):
+    finite = telescope(GICAR, (0, 2, 5))
+    assert [finite.default_depth(k) for k in (0, 1, 6)] == [2, 2, 2]
+    assert [GICAR.default_depth(k) for k in (0, 3, 8)] == [0, 3, 8]
+    assert THREELINE.default_depth(0) == THREELINE.explicit_depth == 1
+    assert THREELINE.default_depth(6) == 6
+    monkeypatch.setenv("BRATTICE_DEPTH_LIMIT", "4")
+    assert [GICAR.default_depth(k) for k in (3, 8)] == [3, 4]
+    assert THREELINE.default_depth(6) == 4
 
 
 @pytest.mark.parametrize("name", ["gicar", "uhf6"])

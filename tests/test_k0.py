@@ -289,17 +289,44 @@ def test_chain_depth_guard():
         phi((), chain, build_minimal_diagram(GICAR, "rightmost"))
 
 
-def test_chain_past_the_diagram_is_refused_unless_cut():
+def test_chain_past_the_diagram_is_refused():
     with pytest.raises(DepthExceeded, match="^level 65 requested, diagram allows 64$"):
         complete_chain(GICAR, Auto(), 65)
-    assert complete_chain(GICAR, Auto(), 65, cut=True).depth == 64
-    # a type1 chain counts squares: after a bootstrap column, 64 reach level 65
+    assert complete_chain(GICAR, Auto(), 64).depth == 64
+    # a depth is a level: after a bootstrap column, 63 squares reach level 64
     threeline = corpus.get("threeline").diagram()
     with pytest.raises(DepthExceeded, match="^level 65 requested, diagram allows 64$"):
-        complete_chain(threeline, Auto(), 64)
-    assert complete_chain(threeline, Auto(), 64, cut=True).depth == 63
+        complete_chain(threeline, Auto(), 65)
+    assert complete_chain(threeline, Auto(), 64).depth == 63
     with pytest.raises(DepthExceeded, match="^level 65 requested, diagram allows 64$"):
         Type1Realizer(threeline, 65).phi((1, 2, 3))
+
+
+def test_a_chain_depth_is_a_level():
+    # the chain to level n takes matrices first_square..n-1, for every shape
+    threeline = corpus.get("threeline").diagram()
+    assert (first_square(GICAR), first_square(UHF2), first_square(threeline), first_square(WIDTH2)) == (0, 0, 1, 1)
+    for diagram in (GICAR, UHF2, threeline, TYPE1["width2-alternating"]):
+        start = first_square(diagram)
+        for n in range(start + 1, start + 6):
+            chain = complete_chain(diagram, Auto(), n)
+            assert chain.depth == n - start
+            if diagram.shape.kind == "type1":
+                assert list(chain.squares) == [diagram.matrix(k).rows for k in range(start, n)]
+    with pytest.raises(ValueError, match="^chain needs at least one completion$"):
+        complete_chain(threeline, Auto(), 1)
+
+
+def test_weight_scheme_refuses_past_the_diagram_by_level():
+    # the level bound comes before any matrix is read: gicar's matrix 1 is
+    # not forced, and dyadic's forced levels end at the depth limit
+    for name in ("gicar", "dyadic"):
+        scheme = WeightScheme(corpus.get(name).diagram())
+        with pytest.raises(DepthExceeded, match="^level 70 requested, diagram allows 64$"):
+            scheme.ensure_depth(70)
+        assert scheme.depth == 0
+    with pytest.raises(DepthExceeded, match="^level 65 requested, diagram allows 64$"):
+        WeightScheme(DYADIC).chain(65)
 
 
 def test_deep_type1_chain_matches_fraction_path(monkeypatch):
@@ -420,7 +447,7 @@ def test_type1_phi_matches_the_per_square_fold(name):
     tree = build_minimal_diagram(diagram, "theorem")
     rng = random.Random(name)
     for d in range(1, 9):
-        chain = complete_chain(diagram, Auto(), d)
+        chain = complete_chain(diagram, Auto(), first_square(diagram) + d)
         realizer = Type1Realizer(diagram, first_square(diagram) + d)
         width = len(chain.squares[0])
         for _ in range(10):

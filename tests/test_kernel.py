@@ -393,7 +393,7 @@ def test_theorem_tree_matches_frozen_dump_at_full_depth(monkeypatch, name):
     # frozen from the per-step elimination, at the default depth limit
     monkeypatch.delenv("BRATTICE_DEPTH_LIMIT", raising=False)
     tree = build_minimal_diagram(corpus.get(name).diagram(), "theorem")
-    assert tree.max_depth() == 64
+    assert tree.diagram.level_bound() == 64
     frozen = (DATA / f"theorem-{name}-63.tree").read_text()
     assert format_tree_dump(tree, 63) == frozen
 
