@@ -447,7 +447,7 @@ def _probe_theta(args, count):
 
 def cmd_k0_probe(args):
     diagram = _need_diagram(args.input, "k0 probe")
-    depth = 3 if args.depth is None else args.depth
+    depth = min(3, diagram.level_bound()) if args.depth is None else args.depth
     realizer = _realizer(args, diagram, depth)
     theta = _probe_theta(args, realizer.tree.level_count(depth))
     verdict = automorphism_probe(theta, realizer, depth, args.cap)

@@ -327,9 +327,9 @@ class BratteliDiagram(Record):
 
     def level_bound(self):
         """The deepest level the diagram allows: its last level, or under a
-        tail the depth limit."""
+        tail the depth limit, and never fewer than its explicit levels."""
         if self.tail is not None:
-            return depth_limit()
+            return max(len(self.matrices), depth_limit())
         return len(self.matrices)
 
     def check_depth(self, n):

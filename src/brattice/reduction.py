@@ -9,6 +9,7 @@ use.  All vertex labels in results are 1-based.
 from __future__ import annotations
 
 from itertools import islice
+from operator import mul
 
 from . import matops
 from .diagram import MultiplicityMatrix
@@ -117,6 +118,24 @@ def minimal_reduce(mat):
     go from the last column, and a step mostly resumes at its last pivot.
     Only y's zero pattern is read, so W's order leaves the answer alone.
 
+    A step reads y only up to its pick.  After the resumed elimination, W
+    has one free column f, the one without a pivot: row w pivots at column
+    w before f and at w + 1 after it, so f is what the pivot columns miss.
+
+    - y is zero on every column after f: from the last row back, each
+      echelon row is zero before its pivot and y is zero after it, so the
+      row sets y zero at its pivot;
+    - so on the columns up to f, y is the dependency of W's first f
+      echelon rows, an echelon block of f rows and f + 1 columns; as in
+      matops._cofactors, y[f] is their last pivot up to sign (1 when f is
+      0), which is nonzero, and back substitution divides exactly;
+    - the top rows from the first are W's columns from the last, so back
+      substitution from f visits them in top order, after the top rows on
+      which y is zero.
+
+    So a step checks f's top row first, and substitutes one column further
+    back only while the top rows it reads miss j0 or have y zero.
+
     A level whose top square B0 is triangular up to permutation decides
     every step from the one matching of B0, `match`, found before the first
     step by a structural pass, because:
@@ -185,8 +204,8 @@ def minimal_reduce(mat):
         work = [[rows[i][q] for i in reversed(top)] for q in tags]
         return work, tags, matops._eliminate(work, tags=tags)[0]
 
-    top = list(range(c))
-    match = matching(top, c)
+    top, out = list(range(c)), c
+    match = matching(top, out)
     if not match:
         work, tags, cols = eliminate(top)
         if len(cols) < c:
@@ -194,7 +213,8 @@ def minimal_reduce(mat):
             top = matops.independent_rows(rows)
             if len(top) < c:
                 raise RankDeficient(f"rank is below {c}")
-            match = matching(top, next(i for i in range(r) if i not in top))
+            out = next(i for i in range(r) if i not in top)
+            match = matching(top, out)
             if not match:
                 work, tags, cols = eliminate(top)
     # checked after the rank so a rank-deficient matrix keeps that verdict
@@ -203,6 +223,7 @@ def minimal_reduce(mat):
     removed = [False] * c
     left = list(map(len, supports))  # the columns each row has not lost
     gone = None  # the column of W that the previous step's row held
+    free = None  # W's one column without a pivot, after a step
     parents = [0] * r
     for j0 in range(c):
         # a column blocked by a step lies after that step's j0: the ones
@@ -212,30 +233,40 @@ def minimal_reduce(mat):
         if match:
             bottom = match[j0]
         else:
-            # every row of W pivots, so the row of j0 held pivot k
+            # every row of W pivots, so the row of j0 held pivot k; W's row
+            # w pivots at column w before the free column, at w + 1 after it
             k = tags.index(j0)
             if gone is not None:
-                if gone in cols:
-                    k = min(k, cols.index(gone))
+                if gone < free:
+                    k = min(k, gone)
                 for row in work[:k]:
                     del row[gone]
-                cols = [q - (q > gone) for q in cols]
             # the rows after the prefix enter again as input rows, if any
-            rest = [q for q in tags[k:] if q != j0]
-            del work[k:], tags[k:], cols[k:]
+            rest = tags[k:]
+            rest.remove(j0)
+            del work[k:], tags[k:]
+            n = len(top)
             if rest:
                 tags += rest
                 work += [[rows[i][q] for i in reversed(top)] for q in rest]
-                cols = matops._eliminate(work, done=k, tags=tags)[0]
-            # y up to sign, over the top rows from the last
-            y = matops._cofactors(work, cols, len(top), work[-1][cols[-1]])
-            pick = _pivot(y[::-1], [rows[i][j0] for i in top])
-            bottom = top.pop(pick)
-            gone = len(top) - pick
+                free = n * (n - 1) // 2 - sum(matops._eliminate(work, done=k, tags=tags)[0])
+            else:
+                free = k
+            # y from the free column back, until a top row meets j0
+            w = free
+            ys = [work[w - 1][w - 1] if w else 1]
+            while not (ys[-1] and rows[top[n - 1 - w]][j0]):
+                if not w:
+                    raise Singular("no pivot row: matrix is singular")
+                w -= 1
+                row = work[w]
+                ys.append(-sum(map(mul, row[free:w:-1], ys)) // row[w])
+            bottom = top.pop(n - 1 - w)
+            gone = w
         removed[j0] = True
         parents[bottom] = j0 + 1
         # only the rows meeting j0 lose a column, and may block another
-        meets = enumerate(row[j0] for row in rows) if entries is None else entries[j0]
+        meets = entries[j0] if match else [(i, rows[i][j0]) for i in (*top, out)]
         for i, x in meets:
             if x and not parents[i]:
                 left[i] -= 1

@@ -188,9 +188,14 @@ def pivot_row(b):
     return None
 
 
-def minimal_reduce_parents(rows):
+def minimal_reduce_parents(rows, trace=None):
     """The former deterministic minimal reduction of a full-rank (c+1) x c
-    matrix, re-ranking every trial row: the 1-based parent of each row."""
+    matrix, re-ranking every trial row: the 1-based parent of each row.
+
+    When `trace` is a list, each step that picks a row for its column
+    appends the column and, for the top rows in order, a triple: the row,
+    whether the minor without it is nonzero (its cofactor in y), and
+    whether it meets the column; rows and columns are 1-based."""
     assign = {}
 
     def step(rows, row_ids, col_ids):
@@ -217,7 +222,11 @@ def minimal_reduce_parents(rows):
         others = [jj for jj in range(c) if jj != j0]
         top = independent_rows(rows, range(len(rows)))
         leftover = next(i for i in range(len(rows)) if i not in top)
-        bottom = top[pivot_row([[rows[i][q] for q in others] + [rows[i][j0]] for i in top]) - 1]
+        b = [[rows[i][q] for q in others] + [rows[i][j0]] for i in top]
+        if trace is not None:
+            minors = [det([row[:-1] for row in b[:k] + b[k + 1:]]) for k in range(len(b))]
+            trace.append((col_ids[j0], [(row_ids[i], m != 0, rows[i][j0] != 0) for i, m in zip(top, minors)]))
+        bottom = top[pivot_row(b) - 1]
         assign[row_ids[bottom]] = col_ids[j0]
         sub = [i for i in top if i != bottom] + [leftover]
         step([[rows[i][q] for q in others] for i in sub], [row_ids[i] for i in sub], [col_ids[q] for q in others])

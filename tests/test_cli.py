@@ -559,6 +559,14 @@ def test_reduce_dense_33x32_is_frozen(capsys):
     assert run(capsys, "reduce", str(data / "dense-33x32.txt")) == (0, frozen, "")
 
 
+def test_reduce_dense_vanishing_minor_is_frozen(capsys):
+    # frozen before the steps read their cofactors only up to their pick;
+    # one step passes two top rows whose cofactors vanish
+    data = Path(__file__).parent / "data"
+    frozen = (data / "dense-vanishing-minor.out").read_text(encoding="utf-8")
+    assert run(capsys, "reduce", str(data / "dense-vanishing-minor.txt")) == (0, frozen, "")
+
+
 def test_reduce_enumerate_json(capsys):
     code, out, _ = run(
         capsys, "reduce", "corpus:threebranch", "--enumerate", "10", "--json"
@@ -1114,6 +1122,39 @@ def test_k0_chain_depth_past_a_finite_diagram_is_an_error(tmp_path, capsys):
     # the default covers the diagram, and stops at its end
     code, out, _ = run(capsys, "k0", "chain", str(path))
     assert (code, out.count("det=")) == (0, 2)
+
+
+TWO_LEVELS = "bdspec v1\nshape: type2\nmatrix 0:\n1\n1\nmatrix 1:\n1 0\n1 1\n0 1\ntail: none\n"
+
+
+def test_k0_probe_default_depth_fits_the_diagram(tmp_path, capsys, monkeypatch):
+    # without --depth a probe takes level 3, or the last level when the
+    # diagram allows fewer
+    path = tmp_path / "two.bd"
+    path.write_text(TWO_LEVELS)
+    preserved = (0, "preserved across 6 candidates\n", "")
+    assert run(capsys, "k0", "probe", str(path), "--swap", "1", "2") == preserved
+    assert run(capsys, "k0", "probe", str(path), "--swap", "1", "2", "--depth", "2") == preserved
+    monkeypatch.setenv("BRATTICE_DEPTH_LIMIT", "2")
+    assert run(capsys, "k0", "probe", "corpus:gicar", "--swap", "1", "2") == preserved
+
+
+def test_explicit_levels_pass_a_lower_depth_limit_under_a_tail(tmp_path, capsys, monkeypatch):
+    # three explicit gicar matrices, then the family: the bound never falls
+    # below the explicit levels, and a level past them keeps the one wording
+    path = tmp_path / "three.bd"
+    path.write_text(
+        "bdspec v1\nshape: type2\nmatrix 0:\n1\n1\nmatrix 1:\n1 0\n1 1\n0 1\n"
+        "matrix 2:\n1 0 0\n1 1 0\n0 1 1\n0 0 1\ntail: family gicar\n"
+    )
+    monkeypatch.setenv("BRATTICE_DEPTH_LIMIT", "2")
+    assert run(capsys, "validate", str(path), "--depth", "3") == (0, "valid\n", "")
+    assert run(capsys, "validate", str(path), "--depth", "4") == (
+        1,
+        "",
+        "error: level 4 requested, diagram allows 3\n",
+    )
+    assert read_input(path.read_text())[1].level_bound() == 3
 
 
 def test_k0_probe_broken(capsys):

@@ -350,6 +350,56 @@ def test_minimal_reduce_matches_rescanning_reduction_up_to_24_columns(shape):
             assert minimal_reduce(rows).parents == oracle.minimal_reduce_parents(rows)
 
 
+def pool_shaped(rng, c):
+    """A (c+1) x c matrix of entries 0..3 with no zero row, the shape of the
+    benchmark's dense pool."""
+    rows = []
+    while len(rows) < c + 1:
+        row = [rng.randint(0, 3) for _ in range(c)]
+        if any(row):
+            rows.append(row)
+    return rows
+
+
+def test_dense_steps_stop_at_their_pick_and_match_the_rescanning_reduction():
+    # each step reads its cofactors from the free column back and stops at
+    # the first top row that meets its column
+    rng = random.Random("dense-steps")
+    dense = 0
+    for c in range(4, 13):
+        for _ in range(12):
+            mat = MultiplicityMatrix(pool_shaped(rng, c))
+            rows = mat.to_lists()
+            assert minimal_reduce(mat).parents == oracle.minimal_reduce_parents(rows)
+            dense += mat._columns is None  # decided by elimination, not the matching
+    assert dense >= 100  # of 108 draws, all of full rank
+
+
+def test_dense_step_past_a_vanishing_cofactor():
+    # pool matrix 0 of size 6: rows 4 and 6 agree on columns 3-6, so the
+    # step for column 2 passes rows 2 and 3, which meet it but whose
+    # cofactors vanish (they come before the free column's row 4), and
+    # gives the column to row 4
+    rows = [list(map(int, line.split())) for line in (DATA / "dense-vanishing-minor.txt").read_text().splitlines()]
+    mat = MultiplicityMatrix(rows)
+    trace = []
+    assert minimal_reduce(mat).parents == oracle.minimal_reduce_parents(rows, trace) == (1, 6, 3, 2, 4, 5, 5)
+    assert mat._columns is None
+    assert trace[1] == (2, [(2, False, True), (3, False, True), (4, True, True), (5, False, False), (6, True, True)])
+
+
+def test_dense_step_whose_free_column_row_misses_the_column():
+    # pool matrix 14 of size 4, first step (column 1): row 1, the free
+    # column's, misses column 1; back substitution goes on to row 2, which
+    # meets it with a zero cofactor, and then to row 3, the pick
+    rows = [[0, 2, 3, 1], [2, 2, 0, 2], [2, 0, 3, 3], [1, 2, 2, 0], [3, 3, 3, 3]]
+    mat = MultiplicityMatrix(rows)
+    trace = []
+    assert minimal_reduce(mat).parents == oracle.minimal_reduce_parents(rows, trace) == (2, 4, 1, 3, 3)
+    assert mat._columns is None
+    assert trace[0] == (1, [(1, True, False), (2, False, True), (3, True, True), (4, True, True)])
+
+
 def matching(rows, out):
     """The triangular matching of the rows other than `out`, on the sparse
     view of integer rows of any sign, read by dense scans."""
