@@ -35,7 +35,7 @@ from .k0 import (
     ChainRealizer,
     ExplicitColumn,
     K0Witness,
-    NotPositiveUpTo,
+    NotPositive,
     Positive,
     Type1Realizer,
     WeightScheme,
@@ -360,10 +360,7 @@ def _realizer(args, diagram, depth):
     completed to `depth`, read through the --strategy tree."""
     _refuse_type1(args, diagram)
     if args.weight:
-        refused = ("column", "bound", "strategy")
-        if args.action == "positive":
-            refused += ("depth",)
-        _refuse(args, _NO_CHAIN, *refused)
+        _refuse(args, _NO_CHAIN, "column", "bound", "strategy")
         return WeightScheme(diagram)
     if args.action == "probe" and not args.column:
         scheme = WeightScheme(diagram)
@@ -410,20 +407,15 @@ def cmd_k0_member(args):
 def cmd_k0_positive(args):
     diagram = _need_diagram(args.input, "k0 positive")
     func = _parse_func(args.func, diagram)
-    depth = max(func.depth, 1) if args.depth is None else args.depth
-    realizer = _realizer(args, diagram, depth)
-    verdict = realizer.positivity(func, args.bound)
+    verdict = _realizer(args, diagram, max(func.depth, 1)).positivity(func, args.bound)
     if isinstance(verdict, Positive):
         payload = {"level": verdict.level, "positive": True, "witness": [str(x) for x in verdict.witness]}
         _emit(args, payload, f"positive at level {verdict.level}: {_fmt_vec(verdict.witness)}")
         return 0
-    if isinstance(verdict, NotPositiveUpTo):
-        if verdict.bound is None:
-            msg = "not positive (definitive)"
-        else:
-            msg = f"no nonnegative pushforward up to level {verdict.bound}"
+    if isinstance(verdict, NotPositive):
+        msg = "not positive (definitive)"
     else:
-        msg = f"inconclusive after {verdict.checked} levels"
+        msg = f"no nonnegative pushforward up to level {verdict.level}"
     _emit(args, {"positive": False, "detail": msg}, msg)
     return 1
 
@@ -450,7 +442,7 @@ def cmd_k0_probe(args):
     depth = min(3, diagram.level_bound()) if args.depth is None else args.depth
     realizer = _realizer(args, diagram, depth)
     theta = _probe_theta(args, realizer.tree.level_count(depth))
-    verdict = automorphism_probe(theta, realizer, depth, args.cap)
+    verdict = automorphism_probe(theta, realizer, depth)
     if isinstance(verdict, Broken):
         witness, image = verdict.witness, verdict.image
         _emit(
@@ -539,7 +531,7 @@ K0_ACTIONS = {
     "positive": (
         "positivity scan",
         cmd_k0_positive,
-        _K0_TREE + (_JSON, _FUNC, ("--bound", {"type": integer, "help": "pushforward scan limit"})),
+        (_K0_INPUT, _STRATEGY, _COLUMN, _WEIGHT, _JSON, _FUNC, ("--bound", {"type": integer, "help": "last level to scan"})),
     ),
     "probe": (
         "vertex-relabeling automorphism probe",
@@ -549,7 +541,6 @@ K0_ACTIONS = {
             _JSON,
             ("--swap", {"type": integer, "nargs": 2, "metavar": ("I", "J")}),
             ("--perm", {"help": "full image list, e.g. '2,1,3'"}),
-            ("--cap", {"type": integer, "default": 512, "help": "budget; pairs and basis always run"}),
         ),
     ),
 }
@@ -736,7 +727,7 @@ def _run(argv):
     if cap is not None:
         sys.set_int_max_str_digits(0)
     try:
-        for flag in ("depth", "level", "enumerate", "bound", "cap"):
+        for flag in ("depth", "level", "enumerate", "bound"):
             value = getattr(args, flag, None)
             if value is not None and value < 0:
                 raise UsageError(f"--{flag} needs N >= 0, got {value}")

@@ -96,8 +96,8 @@ def complete_matrix(mat, hint=Auto()):
 
 
 class CompletedChain:
-    """Invertible integer squares, one per level, with cached integer
-    products and inverses.
+    """Invertible integer squares, one per level, and the query arithmetic
+    on their products: solve and apply.
 
     Square sizes either rise by one per level from 2x2 or stay constant;
     the running product starts from [[1]] and pads with identity lines up
@@ -115,8 +115,7 @@ class CompletedChain:
             if sizes[0] != 2:
                 raise ValueError(f"growing chains start with a 2x2 square, got {sizes[0]}")
         self._u = [[[1]]]  # _u[n] is the integer product at depth n, extended lazily
-        self._inverse = {}  # depth -> (integer numerators, positive denominator)
-        self._bands = {}  # (depth, inverse?) -> band view of the product or its inverse
+        self._views = {}  # (depth, inverse?) -> (band view, positive denominator)
 
     @property
     def depth(self):
@@ -148,19 +147,29 @@ class CompletedChain:
 
     def inverse_parts(self, n):
         """The inverse of u_matrix(n) as integer numerators over one positive
-        denominator, computed on the first query at depth n."""
-        if n not in self._inverse:
-            self._inverse[n] = matops.int_inverse(self.u_matrix(n))
-        return self._inverse[n]
+        denominator."""
+        return matops.int_inverse(self.u_matrix(n))
 
-    def band(self, n, inverse=False):
-        """The band view (matops.band_rows) of u_matrix(n), or of the
-        numerators of inverse_parts(n), built on the first query at depth n."""
+    def _view(self, n, inverse):
+        """The band view (matops.band_rows) of u_matrix(n) over 1, or of the
+        numerators of its inverse over their denominator, built on the first
+        query at depth n in that direction."""
         key = (n, inverse)
-        if key not in self._bands:
-            m = self.inverse_parts(n)[0] if inverse else self.u_matrix(n)
-            self._bands[key] = matops.band_rows(m)
-        return self._bands[key]
+        if key not in self._views:
+            nums, d = self.inverse_parts(n) if inverse else (self.u_matrix(n), 1)
+            self._views[key] = matops.band_rows(nums), d
+        return self._views[key]
+
+    def solve(self, n, alpha):
+        """u_matrix(n)^-1 · alpha, for integer or rational alpha, as integer
+        numerators over one positive denominator."""
+        band, d = self._view(n, True)
+        ints, scale = matops.clear_denominators(alpha)
+        return matops.band_vec(band, ints), d * scale
+
+    def apply(self, n, beta):
+        """u_matrix(n) · beta for an integer vector beta."""
+        return matops.band_vec(self._view(n, False)[0], beta)
 
     def a_matrix(self, n):
         """Rational inverse of u_matrix(n), built from inverse_parts(n)."""
@@ -287,10 +296,8 @@ def phi(alpha, chain, tree):
     """Function of an integer (or rational) vector at its own depth."""
     if tree.diagram.shape.kind == "type1":
         raise ValueError("type1 diagrams realize through Type1Realizer")
-    n = len(alpha) - 1
-    _, d = chain.inverse_parts(n)
-    ints, scale = matops.clear_denominators(alpha)
-    return r_map(matops.band_vec(chain.band(n, inverse=True), ints), tree, d * scale)
+    nums, d = chain.solve(len(alpha) - 1, alpha)
+    return r_map(nums, tree, d)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +317,7 @@ def _witness_numerators(func, chain, tree):
     """The coordinate vector of a function at its own depth, as integer
     numerators over one positive denominator."""
     beta, d = _R_numerators(func, tree)
-    return matops.band_vec(chain.band(func.depth), beta), d
+    return chain.apply(func.depth, beta), d
 
 
 def witness_vector(func, chain, tree):
@@ -334,33 +341,32 @@ class Positive(Record):
 
 
 class NotPositiveUpTo(Record):
-    bound: int | None  # None: definitively never nonnegative
+    level: int  # the last level the scan read
 
 
-class Unknown(Record):
-    checked: int
+class NotPositive(Record):
+    """Never nonnegative, at any level."""
 
 
 def positivity(func, chain, tree, bound=None):
-    """Scan pushforwards of the witness for an all-nonnegative level."""
+    """Scan pushforwards of the witness for an all-nonnegative level, up to
+    level `bound` (default: the diagram's level bound, past which a bound
+    is refused) or the function's own depth when that is deeper."""
+    diagram = tree.diagram
+    if bound is None:
+        bound = diagram.level_bound()
+    diagram.check_depth(bound)
     verdict = membership(func, chain, tree)
     if isinstance(verdict, NotMember):
         raise NotInK0(f"no integer witness at depth {verdict.depth_checked}")
-    if bound is None:
-        bound = tree.diagram.level_bound()
     alpha = list(verdict.alpha)
     level = verdict.depth
-    while True:
-        if all(x >= 0 for x in alpha):
-            return Positive(level, tuple(alpha))
+    while not all(x >= 0 for x in alpha):
         if level >= bound:
-            return NotPositiveUpTo(bound)
-        try:
-            mat = tree.diagram.matrix(level)
-        except DepthExceeded:
-            return Unknown(level)
-        alpha = matops.mat_vec(mat.rows, alpha)
+            return NotPositiveUpTo(level)
+        alpha = matops.mat_vec(diagram.matrix(level).rows, alpha)
         level += 1
+    return Positive(level, tuple(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +405,8 @@ class Type1Realizer:
 
     def phi(self, alpha):
         chain = complete_chain(self.diagram, Auto(), self.level)
-        _, den = chain.inverse_parts(chain.depth)
-        ints, scale = matops.clear_denominators(alpha)
-        values = matops.band_vec(chain.band(chain.depth, inverse=True), ints)
-        return LocallyConstantFunction(self.level, tuple(Fraction(v, den * scale) for v in values))
+        values, den = chain.solve(chain.depth, alpha)
+        return LocallyConstantFunction(self.level, tuple(Fraction(v, den) for v in values))
 
 
 class WeightScheme:
@@ -462,13 +466,12 @@ class WeightScheme:
         """
         self.ensure_depth(depth)
         _, branches = self.tree.levels(depth)
-        pairs = []
+        hints = []
         for level, branch in enumerate(branches):
-            mat = self.diagram.matrix(level)
-            column = [0] * mat.nrows
+            column = [0] * self.diagram.level_count(level + 1)
             column[branch.big_child - 1] = self.b(level)
-            pairs.append(complete_matrix(mat, ExplicitColumn(column)))
-        return CompletedChain(pairs)
+            hints.append(ExplicitColumn(column))
+        return complete_chain(self.diagram, hints, depth)
 
     def phi(self, alpha):
         n = len(alpha) - 1
@@ -493,7 +496,7 @@ class WeightScheme:
             raise NotInK0(f"no integer witness at depth {verdict.depth_checked}")
         if all(v >= 0 for v in func.values):
             return Positive(func.depth, verdict.alpha)
-        return NotPositiveUpTo(None)
+        return NotPositive()
 
 
 # ---------------------------------------------------------------------------
@@ -509,13 +512,19 @@ class Broken(Record):
     image: LocallyConstantFunction
 
 
-def automorphism_probe(theta, realizer, depth, candidate_cap=512):
+# the most candidates a probe queues; pairs and basis vectors always run
+CANDIDATE_CAP = 512
+
+
+def automorphism_probe(theta, realizer, depth):
     """Does relabeling depth-`depth` vertices by `theta` preserve the group?
 
     Candidates are realized members: pair vectors over moved vertices first,
-    then single basis vectors, then indicators of vertex subsets.  The first
-    candidate whose relabeled image has no integer witness breaks the probe.
-    Basis vectors realize generators, so `candidate_cap` drops only subsets.
+    then single basis vectors, then indicators of vertex subsets up to
+    CANDIDATE_CAP candidates in all.  The first candidate whose relabeled
+    image has no integer witness breaks the probe.  A subset indicator is a
+    sum of basis vectors, each checked before it, so subsets never break a
+    probe that the basis vectors pass.
     """
     m = realizer.tree.level_count(depth)
     images = int_row(theta, 1)
@@ -526,29 +535,18 @@ def automorphism_probe(theta, realizer, depth, candidate_cap=512):
         inverse[t - 1] = i
 
     def basis(*idx):
-        return [1 if (p + 1) in idx else 0 for p in range(m)]
+        return tuple(int(p in idx) for p in range(1, m + 1))
 
-    candidates = []
-    seen = set()
-
-    def push(alpha):
-        key = tuple(alpha)
-        if key not in seen:
-            seen.add(key)
-            candidates.append(alpha)
-
-    for i in range(1, m + 1):
-        if images[i - 1] != i:
-            push(basis(i, images[i - 1]))
-    for i in range(1, m + 1):
-        push(basis(i))
+    # an ordered dict: each candidate once, where it is first met
+    candidates = dict.fromkeys(basis(i, t) for i, t in enumerate(images, start=1) if t != i)
+    candidates.update(dict.fromkeys(map(basis, range(1, m + 1))))
     subsets = (
         combo for size in range(2, m) for combo in itertools.combinations(range(1, m + 1), size)
     )
     for combo in subsets:
-        if len(candidates) >= candidate_cap:
+        if len(candidates) >= CANDIDATE_CAP:
             break
-        push(basis(*combo))
+        candidates.setdefault(basis(*combo))
 
     checked = 0
     for alpha in candidates:

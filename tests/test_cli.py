@@ -10,7 +10,7 @@ import exact_oracle as oracle
 import pytest
 
 import brattice
-from brattice import corpus
+from brattice import corpus, k0
 from brattice.cli import K0_ACTIONS, VERBS, _read_argv, main
 from brattice.diagram import MultiplicityMatrix, multiplicity_rank, read_input, telescope
 
@@ -158,7 +158,6 @@ DEPTH_VERBS = [
     ("pathspace", "corpus:gicar"),
     ("k0", "chain", "corpus:gicar"),
     ("k0", "phi", "corpus:gicar", "--alpha", "1,2"),
-    ("k0", "positive", "corpus:gicar", "--func", "depth=0: 1"),
     ("k0", "probe", "corpus:gicar", "--swap", "1", "2"),
 ]
 
@@ -176,7 +175,6 @@ COUNT_FLAGS = {
     "--level": ("dilate", "corpus:threeline"),
     "--enumerate": ("reduce", "corpus:fan43"),
     "--bound": ("k0", "positive", "corpus:gicar", "--func", "depth=2: 1 -1 1"),
-    "--cap": ("k0", "probe", "corpus:dyadic", "--depth", "3", "--perm", "2,3,1,4"),
 }
 
 
@@ -232,8 +230,11 @@ def test_depth_zero_k0_phi_type1_is_a_usage_error(capsys):
 
 
 def test_depth_zero_k0_positive_is_a_usage_error(capsys):
-    got = run(capsys, "k0", "positive", "corpus:gicar", "--func", "depth=0: 1", "--depth", "0")
-    assert got == _no_square("gicar", 0)
+    # k0 positive takes no --depth: its chain reaches the function's depth
+    with pytest.raises(SystemExit) as info:
+        main(["k0", "positive", "corpus:gicar", "--func", "depth=0: 1", "--depth", "0"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --depth 0\n")
 
 
 def test_depth_zero_k0_probe_reads_the_root(capsys):
@@ -341,20 +342,12 @@ UNUSABLE_OPTIONS = {
     # --weight builds no chain, so the chain options have nothing to act on
     "k0 positive --weight --column": (
         ("k0", "positive", "corpus:dyadic", "--weight", "--func", "depth=2: 1/2 1/4 1",
-         "--bound", "1", "--column", "9,9", "--depth", "1"),
+         "--bound", "1", "--column", "9,9"),
         f"--column needs {NO_CHAIN}",
     ),
     "k0 positive --weight --bound": (
         ("k0", "positive", "corpus:dyadic", "--weight", "--func", "depth=2: 1/2 1/4 1", "--bound", "1"),
         f"--bound needs {NO_CHAIN}",
-    ),
-    "k0 positive --weight --depth": (
-        ("k0", "positive", "corpus:dyadic", "--weight", "--func", "depth=2: 1/2 1/4 1", "--depth", "1"),
-        f"--depth needs {NO_CHAIN}",
-    ),
-    "k0 positive --weight --depth 0": (
-        ("k0", "positive", "corpus:dyadic", "--weight", "--func", "depth=2: 1/2 1/4 1", "--depth", "0"),
-        f"--depth needs {NO_CHAIN}",
     ),
     "k0 phi --weight --strategy": (
         ("k0", "phi", "corpus:dyadic", "--weight", "--strategy", "alternating", "--alpha", "1,2,3,4"),
@@ -880,10 +873,8 @@ def test_k0_positive_definitive(capsys):
 # the lines no other test runs, pinned so that a change to them shows
 POSITIVE_VERDICTS = {
     "scan-bound": (("corpus:gicar", "--func", "depth=2: 1 7 -5"), "no nonnegative pushforward up to level 64"),
-    "inconclusive": (
-        ("corpus:gicar", "--func", "depth=2: 1 7 -5", "--depth", "2", "--bound", "100"),
-        "inconclusive after 64 levels",
-    ),
+    # a bound below the function's depth: the scan names the level it read
+    "below-depth": (("corpus:gicar", "--func", "depth=2: 1 7 -5", "--bound", "0"), "no nonnegative pushforward up to level 2"),
     "definitive": (("corpus:dyadic", "--weight", "--func", "depth=1: -1 1"), "not positive (definitive)"),
 }
 
@@ -892,6 +883,12 @@ POSITIVE_VERDICTS = {
 def test_k0_positive_verdict_lines(capsys, monkeypatch, argv, line):
     monkeypatch.delenv("BRATTICE_DEPTH_LIMIT", raising=False)
     assert run(capsys, "k0", "positive", *argv) == (1, line + "\n", "")
+
+
+def test_k0_weight_refuses_a_level_of_two_branches(capsys):
+    path = Path(__file__).parent / "data" / "two-branches.bd"
+    got = run(capsys, "k0", "member", str(path), "--weight", "--func", "depth=2: 1 1 1 1")
+    assert got == (1, "", "error: matrix 1 does not grow by a single branch\n")
 
 
 def test_k0_positive_weight_non_member_has_no_witness(capsys):
@@ -1006,7 +1003,7 @@ def test_k0_func_past_the_diagram_keeps_its_verdict(capsys, monkeypatch):
         (("k0", "chain", "corpus:threeline", "--depth", "65"), 65),
         (("k0", "phi", "corpus:threeline", "--alpha", "1,2,3", "--depth", "100"), 100),
         (("k0", "phi", "corpus:threeline", "--alpha", "1,2,3", "--depth", "65"), 65),
-        (("k0", "positive", "corpus:gicar", "--func", "depth=1: 1 2", "--depth", "100"), 100),
+        (("k0", "positive", "corpus:gicar", "--func", "depth=1: 1 2", "--bound", "100"), 100),
     ],
 )
 def test_k0_depth_past_the_diagram_is_an_error(capsys, argv, level):
@@ -1027,7 +1024,7 @@ PAST_THE_DIAGRAM = {
     "k0 phi": (("k0", "phi", "corpus:threeline", "--alpha", "1,2,3", "--depth", "100"), 100),
     "k0 member": (("k0", "member", "corpus:gicar", "--func", "depth=70: 1"), 70),
     "k0 member --weight": (("k0", "member", "corpus:gicar", "--weight", "--func", "depth=70: 1"), 70),
-    "k0 positive": (("k0", "positive", "corpus:gicar", "--func", "depth=1: 1 2", "--depth", "100"), 100),
+    "k0 positive": (("k0", "positive", "corpus:gicar", "--func", "depth=1: 1 2", "--bound", "100"), 100),
     "k0 positive --weight": (("k0", "positive", "corpus:dyadic", "--weight", "--func", "depth=70: 1"), 70),
     "k0 probe": (("k0", "probe", "corpus:gicar", "--swap", "1", "2", "--depth", "100"), 100),
     "k0 probe --weight": (("k0", "probe", "corpus:dyadic", "--weight", "--swap", "1", "2", "--depth", "100"), 100),
@@ -1176,28 +1173,31 @@ def test_k0_probe_preserved(capsys):
     assert "preserved across" in out
 
 
-@pytest.mark.parametrize("cap", ["1", "0"])
-def test_k0_probe_cap_keeps_the_basis_candidates(capsys, cap):
+@pytest.mark.parametrize("cap", [1, 0])
+def test_k0_probe_cap_keeps_the_basis_candidates(capsys, monkeypatch, cap):
     argv = ("k0", "probe", "corpus:dyadic", "--depth", "3", "--perm", "2,3,1,4")
     code, out, _ = run(capsys, *argv)
     assert code == 1 and out.startswith("Broken:")
-    assert run(capsys, *argv, "--cap", cap) == (code, out, "")
+    monkeypatch.setattr(k0, "CANDIDATE_CAP", cap)
+    assert run(capsys, *argv) == (code, out, "")
 
 
-def test_k0_probe_cap_still_bounds_subset_candidates(capsys):
+def test_k0_probe_cap_still_bounds_subset_candidates(capsys, monkeypatch):
     argv = ("k0", "probe", "corpus:gicar", "--swap", "1", "2", "--depth", "3")
     assert run(capsys, *argv)[:2] == (0, "preserved across 14 candidates\n")
     # one pair and four basis vectors always run; the cap drops subsets
-    assert run(capsys, *argv, "--cap", "0")[:2] == (0, "preserved across 5 candidates\n")
-    assert run(capsys, *argv, "--cap", "7")[:2] == (0, "preserved across 7 candidates\n")
+    for cap, checked in ((0, 5), (7, 7)):
+        monkeypatch.setattr(k0, "CANDIDATE_CAP", cap)
+        assert run(capsys, *argv)[:2] == (0, f"preserved across {checked} candidates\n")
 
 
 def test_k0_probe_negative_cap_is_a_usage_error(capsys):
-    code, out, err = run(
-        capsys, "k0", "probe", "corpus:dyadic", "--depth", "3", "--perm", "2,3,1,4", "--cap", "-1"
-    )
-    assert (code, out) == (2, "")
-    assert err == "usage error: --cap needs N >= 0, got -1\n"
+    # the cap is fixed: k0 probe takes no --cap, of any value
+    for cap in ("-1", "5"):
+        with pytest.raises(SystemExit) as info:
+            main(["k0", "probe", "corpus:dyadic", "--depth", "3", "--perm", "2,3,1,4", "--cap", cap])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: --cap {cap}\n")
 
 
 @pytest.mark.parametrize(

@@ -196,7 +196,7 @@ def test_reader_agrees_with_argparse(workdir, data):
         "k0 member corpus:propersub --column 0,1 --func 'depth=1: 0 1/2'",
         "k0 positive corpus:dyadic --weight --func 'depth=2: 1/2 1/4 1' --bound 3",
         "k0 probe corpus:dyadic --swap 1 2 --depth 3",
-        "k0 probe corpus:dyadic --perm=2,1,3,4 --cap 0",
+        "k0 probe corpus:dyadic --perm=2,1,3,4",
         "corpus --name uhf2 --json",
         "corpus",
     ],

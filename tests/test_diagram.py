@@ -373,9 +373,16 @@ def test_normalize_type2_rejections():
         normalize_type2(PINCH)
 
 
+# a periodic template with constant-exponent tokens, which stay symbolic
+CONSTANT_POWERS = "bdspec v1\nshape: type1 2\nmatrix 0:\n1\n1\ntail: periodic 1\ntemplate:\n2^{3} 1\n0 3^{0}\n"
+
+
 def test_bdspec_round_trip():
-    for name in ("gicar", "uhf2", "uhf6", "propersub", "pinch", "threeline"):
-        diagram = corpus.get(name).diagram()
+    diagrams = [corpus.get(name).diagram() for name in ("gicar", "uhf2", "uhf6", "propersub", "pinch", "threeline")]
+    diagrams.append(read_input(CONSTANT_POWERS, "powers")[1])
+    assert "2^{3} 1\n0 3^{0}\n" in format_bdspec(diagrams[-1])
+    assert diagrams[-1].matrix(4).rows == ((8, 1), (0, 1))
+    for diagram in diagrams:
         text = format_bdspec(diagram)
         back = read_input(text, diagram.name)[1]
         assert back.matrices == diagram.matrices

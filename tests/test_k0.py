@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import exact_oracle as oracle
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brattice import corpus, matops
-from brattice.diagram import BratteliDiagram, MultiplicityMatrix, PeriodicTail, ShapeClass
+from brattice.diagram import BratteliDiagram, MultiplicityMatrix, PeriodicTail, ShapeClass, read_input
 from brattice.errors import (
     DepthExceeded,
     NotInK0,
@@ -25,11 +26,11 @@ from brattice.k0 import (
     ExplicitColumn,
     K0Witness,
     NotMember,
+    NotPositive,
     NotPositiveUpTo,
     Positive,
     Preserved,
     Type1Realizer,
-    Unknown,
     WeightScheme,
     automorphism_probe,
     build_chain,
@@ -541,6 +542,8 @@ def test_positivity_verdicts():
     mixed = phi((2, -1), chain, tree)
     out = positivity(mixed, chain, tree, bound=6)
     assert out == NotPositiveUpTo(6)
+    # a bound below the function's depth: the scan names the level it read
+    assert positivity(mixed, chain, tree, bound=0) == NotPositiveUpTo(1)
 
     with pytest.raises(NotInK0):
         positivity(
@@ -550,14 +553,16 @@ def test_positivity_verdicts():
         )
 
 
-def test_positivity_unknown_on_finite_diagram():
+def test_positivity_refuses_a_bound_past_a_finite_diagram():
     mats = tuple(GICAR.matrix(n) for n in range(3))
     finite = BratteliDiagram(mats, None, ShapeClass("type2"), "fin")
     chain = complete_chain(finite, Auto(), 3)
     tree = build_minimal_diagram(finite, "theorem")
     mixed = phi((2, -1), chain, tree)
-    out = positivity(mixed, chain, tree, bound=10)
-    assert out == Unknown(3)
+    with pytest.raises(DepthExceeded, match="level 10 requested, diagram allows 3"):
+        positivity(mixed, chain, tree, bound=10)
+    # the default bound is the diagram's last level
+    assert positivity(mixed, chain, tree) == positivity(mixed, chain, tree, bound=3) == NotPositiveUpTo(3)
 
 
 def test_weight_scheme_positivity():
@@ -566,7 +571,7 @@ def test_weight_scheme_positivity():
     out = scheme.positivity(good)
     assert isinstance(out, Positive)
     bad = LocallyConstantFunction(2, (1, Fraction(-1, 4), 0))
-    assert scheme.positivity(bad) == NotPositiveUpTo(None)
+    assert scheme.positivity(bad) == NotPositive()
 
 
 # --- weight schemes ----------------------------------------------------------
@@ -595,6 +600,12 @@ def test_weight_scheme_recursion_law():
 def test_weight_scheme_needs_unique_minimal():
     with pytest.raises(NotUniqueMinimal):
         WeightScheme(GICAR).weights(2)
+    # matrix 1 has one reduction, yet grows by two branches: rows 1, 2 on
+    # column 1 and rows 3, 4 on column 2
+    diagram = read_input((Path(__file__).parent / "data" / "two-branches.bd").read_text(), "two-branches")[1]
+    assert is_unique_minimal(diagram.matrix(1)) == (True, None)
+    with pytest.raises(NotUniqueMinimal, match="^matrix 1 does not grow by a single branch$"):
+        WeightScheme(diagram).membership(LocallyConstantFunction(2, (1, 1, 1, 1)))
 
 
 def test_weight_scheme_chain_matches_columns():

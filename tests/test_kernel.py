@@ -307,7 +307,12 @@ def seeded_tall(rng, c, shape):
     lower dense (from the diagonal below the main one on, or up to the
     main one, which is nonzero), or a band of width 2 or 3 with c entries
     of noise.  A quarter of the draws double one row into another, or blank
-    a row."""
+    a row.
+
+    A lower draw instead keeps full rank, and no triangular matching
+    decides it: a nonzero top-right corner gives the last column a second
+    row among the first c, so no column of their square has a single
+    nonzero, and the last row meets at least one column."""
     def entry(i, j):
         if shape == "upper":
             return rng.randint(j == i - 1, 3) if j >= i - 1 else 0
@@ -324,6 +329,10 @@ def seeded_tall(rng, c, shape):
     if shape == "band":
         for _ in range(c):
             rows[rng.randrange(c + 1)][rng.randrange(c)] = rng.randint(0, 3)
+    if shape == "lower":
+        rows[0][c - 1] = rng.randint(1, 3)
+        rows[c][rng.randrange(c)] = rng.randint(1, 3)
+        return rows
     spoil = rng.randrange(8)
     if spoil == 0:
         a, b = rng.sample(range(c + 1), 2)
@@ -334,13 +343,22 @@ def seeded_tall(rng, c, shape):
 
 
 @pytest.mark.parametrize("shape", ["dense", "upper", "lower", "band"])
-def test_minimal_reduce_matches_rescanning_reduction_up_to_24_columns(shape):
+def test_minimal_reduce_matches_rescanning_reduction_up_to_24_columns(shape, monkeypatch):
     # the sizes where the resumed elimination gains most over one
     # elimination per step; the oracle takes about 0.4 s at c = 24
     rng = random.Random(f"tall-{shape}")
+    calls = []
+    eliminate = matops._eliminate
+    monkeypatch.setattr(matops, "_eliminate", lambda *a, **kw: calls.append(a) or eliminate(*a, **kw))
     for c in (12, 14, 16, 18, 20, 22, 24):
         rows = seeded_tall(rng, c, shape)
-        if oracle.rank(rows) < c:
+        if shape == "lower":
+            # every lower draw is a full-rank level that an elimination decides
+            want = oracle.minimal_reduce_parents(rows)
+            calls.clear()
+            assert minimal_reduce(rows).parents == want
+            assert calls, f"c = {c} ran no elimination"
+        elif oracle.rank(rows) < c:
             with pytest.raises(RankDeficient):
                 minimal_reduce(rows)
         elif not all(any(row) for row in rows):

@@ -5,6 +5,7 @@ the per-vertex loops kept there."""
 import random
 from fractions import Fraction
 from functools import cache
+from operator import mul
 
 import exact_oracle as oracle
 import pytest
@@ -85,6 +86,13 @@ def test_chain_products_and_inverses_match_fraction_path(name):
         assert type(d) is int and d > 0
         assert all(type(x) is int for row in nums for x in row)
         assert chain.a_matrix(n) == oracle.a_matrix(chain, n)
+        # solve reads the inverse over one positive denominator, apply the product
+        alpha = [Fraction(k - n, 2) for k in range(n + 1)]
+        nums, d = chain.solve(n, alpha)
+        assert type(d) is int and d > 0 and all(type(x) is int for x in nums)
+        want = [sum(map(mul, row, alpha)) for row in oracle.a_matrix(chain, n)]
+        assert [Fraction(x, d) for x in nums] == want
+        assert chain.apply(n, nums) == [a * d for a in alpha]
 
 
 @settings(max_examples=120, deadline=None)
@@ -235,7 +243,7 @@ def test_depth_32_queries_match_fraction_path(name):
 def test_depth_32_bands_keep_561_of_1089_entries(name):
     chain, _ = _deep_realizers()[name]
     for inverse in (False, True):
-        width, rows = chain.band(DEEP, inverse)
+        (width, rows), _ = chain._view(DEEP, inverse)
         assert (width, len(rows)) == (DEEP + 1, DEEP + 1)
         assert sum(len(entries) for _, entries in rows) == 561
 
