@@ -361,7 +361,7 @@ def _realizer(args, diagram, depth):
     _refuse_type1(args, diagram)
     if args.weight:
         _refuse(args, _NO_CHAIN, "column", "bound", "strategy")
-        return WeightScheme(diagram)
+        return WeightScheme(diagram).ensure_depth(depth)
     if args.action == "probe" and not args.column:
         scheme = WeightScheme(diagram)
         try:

@@ -8,6 +8,7 @@ use.  All vertex labels in results are 1-based.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import islice
 from operator import mul
 
@@ -303,36 +304,29 @@ def minimal_reduce_square(mat):
     return ReductionOutcome(next(iter_minimal_reductions(mat)), None, "square")
 
 
-def _coverable(cols, first, degree, col_rows, r):
-    """Whether distinct rows from `first` (0-based) on can be matched to the
-    columns in `cols`, which is Hall's condition for covering them.
-
-    `degree[j]` counts the rows from `first` on that support column j, and
-    `col_rows[j]` lists every row supporting j.  The tests run cheapest
-    first: enough rows, no unsupported column, a degree bound that settles
-    Hall's condition outright, then augmenting paths.
-    """
-    if len(cols) > r - first:
-        return False
-    degs = sorted(map(degree.__getitem__, cols))
-    if not degs[0]:
-        return False
-    # matched greedily by rising degree, the t-th column (0-based) finds a
-    # free row when more than t rows support it
-    if all(d > t for t, d in enumerate(degs)):
-        return True
-    owner = {}  # row -> the column it is matched to
-
-    def augment(j, seen):
-        for row in col_rows[j]:
-            if row >= first and row not in seen:
-                seen.add(row)
-                if row not in owner or augment(owner[row], seen):
-                    owner[row] = j
-                    return True
-        return False
-
-    return all(augment(j, set()) for j in sorted(cols, key=degree.__getitem__))
+def _augment(col_rows, held, owner, log, j, first):
+    """Match the free column j into the rows from `first` on by a shortest
+    augmenting path.  Without one, no matching covers j with the columns
+    matched already (Berge): return False and change nothing.  `held` maps
+    rows to columns or -1 and `owner` matched columns to rows; each change
+    of `held` is logged as (row, its column before)."""
+    came, queue = {}, [j]  # came[row]: the column that reached the row
+    for q in queue:
+        for row in col_rows[q]:
+            if row >= first and row not in came:
+                came[row] = q
+                if held[row] < 0:
+                    # each row on the path takes the column that reached it,
+                    # and that column's row before takes the next
+                    while True:
+                        q = came[row]
+                        log.append((row, held[row]))
+                        held[row] = q
+                        owner[q], row = row, owner[q]
+                        if q == j:
+                            return True
+                queue.append(held[row])
+    return False
 
 
 def iter_minimal_reductions(mat):
@@ -343,20 +337,32 @@ def iter_minimal_reductions(mat):
     left uncovered, so every node it visits leads to a map: the delay
     between maps is polynomial and a dead end costs one feasibility test.
     The walk runs on 0-based columns and records each choice 1-based.
+
+    Feasibility is kept as one matching of the uncovered columns into the
+    rows below.  Where a degree bound cannot decide a branch, the matching
+    replays the choices above row i that the bound let through, then gives
+    the column row i held a row below by one augmenting search.
     """
     mat = _as_mm(mat)
     supports = mat.supports
     r, c = len(supports), mat.ncols
     if () in supports:
         return
+    col_rows = [[] for _ in range(c)]  # the rows supporting each column
+    for i, sup in enumerate(supports):
+        for j in sup:
+            col_rows[j].append(i)
+    held, owner, log = [-1] * r, [-1] * c, []  # the matching, as in _augment
+    augment = partial(_augment, col_rows, held, owner, log)
+    if not all(augment(j, 0) for j in range(c)):
+        return  # no cover: found before the O(r·c) degree table is built
     degrees = [[0] * c]  # degrees[i][j]: rows i.. supporting column j
     for sup in reversed(supports):
-        degrees.append([d + (j in sup) for j, d in enumerate(degrees[-1])])
+        degrees.append(degrees[-1][:])
+        for j in sup:
+            degrees[-1][j] += 1
     degrees.reverse()
     uncovered = set(range(c))
-    col_rows = [[i for i, _ in col] for col in mat.column_entries]
-    if not _coverable(uncovered, 0, degrees[0], col_rows, r):
-        return
 
     def open_row(i):
         # The uncovered columns stay the same while row i tries its branches.
@@ -371,20 +377,52 @@ def iter_minimal_reductions(mat):
         floor = below[weak[1]] if len(weak) == 2 else len(uncovered)
         return iter(weak[:1] if forced else supports[i]), len(uncovered), floor
 
+    def advance(a, j, fresh):
+        # row a takes column j, `fresh` when it was uncovered, and the
+        # column row a held needs a row below
+        marks[a] = len(log)
+        if fresh:
+            log.append((owner[j], j))
+            held[owner[j]] = -1
+        k = held[a]
+        log.append((a, k))
+        held[a] = -1
+        return k < 0 or augment(k, a + 1)
+
+    def rewind(a):
+        # undo the matching's changes since it served row a, which it
+        # serves again
+        while len(log) > marks[a]:
+            row, j = log.pop()
+            held[row] = j
+            if j >= 0:
+                owner[j] = row
+        return a
+
     choice = [0] * r  # 1-based
     first_cover = [False] * r  # whether choice[i] was the first row on its column
+    marks = [0] * r  # marks[a]: len(log) when the matching served row a
+    synced = 0  # the row whose uncovered columns the matching covers
     frames = [open_row(0)]
     while frames:
         i = len(frames) - 1
         if first_cover[i]:  # back out of the previous branch at row i
             uncovered.add(choice[i] - 1)
+        if synced > i:  # the matching moved past row i with its last branch
+            synced = rewind(i)
         branches, n, floor = frames[i]
         for j in branches:
             need = n - (j in uncovered)
-            if need <= floor or need < r - i and _coverable(
-                uncovered - {j}, i + 1, degrees[i + 1], col_rows, r
-            ):
+            if need <= floor:
                 break
+            if need < r - i:
+                for a in range(synced, i):
+                    if not advance(a, choice[a] - 1, first_cover[a]):
+                        raise RuntimeError(f"replaying row {a + 1}'s choice found no augmenting path")
+                synced = i + 1
+                if advance(i, j, j in uncovered):
+                    break
+                synced = rewind(i)
         else:
             first_cover[i] = False
             frames.pop()

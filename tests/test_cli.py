@@ -249,6 +249,14 @@ def test_depth_zero_k0_probe_reads_the_root(capsys):
     assert got == _no_square("gicar", 0)
 
 
+def test_weight_refusal_has_one_wording_for_every_action(capsys):
+    # the probe checks the scheme's levels before it reads the tree, as the
+    # other --weight actions do
+    want = (1, "", "error: matrix 1 admits several reductions\n")
+    assert run(capsys, "k0", "probe", "corpus:gicar", "--swap", "1", "2", "--depth", "2", "--weight") == want
+    assert run(capsys, "k0", "chain", "corpus:gicar", "--weight") == want
+
+
 def test_every_depth_verb_is_covered():
     def takes_depth(arguments):
         return any(name == "--depth" for name, _ in arguments)

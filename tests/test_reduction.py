@@ -13,7 +13,7 @@ from brattice import corpus, matops
 from brattice.diagram import MultiplicityMatrix, multiplicity_rank
 from brattice.errors import LimitExceeded, RankDeficient, Singular
 from brattice.reduction import (
-    _coverable,
+    _augment,
     enumerate_minimal_reductions,
     first_minimal_reductions,
     is_unique_minimal,
@@ -271,19 +271,22 @@ def test_minimal_reduce_square_matches_backtracker(mm):
 
 
 def _walk_with_opened_rows(mm):
-    """The maps, and the row of every node the walk opened."""
-    opened = []
+    """The maps, the row of every node the walk opened, and the function
+    that started each augmenting search: the walk's root or `advance`."""
+    opened, searches = [], []
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code.co_name == "open_row":
             opened.append(frame.f_locals["i"])
+        if event == "call" and frame.f_code is _augment.__code__:
+            searches.append(frame.f_back.f_code.co_name)
 
     sys.setprofile(profile)
     try:
         maps = list(iter_minimal_reductions(mm))
     finally:
         sys.setprofile(None)
-    return maps, opened
+    return maps, opened, searches
 
 
 @settings(max_examples=150, deadline=None)
@@ -292,30 +295,135 @@ def _walk_with_opened_rows(mm):
 def test_walk_opens_no_dead_end(mm):
     # every opened node is a prefix of some map (the last row is filled in
     # without opening a node), so the delay between maps is polynomial
-    maps, opened = _walk_with_opened_rows(mm)
+    maps, opened, _ = _walk_with_opened_rows(mm)
     prefixes = [{m[:i] for m in maps} for i in range(max(mm.nrows - 1, 1))]
     assert sorted(opened) == sorted(i for i, ps in enumerate(prefixes) for _ in ps)
 
 
+def _hall(mm, cols, first):
+    """Whether distinct rows from `first` (0-based) on meet the 1-based
+    columns `cols`, one each, by trying every pick of rows."""
+    return any(
+        all(mm.rows[row][j - 1] for row, j in zip(pick, sorted(cols)))
+        for pick in itertools.permutations(range(first, mm.nrows), len(cols))
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrices(max_rows=6, max_cols=6), st.data())
-def test_coverable_matches_brute_force_hall(mm, data):
+def test_augmenting_searches_match_brute_force_hall(mm, data):
+    # the walk's root matches the columns one search each, and a branch
+    # gives the column its row held to a row below with one more search
     r, c = mm.nrows, mm.ncols
     first = data.draw(st.integers(min_value=0, max_value=r))
     cols = data.draw(st.sets(st.integers(min_value=1, max_value=c), min_size=1))
-    col_rows = [()] + [tuple(i - 1 for i in oracle.col_support(mm, j)) for j in range(1, c + 1)]
-    degree = [0] + [sum(1 for i in rows if i >= first) for rows in col_rows[1:]]
-    want = any(
-        all(mm.rows[row][j - 1] for row, j in zip(pick, sorted(cols)))
-        for pick in itertools.permutations(range(first, r), len(cols))
-    )
-    assert _coverable(cols, first, degree, col_rows, r) == want
+    col_rows = [[i for i, _ in col] for col in mm.column_entries]
+    held, owner, log = [-1] * r, [-1] * c, []
+    covered = all(_augment(col_rows, held, owner, log, j - 1, first) for j in sorted(cols))
+    assert covered == _hall(mm, cols, first)
+    if not covered:
+        return
+    assert sorted(q + 1 for q in held if q >= 0) == sorted(cols)
+    assert all(held[i] < 0 or (i >= first and mm.rows[i][held[i]]) for i in range(r))
+    assert all(held[owner[j - 1]] == j - 1 for j in cols)
+    if first == r or held[first] < 0:
+        return
+    k, held[first] = held[first], -1
+    before = list(held)
+    found = _augment(col_rows, held, owner, log, k, first + 1)
+    assert found == _hall(mm, cols, first + 1)
+    if not found:
+        assert held == before  # a failed search changes nothing
+    else:
+        assert sorted(q + 1 for q in held if q >= 0) == sorted(cols) and held[first] < 0
 
 
 def test_deadend_family_is_polynomial():
     # the unpruned walk would try about 2^40 partial choices here
     assert enumerate_minimal_reductions(deadend(40)) == []
     assert next(iter_minimal_reductions(deadend(40)), None) is None
+
+
+def test_dead_end_costs_one_root_matching():
+    # columns 1 and 2 share one row: the root's second search fails, and
+    # the walk opens no row
+    for k in (1, 2, 5, 17, 64, 200):
+        assert _walk_with_opened_rows(deadend(k)) == ([], [], ["<genexpr>"] * 2)
+
+
+@pytest.mark.parametrize("name", ["gicar", "dyadic", "propersub"])
+def test_first_maps_of_family_levels_match_lex_first_walk(name):
+    diagram = corpus.get(name).diagram()
+    for level in (0, 1, 2, 5, 16, 32, 63):
+        mm = diagram.matrix(level)
+        assert next(iter_minimal_reductions(mm), None) == oracle.lex_first_reduction(mm)
+
+
+def test_one_augmenting_search_per_branch_on_gicar_levels():
+    # the root matches each column once; below it, a branch tried at an
+    # opened row costs at most one search, when tried or when replayed
+    gicar = corpus.get("gicar").diagram()
+    for level in (1, 2, 3, 8, 15, 31, 63):
+        mm = gicar.matrix(level)
+        maps, opened, searches = _walk_with_opened_rows(mm)
+        assert len(maps) == mm.ncols  # one map per choice of branch parent
+        assert searches.count("<genexpr>") == mm.ncols
+        tried = sum(len(mm.supports[i]) for i in opened)
+        assert searches.count("advance") <= tried
+        assert len(searches) == mm.ncols + searches.count("advance")
+
+
+def _band(rng, r):
+    """r x c rows, each meeting a window of 1 to 3 columns that slides
+    down the matrix; a few windows are thinned."""
+    c = rng.randint(r // 2, r - 1)
+    rows = []
+    for i in range(r):
+        lo = i * c // r
+        window = range(max(lo - rng.randint(0, 1), 0), min(lo + rng.randint(1, 2), c))
+        rows.append([int(q in window and rng.random() > 0.1) or int(q == lo) for q in range(c)])
+    return rows
+
+
+def _sparse(rng, r):
+    """r x c rows, each meeting 1 or 2 random columns; c of the rows, in a
+    random order, meet the columns in turn, so some map exists."""
+    c = rng.randint(r // 2, r - 1)
+    planted = rng.sample(range(r), c)
+    rows = [[0] * c for _ in range(r)]
+    for row in rows:
+        for q in rng.sample(range(c), rng.randint(1, 2)):
+            row[q] = 1
+    for q, i in enumerate(planted):
+        rows[i][q] = 1
+    return rows
+
+
+def test_first_maps_and_counts_of_sparse_and_band_matrices_match_unpruned_walker():
+    # deeper walks than the drawn matrices: the degree bound lets several
+    # rows through before the matching is needed, which then replays them
+    rng = random.Random("walker-8-14")
+    replays = []
+
+    def profile(frame, event, arg):
+        # a replay advances the matching past a row above the walk's row
+        if event == "call" and frame.f_code.co_name == "advance":
+            walk = frame.f_back.f_locals
+            if frame.f_locals["a"] < walk["i"]:
+                replays.append(walk["i"] - walk["synced"])
+
+    for r in range(8, 15):
+        for shape in (_band, _sparse) * 6:
+            mm = MultiplicityMatrix(shape(rng, r))
+            maps = oracle.enumerate_reductions(mm)
+            sys.setprofile(profile)
+            try:
+                got = first_minimal_reductions(mm, 5, len(maps))
+            finally:
+                sys.setprofile(None)
+            assert got == (maps[:5], len(maps))
+    # some branch replayed two ancestors or more
+    assert max(replays) >= 2
 
 
 def test_enumeration_is_lazy():
