@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import partial
-from itertools import compress
+from itertools import chain, compress
 from operator import index
 
 from . import matops
@@ -28,7 +28,9 @@ from .record import Record
 def int_row(row, i):
     """Row i (1-based) of a matrix, or a vector read as row i, as a tuple of
     ints.  Integral Fractions become ints; a float or any other value raises
-    ValueError naming its row and column, because the entry has to be exact."""
+    ValueError naming its row and column, because the entry has to be exact.
+    The row is read once, so it may be an iterator."""
+    row = tuple(row)
     try:
         return tuple(map(index, row))
     except TypeError:
@@ -52,15 +54,20 @@ class MultiplicityMatrix(Record):
     _columns = None
 
     def __post_init__(self):
-        data = tuple(int_row(row, i) for i, row in enumerate(self.rows, start=1))
+        # whole-matrix passes when every entry is an int; otherwise, and to
+        # name the entry or row at fault, one row at a time
+        data = tuple(map(tuple, self.rows))
+        if set(map(type, chain.from_iterable(data))) - {int}:
+            data = tuple(int_row(row, i) for i, row in enumerate(data, start=1))
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and column")
         width = len(data[0])
-        for row in data:
-            if len(row) != width:
-                raise ValueError("ragged matrix")
-            if min(row) < 0:
-                raise ValueError("multiplicities must be nonnegative")
+        if len(set(map(len, data))) > 1 or min(chain.from_iterable(data)) < 0:
+            for row in data:
+                if len(row) != width:
+                    raise ValueError("ragged matrix")
+                if min(row) < 0:
+                    raise ValueError("multiplicities must be nonnegative")
         object.__setattr__(self, "rows", data)
 
     def __reduce__(self):  # copies and pickles rebuild through __init__
@@ -347,11 +354,18 @@ class BratteliDiagram(Record):
         """Multiplicity matrix connecting level n to level n+1."""
         if n < 0:
             raise IndexOutOfRange(f"matrix index {n} is negative")
+        # the bound check runs before the read, so a lowered limit still
+        # hides the tail levels kept
+        if n >= len(self.matrices):
+            self.check_depth(n + 1)
+        return self._matrix(n)
+
+    def _matrix(self, n):
+        """matrix(n) past its bound check, for a caller that has checked
+        level n + 1 itself: the explicit matrix, or the tail level, which
+        the tail builds once per diagram."""
         if n < len(self.matrices):
             return self.matrices[n]
-        # the tail builds each level once per diagram; the bound check runs
-        # first, so a lowered limit still hides levels kept here
-        self.check_depth(n + 1)
         generated = self.__dict__.setdefault("_generated", {})
         mat = generated.get(n)
         if mat is None:

@@ -144,14 +144,16 @@ class MinimalDiagram:
         return len(self._parents)
 
     def ensure_depth(self, n):
-        self.diagram.check_depth(n)
+        diagram = self.diagram
+        diagram.check_depth(n)
+        # every level up to n lies within the bound just checked
         while self.depth < n:
-            self._materialize_next()
+            self._materialize_next(diagram._matrix(self.depth))
         return self
 
-    def _materialize_next(self):
+    def _materialize_next(self, mat):
+        """Reduce `mat`, the matrix above the next level, into that level."""
         level = self.depth + 1
-        mat = self.diagram.matrix(level - 1)
         choose = getattr(self.strategy, "parents", None)
         if choose is None:
             raise TypeError(f"unknown strategy {self.strategy!r}")

@@ -156,8 +156,9 @@ def minimal_reduce(mat):
     The pass is tried exactly when the square has a row with one column.
     That is necessary, not a guess: in the order the pass matches them, the
     rows and columns make the square triangular, so its last matched row
-    meets only its own column.  The test is O(c) on the kept supports, and
-    a dense level fails it without building the column view.
+    meets only its own column.  The test counts the one-column rows while
+    `blocked` is built, and a dense level fails it without building the
+    column view.
 
     A level first looks for the matching of its first c rows.  When there
     is one, those rows are `top`, with no arithmetic: in the order they
@@ -179,45 +180,32 @@ def minimal_reduce(mat):
     if r != c + 1:
         raise ValueError(f"expected one more row than columns, got {r}x{c}")
     supports = mat.supports
-    entries = None
-
-    def matching(top, out):
-        # the matching of the square of the rows `top`, tried when one of
-        # them has a single column
-        nonlocal entries
-        if any(len(supports[i]) == 1 for i in top):
-            entries = mat.column_entries
-            return _triangular_matching(entries, supports, out)
-        return None
-
     # a column is removable when no row's remaining support lies entirely
     # inside it; those only shrink, so a blocked column stays blocked
     blocked = [False] * c
+    singles = 0  # the rows with a single column
     for support in supports:
         if len(support) == 1:
             blocked[support[0]] = True
-
-    def eliminate(top):
-        # W for the rows `top`, eliminated; tags[k] is the column q of row
-        # k.  The rows go in the reverse of the order the steps delete them:
-        # first the blocked columns, which no step removes
-        tags = sorted(range(c), key=lambda q: (not blocked[q], -q))
-        work = [[rows[i][q] for i in reversed(top)] for q in tags]
-        return work, tags, matops._eliminate(work, tags=tags)[0]
-
-    top, out = list(range(c)), c
-    match = matching(top, out)
+            singles += 1
+    # the matching of the square of the rows other than `out` is tried when
+    # one of them has a single column
+    top, out, match = list(range(c)), c, None
+    if singles > (len(supports[out]) == 1):
+        match = _triangular_matching(mat.column_entries, supports, out)
     if not match:
-        work, tags, cols = eliminate(top)
+        work, tags, cols = _eliminate_top(rows, top, blocked)
         if len(cols) < c:
             # the lexicographically first independent rows, scanning from the top
             top = matops.independent_rows(rows)
             if len(top) < c:
                 raise RankDeficient(f"rank is below {c}")
             out = next(i for i in range(r) if i not in top)
-            match = matching(top, out)
+            if singles > (len(supports[out]) == 1):
+                match = _triangular_matching(mat.column_entries, supports, out)
             if not match:
-                work, tags, cols = eliminate(top)
+                work, tags, cols = _eliminate_top(rows, top, blocked)
+    entries = mat.column_entries if match else None
     # checked after the rank so a rank-deficient matrix keeps that verdict
     if () in supports:
         raise ValueError(f"row {supports.index(()) + 1} has no edge, so no reduction exists")
@@ -276,18 +264,27 @@ def minimal_reduce(mat):
                         if not removed[q]:
                             blocked[q] = True
                             break
-    # every column left is the whole support of some row: assignments are forced
+    # every column left is the whole support of some row: assignments are
+    # forced; c + 1 rows cover c columns, so exactly one column takes two rows
+    takes = [0] * (c + 1)
     for i, support in enumerate(supports):
         if not parents[i]:
             for q in support:
                 if not removed[q]:
                     parents[i] = q + 1
                     break
-    # c + 1 rows cover c columns, so exactly one column takes two rows
-    takes = [0] * (c + 1)
-    for j in parents:
-        takes[j] += 1
+        takes[parents[i]] += 1
     return ReductionOutcome(tuple(parents), takes.index(2), "tall")
+
+
+def _eliminate_top(rows, top, blocked):
+    """W for the rows `top`, eliminated, as (work, tags, pivot columns);
+    tags[k] is the column q of W's row k.  The rows go in the reverse of the
+    order minimal_reduce's steps delete them: first the blocked columns,
+    which no step removes."""
+    tags = sorted(range(len(blocked)), key=lambda q: (not blocked[q], -q))
+    work = [[rows[i][q] for i in reversed(top)] for q in tags]
+    return work, tags, matops._eliminate(work, tags=tags)[0]
 
 
 def minimal_reduce_square(mat):
@@ -370,12 +367,20 @@ def iter_minimal_reductions(mat):
         # child leaving `need` columns uncovered passes the degree test when
         # at most one of them has fewer than `need` supporting rows below
         # and none has none: a set of columns violating Hall's condition
-        # holds at least two such columns.
+        # holds at least two such columns.  One pass finds the weakest
+        # column, the first in `uncovered`'s order among equals, and the
+        # second-lowest degree, capped at n + 1, which no need reaches.
         below = degrees[i + 1]
-        weak = sorted(uncovered, key=below.__getitem__)[:2]
-        forced = weak and not below[weak[0]]
-        floor = below[weak[1]] if len(weak) == 2 else len(uncovered)
-        return iter(weak[:1] if forced else supports[i]), len(uncovered), floor
+        n = len(uncovered)
+        least = floor = n + 1
+        for q in uncovered:
+            d = below[q]
+            if d < floor:
+                if d < least:
+                    weakest, least, floor = q, d, least
+                else:
+                    floor = d
+        return iter((weakest,) if not least else supports[i]), n, floor
 
     def advance(a, j, fresh):
         # row a takes column j, `fresh` when it was uncovered, and the

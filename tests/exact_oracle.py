@@ -12,7 +12,9 @@ determinants.  The walkers that follow are the former enumeration,
 lex-first and square-bijection searches that the Hall-pruned
 brattice.reduction.iter_minimal_reductions replaced; they, and the
 forcing test beside them, find supports by scanning every entry, which
-MultiplicityMatrix's kept sparse view replaced.
+MultiplicityMatrix's kept sparse view replaced.  Before them stands the
+matrix's former row-by-row check of its entries, which its whole-matrix
+passes replaced.
 The last section is the former Fraction realization path: chain products
 and inverses over Fractions, the constant-width fold of per-square
 inverses, and r_map, to_R_basis, refine and indicator
@@ -32,7 +34,7 @@ replaced.
 from fractions import Fraction
 from functools import cache
 
-from brattice import k0, matops, pathspace
+from brattice import diagram, k0, matops, pathspace
 from brattice.errors import Singular
 from brattice.pathspace import Cylinder, LocallyConstantFunction
 
@@ -243,6 +245,21 @@ def auto_completion(rows):
         if det(square) != 0:
             return square
     return None
+
+
+def multiplicity_rows(rows):
+    """The former MultiplicityMatrix check, one row at a time: each row
+    through diagram.int_row, then the shape and sign of the whole."""
+    data = tuple(diagram.int_row(row, i) for i, row in enumerate(rows, start=1))
+    if not data or not data[0]:
+        raise ValueError("matrix must have at least one row and column")
+    width = len(data[0])
+    for row in data:
+        if len(row) != width:
+            raise ValueError("ragged matrix")
+        if min(row) < 0:
+            raise ValueError("multiplicities must be nonnegative")
+    return data
 
 
 def dense_supports(rows):

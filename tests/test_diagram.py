@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import exact_oracle as oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brattice import corpus
 from brattice.diagram import (
@@ -82,9 +84,53 @@ def test_multiplicity_matrix_takes_integral_values():
     m = MultiplicityMatrix([[Fraction(4, 2), 0], [True, 3]])
     assert m.rows == ((2, 0), (1, 3))
     assert all(type(x) is int for row in m.rows for x in row)
+    # a row read as an iterator keeps every entry on the per-entry path
+    assert MultiplicityMatrix([iter([Fraction(2), 1])]).rows == ((2, 1),)
     # the reduction sees the entry, not a truncation of it
     with pytest.raises(ValueError, match="row 1, column 1: 0.5 is not an integer"):
         minimal_reduce([[0.5], [1]])
+
+
+# entries outside the whole-matrix passes: bools and Fractions, integral or
+# not, floats, strings and negative ints
+ODD_ENTRIES = st.one_of(
+    st.booleans(),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+    st.floats(allow_nan=False, width=16),
+    st.text(max_size=2),
+    st.integers(-3, -1),
+)
+
+
+@st.composite
+def matrix_inputs(draw):
+    """Rows of ints, some entries spoiled, some rows cut or lengthened."""
+    r, c = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    rows = [draw(st.lists(st.integers(0, 9), min_size=c, max_size=c)) for _ in range(r)]
+    for _ in range(draw(st.integers(0, 2)) if r and c else 0):
+        rows[draw(st.integers(0, r - 1))][draw(st.integers(0, c - 1))] = draw(ODD_ENTRIES)
+    if r and draw(st.booleans()):
+        i = draw(st.integers(0, r - 1))
+        rows[i] = rows[i][: draw(st.integers(0, c))] + draw(st.lists(st.integers(0, 9), max_size=1))
+    return rows
+
+
+def _outcome(read, rows, as_generators):
+    # generators are read once, so each reader gets its own
+    given_rows = (iter(row) for row in rows) if as_generators else rows
+    try:
+        return read(given_rows)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrix_inputs(), st.booleans())
+def test_multiplicity_matrix_checks_entries_as_the_per_row_reader(rows, as_generators):
+    got = _outcome(lambda given_rows: MultiplicityMatrix(given_rows).rows, rows, as_generators)
+    assert got == _outcome(oracle.multiplicity_rows, rows, as_generators)
+    if not isinstance(got, str):
+        assert all(type(x) is int for row in got for x in row)
 
 
 def test_multiplicity_matrix_keeps_its_sparse_view_outside_the_fields():

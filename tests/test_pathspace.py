@@ -1,11 +1,12 @@
 """Minimal sub-diagram trees, cylinders, and the end census."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import exact_oracle as oracle
 import pytest
 
-from brattice import corpus
+from brattice import corpus, diagram
 from brattice.diagram import (
     BratteliDiagram,
     MultiplicityMatrix,
@@ -18,6 +19,7 @@ from brattice.pathspace import (
     LAST,
     LexFirst,
     LocallyConstantFunction,
+    MinimalDiagram,
     NamedFamily,
     Theorem,
     UserMap,
@@ -231,6 +233,30 @@ def test_ensure_depth_limit():
     tree.ensure_depth(3)
     with pytest.raises(DepthExceeded):
         tree.ensure_depth(4)
+
+
+def test_theorem_tree_reads_the_depth_limit_once_per_extension(monkeypatch):
+    reads = []
+    limit = diagram.depth_limit
+    monkeypatch.setattr(diagram, "depth_limit", lambda: reads.append(1) or limit())
+    tree = MinimalDiagram(corpus.get("gicar").diagram(), Theorem())
+    tree.ensure_depth(63)
+    assert (len(reads), tree.depth) == (1, 63)
+    stepped = MinimalDiagram(corpus.get("gicar").diagram(), Theorem())
+    for n in (1, 2, 12, 40, 63):
+        stepped.ensure_depth(n)
+    assert len(reads) == 6
+    frozen = (Path(__file__).parent / "data" / "theorem-gicar-63.tree").read_text(encoding="utf-8")
+    assert format_tree_dump(tree, 63) == format_tree_dump(stepped, 63) == frozen
+
+
+def test_lowered_depth_limit_hides_levels_a_tree_built(monkeypatch):
+    tree = build_minimal_diagram(corpus.get("gicar").diagram(), "theorem").ensure_depth(20)
+    kept = tree.parents_at(10)
+    monkeypatch.setenv("BRATTICE_DEPTH_LIMIT", "10")
+    with pytest.raises(DepthExceeded, match="^level 15 requested, diagram allows 10$"):
+        tree.parents_at(15)
+    assert tree.parents_at(10) == kept and tree.depth == 20
 
 
 def test_ancestor_walks_parents_and_checks_its_input():

@@ -301,7 +301,9 @@ def test_type1_phi_materializes_no_tree_level(monkeypatch, capsys):
     # a type1 chain is the diagram's own squares: phi reads no tree
     levels = []
     materialize = MinimalDiagram._materialize_next
-    monkeypatch.setattr(MinimalDiagram, "_materialize_next", lambda self: levels.append(self) or materialize(self))
+    monkeypatch.setattr(
+        MinimalDiagram, "_materialize_next", lambda self, mat: levels.append(self) or materialize(self, mat)
+    )
     for argv in (
         ["k0", "phi", "corpus:threeline", "--alpha", "1,-2,3", "--depth", "40"],
         ["k0", "phi", "corpus:uhf2", "--alpha", "3"],
