@@ -10,6 +10,7 @@ from brattice import corpus
 from brattice.k0 import (
     Broken,
     ExplicitColumn,
+    Realizer,
     WeightScheme,
     automorphism_probe,
     complete_chain,
@@ -23,6 +24,7 @@ from brattice.pathspace import LocallyConstantFunction, build_minimal_diagram, r
 def main():
     dyadic = corpus.get("dyadic").diagram()
     scheme = WeightScheme(dyadic)
+    weights = Realizer(scheme, scheme.tree)  # the scheme's closed forms
     chain = scheme.chain(4)
     tree = scheme.tree
 
@@ -43,7 +45,7 @@ def main():
     print()
 
     theta = (2, 1, 3, 4)
-    verdict = automorphism_probe(theta, scheme, 3)
+    verdict = automorphism_probe(theta, weights, 3)
     assert isinstance(verdict, Broken)
     print("swapping the first two depth-3 cylinders is not an automorphism:")
     print(f"  member {fmt(verdict.witness.values)}")
@@ -65,7 +67,7 @@ def main():
 
     one = LocallyConstantFunction(0, (1,))
     print()
-    print(f"the constant 1 is positive immediately: {scheme.positivity(one)}")
+    print(f"the constant 1 is positive immediately: {weights.positivity(one)}")
 
 
 if __name__ == "__main__":

@@ -32,12 +32,11 @@ from .errors import BratticeError, NotUniqueMinimal, ParseError, RankDeficient
 from .k0 import (
     Auto,
     Broken,
-    ChainRealizer,
     ExplicitColumn,
     K0Witness,
     NotPositive,
     Positive,
-    Type1Realizer,
+    Realizer,
     WeightScheme,
     automorphism_probe,
     complete_chain,
@@ -154,12 +153,6 @@ def _values(text, flag, convert=rational):
         raise UsageError(f"bad {flag} value: {exc}") from None
 
 
-def _hints(args):
-    if getattr(args, "column", None):
-        return [ExplicitColumn(_values(args.column, "--column", integer))]
-    return Auto()
-
-
 def _depth(args, diagram):
     """--depth when it is given, 0 included; else the diagram's default,
     six levels of a tail."""
@@ -233,12 +226,19 @@ def _write_bdspec(args, diagram):
     return 0
 
 
+def _given(args, what):
+    """Whether the line gives the option `--dest` or runs the action `k0 name`."""
+    if what.startswith("k0 "):
+        return args.action == what[3:]
+    value = getattr(args, what[2:], None)
+    return value is not None and value is not False  # 0 is given
+
+
 def _refuse(args, needs, *dests):
     """A usage error for the first of these options that was given, when
     the input at hand cannot use it."""
     for dest in dests:
-        value = getattr(args, dest, None)
-        if value is not None and value is not False:  # 0 is given
+        if _given(args, f"--{dest}"):
             raise UsageError(f"--{dest} needs {needs}")
 
 
@@ -311,66 +311,71 @@ def cmd_pathspace(args):
     return 0
 
 
-_NO_CHAIN = "a completed chain, which --weight does not build"
+# (when a k0 line lacks it, what it needs, the options and actions that
+# need it), checked in this order: the first one the line gives is refused
+_K0_NEEDS = (
+    (
+        lambda args, type1: type1,
+        "levels that branch; {input} is type1, whose chain realizes only through k0 phi",
+        ("--weight", "k0 member", "k0 positive", "k0 probe"),
+    ),
+    (
+        lambda args, type1: type1,
+        "levels that branch; a type1 chain takes its squares as they are",
+        ("--column", "--strategy"),
+    ),
+    (
+        lambda args, type1: args.action == "phi" and not type1,
+        "a type1 diagram; elsewhere the depth follows --alpha",
+        ("--depth",),
+    ),
+    (
+        lambda args, type1: args.weight,
+        "a completed chain, which --weight does not build",
+        ("--column", "--bound", "--strategy"),
+    ),
+)
 
 
-def _refuse_type1(args, diagram):
-    """The usage errors of a type1 diagram, whose levels never branch:
-    --weight, every k0 action but chain and phi, --column and --strategy."""
-    if diagram.shape.kind != "type1":
-        return
-    if args.weight or args.action not in ("chain", "phi"):
-        what = "--weight" if args.weight else f"k0 {args.action}"
-        raise UsageError(
-            f"{what} needs levels that branch; {args.input} is type1, "
-            "whose chain realizes only through k0 phi"
-        )
-    _refuse(args, "levels that branch; a type1 chain takes its squares as they are", "column", "strategy")
-
-
-def _reach(args, diagram, depth):
-    """`depth`, when a chain to that level holds a square."""
+def _realizer(args, diagram, depth=None, alpha=()):
+    """The realizer a k0 action reads, once the line meets _K0_NEEDS: the
+    weight scheme under --weight, and for k0 probe without --column where
+    it reaches `depth` (--strategy goes unread); else a chain completed
+    from --column to `depth` (on type1 or for None, --depth or the default)
+    and read through the --strategy tree, or none on type1 or for k0 chain.
+    A type1 chain takes `alpha`, phi's vector, at its level's width."""
+    type1 = diagram.shape.kind == "type1"
+    for lacks, needs, options in _K0_NEEDS:
+        what = next((option for option in options if _given(args, option)), None)
+        if what and lacks(args, type1):
+            raise UsageError(f"{what} needs {needs.format(input=args.input)}")
+    if depth is None or type1:
+        depth = _depth(args, diagram)
+    if args.action != "chain" and (args.weight or args.action == "probe" and not args.column):
+        scheme = WeightScheme(diagram)
+        try:
+            return Realizer(scheme, scheme.ensure_depth(depth).tree)  # uniqueness is checked lazily
+        except NotUniqueMinimal:
+            if args.weight:
+                raise
+    tree = None
+    if not (type1 or args.action == "chain"):
+        tree = build_minimal_diagram(diagram, _strategy(args.strategy or "theorem"))
     start = first_square(diagram)
     if depth <= start:
         raise UsageError(f"a chain to level {depth} of {args.input} holds no square; its squares start at matrix {start}")
-    return depth
-
-
-def _chain(args, diagram, depth):
-    """The chain to level `depth`: the weight scheme's under --weight, else
-    a completed one."""
-    depth = _reach(args, diagram, depth)
-    if args.weight:
-        return WeightScheme(diagram).chain(depth)
-    return complete_chain(diagram, _hints(args), depth)
+    if type1 and len(alpha) not in (0, diagram.shape.width):
+        raise UsageError(f"--alpha on a type1 diagram needs {diagram.shape.width} values, got {len(alpha)}")
+    if args.weight:  # k0 chain --weight
+        return Realizer(WeightScheme(diagram).chain(depth), tree)
+    hints = [ExplicitColumn(_values(args.column, "--column", integer))] if args.column else Auto()
+    return Realizer(complete_chain(diagram, hints, depth), tree)
 
 
 def cmd_k0_chain(args):
     diagram = _need_diagram(args.input, "k0 chain")
-    _refuse_type1(args, diagram)
-    if args.weight:
-        _refuse(args, _NO_CHAIN, "column")
-    sys.stdout.write(format_chain_dump(_chain(args, diagram, _depth(args, diagram))))
+    sys.stdout.write(format_chain_dump(_realizer(args, diagram).chain))
     return 0
-
-
-def _realizer(args, diagram, depth):
-    """The realizer a k0 action reads: the weight scheme under --weight, and
-    for the probe also when the diagram is forced; otherwise a chain
-    completed to `depth`, read through the --strategy tree."""
-    _refuse_type1(args, diagram)
-    if args.weight:
-        _refuse(args, _NO_CHAIN, "column", "bound", "strategy")
-        return WeightScheme(diagram).ensure_depth(depth)
-    if args.action == "probe" and not args.column:
-        scheme = WeightScheme(diagram)
-        try:
-            scheme.weights(depth)  # the scheme checks uniqueness lazily
-            return scheme
-        except NotUniqueMinimal:
-            pass
-    tree = build_minimal_diagram(diagram, _strategy(args.strategy or "theorem"))
-    return ChainRealizer(_chain(args, diagram, depth), tree)
 
 
 def cmd_k0_phi(args):
@@ -378,15 +383,7 @@ def cmd_k0_phi(args):
     alpha = _values(args.alpha, "--alpha")
     if not alpha:
         raise UsageError("--alpha needs at least one value")
-    if diagram.shape.kind == "type1":
-        _refuse_type1(args, diagram)
-        realizer = Type1Realizer(diagram, _reach(args, diagram, _depth(args, diagram)))
-        if len(alpha) != diagram.shape.width:
-            raise UsageError(f"--alpha on a type1 diagram needs {diagram.shape.width} values, got {len(alpha)}")
-    else:
-        _refuse(args, "a type1 diagram; elsewhere the depth follows --alpha", "depth")
-        realizer = _realizer(args, diagram, max(len(alpha) - 1, 1))
-    func = realizer.phi(alpha)
+    func = _realizer(args, diagram, max(len(alpha) - 1, 1), alpha).phi(alpha)
     print(f"func depth={func.depth}: {_fmt_vec(func.values)}")
     return 0
 

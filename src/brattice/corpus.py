@@ -28,7 +28,7 @@ from .k0 import (
     Broken,
     ExplicitColumn,
     NotMember,
-    Type1Realizer,
+    Realizer,
     WeightScheme,
     automorphism_probe,
     complete_chain,
@@ -164,7 +164,7 @@ def _swap12(diagram, depth):
     scheme = WeightScheme(diagram)
     images = list(range(1, scheme.tree.level_count(depth) + 1))
     images[0], images[1] = images[1], images[0]
-    verdict = automorphism_probe(images, scheme, depth)
+    verdict = automorphism_probe(images, Realizer(scheme, scheme.tree), depth)
     return verdict.witness.values if isinstance(verdict, Broken) else "preserved"
 
 
@@ -240,7 +240,7 @@ ENTRIES = (
             ExpectedRecord("telescope 0,2", "hand-checked", ((4,),),
                            lambda d: telescope(d, (0, 2)).matrix(0).rows),
             ExpectedRecord("phi_type1 3 : 3", "hand-checked", (Fraction(3, 8),),
-                           lambda d: Type1Realizer(d, 3).phi((3,)).values),
+                           lambda d: Realizer(complete_chain(d, Auto(), 3), None).phi((3,)).values),
             ExpectedRecord("scales 3", "hand-checked", (2, 4, 8),
                            lambda d: _scales(d, Auto(), 3)),
             ExpectedRecord("census theorem", "closed-form", ("finite", 1, 0),

@@ -104,6 +104,8 @@ class CompletedChain:
     to each next square's size, so both readings share one product.
     """
 
+    order_faithful = False  # a negative witness may still push forward to a positive one
+
     def __init__(self, pairs):  # one (square, det) pair per level
         if not pairs:
             raise ValueError("chain needs at least one completion")
@@ -175,6 +177,26 @@ class CompletedChain:
         """Rational inverse of u_matrix(n), built from inverse_parts(n)."""
         nums, d = self.inverse_parts(n)
         return [[Fraction(x, d) for x in row] for row in nums]
+
+    def realize(self, alpha, tree):
+        """The function of alpha: solve's R-basis coefficients laid on the
+        tree by r_map.  With no tree the chain is a type1 diagram's: solve's
+        values at the level it reaches, first_square + depth (a square wider
+        than the root follows matrix 0, the bootstrap column)."""
+        if tree is None:
+            values, d = self.solve(self.depth, alpha)
+            level = self.depth + (len(self.squares[0]) > 1)
+            return LocallyConstantFunction(level, tuple(Fraction(v, d) for v in values))
+        if tree.diagram.shape.kind == "type1":
+            raise ValueError("a type1 chain realizes through no tree: Realizer(chain, None)")
+        nums, d = self.solve(len(alpha) - 1, alpha)
+        return r_map(nums, tree, d)
+
+    def coordinates(self, func, tree):
+        """A function's witness: u_matrix applied to its R-basis
+        coefficients, as integer numerators over one positive denominator."""
+        beta, d = _R_numerators(func, tree)
+        return self.apply(func.depth, beta), d
 
 
 def build_chain(squares):
@@ -289,19 +311,7 @@ def to_R_basis(func, tree):
 
 
 # ---------------------------------------------------------------------------
-# the realization maps
-
-
-def phi(alpha, chain, tree):
-    """Function of an integer (or rational) vector at its own depth."""
-    if tree.diagram.shape.kind == "type1":
-        raise ValueError("type1 diagrams realize through Type1Realizer")
-    nums, d = chain.solve(len(alpha) - 1, alpha)
-    return r_map(nums, tree, d)
-
-
-# ---------------------------------------------------------------------------
-# membership and positivity
+# the realizer
 
 
 class K0Witness(Record):
@@ -311,28 +321,6 @@ class K0Witness(Record):
 
 class NotMember(Record):
     depth_checked: int
-
-
-def _witness_numerators(func, chain, tree):
-    """The coordinate vector of a function at its own depth, as integer
-    numerators over one positive denominator."""
-    beta, d = _R_numerators(func, tree)
-    return chain.apply(func.depth, beta), d
-
-
-def witness_vector(func, chain, tree):
-    """The exact coordinate vector of a function at its own depth, integral
-    or not."""
-    w, d = _witness_numerators(func, chain, tree)
-    return tuple(Fraction(x, d) for x in w)
-
-
-def membership(func, chain, tree):
-    """Exact integrality test at the function's own depth."""
-    w, d = _witness_numerators(func, chain, tree)
-    if all(x % d == 0 for x in w):
-        return K0Witness(tuple(x // d for x in w), func.depth)
-    return NotMember(func.depth)
 
 
 class Positive(Record):
@@ -348,74 +336,96 @@ class NotPositive(Record):
     """Never nonnegative, at any level."""
 
 
-def positivity(func, chain, tree, bound=None):
-    """Scan pushforwards of the witness for an all-nonnegative level, up to
-    level `bound` (default: the diagram's level bound, past which a bound
-    is refused) or the function's own depth when that is deeper."""
-    diagram = tree.diagram
-    if bound is None:
-        bound = diagram.level_bound()
-    diagram.check_depth(bound)
-    verdict = membership(func, chain, tree)
-    if isinstance(verdict, NotMember):
-        raise NotInK0(f"no integer witness at depth {verdict.depth_checked}")
-    alpha = list(verdict.alpha)
-    level = verdict.depth
-    while not all(x >= 0 for x in alpha):
-        if level >= bound:
-            return NotPositiveUpTo(level)
-        alpha = matops.mat_vec(diagram.matrix(level).rows, alpha)
-        level += 1
-    return Positive(level, tuple(alpha))
+class Realizer:
+    """A completion read through a reduced tree: phi, membership and
+    positivity.
 
-
-# ---------------------------------------------------------------------------
-# realizers
-#
-# A realizer owns a reduced tree and answers phi(alpha), membership(func)
-# and positivity(func, bound=None) through it.
-
-
-class ChainRealizer:
-    """A completed chain read through a reduced tree."""
+    The completion, a CompletedChain or a WeightScheme, supplies two maps
+    at a level: `realize(alpha, tree)`, a vector's function, and
+    `coordinates(func, tree)`, a function's witness over one denominator.
+    Every verdict is read here from those two.  The tree is None for a
+    type1 chain, which answers phi only.
+    """
 
     def __init__(self, chain, tree):
         self.chain = chain
         self.tree = tree
 
     def phi(self, alpha):
-        return phi(alpha, self.chain, self.tree)
+        """Function of an integer (or rational) vector at its own depth."""
+        return self.chain.realize(alpha, self.tree)
 
     def membership(self, func):
-        return membership(func, self.chain, self.tree)
+        """Exact integrality test at the function's own depth."""
+        w, d = self.chain.coordinates(func, self.tree)
+        if all(x % d == 0 for x in w):
+            return K0Witness(tuple(x // d for x in w), func.depth)
+        return NotMember(func.depth)
 
     def positivity(self, func, bound=None):
-        return positivity(func, self.chain, self.tree, bound)
+        """Scan pushforwards of the witness for an all-nonnegative level, up
+        to level `bound` (default: the diagram's level bound, past which a
+        bound is refused) or the function's own depth when that is deeper.
+        An order-faithful completion stops at the function's own depth."""
+        diagram = self.tree.diagram
+        if bound is None:
+            bound = diagram.level_bound()
+        diagram.check_depth(bound)
+        verdict = self.membership(func)
+        if isinstance(verdict, NotMember):
+            raise NotInK0(f"no integer witness at depth {verdict.depth_checked}")
+        alpha = verdict.alpha
+        level = verdict.depth
+        while not all(x >= 0 for x in alpha):
+            if self.chain.order_faithful:
+                return NotPositive()
+            if level >= bound:
+                return NotPositiveUpTo(level)
+            alpha = matops.mat_vec(diagram.matrix(level).rows, alpha)
+            level += 1
+        return Positive(level, tuple(alpha))
 
 
-class Type1Realizer:
-    """A type1 diagram's squares from first_square on, read as one chain
-    down to `level`.  Its levels keep one width and never branch, so phi
-    reads no tree, and membership and positivity, which peel branches, do
-    not apply."""
+def phi(alpha, chain, tree):
+    """Function of an integer (or rational) vector at its own depth."""
+    return Realizer(chain, tree).phi(alpha)
 
-    def __init__(self, diagram, level):
-        self.diagram = diagram
-        self.level = level
 
-    def phi(self, alpha):
-        chain = complete_chain(self.diagram, Auto(), self.level)
-        values, den = chain.solve(chain.depth, alpha)
-        return LocallyConstantFunction(self.level, tuple(Fraction(v, den) for v in values))
+def membership(func, chain, tree):
+    """Exact integrality test at the function's own depth."""
+    return Realizer(chain, tree).membership(func)
+
+
+def witness_vector(func, chain, tree):
+    """A function's exact witness at its own depth, integral or not."""
+    w, d = chain.coordinates(func, tree)
+    return tuple(Fraction(x, d) for x in w)
 
 
 class WeightScheme:
-    """Per-vertex integer weights on a diagram whose reductions are forced.
+    """Per-vertex integer weights on a diagram whose reductions are forced,
+    a completion with closed forms.
 
     k(root) = 1 and every child multiplies its parent's weight by the one
-    multiplicity on its parent edge.  The closed form values functions as
-    alpha_i / k(i, n), so membership and positivity become immediate.
+    multiplicity on its parent edge.  The function of alpha at level n has
+    the values alpha_i / k(i, n), and a function f has the witness
+    k(., n) * f, entry by entry: the queries of `chain(n)` read through the
+    scheme's tree, with no inverse.
+
+    The weight completion is order-faithful: a function is positive
+    exactly when its values are nonnegative at its own depth.  Every
+    k(i, n) is a product of multiplicities on tree edges, each positive,
+    so k(i, n) > 0, and the witness k * f has a negative entry wherever f
+    has a negative value.  phi commutes with pushforward (phi(M_n alpha)
+    is phi(alpha) refined to level n + 1), so the witness pushed forward
+    is the witness of f refined, k * f at level n + 1: f's values repeat
+    on the children of each vertex, and every vertex of a forced
+    single-growth level has a child.  So every later witness has a
+    negative entry wherever f has one, and the sign at the function's own
+    depth is definitive.
     """
+
+    order_faithful = True
 
     def __init__(self, diagram):
         check_valid(diagram)
@@ -473,30 +483,22 @@ class WeightScheme:
             hints.append(ExplicitColumn(column))
         return complete_chain(self.diagram, hints, depth)
 
-    def phi(self, alpha):
+    def realize(self, alpha, tree):
+        """alpha_i / k(i, n) at alpha's own level n; the tree is the
+        scheme's, the one tree of a forced diagram."""
         n = len(alpha) - 1
         ks = self.weights(n)
-        values = tuple(Fraction(a) / ks[i] for i, a in enumerate(alpha))
-        return LocallyConstantFunction(n, values)
+        return LocallyConstantFunction(n, tuple(Fraction(a) / k for a, k in zip(alpha, ks)))
 
-    def membership(self, func):
+    def coordinates(self, func, tree):
+        """k(i, n) * f_i at the function's own depth n, as integer numerators
+        over one positive denominator."""
         n = func.depth
         ks = self.weights(n)
         if len(func.values) != len(ks):
             raise ValueError(f"level {n} has {len(ks)} vertices, got {len(func.values)} values")
-        alpha = [v * ks[i] for i, v in enumerate(func.values)]
-        if all(x.denominator == 1 for x in alpha):
-            return K0Witness(tuple(int(x) for x in alpha), n)
-        return NotMember(n)
-
-    def positivity(self, func, bound=None):
-        """Decided at the function's own depth, so `bound` goes unread."""
-        verdict = self.membership(func)
-        if isinstance(verdict, NotMember):
-            raise NotInK0(f"no integer witness at depth {verdict.depth_checked}")
-        if all(v >= 0 for v in func.values):
-            return Positive(func.depth, verdict.alpha)
-        return NotPositive()
+        gamma, d = matops.clear_denominators(func.values)
+        return list(map(mul, gamma, ks)), d
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from brattice.k0 import (
     ExplicitColumn,
     K0Witness,
     NotMember,
-    Type1Realizer,
+    Realizer,
     WeightScheme,
     automorphism_probe,
     complete_chain,
@@ -206,11 +206,11 @@ def test_criterion_05_commuting_square():
             width = diagram.level_count(d)
             for _ in range(100):
                 alpha = [rng.randint(-9, 9) for _ in range(width)]
-                here = Type1Realizer(diagram, start + d).phi(alpha)
+                here = Realizer(complete_chain(diagram, Auto(), start + d), None).phi(alpha)
                 pushed = matops.mat_vec(
                     diagram.matrix(d).to_lists(), [Fraction(x) for x in alpha]
                 )
-                nxt = Type1Realizer(diagram, start + d + 1).phi(pushed)
+                nxt = Realizer(complete_chain(diagram, Auto(), start + d + 1), None).phi(pushed)
                 if not oracle.functions_equal(refine(here, d + 1, tree), nxt, tree):
                     problems.append((name, d, alpha))
     _report(
@@ -305,7 +305,7 @@ def test_criterion_08_doubling_closed_forms():
             if phi(alpha, chain, tree).values != want:
                 problems.append((n, alpha, "phi off closed form"))
 
-    verdict = automorphism_probe((2, 1, 3, 4), scheme, 3)
+    verdict = automorphism_probe((2, 1, 3, 4), Realizer(scheme, tree), 3)
     if not isinstance(verdict, Broken):
         problems.append("swap probe not broken")
     elif verdict.witness.values != (Fraction(1, 2), Fraction(1, 4), 0, 0):
@@ -350,6 +350,7 @@ def test_criterion_09_weight_scheme_laws():
         scheme.ensure_depth(depth)
         tree = scheme.tree
         chain = scheme.chain(depth)
+        closed = Realizer(scheme, tree)
 
         for level in range(depth):
             mat = diagram.matrix(level)
@@ -377,12 +378,12 @@ def test_criterion_09_weight_scheme_laws():
 
         for _ in range(5):
             alpha = [rng.randint(-6, 6) for _ in range(depth + 1)]
-            if phi(alpha, chain, tree).values != scheme.phi(alpha).values:
+            if phi(alpha, chain, tree).values != closed.phi(alpha).values:
                 problems.append((trial, alpha, "phi off closed form"))
 
         for level in range(depth + 1):
             for v in range(1, tree.level_count(level) + 1):
-                verdict = scheme.membership(indicator(Cylinder(level, v), tree))
+                verdict = closed.membership(indicator(Cylinder(level, v), tree))
                 if not isinstance(verdict, K0Witness):
                     problems.append((trial, level, v, "indicator not a member"))
     _report(9, not problems, "100 random forced diagrams: weight laws plus witnesses")
@@ -480,7 +481,7 @@ def test_criterion_11_exactness_suite():
                 width = diagram.level_count(d)
                 for _ in range(20):
                     alpha = [rng.randint(-9, 9) for _ in range(width)]
-                    f = Type1Realizer(diagram, first_square(diagram) + d).phi(alpha)
+                    f = Realizer(sub, None).phi(alpha)
                     if any((v * scale).denominator != 1 for v in f.values):
                         problems.append((name, d, "image outside lattice"))
     _report(11, not problems, "adjugate, divisibility, and lattice laws to depth 10")

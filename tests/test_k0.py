@@ -22,7 +22,6 @@ from brattice.errors import (
 from brattice.k0 import (
     Auto,
     Broken,
-    ChainRealizer,
     ExplicitColumn,
     K0Witness,
     NotMember,
@@ -30,7 +29,7 @@ from brattice.k0 import (
     NotPositiveUpTo,
     Positive,
     Preserved,
-    Type1Realizer,
+    Realizer,
     WeightScheme,
     automorphism_probe,
     build_chain,
@@ -39,7 +38,6 @@ from brattice.k0 import (
     first_square,
     membership,
     phi,
-    positivity,
     r_map,
     to_R_basis,
     witness_vector,
@@ -79,6 +77,17 @@ TYPE1 = {"width2": WIDTH2, "width2-alternating": width2(((1, 1), (0, 1)), ((1, 0
 def explicit_chain(depth):
     """The strict-subgroup chain: level 0 completed by the column (0, 1)."""
     return complete_chain(PROPERSUB, [ExplicitColumn((0, 1))], depth)
+
+
+def weights(diagram):
+    """The weight scheme's closed forms, read through its own tree."""
+    scheme = WeightScheme(diagram)
+    return Realizer(scheme, scheme.tree)
+
+
+def type1(diagram, level):
+    """A type1 diagram's squares down to `level`, read through no tree."""
+    return Realizer(complete_chain(diagram, Auto(), level), None)
 
 
 # --- completions -------------------------------------------------------------
@@ -122,7 +131,7 @@ def test_k0_front_doors_refuse_inexact_entries():
     with pytest.raises(ValueError, match=r"^completion 0: row 1, column 1: 1.5 is not an integer$"):
         build_chain([((1.5, 0), (0, 1))])
     with pytest.raises(ValueError, match=r"^row 1, column 2: 1.0 is not an integer$"):
-        automorphism_probe((2, 1.0, 3, 4), WeightScheme(DYADIC), 3)
+        automorphism_probe((2, 1.0, 3, 4), weights(DYADIC), 3)
     # an integral Fraction is exact
     assert completed(PROPERSUB.matrix(0), ExplicitColumn((Fraction(0), Fraction(2, 2)))) == [[2, 0], [2, 1]]
     assert build_chain([((Fraction(4, 2), 0), (2, 1))]).dets == (2,)
@@ -300,7 +309,7 @@ def test_chain_past_the_diagram_is_refused():
         complete_chain(threeline, Auto(), 65)
     assert complete_chain(threeline, Auto(), 64).depth == 63
     with pytest.raises(DepthExceeded, match="^level 65 requested, diagram allows 64$"):
-        Type1Realizer(threeline, 65).phi((1, 2, 3))
+        type1(threeline, 65).phi((1, 2, 3))
 
 
 def test_a_chain_depth_is_a_level():
@@ -336,7 +345,7 @@ def test_deep_type1_chain_matches_fraction_path(monkeypatch):
     uhf2 = corpus.get("uhf2").diagram()
     chain = complete_chain(uhf2, Auto(), 1100)
     assert chain.depth == 1100
-    got = Type1Realizer(uhf2, 1100).phi((1,))
+    got = Realizer(chain, None).phi((1,))
     assert got == oracle.phi_type1((1,), chain, build_minimal_diagram(uhf2, "theorem"))
     assert got == LocallyConstantFunction(1100, (Fraction(1, 2**1100),))
     # a product extends from the deepest one already computed
@@ -375,9 +384,8 @@ def test_function_with_wrong_value_count_is_rejected(values):
     right = build_minimal_diagram(GICAR, "rightmost")
     with pytest.raises(ValueError, match="level 2 has 3 vertices"):
         to_R_basis(LocallyConstantFunction(2, values), right)
-    scheme = WeightScheme(DYADIC)
     with pytest.raises(ValueError, match="level 2 has 3 vertices"):
-        scheme.membership(LocallyConstantFunction(2, values))
+        weights(DYADIC).membership(LocallyConstantFunction(2, values))
     with pytest.raises(DepthExceeded):
         to_R_basis(LocallyConstantFunction(-1, (1,)), right)
 
@@ -418,7 +426,7 @@ def test_phi_pow2_witness_function():
     chain = scheme.chain(3)
     f = phi((1, 1, 0, 0), chain, scheme.tree)
     assert f.values == (Fraction(1, 2), Fraction(1, 4), 0, 0)
-    assert scheme.phi((1, 1, 0, 0)).values == f.values
+    assert Realizer(scheme, scheme.tree).phi((1, 1, 0, 0)).values == f.values
 
 
 def test_phi_mode_guards():
@@ -427,7 +435,7 @@ def test_phi_mode_guards():
     tree = build_minimal_diagram(GICAR, "theorem")
     type1_tree = build_minimal_diagram(UHF2, "theorem")
     with pytest.raises(ValueError):
-        ChainRealizer(growth, type1_tree).phi((1, 2))
+        Realizer(growth, type1_tree).phi((1, 2))
     with pytest.raises(ValueError):
         phi((1,), constant, type1_tree)
     with pytest.raises(DepthExceeded):
@@ -435,9 +443,9 @@ def test_phi_mode_guards():
 
 
 def test_phi_type1_frozen():
-    assert Type1Realizer(UHF2, 3).phi((3,)).values == (Fraction(3, 8),)
+    assert type1(UHF2, 3).phi((3,)).values == (Fraction(3, 8),)
     # after WIDTH2's bootstrap column, level 2 sits below its first square
-    assert Type1Realizer(WIDTH2, 2).phi((5, 2)).values == (3, 2)
+    assert type1(WIDTH2, 2).phi((5, 2)) == LocallyConstantFunction(2, (3, 2))
 
 
 @pytest.mark.parametrize("name", ["uhf2", "uhf6", "threeline", *TYPE1])
@@ -449,7 +457,7 @@ def test_type1_phi_matches_the_per_square_fold(name):
     rng = random.Random(name)
     for d in range(1, 9):
         chain = complete_chain(diagram, Auto(), first_square(diagram) + d)
-        realizer = Type1Realizer(diagram, first_square(diagram) + d)
+        realizer = Realizer(chain, None)
         width = len(chain.squares[0])
         for _ in range(10):
             alpha = [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3))) for _ in range(width)]
@@ -463,8 +471,8 @@ def test_type1_push_then_realize_equals_realize_then_refine():
     tree = build_minimal_diagram(diagram, "theorem")
     rng = random.Random(15)
     for d in range(1, 6):
-        here = Type1Realizer(diagram, d + 1)
-        there = Type1Realizer(diagram, d + 2)
+        here = type1(diagram, d + 1)
+        there = type1(diagram, d + 2)
         for _ in range(3):
             alpha = [rng.randint(-9, 9) for _ in range(2)]
             func = here.phi(alpha)
@@ -512,8 +520,8 @@ def test_pow2_membership_frozen():
     chain = scheme.chain(3)
     f = LocallyConstantFunction(3, (Fraction(1, 2), Fraction(1, 4), 0, 0))
     g = LocallyConstantFunction(3, (Fraction(1, 4), Fraction(1, 2), 0, 0))
-    assert scheme.membership(f) == K0Witness((1, 1, 0, 0), 3)
-    assert scheme.membership(g) == NotMember(3)
+    assert weights(DYADIC).membership(f) == K0Witness((1, 1, 0, 0), 3)
+    assert weights(DYADIC).membership(g) == NotMember(3)
     # the generic chain path agrees with the closed form
     assert membership(f, chain, scheme.tree) == K0Witness((1, 1, 0, 0), 3)
     assert membership(g, chain, scheme.tree) == NotMember(3)
@@ -522,56 +530,51 @@ def test_pow2_membership_frozen():
 def test_indicator_membership_frozen():
     tree = build_minimal_diagram(PROPERSUB, "theorem")
     chain = explicit_chain(2)
-    verdict = ChainRealizer(chain, tree).membership(indicator(Cylinder(1, 2), tree))
+    verdict = Realizer(chain, tree).membership(indicator(Cylinder(1, 2), tree))
     assert verdict == K0Witness((0, 1), 1)
-    scheme = WeightScheme(DYADIC)
-    verdict = scheme.membership(
+    verdict = weights(DYADIC).membership(
         LocallyConstantFunction(3, (1, 0, 0, 0))
     )
     assert verdict == K0Witness((2, 0, 0, 0), 3)
 
 
 def test_positivity_verdicts():
-    chain = complete_chain(GICAR, Auto(), 6)
-    tree = build_minimal_diagram(GICAR, "theorem")
+    realizer = Realizer(complete_chain(GICAR, Auto(), 6), build_minimal_diagram(GICAR, "theorem"))
     one = LocallyConstantFunction(0, (1,))
-    out = positivity(one, chain, tree)
+    out = realizer.positivity(one)
     assert isinstance(out, Positive)
     assert out.level == 0 and out.witness == (1,)
 
-    mixed = phi((2, -1), chain, tree)
-    out = positivity(mixed, chain, tree, bound=6)
+    mixed = realizer.phi((2, -1))
+    out = realizer.positivity(mixed, bound=6)
     assert out == NotPositiveUpTo(6)
     # a bound below the function's depth: the scan names the level it read
-    assert positivity(mixed, chain, tree, bound=0) == NotPositiveUpTo(1)
+    assert realizer.positivity(mixed, bound=0) == NotPositiveUpTo(1)
 
     with pytest.raises(NotInK0):
-        positivity(
-            LocallyConstantFunction(1, (0, Fraction(1, 2))),
-            explicit_chain(1),
-            build_minimal_diagram(PROPERSUB, "theorem"),
+        Realizer(explicit_chain(1), build_minimal_diagram(PROPERSUB, "theorem")).positivity(
+            LocallyConstantFunction(1, (0, Fraction(1, 2)))
         )
 
 
 def test_positivity_refuses_a_bound_past_a_finite_diagram():
     mats = tuple(GICAR.matrix(n) for n in range(3))
     finite = BratteliDiagram(mats, None, ShapeClass("type2"), "fin")
-    chain = complete_chain(finite, Auto(), 3)
-    tree = build_minimal_diagram(finite, "theorem")
-    mixed = phi((2, -1), chain, tree)
+    realizer = Realizer(complete_chain(finite, Auto(), 3), build_minimal_diagram(finite, "theorem"))
+    mixed = realizer.phi((2, -1))
     with pytest.raises(DepthExceeded, match="level 10 requested, diagram allows 3"):
-        positivity(mixed, chain, tree, bound=10)
+        realizer.positivity(mixed, bound=10)
     # the default bound is the diagram's last level
-    assert positivity(mixed, chain, tree) == positivity(mixed, chain, tree, bound=3) == NotPositiveUpTo(3)
+    assert realizer.positivity(mixed) == realizer.positivity(mixed, bound=3) == NotPositiveUpTo(3)
 
 
 def test_weight_scheme_positivity():
-    scheme = WeightScheme(DYADIC)
+    realizer = weights(DYADIC)
     good = LocallyConstantFunction(2, (1, Fraction(1, 4), 0))
-    out = scheme.positivity(good)
+    out = realizer.positivity(good)
     assert isinstance(out, Positive)
     bad = LocallyConstantFunction(2, (1, Fraction(-1, 4), 0))
-    assert scheme.positivity(bad) == NotPositive()
+    assert realizer.positivity(bad) == NotPositive()
 
 
 # --- weight schemes ----------------------------------------------------------
@@ -605,7 +608,7 @@ def test_weight_scheme_needs_unique_minimal():
     diagram = read_input((Path(__file__).parent / "data" / "two-branches.bd").read_text(), "two-branches")[1]
     assert is_unique_minimal(diagram.matrix(1)) == (True, None)
     with pytest.raises(NotUniqueMinimal, match="^matrix 1 does not grow by a single branch$"):
-        WeightScheme(diagram).membership(LocallyConstantFunction(2, (1, 1, 1, 1)))
+        weights(diagram).membership(LocallyConstantFunction(2, (1, 1, 1, 1)))
 
 
 def test_weight_scheme_chain_matches_columns():
@@ -638,43 +641,76 @@ def test_weight_scheme_chain_determinant_is_z_big_times_b(name):
 
 
 def test_probe_broken_frozen():
-    scheme = WeightScheme(DYADIC)
     theta = (2, 1, 3, 4)
-    verdict = automorphism_probe(theta, scheme, 3)
+    verdict = automorphism_probe(theta, weights(DYADIC), 3)
     assert isinstance(verdict, Broken)
     assert verdict.witness.values == (Fraction(1, 2), Fraction(1, 4), 0, 0)
     assert verdict.image.values == (Fraction(1, 4), Fraction(1, 2), 0, 0)
 
 
 def test_probe_identity_preserved():
-    scheme = WeightScheme(DYADIC)
-    verdict = automorphism_probe((1, 2, 3, 4), scheme, 3)
+    verdict = automorphism_probe((1, 2, 3, 4), weights(DYADIC), 3)
     assert isinstance(verdict, Preserved)
     assert verdict.checked > 0
 
 
 def test_probe_refuses_a_level_below_the_root():
-    scheme = WeightScheme(DYADIC)
-    scheme.tree.ensure_depth(3)
+    realizer = weights(DYADIC)
+    realizer.tree.ensure_depth(3)
     # level -2 once read the tree's level 1 through negative indexing
     for theta in ((1, 2), (1, 2, 3, 4)):
         with pytest.raises(DepthExceeded):
-            automorphism_probe(theta, scheme, -2)
+            automorphism_probe(theta, realizer, -2)
 
 
 @pytest.mark.parametrize("name", ["dyadic", "propersub"])
 def test_probe_verdict_is_the_same_through_the_scheme_and_its_chain(name):
+    """The weight scheme's closed forms against the general realizer of
+    its completion, scheme.chain(n) read through the scheme's tree: probe
+    verdicts to depth 3, then phi, membership and positivity at depths
+    0-12 on seeded random vectors."""
     scheme = WeightScheme(corpus.get(name).diagram())
+    closed = Realizer(scheme, scheme.tree)
     for depth in range(1, 4):
-        through_chain = ChainRealizer(scheme.chain(depth), scheme.tree)
+        through_chain = Realizer(scheme.chain(depth), scheme.tree)
         m = scheme.tree.ensure_depth(depth).level_count(depth)
         for theta in itertools.permutations(range(1, m + 1)):
-            want = automorphism_probe(theta, scheme, depth)
+            want = automorphism_probe(theta, closed, depth)
             assert automorphism_probe(theta, through_chain, depth) == want
+
+    general = Realizer(scheme.chain(12), scheme.tree)
+    rng = random.Random(name)
+    for n in range(13):
+        ks = scheme.weights(n)
+        for _ in range(10):
+            rational = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(n + 1))
+            func = closed.phi(rational)
+            assert general.phi(rational) == func
+            assert general.membership(func) == closed.membership(func)
+
+            alpha = tuple(rng.randint(-9, 9) for _ in range(n + 1))
+            func = closed.phi(alpha)
+            assert general.phi(alpha) == func
+            assert general.membership(func) == closed.membership(func) == K0Witness(alpha, n)
+            # a value moved by a fraction of its weight's inverse leaves the group
+            i = rng.randrange(n + 1)
+            values = list(func.values)
+            values[i] += Fraction(1, rng.choice((2, 3)) * ks[i])
+            moved = LocallyConstantFunction(n, tuple(values))
+            assert general.membership(moved) == closed.membership(moved) == NotMember(n)
+
+            # the sign rule where the scan's first level decides: the same
+            # Positive, or a negative entry in both witnesses
+            verdict = closed.positivity(func)
+            if isinstance(verdict, Positive):
+                assert general.positivity(func, bound=n) == verdict == Positive(n, alpha)
+            else:
+                assert verdict == NotPositive()
+                assert general.positivity(func, bound=n) == NotPositiveUpTo(n)
 
 
 def test_probe_preserved_on_unimodular_chain():
     chain = complete_chain(GICAR, Auto(), 3)
     tree = build_minimal_diagram(GICAR, "rightmost")
-    verdict = automorphism_probe((2, 1, 3, 4), ChainRealizer(chain, tree), 3)
+    verdict = automorphism_probe((2, 1, 3, 4), Realizer(chain, tree), 3)
     assert isinstance(verdict, Preserved)
