@@ -331,7 +331,7 @@ _K0_NEEDS = (
     ),
     (
         lambda args, type1: args.weight,
-        "a completed chain, which --weight does not build",
+        "a completion other than --weight, which fixes its own columns, tree and positivity level",
         ("--column", "--bound", "--strategy"),
     ),
 )

@@ -351,13 +351,18 @@ class Realizer:
         self.chain = chain
         self.tree = tree
 
+    def _tree(self, query):
+        if self.tree is None:
+            raise ValueError(f"a type1 chain answers phi only, not {query}")
+        return self.tree
+
     def phi(self, alpha):
         """Function of an integer (or rational) vector at its own depth."""
         return self.chain.realize(alpha, self.tree)
 
     def membership(self, func):
         """Exact integrality test at the function's own depth."""
-        w, d = self.chain.coordinates(func, self.tree)
+        w, d = self.chain.coordinates(func, self._tree("membership"))
         if all(x % d == 0 for x in w):
             return K0Witness(tuple(x // d for x in w), func.depth)
         return NotMember(func.depth)
@@ -367,7 +372,7 @@ class Realizer:
         to level `bound` (default: the diagram's level bound, past which a
         bound is refused) or the function's own depth when that is deeper.
         An order-faithful completion stops at the function's own depth."""
-        diagram = self.tree.diagram
+        diagram = self._tree("positivity").diagram
         if bound is None:
             bound = diagram.level_bound()
         diagram.check_depth(bound)
@@ -438,6 +443,8 @@ class WeightScheme:
         return len(self._k) - 1
 
     def ensure_depth(self, n):
+        if n < 0:
+            raise DepthExceeded(f"no level {n}")
         self.diagram.check_depth(n)
         while self.depth < n:
             self._extend()
@@ -506,7 +513,7 @@ class WeightScheme:
 
 
 class Preserved(Record):
-    checked: int
+    checked: int  # the candidates covered, subset indicators among them
 
 
 class Broken(Record):
@@ -514,19 +521,21 @@ class Broken(Record):
     image: LocallyConstantFunction
 
 
-# the most candidates a probe queues; pairs and basis vectors always run
+# the most candidates a probe covers; pairs and basis vectors always count
 CANDIDATE_CAP = 512
 
 
 def automorphism_probe(theta, realizer, depth):
     """Does relabeling depth-`depth` vertices by `theta` preserve the group?
 
-    Candidates are realized members: pair vectors over moved vertices first,
-    then single basis vectors, then indicators of vertex subsets up to
-    CANDIDATE_CAP candidates in all.  The first candidate whose relabeled
-    image has no integer witness breaks the probe.  A subset indicator is a
-    sum of basis vectors, each checked before it, so subsets never break a
-    probe that the basis vectors pass.
+    Candidates are members: pair vectors over moved vertices first, then
+    single basis vectors, then indicators of vertex subsets up to
+    CANDIDATE_CAP candidates in all.  The first pair or basis vector whose
+    realized, relabeled image has no integer witness breaks the probe.
+    Only those are realized.  A subset indicator is a sum of basis vectors,
+    and phi, the pull-back by theta and the witness are linear while
+    membership is integrality, so a sum of passing candidates passes: the
+    subsets only add to the count that Preserved reports.
     """
     m = realizer.tree.level_count(depth)
     images = int_row(theta, 1)
@@ -542,6 +551,11 @@ def automorphism_probe(theta, realizer, depth):
     # an ordered dict: each candidate once, where it is first met
     candidates = dict.fromkeys(basis(i, t) for i, t in enumerate(images, start=1) if t != i)
     candidates.update(dict.fromkeys(map(basis, range(1, m + 1))))
+    for alpha in list(candidates):
+        func = realizer.phi(alpha)
+        pulled = LocallyConstantFunction(depth, tuple(func.values[i - 1] for i in inverse))
+        if isinstance(realizer.membership(pulled), NotMember):
+            return Broken(func, pulled)
     subsets = (
         combo for size in range(2, m) for combo in itertools.combinations(range(1, m + 1), size)
     )
@@ -549,18 +563,7 @@ def automorphism_probe(theta, realizer, depth):
         if len(candidates) >= CANDIDATE_CAP:
             break
         candidates.setdefault(basis(*combo))
-
-    checked = 0
-    for alpha in candidates:
-        func = realizer.phi(alpha)
-        pulled = LocallyConstantFunction(
-            depth, tuple(func.values[inverse[j - 1] - 1] for j in range(1, m + 1))
-        )
-        verdict = realizer.membership(pulled)
-        checked += 1
-        if isinstance(verdict, NotMember):
-            return Broken(func, pulled)
-    return Preserved(checked)
+    return Preserved(len(candidates))
 
 
 # ---------------------------------------------------------------------------

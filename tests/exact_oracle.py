@@ -22,7 +22,10 @@ walking every vertex up to its ancestor, which the integer top-down passes
 in brattice.k0 and brattice.pathspace replaced, and the exactness report
 that ties a chain's determinants, adjugates and scales together, and
 the per-vertex passes over 1-based parent tuples that the tree's kept
-gather maps replaced in r_map, the to_R_basis peel and refine.  The
+gather maps replaced in r_map, the to_R_basis peel and refine.  After
+them comes the former automorphism probe, which realized every candidate,
+subset indicators included, where brattice.k0 realizes only pair and
+basis vectors.  The
 module ends with helpers the library dropped once only tests called them:
 matrix equality, integrality and scaling, positive rows and columns,
 column supports, size vectors, distinguished vertices, and equality, sums
@@ -31,6 +34,7 @@ built-in tail families, which brattice.diagram's band descriptions
 replaced.
 """
 
+import itertools
 from fractions import Fraction
 from functools import cache
 
@@ -549,6 +553,45 @@ def exactness_report(chain, n):
         "adjugate_integral": all(x.denominator == 1 for row in adj for x in row),
         "scaled_inverse_integral": all((scale * x).denominator == 1 for row in a for x in row),
     }
+
+
+def automorphism_probe(theta, realizer, depth):
+    """The former probe: every candidate is realized and tested, subset
+    indicators up to k0.CANDIDATE_CAP included, in the order the library
+    counts them; the first whose relabeled image has no integer witness
+    breaks the probe."""
+    m = realizer.tree.level_count(depth)
+    images = [int(t) for t in theta]
+    if sorted(images) != list(range(1, m + 1)):
+        raise ValueError(f"theta must permute 1..{m}")
+    inverse = [0] * m
+    for i, t in enumerate(images, start=1):
+        inverse[t - 1] = i
+
+    def basis(*idx):
+        return tuple(int(p in idx) for p in range(1, m + 1))
+
+    candidates = dict.fromkeys(basis(i, t) for i, t in enumerate(images, start=1) if t != i)
+    candidates.update(dict.fromkeys(map(basis, range(1, m + 1))))
+    subsets = (
+        combo for size in range(2, m) for combo in itertools.combinations(range(1, m + 1), size)
+    )
+    for combo in subsets:
+        if len(candidates) >= k0.CANDIDATE_CAP:
+            break
+        candidates.setdefault(basis(*combo))
+
+    checked = 0
+    for alpha in candidates:
+        func = realizer.phi(alpha)
+        pulled = LocallyConstantFunction(
+            depth, tuple(func.values[inverse[j - 1] - 1] for j in range(1, m + 1))
+        )
+        verdict = realizer.membership(pulled)
+        checked += 1
+        if isinstance(verdict, k0.NotMember):
+            return k0.Broken(func, pulled)
+    return k0.Preserved(checked)
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,12 @@ MALFORMED_FILES = [
         "negative exponent at level 1 in 2^{n-5}",
     ),
     (
+        "periodic-zero",
+        "bdspec v1\nshape: type1 1\nmatrix 0:\n1\ntail: periodic 0\n",
+        5,
+        "periodic tail needs at least one template",
+    ),
+    (
         "negative-literal",
         "bdspec v1\nshape: type1 1\nmatrix 0:\n1\ntail: periodic 1\ntemplate:\n-3\n",
         7,
@@ -307,7 +313,7 @@ def test_untaken_option_with_a_spaced_value_is_not_the_input(capsys, argv):
     assert f"argument input: {name} is not an option of this command" in err
 
 
-NO_CHAIN = "a completed chain, which --weight does not build"
+NOT_WEIGHT = "a completion other than --weight, which fixes its own columns, tree and positivity level"
 
 
 def type1_refusal(what, ref):
@@ -351,27 +357,27 @@ UNUSABLE_OPTIONS = {
     "k0 positive --weight --column": (
         ("k0", "positive", "corpus:dyadic", "--weight", "--func", "depth=2: 1/2 1/4 1",
          "--bound", "1", "--column", "9,9"),
-        f"--column needs {NO_CHAIN}",
+        f"--column needs {NOT_WEIGHT}",
     ),
     "k0 positive --weight --bound": (
         ("k0", "positive", "corpus:dyadic", "--weight", "--func", "depth=2: 1/2 1/4 1", "--bound", "1"),
-        f"--bound needs {NO_CHAIN}",
+        f"--bound needs {NOT_WEIGHT}",
     ),
     "k0 phi --weight --strategy": (
         ("k0", "phi", "corpus:dyadic", "--weight", "--strategy", "alternating", "--alpha", "1,2,3,4"),
-        f"--strategy needs {NO_CHAIN}",
+        f"--strategy needs {NOT_WEIGHT}",
     ),
     "k0 member --weight --column": (
         ("k0", "member", "corpus:dyadic", "--weight", "--column", "0,1", "--func", "depth=1: 1 1"),
-        f"--column needs {NO_CHAIN}",
+        f"--column needs {NOT_WEIGHT}",
     ),
     "k0 probe --weight --strategy": (
         ("k0", "probe", "corpus:dyadic", "--weight", "--strategy=theorem", "--swap", "1", "2"),
-        f"--strategy needs {NO_CHAIN}",
+        f"--strategy needs {NOT_WEIGHT}",
     ),
     "k0 chain --weight --column": (
         ("k0", "chain", "corpus:dyadic", "--weight", "--column", "0,1"),
-        f"--column needs {NO_CHAIN}",
+        f"--column needs {NOT_WEIGHT}",
     ),
     # type1 levels never branch: only k0 phi reads their chain
     "k0 member type1": (
@@ -482,18 +488,31 @@ def test_dilate_normalizes_bootstrap(capsys):
     assert folded.shape.kind == "type2"
 
 
+# diagrams that parse, yet a verb cannot read: dilate cannot normalize
+# them, and a type1 chain takes matrix 1 as its first square
 @pytest.mark.parametrize(
-    "body, message",
+    "verb, flags, body, message",
     [
-        ("shape: type1 1\nmatrix 0:\n2\nmatrix 1:\n3\n", "diagram never grows"),
-        ("shape: irregular\nmatrix 0:\n1\n1\nmatrix 1:\n1 1\n1 1\n1 1\n1 1\n", "matrix has rank below 2"),
+        (("dilate",), (), "shape: type1 1\nmatrix 0:\n2\nmatrix 1:\n3\n", "diagram never grows"),
+        (
+            ("dilate",),
+            (),
+            "shape: irregular\nmatrix 0:\n1\n1\nmatrix 1:\n1 1\n1 1\n1 1\n1 1\n",
+            "matrix has rank below 2",
+        ),
+        (
+            ("k0", "phi"),
+            ("--alpha", "1,2", "--depth", "2"),
+            "shape: type1 2\nmatrix 0:\n1\n1\nmatrix 1:\n1 0\n0 1\n1 1\n",
+            "completion 0 is not square",
+        ),
     ],
-    ids=["never-grows", "rank-1-step"],
+    ids=["never-grows", "rank-1-step", "k0-phi-oblong-square"],
 )
-def test_dilate_refuses_a_diagram_it_cannot_normalize(tmp_path, capsys, body, message):
+def test_diagram_the_verb_cannot_read_is_an_error(tmp_path, capsys, verb, flags, body, message):
     path = tmp_path / "in.bdspec"
     path.write_text("bdspec v1\n" + body)
-    assert run(capsys, "dilate", str(path)) == (1, "", f"error: {message}\n")
+    assert run(capsys, *verb, str(path), *flags) == (1, "", f"error: {message}\n")
 
 
 # --- reduce ------------------------------------------------------------------
@@ -956,6 +975,7 @@ BAD_FLAG_NUMBERS = {
     "perm": ("k0", "probe", "corpus:dyadic", "--depth", "1", "--perm", "2,+1"),
     "func-depth": ("k0", "member", "corpus:gicar", "--func", "depth=0_1: 1 1"),
     "func-value": ("k0", "member", "corpus:gicar", "--func", "depth=1: 1 0.5"),
+    "func-shape": ("k0", "member", "corpus:dyadic", "--func", "1 2"),
     "alpha-exponent": ("k0", "phi", "corpus:gicar", "--alpha", "1e3,2"),
     "alpha-fullwidth": ("k0", "phi", "corpus:gicar", "--alpha", "\uff11,2"),
     "alpha-underscore": ("k0", "phi", "corpus:gicar", "--alpha", "1_0/3,1"),

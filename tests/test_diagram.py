@@ -263,6 +263,9 @@ def test_one_bound_and_one_wording(monkeypatch):
         with pytest.raises(DepthExceeded) as info:
             call()
         assert str(info.value) == want[what], what
+    # a negative index names no level at all
+    with pytest.raises(IndexOutOfRange, match="^matrix index -1 is negative$"):
+        GICAR.matrix(-1)
     assert validate_diagram(GICAR, 64) == ()
     monkeypatch.setenv("BRATTICE_DEPTH_LIMIT", "4")
     with pytest.raises(DepthExceeded, match="^level 5 requested, diagram allows 4$"):

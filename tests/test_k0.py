@@ -339,6 +339,18 @@ def test_weight_scheme_refuses_past_the_diagram_by_level():
         WeightScheme(DYADIC).chain(65)
 
 
+def test_weight_scheme_refuses_a_level_above_the_root():
+    # an empty vector asks for level -1, as a chain's realizer refuses it
+    scheme = WeightScheme(DYADIC)
+    realizer = Realizer(scheme, scheme.tree)
+    for call in (lambda: scheme.ensure_depth(-1), lambda: scheme.weights(-1), lambda: realizer.phi(())):
+        with pytest.raises(DepthExceeded, match="^no level -1$"):
+            call()
+    with pytest.raises(DepthExceeded, match="^chain has depth 2, asked for -1$"):
+        Realizer(scheme.chain(2), scheme.tree).phi(())
+    assert scheme.depth == 2
+
+
 def test_deep_type1_chain_matches_fraction_path(monkeypatch):
     # one product per level, extended by a loop: no recursion at depth 1100
     monkeypatch.setenv("BRATTICE_DEPTH_LIMIT", "3000")
@@ -440,6 +452,14 @@ def test_phi_mode_guards():
         phi((1,), constant, type1_tree)
     with pytest.raises(DepthExceeded):
         phi((1, 2, 3, 4), growth, tree)
+
+
+def test_type1_realizer_answers_phi_only():
+    realizer = type1(UHF2, 2)
+    func = realizer.phi((1,))
+    for query in ("membership", "positivity"):
+        with pytest.raises(ValueError, match=f"^a type1 chain answers phi only, not {query}$"):
+            getattr(realizer, query)(func)
 
 
 def test_phi_type1_frozen():
@@ -707,6 +727,54 @@ def test_probe_verdict_is_the_same_through_the_scheme_and_its_chain(name):
             else:
                 assert verdict == NotPositive()
                 assert general.positivity(func, bound=n) == NotPositiveUpTo(n)
+
+
+def _probe_realizers():
+    """gicar through an Auto chain, whose squares are unimodular, then
+    dyadic and propersub through the weight scheme and through a chain
+    completed at level 0 by the column (0, 1); each chain reaches level 8."""
+    out = {"gicar-auto": Realizer(complete_chain(GICAR, Auto(), 8), build_minimal_diagram(GICAR, "theorem"))}
+    for name, diagram in (("dyadic", DYADIC), ("propersub", PROPERSUB)):
+        out[f"{name}-weights"] = weights(diagram)
+        chain = complete_chain(diagram, [ExplicitColumn((0, 1))], 8)
+        out[f"{name}-column"] = Realizer(chain, build_minimal_diagram(diagram, "theorem"))
+    return out
+
+
+PROBE_REALIZERS = _probe_realizers()
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_REALIZERS))
+def test_probe_realizes_pairs_and_basis_vectors_only(name):
+    """The probe against the full scan, which realizes every candidate: the
+    same verdict at depths 0-8 under the identity, the swap of 1 and 2, a
+    seeded swap and a seeded permutation, while phi runs at most once per
+    pair vector and basis vector."""
+    realizer = PROBE_REALIZERS[name]
+    spy = Realizer(realizer.chain, realizer.tree)
+    calls = []
+    spy.phi = lambda alpha: calls.append(alpha) or realizer.phi(alpha)
+    rng = random.Random(name)
+    kinds = set()
+    for depth in range(9):
+        m = realizer.tree.ensure_depth(depth).level_count(depth)
+        thetas = [tuple(range(1, m + 1))]
+        for i, j in ((1, 2), sorted(rng.sample(range(1, m + 1), 2))) if m > 1 else ():
+            swap = list(range(1, m + 1))
+            swap[i - 1], swap[j - 1] = j, i
+            thetas.append(tuple(swap))
+        thetas.append(tuple(rng.sample(range(1, m + 1), m)))
+        for theta in thetas:
+            calls.clear()
+            verdict = automorphism_probe(theta, spy, depth)
+            assert verdict == oracle.automorphism_probe(theta, realizer, depth)
+            kinds.add(type(verdict))
+            pairs = {frozenset((i, t)) for i, t in enumerate(theta, start=1) if t != i}
+            assert len(calls) <= len(pairs) + m
+            assert len(set(calls)) == len(calls) and all(sum(alpha) <= 2 for alpha in calls)
+    # gicar's chain is unimodular, so its probes never break; of the
+    # others, only dyadic's relabelings here do
+    assert (Broken in kinds) == name.startswith("dyadic")
 
 
 def test_probe_preserved_on_unimodular_chain():
