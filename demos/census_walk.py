@@ -37,7 +37,6 @@ def main():
             tuple(gicar.matrix(n) for n in range(3)),
             None,
             gicar.shape,
-            "gicar-prefix",
         ),
         "rightmost",
     )

@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 import sys
 from fractions import Fraction
-from functools import partial
 from types import SimpleNamespace
 
 from . import corpus as corpus_lib
@@ -87,10 +86,8 @@ def _load_input(ref):
             entry = corpus_lib.get(name)
         except KeyError as exc:
             raise UsageError(exc.args[0]) from None
-        if entry.kind == "diagram":
-            return "diagram", entry.diagram()
-        return "matrix", entry.matrix()
-    return _parse_file(ref, partial(read_input, name=ref))
+        return entry.kind, entry.build()
+    return _parse_file(ref, read_input)
 
 
 def _need_diagram(ref, verb):
@@ -188,7 +185,7 @@ def _fmt_vec(vec):
 def cmd_validate(args):
     kind, obj = _load_input(args.input)
     if kind == "matrix":
-        _refuse(args, "a diagram input", "dot", "depth")
+        _refuse(args, "a diagram input", "--dot", "--depth")
         issues = zero_lines(obj)
     else:
         issues = validate_diagram(obj, args.depth)
@@ -207,7 +204,7 @@ def cmd_telescope(args):
 def cmd_dilate(args):
     diagram = _need_diagram(args.input, "dilate")
     if args.level is not None:
-        _refuse(args, "a normalized diagram, which --level does not build", "dot")
+        _refuse(args, "a normalized diagram, which --level does not build", "--dot")
         order, factors = dilate_step(diagram.matrix(args.level))
         print(f"row order: {_fmt_vec(order)}")
         for k, fac in enumerate(factors, start=1):
@@ -226,27 +223,20 @@ def _write_bdspec(args, diagram):
     return 0
 
 
-def _given(args, what):
-    """Whether the line gives the option `--dest` or runs the action `k0 name`."""
-    if what.startswith("k0 "):
-        return args.action == what[3:]
-    value = getattr(args, what[2:], None)
-    return value is not None and value is not False  # 0 is given
-
-
-def _refuse(args, needs, *dests):
-    """A usage error for the first of these options that was given, when
-    the input at hand cannot use it."""
-    for dest in dests:
-        if _given(args, f"--{dest}"):
-            raise UsageError(f"--{dest} needs {needs}")
+def _refuse(args, needs, *options):
+    """A usage error for the first of these options (`--dest`) or actions
+    (`k0 name`) that the line gives, when the input at hand cannot use it."""
+    for option in options:
+        value = args.action == option[3:] if option.startswith("k0 ") else getattr(args, option[2:], None)
+        if value is not None and value is not False:  # --depth 0 is given
+            raise UsageError(f"{option} needs {needs}")
 
 
 def cmd_reduce(args):
     kind, obj = _load_input(args.input)
     if kind == "matrix":
         return _reduce_matrix(obj, args)
-    _refuse(args, "a matrix input", "enumerate", "json")
+    _refuse(args, "a matrix input", "--enumerate", "--json")
     strat = _strategy(args.strategy or "theorem")
     tree = build_minimal_diagram(obj, strat)
     depth = _depth(args, obj)
@@ -257,7 +247,7 @@ def cmd_reduce(args):
 
 
 def _reduce_matrix(mat, args):
-    _refuse(args, "a diagram input", "dot", "depth", "strategy")
+    _refuse(args, "a diagram input", "--dot", "--depth", "--strategy")
     if args.enumerate is not None:
         shown, count = first_minimal_reductions(mat, args.enumerate)
         lines = [f"map: {_fmt_vec(parents)}" for parents in shown] + [f"{count} reductions total"]
@@ -311,44 +301,29 @@ def cmd_pathspace(args):
     return 0
 
 
-# (when a k0 line lacks it, what it needs, the options and actions that
-# need it), checked in this order: the first one the line gives is refused
-_K0_NEEDS = (
-    (
-        lambda args, type1: type1,
-        "levels that branch; {input} is type1, whose chain realizes only through k0 phi",
-        ("--weight", "k0 member", "k0 positive", "k0 probe"),
-    ),
-    (
-        lambda args, type1: type1,
-        "levels that branch; a type1 chain takes its squares as they are",
-        ("--column", "--strategy"),
-    ),
-    (
-        lambda args, type1: args.action == "phi" and not type1,
-        "a type1 diagram; elsewhere the depth follows --alpha",
-        ("--depth",),
-    ),
-    (
-        lambda args, type1: args.weight,
-        "a completion other than --weight, which fixes its own columns, tree and positivity level",
-        ("--column", "--bound", "--strategy"),
-    ),
-)
-
-
 def _realizer(args, diagram, depth=None, alpha=()):
-    """The realizer a k0 action reads, once the line meets _K0_NEEDS: the
+    """The realizer a k0 action reads, once the line passes the refusals: the
     weight scheme under --weight, and for k0 probe without --column where
     it reaches `depth` (--strategy goes unread); else a chain completed
     from --column to `depth` (on type1 or for None, --depth or the default)
     and read through the --strategy tree, or none on type1 or for k0 chain.
     A type1 chain takes `alpha`, phi's vector, at its level's width."""
     type1 = diagram.shape.kind == "type1"
-    for lacks, needs, options in _K0_NEEDS:
-        what = next((option for option in options if _given(args, option)), None)
-        if what and lacks(args, type1):
-            raise UsageError(f"{what} needs {needs.format(input=args.input)}")
+    if type1:
+        _refuse(
+            args,
+            f"levels that branch; {args.input} is type1, whose chain realizes only through k0 phi",
+            "--weight", "k0 member", "k0 positive", "k0 probe",
+        )
+        _refuse(args, "levels that branch; a type1 chain takes its squares as they are", "--column", "--strategy")
+    elif args.action == "phi":
+        _refuse(args, "a type1 diagram; elsewhere the depth follows --alpha", "--depth")
+    if args.weight:
+        _refuse(
+            args,
+            "a completion other than --weight, which fixes its own columns, tree and positivity level",
+            "--column", "--bound", "--strategy",
+        )
     if depth is None or type1:
         depth = _depth(args, diagram)
     if args.action != "chain" and (args.weight or args.action == "probe" and not args.column):

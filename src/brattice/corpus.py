@@ -86,30 +86,25 @@ class ExampleCorpusEntry(Record):
 
 
 def _gicar():
-    return BratteliDiagram((), FamilyTail("gicar"), ShapeClass("type2"), "gicar")
+    return BratteliDiagram((), FamilyTail("gicar"), ShapeClass("type2"))
 
 
 def _uhf2():
     tail = PeriodicTail((((2,),),), 0)
-    return BratteliDiagram((), tail, ShapeClass("type1", 1), "uhf2")
+    return BratteliDiagram((), tail, ShapeClass("type1", 1))
 
 
 def _uhf6():
     tail = PeriodicTail((((2,),), ((3,),)), 0)
-    return BratteliDiagram((), tail, ShapeClass("type1", 1), "uhf6")
+    return BratteliDiagram((), tail, ShapeClass("type1", 1))
 
 
 def _dyadic():
-    return BratteliDiagram((), FamilyTail("dyadic"), ShapeClass("type2"), "dyadic")
+    return BratteliDiagram((), FamilyTail("dyadic"), ShapeClass("type2"))
 
 
 def _propersub():
-    return BratteliDiagram(
-        (MultiplicityMatrix([[2], [2]]),),
-        FamilyTail("dupline"),
-        ShapeClass("type2"),
-        "propersub",
-    )
+    return BratteliDiagram((MultiplicityMatrix([[2], [2]]),), FamilyTail("dupline"), ShapeClass("type2"))
 
 
 def _pinch():
@@ -118,14 +113,14 @@ def _pinch():
         MultiplicityMatrix([[1, 1]]),
     )
     tail = PeriodicTail((((1,),),), 2)
-    return BratteliDiagram(mats, tail, ShapeClass("irregular"), "pinch")
+    return BratteliDiagram(mats, tail, ShapeClass("irregular"))
 
 
 def _threeline():
     boot = MultiplicityMatrix([[1], [1], [1]])
     tpl = ((1, 0, 0), (1, 1, 0), (0, 0, 1))
     tail = PeriodicTail((tpl,), 1)
-    return BratteliDiagram((boot,), tail, ShapeClass("type1", 3), "threeline")
+    return BratteliDiagram((boot,), tail, ShapeClass("type1", 3))
 
 
 _PINCH_MAPS = UserMap(((1, (1, 1)), (2, (1,))))

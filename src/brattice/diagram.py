@@ -304,7 +304,6 @@ class BratteliDiagram(Record):
     matrices: tuple
     tail: object = None  # None | PeriodicTail | FamilyTail
     shape: ShapeClass = None
-    name: str = ""
 
     def __post_init__(self):
         mats = tuple(
@@ -320,8 +319,7 @@ class BratteliDiagram(Record):
         for n, (c, rows) in enumerate(zip(cols, [1] + [m.nrows for m in mats])):
             _check_chain(n, c, rows)
         if self.shape is None:
-            probe_count = len(mats) if self.tail is None else max(len(mats), 3)
-            probe = [self.matrix(k) for k in range(probe_count)]
+            probe = [self.matrix(k) for k in range(self.default_depth(3))]
             object.__setattr__(self, "shape", infer_shape(probe))
 
     @property
@@ -438,7 +436,7 @@ def telescope(diagram, indices):
         for k in range(a + 1, b):
             prod = mm_product(diagram.matrix(k), prod)
         mats.append(prod)
-    return BratteliDiagram(tuple(mats), None, None, diagram.name)
+    return BratteliDiagram(tuple(mats))
 
 
 def dilate_step(mat):
@@ -523,7 +521,7 @@ def normalize_type2(diagram):
         factors = list(factors)
         factors[-1] = MultiplicityMatrix([factors[-1].rows[i] for i in inverse])
         out.extend(factors)
-    result = BratteliDiagram(tuple(out), None, ShapeClass("type2"), diagram.name)
+    result = BratteliDiagram(tuple(out), None, ShapeClass("type2"))
     check_valid(result)
     return result
 
@@ -581,11 +579,11 @@ def read_matrix(no, rows):
     return _on_line(no, MultiplicityMatrix, data)
 
 
-def read_input(text, name=""):
+def read_input(text):
     """('diagram', BratteliDiagram) under a 'bdspec v1' header, else ('matrix', rows)."""
     lines = meaningful_lines(text)
     if lines and lines[0][1] == "bdspec v1":
-        return "diagram", _bdspec(lines, name)
+        return "diagram", _bdspec(lines)
     return "matrix", read_matrix(1, lines)
 
 
@@ -609,7 +607,7 @@ def _blocks(lines, head):
     return blocks
 
 
-def _bdspec(lines, name):
+def _bdspec(lines):
     """The diagram of the meaningful lines under a 'bdspec v1' header."""
     if len(lines) < 2 or not lines[1][1].startswith("shape:"):
         raise ParseError(lines[min(1, len(lines) - 1)][0], "expected 'shape:' after the header")
@@ -635,7 +633,7 @@ def _bdspec(lines, name):
         tail = _tail(no, ln[len("tail:"):].split(), lines[at + 1:], len(mats))
         if tail is not None:
             _on_line(no, _check_chain, len(mats), tail.columns_at(len(mats)), rows)
-    return _on_line(lines[-1][0], BratteliDiagram, tuple(mats), tail, shape, name)
+    return _on_line(lines[-1][0], BratteliDiagram, tuple(mats), tail, shape)
 
 
 def _tail(no, words, body, anchor):

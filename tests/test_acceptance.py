@@ -337,7 +337,7 @@ def _rand_unique_minimal(rng):
             row[parent - 1] = rng.randint(1, 4)
             rows.append(row)
         mats.append(MultiplicityMatrix(rows))
-    return BratteliDiagram(tuple(mats), None, ShapeClass("type2"), "rand")
+    return BratteliDiagram(tuple(mats), None, ShapeClass("type2"))
 
 
 def test_criterion_09_weight_scheme_laws():

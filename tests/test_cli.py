@@ -489,29 +489,50 @@ def test_dilate_normalizes_bootstrap(capsys):
 
 
 # diagrams that parse, yet a verb cannot read: dilate cannot normalize
-# them, and a type1 chain takes matrix 1 as its first square
+# them, a type1 chain takes matrix 1 as its first square, and a --strategy
+# map, where one is given, leaves a level short of parents or has a level
+# branch twice
 @pytest.mark.parametrize(
-    "verb, flags, body, message",
+    "verb, flags, body, tree, message",
     [
-        (("dilate",), (), "shape: type1 1\nmatrix 0:\n2\nmatrix 1:\n3\n", "diagram never grows"),
+        (("dilate",), (), "shape: type1 1\nmatrix 0:\n2\nmatrix 1:\n3\n", None, "diagram never grows"),
         (
             ("dilate",),
             (),
             "shape: irregular\nmatrix 0:\n1\n1\nmatrix 1:\n1 1\n1 1\n1 1\n1 1\n",
+            None,
             "matrix has rank below 2",
         ),
         (
             ("k0", "phi"),
             ("--alpha", "1,2", "--depth", "2"),
             "shape: type1 2\nmatrix 0:\n1\n1\nmatrix 1:\n1 0\n0 1\n1 1\n",
+            None,
             "completion 0 is not square",
         ),
+        (
+            ("reduce",),
+            ("--depth", "1"),
+            "shape: type2\nmatrix 0:\n1\n1\n",  # gicar's first level
+            "tree v1\nlevel 1: parent(1)=1\n",
+            "level 1 needs 2 parents, got 1",
+        ),
+        (
+            ("k0", "phi"),
+            ("--alpha", "1,2,3"),
+            "shape: irregular\nmatrix 0:\n1\n1\nmatrix 1:\n1 0\n1 0\n1 1\n",
+            "tree v1\nlevel 1: parent(1)=1 parent(2)=1\nlevel 2: parent(1)=1 parent(2)=1 parent(3)=1\n",
+            "level 2 does not branch exactly once",
+        ),
     ],
-    ids=["never-grows", "rank-1-step", "k0-phi-oblong-square"],
+    ids=["never-grows", "rank-1-step", "k0-phi-oblong-square", "map-short-of-parents", "k0-phi-map-branches-twice"],
 )
-def test_diagram_the_verb_cannot_read_is_an_error(tmp_path, capsys, verb, flags, body, message):
+def test_diagram_the_verb_cannot_read_is_an_error(tmp_path, capsys, verb, flags, body, tree, message):
     path = tmp_path / "in.bdspec"
     path.write_text("bdspec v1\n" + body)
+    if tree is not None:
+        (tmp_path / "map.tree").write_text(tree)
+        flags += ("--strategy", f"map:{tmp_path / 'map.tree'}")
     assert run(capsys, *verb, str(path), *flags) == (1, "", f"error: {message}\n")
 
 

@@ -283,6 +283,12 @@ def test_default_depths_cover_the_explicit_matrices_within_the_bound(monkeypatch
     assert THREELINE.default_depth(6) == 4
 
 
+def test_shape_inference_reads_levels_within_the_limit(monkeypatch):
+    # the inferred shape probes default_depth(3) levels, two under limit 2
+    monkeypatch.setenv("BRATTICE_DEPTH_LIMIT", "2")
+    assert BratteliDiagram((), FamilyTail("gicar")).shape == ShapeClass("type2")
+
+
 @pytest.mark.parametrize("name", ["gicar", "uhf6"])
 def test_tail_levels_are_built_once_and_keep_the_limit(monkeypatch, name):
     d = corpus.get(name).diagram()
@@ -302,7 +308,7 @@ def test_construction_guards():
     with pytest.raises(ValueError):
         # root level must have a single vertex
         BratteliDiagram(
-            (MultiplicityMatrix([[1, 1], [1, 1]]),), None, ShapeClass("irregular"), "x"
+            (MultiplicityMatrix([[1, 1], [1, 1]]),), None, ShapeClass("irregular")
         )
     with pytest.raises(ValueError):
         # consecutive matrices must chain
@@ -310,13 +316,12 @@ def test_construction_guards():
             (MultiplicityMatrix([[1], [1]]), MultiplicityMatrix([[1]])),
             None,
             ShapeClass("irregular"),
-            "x",
         )
 
 
 def test_validate_reports_zero_rows():
     bad = BratteliDiagram(
-        (MultiplicityMatrix([[1], [0]]),), None, ShapeClass("irregular"), "bad"
+        (MultiplicityMatrix([[1], [0]]),), None, ShapeClass("irregular")
     )
     issues = validate_diagram(bad)
     assert issues
@@ -414,7 +419,7 @@ def test_normalize_type2_folds_a_bootstrap():
 
 def test_normalize_type2_rejections():
     lone_square = BratteliDiagram(
-        (MultiplicityMatrix([[2]]),), None, ShapeClass("type1", 1), "sq"
+        (MultiplicityMatrix([[2]]),), None, ShapeClass("type1", 1)
     )
     with pytest.raises(NotDilatable):
         normalize_type2(lone_square)
@@ -428,15 +433,11 @@ CONSTANT_POWERS = "bdspec v1\nshape: type1 2\nmatrix 0:\n1\n1\ntail: periodic 1\
 
 def test_bdspec_round_trip():
     diagrams = [corpus.get(name).diagram() for name in ("gicar", "uhf2", "uhf6", "propersub", "pinch", "threeline")]
-    diagrams.append(read_input(CONSTANT_POWERS, "powers")[1])
+    diagrams.append(read_input(CONSTANT_POWERS)[1])
     assert "2^{3} 1\n0 3^{0}\n" in format_bdspec(diagrams[-1])
     assert diagrams[-1].matrix(4).rows == ((8, 1), (0, 1))
     for diagram in diagrams:
-        text = format_bdspec(diagram)
-        back = read_input(text, diagram.name)[1]
-        assert back.matrices == diagram.matrices
-        assert back.tail == diagram.tail
-        assert back.shape == diagram.shape
+        assert read_input(format_bdspec(diagram))[1] == diagram
 
 
 def test_bdspec_parse_errors_carry_line_numbers():

@@ -61,7 +61,6 @@ def test_pow_token_tail_round_trip():
         (MultiplicityMatrix([[1], [1]]),),
         PeriodicTail((template,), 1),
         ShapeClass("type1", 2),
-        "powtail",
     )
     text = format_bdspec(diagram)
     assert "2^{n+1}" in text

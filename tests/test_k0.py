@@ -65,7 +65,6 @@ def width2(*squares):
         (MultiplicityMatrix([[1], [1]]),),
         PeriodicTail(squares, 1),
         ShapeClass("type1", 2),
-        "width2",
     )
 
 
@@ -579,7 +578,7 @@ def test_positivity_verdicts():
 
 def test_positivity_refuses_a_bound_past_a_finite_diagram():
     mats = tuple(GICAR.matrix(n) for n in range(3))
-    finite = BratteliDiagram(mats, None, ShapeClass("type2"), "fin")
+    finite = BratteliDiagram(mats, None, ShapeClass("type2"))
     realizer = Realizer(complete_chain(finite, Auto(), 3), build_minimal_diagram(finite, "theorem"))
     mixed = realizer.phi((2, -1))
     with pytest.raises(DepthExceeded, match="level 10 requested, diagram allows 3"):
@@ -625,7 +624,7 @@ def test_weight_scheme_needs_unique_minimal():
         WeightScheme(GICAR).weights(2)
     # matrix 1 has one reduction, yet grows by two branches: rows 1, 2 on
     # column 1 and rows 3, 4 on column 2
-    diagram = read_input((Path(__file__).parent / "data" / "two-branches.bd").read_text(), "two-branches")[1]
+    diagram = read_input((Path(__file__).parent / "data" / "two-branches.bd").read_text())[1]
     assert is_unique_minimal(diagram.matrix(1)) == (True, None)
     with pytest.raises(NotUniqueMinimal, match="^matrix 1 does not grow by a single branch$"):
         weights(diagram).membership(LocallyConstantFunction(2, (1, 1, 1, 1)))
@@ -732,11 +731,11 @@ def test_probe_verdict_is_the_same_through_the_scheme_and_its_chain(name):
 def _probe_realizers():
     """gicar through an Auto chain, whose squares are unimodular, then
     dyadic and propersub through the weight scheme and through a chain
-    completed at level 0 by the column (0, 1); each chain reaches level 8."""
-    out = {"gicar-auto": Realizer(complete_chain(GICAR, Auto(), 8), build_minimal_diagram(GICAR, "theorem"))}
+    completed at level 0 by the column (0, 1); each chain reaches level 10."""
+    out = {"gicar-auto": Realizer(complete_chain(GICAR, Auto(), 10), build_minimal_diagram(GICAR, "theorem"))}
     for name, diagram in (("dyadic", DYADIC), ("propersub", PROPERSUB)):
         out[f"{name}-weights"] = weights(diagram)
-        chain = complete_chain(diagram, [ExplicitColumn((0, 1))], 8)
+        chain = complete_chain(diagram, [ExplicitColumn((0, 1))], 10)
         out[f"{name}-column"] = Realizer(chain, build_minimal_diagram(diagram, "theorem"))
     return out
 
@@ -747,16 +746,17 @@ PROBE_REALIZERS = _probe_realizers()
 @pytest.mark.parametrize("name", sorted(PROBE_REALIZERS))
 def test_probe_realizes_pairs_and_basis_vectors_only(name):
     """The probe against the full scan, which realizes every candidate: the
-    same verdict at depths 0-8 under the identity, the swap of 1 and 2, a
+    same verdict at depths 0-10 under the identity, the swap of 1 and 2, a
     seeded swap and a seeded permutation, while phi runs at most once per
-    pair vector and basis vector."""
+    pair vector and basis vector.  On gicar, m reaches 11 at depth 10, past
+    the point where CANDIDATE_CAP binds the count."""
     realizer = PROBE_REALIZERS[name]
     spy = Realizer(realizer.chain, realizer.tree)
     calls = []
     spy.phi = lambda alpha: calls.append(alpha) or realizer.phi(alpha)
     rng = random.Random(name)
     kinds = set()
-    for depth in range(9):
+    for depth in range(11):
         m = realizer.tree.ensure_depth(depth).level_count(depth)
         thetas = [tuple(range(1, m + 1))]
         for i, j in ((1, 2), sorted(rng.sample(range(1, m + 1), 2))) if m > 1 else ():

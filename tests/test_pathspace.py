@@ -47,7 +47,7 @@ PINCH_MAPS = UserMap(((1, (1, 1)), (2, (1,))))
 
 def finite_gicar(depth):
     mats = tuple(GICAR.matrix(n) for n in range(depth))
-    return BratteliDiagram(mats, None, ShapeClass("type2"), f"gicar-{depth}")
+    return BratteliDiagram(mats, None, ShapeClass("type2"))
 
 
 def test_strategy_from_string():

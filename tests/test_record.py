@@ -148,7 +148,7 @@ def test_library_records_keep_their_dataclass_repr():
     assert repr(ShapeClass("type1", 2)) == "ShapeClass(kind='type1', width=2)"
     assert repr(MultiplicityMatrix([[1], [2]])) == "MultiplicityMatrix(rows=((1,), (2,)))"
     gicar = BratteliDiagram((), FamilyTail("gicar"))
-    assert gicar.shape == ShapeClass("type2") and gicar.name == ""
+    assert gicar.shape == ShapeClass("type2")
 
 
 def test_cli_start_up_skips_heavy_modules():
