@@ -173,9 +173,8 @@ class CompletedChain:
         return matops.band_vec(self._view(n, False)[0], beta)
 
     def a_matrix(self, n):
-        """Rational inverse of u_matrix(n), built from inverse_parts(n)."""
-        nums, d = self.inverse_parts(n)
-        return [[Fraction(x, d) for x in row] for row in nums]
+        """Rational inverse of u_matrix(n)."""
+        return matops.inverse(self.u_matrix(n))
 
     def realize(self, alpha, tree):
         """The function of alpha: solve's R-basis coefficients laid on the

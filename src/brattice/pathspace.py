@@ -287,13 +287,16 @@ def cylinder_children(tree, cyl):
 
 
 class LocallyConstantFunction(Record):
-    """One rational value per vertex at a fixed depth."""
+    """One rational value per vertex at a fixed depth.  Every value is a
+    Fraction: one already of that exact type is kept as handed, and any
+    other (an int, a string, a Fraction subclass) goes through Fraction()."""
 
     depth: int
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        values = tuple(v if v.__class__ is Fraction else Fraction(v) for v in self.values)
+        object.__setattr__(self, "values", values)
 
 
 def refine(func, to_depth, tree):

@@ -645,6 +645,11 @@ def functions_equal(f, g, tree):
     return pathspace.refine(f, deep, tree).values == pathspace.refine(g, deep, tree).values
 
 
+def exact_fractions(func):
+    """Every value of the function is a Fraction of exactly that type."""
+    return all(type(v) is Fraction for v in func.values)
+
+
 def lcf_add(f, g):
     if f.depth != g.depth:
         raise ValueError("functions live at different depths; refine first")

@@ -298,6 +298,26 @@ def test_chain_depth_guard():
         phi((), chain, build_minimal_diagram(GICAR, "rightmost"))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: build_chain([matops.identity(2), matops.identity(4)]),
+            r"^level sizes \[2, 4\] neither grow by one nor stay constant$",
+            id="chain-sizes-jump",
+        ),
+        pytest.param(
+            lambda: automorphism_probe((1, 1, 3, 4), weights(DYADIC), 3),
+            r"^theta must permute 1\.\.4$",
+            id="probe-theta-not-a-permutation",
+        ),
+    ],
+)
+def test_k0_refuses_shapes_it_cannot_read(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_chain_past_the_diagram_is_refused():
     with pytest.raises(DepthExceeded, match="^level 65 requested, diagram allows 64$"):
         complete_chain(GICAR, Auto(), 65)
@@ -437,7 +457,9 @@ def test_phi_pow2_witness_function():
     chain = scheme.chain(3)
     f = phi((1, 1, 0, 0), chain, scheme.tree)
     assert f.values == (Fraction(1, 2), Fraction(1, 4), 0, 0)
-    assert Realizer(scheme, scheme.tree).phi((1, 1, 0, 0)).values == f.values
+    closed = Realizer(scheme, scheme.tree).phi((1, 1, 0, 0))
+    assert closed.values == f.values
+    assert oracle.exact_fractions(f) and oracle.exact_fractions(closed)
 
 
 def test_phi_mode_guards():
@@ -465,6 +487,7 @@ def test_phi_type1_frozen():
     assert type1(UHF2, 3).phi((3,)).values == (Fraction(3, 8),)
     # after WIDTH2's bootstrap column, level 2 sits below its first square
     assert type1(WIDTH2, 2).phi((5, 2)) == LocallyConstantFunction(2, (3, 2))
+    assert oracle.exact_fractions(type1(WIDTH2, 2).phi((5, 2)))
 
 
 @pytest.mark.parametrize("name", ["uhf2", "uhf6", "threeline", *TYPE1])
@@ -665,6 +688,7 @@ def test_probe_broken_frozen():
     assert isinstance(verdict, Broken)
     assert verdict.witness.values == (Fraction(1, 2), Fraction(1, 4), 0, 0)
     assert verdict.image.values == (Fraction(1, 4), Fraction(1, 2), 0, 0)
+    assert oracle.exact_fractions(verdict.witness) and oracle.exact_fractions(verdict.image)
 
 
 def test_probe_identity_preserved():

@@ -68,6 +68,29 @@ def test_inverse_frozen():
     ]
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: matops.dims([]), "^empty matrix$", id="empty"),
+        pytest.param(lambda: matops.dims([[1, 2], [3]]), "^ragged matrix$", id="ragged"),
+        pytest.param(lambda: matops.mat_mul([[1, 2]], [[1, 2]]), "^shape mismatch: 1x2 times 1x2$", id="mat_mul"),
+        pytest.param(
+            lambda: matops.mat_vec([[1, 2]], [1]), "^shape mismatch: 1x2 times vector of length 1$", id="mat_vec"
+        ),
+        pytest.param(lambda: matops.det([[1, 2]]), "^determinant of a non-square matrix$", id="det"),
+        pytest.param(lambda: matops.int_inverse([[1, 2]]), "^inverse of a non-square matrix$", id="int_inverse"),
+        pytest.param(
+            lambda: matops.left_null_vector([[1, 2], [3, 4]]),
+            r"^left_null_vector needs an r x \(r-1\) matrix, got 2x2$",
+            id="left_null_vector",
+        ),
+    ],
+)
+def test_shape_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_inverse_singular():
     with pytest.raises(Singular):
         matops.inverse([[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]])

@@ -286,6 +286,7 @@ def test_refine_and_indicator():
     right = build_minimal_diagram(GICAR, "rightmost")
     f = LocallyConstantFunction(1, (1, 2))
     assert refine(f, 2, right).values == (1, 2, 2)
+    assert oracle.exact_fractions(refine(f, 2, right))
     assert refine(f, 1, right) is f
     with pytest.raises(ValueError):
         refine(f, 0, right)
@@ -295,9 +296,38 @@ def test_refine_and_indicator():
     union = indicator((Cylinder(1, 1), Cylinder(2, 3)), right)
     assert union.depth == 2
     assert union.values == (1, 0, 1)
+    assert oracle.exact_fractions(chi) and oracle.exact_fractions(union)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda t: refine(LocallyConstantFunction(-1, ()), 0, t), DepthExceeded, "^no level -1$", id="refine-below-root"
+        ),
+        pytest.param(lambda t: indicator([], t), ValueError, "^empty cylinder collection$", id="indicator-empty"),
+        pytest.param(
+            lambda t: indicator(Cylinder(-1, 1), t), DepthExceeded, "^no level -1$", id="indicator-below-root"
+        ),
+    ],
+)
+def test_functions_refuse_levels_and_cylinders_they_cannot_use(call, error, message):
+    with pytest.raises(error, match=message):
+        call(build_minimal_diagram(GICAR, "rightmost"))
+
+
+class Third(Fraction):
+    pass
 
 
 def test_function_algebra():
+    # every value is exactly a Fraction, and a Fraction handed in is kept
+    half = Fraction(1, 2)
+    f = LocallyConstantFunction(0, (3, True, "2/3", half, Third(1, 3)))
+    assert f.values == (3, 1, Fraction(2, 3), half, Fraction(1, 3))
+    assert oracle.exact_fractions(f)
+    assert f.values[3] is half
+
     right = build_minimal_diagram(GICAR, "rightmost")
     f = LocallyConstantFunction(1, (1, 2))
     g = LocallyConstantFunction(1, (0, Fraction(1, 2)))

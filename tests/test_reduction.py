@@ -103,6 +103,26 @@ def test_minimal_reduce_square_frozen():
         minimal_reduce_square(MultiplicityMatrix([[1, 1], [1, 1]]))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: minimal_reduce(MultiplicityMatrix([[1, 0], [0, 1]])),
+            "^expected one more row than columns, got 2x2$",
+            id="minimal_reduce-square",
+        ),
+        pytest.param(
+            lambda: minimal_reduce_square(MultiplicityMatrix([[1], [1]])),
+            "^expected a square matrix, got 2x1$",
+            id="minimal_reduce_square-oblong",
+        ),
+    ],
+)
+def test_reductions_refuse_the_wrong_shape(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_fan43_negative_control():
     mat = corpus.get("fan43").matrix()
     assert multiplicity_rank(mat) == 2
