@@ -135,10 +135,12 @@ def integer(tok):
 
 
 def rational(tok):
-    """[-]N or [-]N/D, the denominator unsigned; a zero one raises
-    ZeroDivisionError."""
+    """[-]N or [-]N/D, the denominator unsigned and nonzero."""
     num, slash, den = tok.partition("/")
-    return Fraction(integer(num), read_uint(den) if slash else 1)
+    num, den = integer(num), read_uint(den) if slash else 1
+    if not den:
+        raise ValueError(f"{tok!r} has a zero denominator")
+    return Fraction(num, den)
 
 
 def _values(text, flag, convert=rational):
@@ -146,7 +148,7 @@ def _values(text, flag, convert=rational):
     a bad one is a usage error naming the flag."""
     try:
         return tuple(map(convert, text.replace(",", " ").split()))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad {flag} value: {exc}") from None
 
 

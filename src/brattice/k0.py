@@ -489,11 +489,13 @@ class WeightScheme:
         return complete_chain(self.diagram, hints, depth)
 
     def realize(self, alpha, tree):
-        """alpha_i / k(i, n) at alpha's own level n; the tree is the
+        """alpha_i / k(i, n) at alpha's own level n, each value built once
+        from alpha's numerators over their denominator; the tree is the
         scheme's, the one tree of a forced diagram."""
         n = len(alpha) - 1
         ks = self.weights(n)
-        return LocallyConstantFunction(n, tuple(Fraction(a) / k for a, k in zip(alpha, ks)))
+        nums, d = matops.clear_denominators(alpha)
+        return LocallyConstantFunction(n, tuple(Fraction(a, d * k) for a, k in zip(nums, ks)))
 
     def coordinates(self, func, tree):
         """k(i, n) * f_i at the function's own depth n, as integer numerators

@@ -86,10 +86,13 @@ def band_vec(band, v):
 
 def clear_denominators(v):
     """Integer numerators of the entries of v over their least common
-    denominator, and that denominator.  An integer vector is copied as it is."""
+    denominator, and that denominator.  An integer vector is copied as it is.
+    An entry already of the exact type Fraction is read as it is handed; any
+    other (an int, a bool, a string, a Fraction subclass) goes through
+    Fraction()."""
     if set(map(type, v)) <= {int}:
         return list(v), 1
-    fr = [Fraction(x) for x in v]
+    fr = [x if x.__class__ is Fraction else Fraction(x) for x in v]
     d = lcm(*(x.denominator for x in fr))
     return [x.numerator * (d // x.denominator) for x in fr], d
 

@@ -22,7 +22,9 @@ walking every vertex up to its ancestor, which the integer top-down passes
 in brattice.k0 and brattice.pathspace replaced, and the exactness report
 that ties a chain's determinants, adjugates and scales together, and
 the per-vertex passes over 1-based parent tuples that the tree's kept
-gather maps replaced in r_map, the to_R_basis peel and refine.  After
+gather maps replaced in r_map, the to_R_basis peel and refine; the peel
+clears denominators through the former matops.clear_denominators, which
+rebuilt every value through Fraction().  After
 them comes the former automorphism probe, which realized every candidate,
 subset indicators included, where brattice.k0 realizes only pair and
 basis vectors.  The
@@ -37,8 +39,9 @@ replaced.
 import itertools
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
-from brattice import diagram, k0, matops, pathspace
+from brattice import diagram, k0, pathspace
 from brattice.errors import Singular
 from brattice.pathspace import Cylinder, LocallyConstantFunction
 
@@ -480,6 +483,16 @@ def r_map_loop(beta, tree, denominator=1):
     return LocallyConstantFunction(n, tuple(Fraction(v, denominator) for v in sums))
 
 
+def clear_denominators(v):
+    """The former matops.clear_denominators: every entry rebuilt through
+    Fraction(), whatever its type."""
+    if set(map(type, v)) <= {int}:
+        return list(v), 1
+    fr = [Fraction(x) for x in v]
+    d = lcm(*(x.denominator for x in fr))
+    return [x.numerator * (d // x.denominator) for x in fr], d
+
+
 def R_numerators_loop(func, tree):
     """The former integer peel: each child but the level's larger branch
     child hands its value to its parent, one vertex at a time; a childless
@@ -487,7 +500,7 @@ def R_numerators_loop(func, tree):
     n = func.depth
     levels, branches = tree.levels(n)
     counts = [1] + [len(parents) for parents in levels]
-    gamma, d = matops.clear_denominators(func.values)
+    gamma, d = clear_denominators(func.values)
     beta = [0] * (n + 1)
     for lev in range(n, 0, -1):
         b = branches[lev - 1]

@@ -959,7 +959,7 @@ def test_k0_positive_scan_bound_json(capsys):
         (("positive", "corpus:gicar", "--func", "depth=2: 1 2 3 4"), "--func"),
         (("member", "corpus:gicar", "--weight", "--func", "depth=0:"), "--func"),
         (("phi", "corpus:gicar", "--alpha", ""), "--alpha"),
-        # Fraction raises ZeroDivisionError, not ValueError, on these
+        # a zero denominator is refused by cli.rational, naming the token
         (("phi", "corpus:gicar", "--alpha", "1/0,2"), "--alpha"),
         (("member", "corpus:propersub", "--func", "depth=1: 1/0 1"), "--func"),
     ],
@@ -979,6 +979,19 @@ def test_k0_malformed_vector_is_usage_error(capsys, argv, flag):
     assert out == ""
     assert err.startswith("usage error:")
     assert flag in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag, token",
+    [
+        (("phi", "corpus:gicar", "--alpha", "1/0,2"), "--alpha", "1/0"),
+        (("phi", "corpus:gicar", "--alpha", "2,-3/00"), "--alpha", "-3/00"),
+        (("member", "corpus:propersub", "--func", "depth=1: 1/0 1"), "--func", "1/0"),
+    ],
+)
+def test_zero_denominator_names_its_token(capsys, argv, flag, token):
+    want = f"usage error: bad {flag} value: '{token}' has a zero denominator\n"
+    assert run(capsys, "k0", *argv) == (2, "", want)
 
 
 # one number a flag may not take, per flag: flags read an optional '-' and
@@ -1303,6 +1316,31 @@ FUNC_32 = (
 def test_depth_32_k0_outputs_are_frozen(capsys, argv, frozen):
     want = (Path(__file__).parent / "data" / frozen).read_text(encoding="utf-8")
     assert run(capsys, *argv) == (0, want, "")
+
+
+# the weight completion's coordinates at depth 40, frozen before
+# clear_denominators kept an exact Fraction: phi of a 41-entry alpha, and the
+# same function with its value at vertex 40 divided by 3; CI diffs both lines
+FUNC_40 = (
+    "depth=40: 5/2 9/4 7/8 -1/2 -1/16 0 -3/128 -5/256 1/256 -1/1024 5/2048 -9/4096"
+    " 7/8192 -5/16384 -1/4096 -3/65536 5/131072 -1/32768 -1/131072 1/1048576"
+    " -3/1048576 -1/4194304 1/8388608 -5/16777216 7/33554432 7/67108864 -3/67108864"
+    " 1/67108864 -1/67108864 1/1073741824 1/2147483648 -1/2147483648 -5/8589934592 0"
+    " -1/8589934592 7/68719476736 0 0 5/549755813888 -1/274877906944 9"
+)
+
+
+@pytest.mark.parametrize(
+    "func, code, frozen",
+    [
+        (FUNC_40, 0, "k0-member-dyadic-weight-40.out"),
+        (FUNC_40.replace("-1/274877906944", "-1/824633720832"), 1, "k0-nonmember-dyadic-weight-40.out"),
+    ],
+    ids=["member", "not-member"],
+)
+def test_weight_member_outputs_are_frozen(capsys, func, code, frozen):
+    want = (Path(__file__).parent / "data" / frozen).read_text(encoding="utf-8")
+    assert run(capsys, "k0", "member", "corpus:dyadic", "--weight", "--func", func) == (code, want, "")
 
 
 # type1 phi outputs frozen while they were still read through a reduced tree

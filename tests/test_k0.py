@@ -806,3 +806,37 @@ def test_probe_preserved_on_unimodular_chain():
     tree = build_minimal_diagram(GICAR, "rightmost")
     verdict = automorphism_probe((2, 1, 3, 4), Realizer(chain, tree), 3)
     assert isinstance(verdict, Preserved)
+
+
+# the membership queries of the k0-query benchmark and of `k0 member`: an
+# Auto chain on gicar, the column (0, 1) on propersub, and dyadic's weights
+MEMBERSHIP_REALIZERS = {
+    "gicar-auto": lambda n: Realizer(complete_chain(GICAR, Auto(), n), build_minimal_diagram(GICAR, "theorem")),
+    "propersub-column": lambda n: Realizer(explicit_chain(n), build_minimal_diagram(PROPERSUB, "theorem")),
+    "dyadic-weights": lambda n: weights(DYADIC),
+}
+
+
+@pytest.mark.parametrize("make", MEMBERSHIP_REALIZERS.values(), ids=MEMBERSHIP_REALIZERS)
+def test_membership_builds_no_fraction(monkeypatch, make):
+    """Membership reads the exact Fractions of a function as they are
+    handed: on phi's function at depth 16, and on the same function one
+    third off at its first vertex, no Fraction is constructed."""
+    n = 16
+    realizer = make(n)
+    alpha = tuple(random.Random(n).randint(-9, 9) for _ in range(n + 1))
+    member = realizer.phi(alpha)
+    other = LocallyConstantFunction(n, (member.values[0] + Fraction(1, 3),) + member.values[1:])
+    assert oracle.exact_fractions(member) and oracle.exact_fractions(other)
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    verdicts = realizer.membership(member), realizer.membership(other)
+    monkeypatch.undo()
+    assert built == []
+    assert verdicts == (K0Witness(alpha, n), NotMember(n))

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import exact_oracle as oracle
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from brattice import matops
 from brattice.errors import Singular
@@ -159,3 +161,31 @@ def test_transpose_involution():
 def test_integrality_helpers():
     assert oracle.is_integral([[Fraction(2), Fraction(-1)]])
     assert not oracle.is_integral([[Fraction(1, 2)]])
+
+
+class FractionSub(Fraction):
+    """A Fraction subclass, which clear_denominators reads through Fraction()."""
+
+
+_NUM = st.integers(-60, 60)
+_DEN = st.integers(1, 12)
+ENTRIES = st.one_of(
+    _NUM,
+    st.booleans(),
+    st.builds(Fraction, _NUM, _DEN),
+    st.builds(FractionSub, _NUM, _DEN),
+    st.builds("{}/{}".format, _NUM, _DEN),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ENTRIES, max_size=8))
+@example([])
+@example([True, False])
+@example([Fraction(-3, 4), FractionSub(5, 6), "-7/9", 2])
+def test_clear_denominators_matches_rebuilding_every_value(v):
+    got = matops.clear_denominators(v)
+    assert got == oracle.clear_denominators(v)
+    ints, d = got
+    assert all(type(x) is int for x in ints) and type(d) is int and d > 0
+    assert [Fraction(x, d) for x in ints] == [Fraction(x) for x in v]
