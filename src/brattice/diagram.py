@@ -10,14 +10,13 @@ the tuples inside MultiplicityMatrix are plain 0-based Python data.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import partial
 from itertools import chain, compress
-from operator import index
 
 from . import matops
 from .config import depth_limit, read_uint
 from .errors import DepthExceeded, IndexOutOfRange, NotDilatable, ParseError, RankDeficient
+from .matops import int_row
 from .record import Record
 
 
@@ -25,29 +24,10 @@ from .record import Record
 # multiplicity matrices
 
 
-def int_row(row, i):
-    """Row i (1-based) of a matrix, or a vector read as row i, as a tuple of
-    ints.  Integral Fractions become ints; a float or any other value raises
-    ValueError naming its row and column, because the entry has to be exact.
-    The row is read once, so it may be an iterator."""
-    row = tuple(row)
-    try:
-        return tuple(map(index, row))
-    except TypeError:
-        pass
-    out = []
-    for j, x in enumerate(row, start=1):
-        try:
-            out.append(x.numerator if isinstance(x, Fraction) and x.denominator == 1 else index(x))
-        except TypeError:
-            raise ValueError(f"row {i}, column {j}: {x!r} is not an integer") from None
-    return tuple(out)
-
-
 class MultiplicityMatrix(Record):
     """Immutable rectangular matrix of nonnegative integers.  Its sparse
-    view, `supports` and `column_entries`, is scanned on first read and kept
-    outside the fields."""
+    view, `supports` and `column_supports`, is scanned on first read and
+    kept outside the fields."""
 
     rows: tuple
     _supports = None
@@ -92,14 +72,14 @@ class MultiplicityMatrix(Record):
         return supports
 
     @property
-    def column_entries(self):
-        """Each column's nonzero entries, as a tuple of (0-based row, value)."""
+    def column_supports(self):
+        """Each column's support, as a tuple of 0-based rows."""
         columns = self._columns
         if columns is None:
             columns = [[] for _ in self.rows[0]]
-            for i, (row, support) in enumerate(zip(self.rows, self.supports)):
+            for i, support in enumerate(self.supports):
                 for q in support:
-                    columns[q].append((i, row[q]))
+                    columns[q].append(i)
             columns = tuple(map(tuple, columns))
             object.__setattr__(self, "_columns", columns)
         return columns

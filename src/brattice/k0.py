@@ -15,7 +15,7 @@ from fractions import Fraction
 from operator import mul
 
 from . import matops
-from .diagram import check_valid, int_row
+from .diagram import check_valid
 from .errors import (
     DepthExceeded,
     NotInK0,
@@ -57,7 +57,7 @@ class ExplicitColumn(Record):
     label = "explicit column"
 
     def column(self, mat, z):
-        col = [int_row((x,), i)[0] for i, x in enumerate(self.entries, start=1)]
+        col = [matops.int_row((x,), i)[0] for i, x in enumerate(self.entries, start=1)]
         if len(col) != mat.nrows:
             raise ValueError(f"column needs {mat.nrows} entries, got {len(col)}")
         return col
@@ -203,7 +203,7 @@ def build_chain(squares):
     pairs = []
     for k, raw in enumerate(squares):
         try:
-            rows = tuple(int_row(row, i) for i, row in enumerate(raw, start=1))
+            rows = tuple(matops.int_row(row, i) for i, row in enumerate(raw, start=1))
         except ValueError as exc:
             raise ValueError(f"completion {k}: {exc}") from None
         if any(len(r) != len(rows) for r in rows):
@@ -211,7 +211,7 @@ def build_chain(squares):
         d = matops.det([list(r) for r in rows])
         if d == 0:
             raise SingularCompletion(f"completion {k} is singular")
-        pairs.append((rows, int(d)))
+        pairs.append((rows, d))
     return CompletedChain(pairs)
 
 
@@ -541,7 +541,7 @@ def automorphism_probe(theta, realizer, depth):
     CANDIDATE_CAP; for m <= 2 there is no subset to add.
     """
     m = realizer.tree.level_count(depth)
-    images = int_row(theta, 1)
+    images = matops.int_row(theta, 1)
     if sorted(images) != list(range(1, m + 1)):
         raise ValueError(f"theta must permute 1..{m}")
     inverse = [0] * m

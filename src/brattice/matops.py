@@ -1,19 +1,18 @@
-"""Exact matrix arithmetic over the integers and the rationals.
+"""Exact integer matrix kernels, and the readers of exact values.
 
-Everything here works on plain sequences of sequences whose entries are
-ints or fractions.Fraction; products of integer inputs stay integer.
-rank, det, inverse and the row scans share one fraction-free (Bareiss)
-elimination over Python ints: rational rows are cleared of their
-denominators on the way in, and Fractions appear only in the answers that
-need them (a determinant, an inverse).  int_inverse gives an inverse as
-integer numerators over one denominator, with no Fraction at all.  No
-floats anywhere.  Pivoting is deterministic: the first nonzero candidate
-wins, so repeated runs agree bit for bit.
+rank, det, the inverses and the row scans share one fraction-free
+(Bareiss) elimination over Python ints.  They read every matrix through
+int_row: an integral Fraction reads as an int, and any other entry is
+refused.  int_inverse answers in integer numerators over one denominator,
+inverse in Fractions.  clear_denominators and fraction read rational values
+and refuse a float, whose binary value is not the number written.
+Pivoting is deterministic: the first nonzero candidate wins, so repeated
+runs agree bit for bit.
 """
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import index, mul
 
 from .errors import Singular
 
@@ -84,29 +83,49 @@ def band_vec(band, v):
     return [sum(map(mul, entries, v[lo:])) for lo, entries in rows]
 
 
+def int_row(row, i):
+    """Row i (1-based) of a matrix, or a vector read as row i, as a tuple of
+    ints.  Integral Fractions become ints; a float or any other value raises
+    ValueError naming its row and column, because the entry has to be exact.
+    The row is read once, so it may be an iterator."""
+    row = tuple(row)
+    try:
+        return tuple(map(index, row))
+    except TypeError:
+        pass
+    out = []
+    for j, x in enumerate(row, start=1):
+        try:
+            out.append(x.numerator if isinstance(x, Fraction) and x.denominator == 1 else index(x))
+        except TypeError:
+            raise ValueError(f"row {i}, column {j}: {x!r} is not an integer") from None
+    return tuple(out)
+
+
+def fraction(x):
+    """Fraction(x) for an int, a bool, a string or a Rational; a float is
+    refused with ValueError."""
+    if isinstance(x, float):
+        raise ValueError(f"{x!r} is a float, not an exact value")
+    return Fraction(x)
+
+
 def clear_denominators(v):
     """Integer numerators of the entries of v over their least common
     denominator, and that denominator.  An integer vector is copied as it is.
     An entry already of the exact type Fraction is read as it is handed; any
     other (an int, a bool, a string, a Fraction subclass) goes through
-    Fraction()."""
+    fraction(), which refuses a float."""
     if set(map(type, v)) <= {int}:
         return list(v), 1
-    fr = [x if x.__class__ is Fraction else Fraction(x) for x in v]
+    fr = [x if x.__class__ is Fraction else fraction(x) for x in v]
     d = lcm(*(x.denominator for x in fr))
     return [x.numerator * (d // x.denominator) for x in fr], d
 
 
 def _int_rows(m):
-    """Integer copies of the rows, each cleared of its denominators, and the
-    product of the row scales."""
-    rows = []
-    scale = 1
-    for row in m:
-        ints, s = clear_denominators(row)
-        rows.append(ints)
-        scale *= s
-    return rows, scale
+    """Integer copies of the rows, read through int_row."""
+    return [list(int_row(row, i)) for i, row in enumerate(m, start=1)]
 
 
 def _eliminate(work, jordan=False, done=0, tags=None):
@@ -163,19 +182,16 @@ def _eliminate(work, jordan=False, done=0, tags=None):
 def rank(m):
     """Number of pivots of a forward elimination."""
     dims(m)
-    return len(_eliminate(_int_rows(m)[0])[0])
+    return len(_eliminate(_int_rows(m))[0])
 
 
 def det(m):
-    """Signed determinant as a Fraction: the last Bareiss pivot."""
+    """Signed determinant as an int: the last Bareiss pivot."""
     r, c = dims(m)
     if r != c:
         raise ValueError("determinant of a non-square matrix")
-    work, scale = _int_rows(m)
-    cols, sign, last = _eliminate(work)
-    if len(cols) < r:
-        return Fraction(0)
-    return Fraction(sign * last, scale)
+    cols, sign, last = _eliminate(_int_rows(m))
+    return sign * last if len(cols) == r else 0
 
 
 def int_inverse(m):
@@ -189,8 +205,7 @@ def int_inverse(m):
     r, c = dims(m)
     if r != c:
         raise ValueError("inverse of a non-square matrix")
-    # scaling a row of [m | I] leaves the inverse it reduces to unchanged
-    work, _ = _int_rows([list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(m)])
+    work = _int_rows([list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(m)])
     cols, _, last = _eliminate(work, jordan=True)
     # [m | I] always has rank r; m is invertible when its columns hold the pivots
     if cols != list(range(r)):
@@ -213,7 +228,7 @@ def independent_rows(m, order=None):
     They are the pivot columns of one elimination of the transpose.
     """
     r, c = dims(m)
-    rows, _ = _int_rows(m)
+    rows = _int_rows(m)
     order = list(range(r)) if order is None else list(order)
     cols, _, _ = _eliminate([[rows[i][j] for i in order] for j in range(c)])
     return [order[j] for j in cols]
@@ -253,14 +268,13 @@ def _cofactors(work, cols, n, minor):
 
 def left_null_vector(m):
     """A nonzero integer y with y·m = 0 for an r x (r-1) matrix of rank
-    r-1; raises Singular when the rank is lower.  For an integer m, y is
-    the signed cofactor vector y[i] = (-1)**(i+r-1) * det(m without row i),
-    so det([m | v]) = y·v (Laplace expansion along v); a rational m gives
-    those cofactors times the product of its column denominators."""
+    r-1; raises Singular when the rank is lower.  y is the signed cofactor
+    vector y[i] = (-1)**(i+r-1) * det(m without row i), so det([m | v]) =
+    y·v (Laplace expansion along v)."""
     r, c = dims(m)
     if c != r - 1:
         raise ValueError(f"left_null_vector needs an r x (r-1) matrix, got {r}x{c}")
-    # clearing the denominators of a column of m keeps its left null space
-    work, _ = _int_rows(list(zip(*m)))
-    return _null_vector(work, r)
+    # m is read by rows, so a refused entry is named where it stands
+    cols = zip(*(int_row(row, i) for i, row in enumerate(m, start=1)))
+    return _null_vector(list(map(list, cols)), r)
 

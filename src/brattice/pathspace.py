@@ -15,6 +15,7 @@ from functools import partial
 from .config import read_uint
 from .diagram import meaningful_lines
 from .errors import DepthExceeded, ParseError, Uncertified, UnsupportedUserMap
+from .matops import fraction
 from .record import Record
 from .reduction import iter_minimal_reductions, minimal_reduce, minimal_reduce_square
 
@@ -288,14 +289,14 @@ def cylinder_children(tree, cyl):
 
 class LocallyConstantFunction(Record):
     """One rational value per vertex at a fixed depth.  Every value is a
-    Fraction: one already of that exact type is kept as handed, and any
-    other (an int, a string, a Fraction subclass) goes through Fraction()."""
+    Fraction: one of that exact type is kept as handed, and any other goes
+    through matops.fraction, which refuses a float."""
 
     depth: int
     values: tuple
 
     def __post_init__(self):
-        values = tuple(v if v.__class__ is Fraction else Fraction(v) for v in self.values)
+        values = tuple(v if v.__class__ is Fraction else fraction(v) for v in self.values)
         object.__setattr__(self, "values", values)
 
 

@@ -70,11 +70,11 @@ def _triangular_matching(columns, supports, out):
     `out`, when its nonzero pattern is triangular up to a permutation of its
     rows and columns, as a list: column -> row; None when it is not.
 
-    `columns[q]` lists the nonzero entries of column q as (row, value)
-    pairs and `supports[i]` the columns meeting row i: a matrix's kept
-    sparse view, read in place.  A column with one unmatched row left can
-    only be matched to that row; the pass matches such columns until every
-    column is matched or none is left to match.  No arithmetic is done.
+    `columns[q]` lists the rows meeting column q and `supports[i]` the
+    columns meeting row i: a matrix's kept sparse view, read in place.  A
+    column with one unmatched row left can only be matched to that row;
+    the pass matches such columns until every column is matched or none is
+    left to match.  No arithmetic is done.
     """
     used = [False] * len(supports)  # the rows matched, and `out`
     used[out] = True
@@ -84,7 +84,7 @@ def _triangular_matching(columns, supports, out):
     match = [0] * len(columns)
     ready = [q for q, n in enumerate(left) if n == 1]
     for q in ready:  # the loop also visits the columns appended below
-        for row, _ in columns[q]:
+        for row in columns[q]:
             if not used[row]:
                 break
         else:
@@ -192,7 +192,7 @@ def minimal_reduce(mat):
     # one of them has a single column
     top, out, match = list(range(c)), c, None
     if singles > (len(supports[out]) == 1):
-        match = _triangular_matching(mat.column_entries, supports, out)
+        match = _triangular_matching(mat.column_supports, supports, out)
     if not match:
         work, tags, cols = _eliminate_top(rows, top, blocked)
         if len(cols) < c:
@@ -202,10 +202,10 @@ def minimal_reduce(mat):
                 raise RankDeficient(f"rank is below {c}")
             out = next(i for i in range(r) if i not in top)
             if singles > (len(supports[out]) == 1):
-                match = _triangular_matching(mat.column_entries, supports, out)
+                match = _triangular_matching(mat.column_supports, supports, out)
             if not match:
                 work, tags, cols = _eliminate_top(rows, top, blocked)
-    entries = mat.column_entries if match else None
+    columns = mat.column_supports if match else None
     # checked after the rank so a rank-deficient matrix keeps that verdict
     if () in supports:
         raise ValueError(f"row {supports.index(()) + 1} has no edge, so no reduction exists")
@@ -255,9 +255,9 @@ def minimal_reduce(mat):
         removed[j0] = True
         parents[bottom] = j0 + 1
         # only the rows meeting j0 lose a column, and may block another
-        meets = entries[j0] if match else [(i, rows[i][j0]) for i in (*top, out)]
-        for i, x in meets:
-            if x and not parents[i]:
+        meets = columns[j0] if match else [i for i in (*top, out) if rows[i][j0]]
+        for i in meets:
+            if not parents[i]:
                 left[i] -= 1
                 if left[i] == 1:
                     for q in supports[i]:
@@ -345,7 +345,9 @@ def iter_minimal_reductions(mat):
     r, c = len(supports), mat.ncols
     if () in supports:
         return
-    col_rows = [[] for _ in range(c)]  # the rows supporting each column
+    # each column's rows, built per walk: a walk mostly reads a fresh matrix
+    # once, where keeping column_supports costs more than it saves
+    col_rows = [[] for _ in range(c)]
     for i, sup in enumerate(supports):
         for j in sup:
             col_rows[j].append(i)

@@ -274,10 +274,10 @@ def dense_supports(rows):
     return [tuple(j for j, x in enumerate(row, start=1) if x) for row in rows]
 
 
-def dense_column_entries(rows):
-    """Each column's (0-based row, value) pairs with a nonzero value,
-    scanning every entry."""
-    return [tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*rows)]
+def dense_column_supports(rows):
+    """Each column's 0-based rows with a nonzero entry, scanning every
+    entry."""
+    return [tuple(i for i, x in enumerate(col) if x) for col in zip(*rows)]
 
 
 def unique_minimal(rows):
@@ -636,7 +636,7 @@ def has_positive_rows_and_cols(mat):
 def col_support(mat, j):
     """1-based rows where column j (1-based) of a MultiplicityMatrix is
     positive, read off its kept column view."""
-    return tuple(i + 1 for i, _ in mat.column_entries[j - 1])
+    return tuple(i + 1 for i in mat.column_supports[j - 1])
 
 
 def size_vector(diagram, n):

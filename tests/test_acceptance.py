@@ -403,6 +403,9 @@ def test_criterion_10_pivot_postconditions():
                 ]
                 for _ in range(size)
             ]
+            # the kernels take integers: a row scaled by its positive common
+            # denominator keeps its zero entries and which minors vanish
+            b = [matops.clear_denominators(row)[0] for row in b]
             if matops.det(b) != 0:
                 break
         k = pivot_row(b)

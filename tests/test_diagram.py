@@ -135,7 +135,7 @@ def test_multiplicity_matrix_checks_entries_as_the_per_row_reader(rows, as_gener
 
 def test_multiplicity_matrix_keeps_its_sparse_view_outside_the_fields():
     read, fresh = MultiplicityMatrix([[1, 0], [1, 1]]), MultiplicityMatrix(((1, 0), (1, 1)))
-    assert read.column_entries == (((0, 1), (1, 1)), ((1, 1),))
+    assert read.column_supports == ((0, 1), (1,))
     assert fresh._supports is None
     assert read == fresh and hash(read) == hash(fresh) and len({read, fresh}) == 1
     for name, value in (("rows", ((1,),)), ("_supports", ())):

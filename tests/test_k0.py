@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import exact_oracle as oracle
 import pytest
@@ -134,6 +135,27 @@ def test_k0_front_doors_refuse_inexact_entries():
     # an integral Fraction is exact
     assert completed(PROPERSUB.matrix(0), ExplicitColumn((Fraction(0), Fraction(2, 2)))) == [[2, 0], [2, 1]]
     assert build_chain([((Fraction(4, 2), 0), (2, 1))]).dets == (2,)
+    # the rational front doors refuse a float, which is not an exact value
+    # (0.1 is not 1/10): the record, phi's vector and the values membership clears
+    float_message = r"^{} is a float, not an exact value$"
+    with pytest.raises(ValueError, match=float_message.format(r"0\.1")):
+        LocallyConstantFunction(1, (0.1, 1))
+    with pytest.raises(ValueError, match=float_message.format(r"0\.5")):
+        matops.clear_denominators([Fraction(1, 3), 0.5])
+    chain, tree = complete_chain(GICAR, Auto(), 2), build_minimal_diagram(GICAR, "rightmost")
+    for realizer in (Realizer(chain, tree), weights(DYADIC)):
+        with pytest.raises(ValueError, match=float_message.format(r"0\.5")):
+            realizer.phi((0.5, 1))
+        # a function read by duck type reaches membership's own reader
+        with pytest.raises(ValueError, match=float_message.format(r"0\.5")):
+            realizer.membership(SimpleNamespace(depth=1, values=(0.5, Fraction(1))))
+    with pytest.raises(ValueError, match=float_message.format(r"0\.5")):
+        phi((0.5, 1), chain, tree)
+    with pytest.raises(ValueError, match=float_message.format(r"0\.5")):
+        membership(SimpleNamespace(depth=1, values=(1, 0.5)), chain, tree)
+    # ints, bools and strings still read as exact values
+    assert LocallyConstantFunction(1, (True, "1/3")).values == (Fraction(1), Fraction(1, 3))
+    assert matops.clear_denominators([1, "1/2", False]) == ([2, 1, 0], 2)
 
 
 def test_complete_matrix_guards():

@@ -17,7 +17,8 @@ from brattice.reduction import _pivot, _triangular_matching, minimal_reduce, piv
 
 DATA = Path(__file__).parent / "data"
 INTS = st.integers(min_value=-3, max_value=3)
-FRACS = st.builds(Fraction, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=3))
+# integral Fractions: the kernels read them as ints, through int_row's Fraction branch
+FRACS = st.builds(Fraction, st.integers(min_value=-4, max_value=4))
 
 
 @st.composite
@@ -56,7 +57,7 @@ def test_rank_matches_oracle(m):
 @given(squares())
 def test_det_matches_oracle(m):
     got = matops.det(m)
-    assert isinstance(got, Fraction)
+    assert type(got) is int
     assert got == oracle.det(m)
 
 
@@ -168,14 +169,14 @@ def test_resumed_elimination_matches_a_fresh_one(data):
 
 def test_one_by_one_and_single_row_cases():
     assert matops.rank([[0]]) == 0
-    assert matops.rank([[Fraction(1, 3)]]) == 1
-    assert matops.det([[Fraction(-2, 3)]]) == Fraction(-2, 3)
-    assert matops.inverse([[Fraction(-2, 3)]]) == [[Fraction(-3, 2)]]
+    assert matops.rank([[Fraction(3)]]) == 1
+    assert matops.det([[Fraction(-2)]]) == -2
+    assert matops.inverse([[Fraction(-2)]]) == [[Fraction(-1, 2)]]
     with pytest.raises(Singular):
         matops.inverse([[0]])
     # s == 1: the empty block is invertible, so only the entry itself counts
     assert pivot_row([[5]]) == 1
-    assert pivot_row([[Fraction(1, 2)]]) == 1
+    assert pivot_row([[Fraction(2)]]) == 1
     with pytest.raises(Singular):
         pivot_row([[0]])
 
@@ -422,7 +423,7 @@ def matching(rows, out):
     """The triangular matching of the rows other than `out`, on the sparse
     view of integer rows of any sign, read by dense scans."""
     supports = [tuple(q for q, x in enumerate(row) if x) for row in rows]
-    return _triangular_matching(oracle.dense_column_entries(rows), supports, out)
+    return _triangular_matching(oracle.dense_column_supports(rows), supports, out)
 
 
 @settings(max_examples=300, deadline=None)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import exact_oracle as oracle
@@ -91,6 +92,28 @@ def test_inverse_frozen():
 def test_shape_guards(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5, "1"], ids=["fraction", "float", "string"])
+@pytest.mark.parametrize(
+    "kernel, rows",
+    [
+        pytest.param(kernel, 3 if kernel is matops.left_null_vector else 2, id=kernel.__name__)
+        for kernel in (
+            matops.rank,
+            matops.det,
+            matops.inverse,
+            matops.int_inverse,
+            matops.independent_rows,
+            matops.left_null_vector,
+        )
+    ],
+)
+def test_kernels_refuse_a_non_integer_entry_by_its_place(kernel, rows, entry):
+    # the entry sits at row 2, column 1, which a transposed read would misname
+    m = [[1, 2], [entry, 4], [5, 6]][:rows]
+    with pytest.raises(ValueError, match=rf"^row 2, column 1: {re.escape(repr(entry))} is not an integer$"):
+        kernel(m)
 
 
 def test_inverse_singular():

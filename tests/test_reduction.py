@@ -337,7 +337,7 @@ def test_augmenting_searches_match_brute_force_hall(mm, data):
     r, c = mm.nrows, mm.ncols
     first = data.draw(st.integers(min_value=0, max_value=r))
     cols = data.draw(st.sets(st.integers(min_value=1, max_value=c), min_size=1))
-    col_rows = [[i for i, _ in col] for col in mm.column_entries]
+    col_rows = mm.column_supports
     held, owner, log = [-1] * r, [-1] * c, []
     covered = all(_augment(col_rows, held, owner, log, j - 1, first) for j in sorted(cols))
     assert covered == _hall(mm, cols, first)
@@ -472,11 +472,11 @@ def test_minimal_reduce_rejects_zero_row():
 @given(matrices(max_rows=7, max_cols=6))
 def test_sparse_view_matches_dense_scans(mm):
     supports = oracle.dense_supports(mm.rows)
-    entries = oracle.dense_column_entries(mm.rows)
+    columns = oracle.dense_column_supports(mm.rows)
     assert [tuple(q + 1 for q in s) for s in mm.supports] == supports
-    assert list(mm.column_entries) == entries
+    assert list(mm.column_supports) == columns
     assert [oracle.col_support(mm, j) for j in range(1, mm.ncols + 1)] == [
-        tuple(i + 1 for i, _ in col) for col in entries
+        tuple(i + 1 for i in col) for col in columns
     ]
 
 
@@ -532,5 +532,5 @@ def test_reductions_on_fresh_and_read_views_match_dense_oracles(rows):
     assert answers(mm) == want
     assert answers(mm) == want
     read = MultiplicityMatrix(rows)
-    assert read.column_entries is read.column_entries
+    assert read.column_supports is read.column_supports
     assert answers(read) == want
