@@ -12,7 +12,7 @@ run over Python ints and Fractions appear only in the answers.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 
 from . import matops
 from .diagram import check_valid
@@ -279,31 +279,29 @@ def r_map(beta, tree, denominator=1):
 
 def _R_numerators(func, tree):
     """The coefficients of to_R_basis as integer numerators over one
-    positive denominator: the values are cleared once and peeled as ints.
+    positive denominator: the values are cleared once and read along the
+    tree's lineages as ints.
 
-    Every parent but the branch one has one child, and the branch parent's
-    first child is its smaller one, so each level moves up the tree's `up`
-    gather map; a childless parent reads the 0 appended past the level.
+    Level L's larger branch child starts lineage L and its smaller child
+    carries on the branch parent's, so beta[L] is the value on lineage L
+    less the value on the lineage it split from, and beta[0] the value on
+    lineage 0; a lineage that ends at a childless parent reads 0.
     """
     n = func.depth
-    gathers, branches = tree.gathers(n)
+    maps, branches = tree.gathers(n)
     _big_children(branches)  # every level must branch exactly once
-    width = len(gathers[-1][0]) if n else 1
+    lineage = maps[-1][1] if n else (0,)
     gamma, d = matops.clear_denominators(func.values)
-    if len(gamma) != width:
-        raise ValueError(f"level {n} has {width} vertices, got {len(gamma)} values")
-    beta = [0] * (n + 1)
-    for lev in range(n, 0, -1):
-        b = branches[lev - 1]
-        beta[lev] = gamma[b.big_child - 1] - gamma[b.small_child - 1]
-        gamma.append(0)
-        gamma = list(map(gamma.__getitem__, gathers[lev - 1][1]))
-    beta[0] = gamma[0]
-    return beta, d
+    if len(gamma) != len(lineage):
+        raise ValueError(f"level {n} has {len(lineage)} vertices, got {len(gamma)} values")
+    s = [0] * (n + 1)
+    for line, value in zip(lineage, gamma):
+        s[line] = value
+    return [s[0], *map(sub, s[1:], map(s.__getitem__, tree.born[:n]))], d
 
 
 def to_R_basis(func, tree):
-    """Invert r_map: peel one level at a time from the deepest."""
+    """Invert r_map: read each coefficient along the tree's lineages."""
     beta, d = _R_numerators(func, tree)
     return tuple(Fraction(x, d) for x in beta)
 

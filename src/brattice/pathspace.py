@@ -136,7 +136,8 @@ class MinimalDiagram:
         self.strategy = strategy
         self._parents = []  # _parents[k] covers level k+1, 1-based entries
         self._branches = []  # BranchData | None per materialized level
-        self._gathers = []  # (down, up) gather maps per level, built by gathers()
+        self._gathers = []  # (down, lineage) maps per level, built by gathers()
+        self.born = []  # born[L-1]: the lineage that lineage L split from
 
     # -- materialization
 
@@ -213,21 +214,26 @@ class MinimalDiagram:
         return self._parents[:n], self._branches[:n]
 
     def gathers(self, n):
-        """Gather maps and branch records of levels 1..n after one depth
-        check, like levels(n).  The maps are built on the first reader that
-        asks, never while a level materializes, and kept.  Per level, `down`
-        holds each vertex's 0-based parent, and `up` each vertex of the level
-        above's 0-based first child (one past the level's last vertex when it
-        has none), so list(map(values.__getitem__, down)) moves a level's
-        values one level down and the same with `up` one level up."""
+        """Gather and lineage maps and branch records of levels 1..n after
+        one depth check, like levels(n).  The maps are built on the first
+        reader that asks, never while a level materializes, and kept.  Per
+        level, `down` holds each vertex's 0-based parent, so
+        list(map(values.__getitem__, down)) moves a level's values one level
+        down, and `lineage` each vertex's line of descent: a parent's first
+        child carries on its parent's (the root's is 0), and every other
+        child starts the next, whose parent's lineage `born` records."""
         self._check_level(n, 0)
-        kept = self._gathers
+        kept, born = self._gathers, self.born
         for parents in self._parents[len(kept):n]:
-            down = tuple(p - 1 for p in parents)
-            up = [len(down)] * (len(kept[-1][0]) if kept else 1)
-            for child in range(len(down) - 1, -1, -1):
-                up[down[child]] = child
-            kept.append((down, tuple(up)))
+            above, seen, lineage = kept[-1][1] if kept else (0,), set(), []
+            for p in parents:
+                if p in seen:
+                    born.append(above[p - 1])
+                    lineage.append(len(born))
+                else:
+                    seen.add(p)
+                    lineage.append(above[p - 1])
+            kept.append((tuple(p - 1 for p in parents), tuple(lineage)))
         return kept[:n], self._branches[:n]
 
     def parents_at(self, level):

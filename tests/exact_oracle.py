@@ -24,7 +24,10 @@ that ties a chain's determinants, adjugates and scales together, and
 the per-vertex passes over 1-based parent tuples that the tree's kept
 gather maps replaced in r_map, the to_R_basis peel and refine; the peel
 clears denominators through the former matops.clear_denominators, which
-rebuilt every value through Fraction().  After
+rebuilt every value through Fraction().  Beside them stand the former
+peel through per-level `up` maps, which reading the depth-n values along
+the tree's lineages replaced, and a per-vertex first-child walk that
+gives each vertex's lineage.  After
 them comes the former automorphism probe, which realized every candidate,
 subset indicators included, where brattice.k0 realizes only pair and
 basis vectors.  The
@@ -512,6 +515,59 @@ def R_numerators_loop(func, tree):
         gamma = shallower
     beta[0] = gamma[0]
     return beta, d
+
+
+def R_numerators_gathers(func, tree):
+    """The former gather-map peel: each level's values move one level up
+    through its `up` map, each parent's 0-based first child, or one past
+    the level's last vertex, where a 0 is appended, when it has none."""
+    n = func.depth
+    levels, branches = tree.levels(n)
+    gamma, d = clear_denominators(func.values)
+    beta = [0] * (n + 1)
+    for lev in range(n, 0, -1):
+        down = [p - 1 for p in levels[lev - 1]]
+        up = [len(down)] * (len(levels[lev - 2]) if lev > 1 else 1)
+        for child in range(len(down) - 1, -1, -1):
+            up[down[child]] = child
+        b = branches[lev - 1]
+        beta[lev] = gamma[b.big_child - 1] - gamma[b.small_child - 1]
+        gamma.append(0)
+        gamma = list(map(gamma.__getitem__, up))
+    beta[0] = gamma[0]
+    return beta, d
+
+
+def lineage_walk(tree, level, vertex):
+    """A vertex's lineage, one ancestor step at a time: climb while the
+    vertex is its parent's first child.  The root is lineage 0, and a
+    vertex that is not its parent's first child started the lineage whose
+    number counts the children that are not first, at the levels above and
+    at its own level through itself."""
+    levels, _ = tree.levels(level)
+    while level > 0:
+        parents = levels[level - 1]
+        parent = parents[vertex - 1]
+        if parents.index(parent) != vertex - 1:
+            above = sum(len(ps) - len(set(ps)) for ps in levels[: level - 1])
+            before = sum(parents.index(p) != c for c, p in enumerate(parents[:vertex]))
+            return above + before
+        vertex, level = parent, level - 1
+    return 0
+
+
+def lineages_walk(tree, n):
+    """Each level's vertex lineages through level n, and `born`: for each
+    child that is not its parent's first, in level order, its parent's
+    lineage, all by lineage_walk."""
+    levels, _ = tree.levels(n)
+    lineages, born = [], []
+    for lev, parents in enumerate(levels, start=1):
+        lineages.append(tuple(lineage_walk(tree, lev, v) for v in range(1, len(parents) + 1)))
+        for c, p in enumerate(parents):
+            if parents.index(p) != c:
+                born.append(lineage_walk(tree, lev - 1, p))
+    return lineages, born
 
 
 def refine_loop(func, to_depth, tree):

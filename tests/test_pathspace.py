@@ -222,9 +222,11 @@ def test_levels_below_one_are_refused():
     with pytest.raises(DepthExceeded):
         tree.level_count(-1)
     assert cylinder_children(tree, Cylinder(0, 1)) == (Cylinder(1, 1), Cylinder(1, 2))
+    # level 0 has no map to build, so no lineage is born
     assert tree.gathers(0) == ([], [])
     with pytest.raises(DepthExceeded):
         tree.gathers(-1)
+    assert tree._gathers == [] and tree.born == []
 
 
 def test_ensure_depth_limit():

@@ -63,6 +63,14 @@ def _realizers(depth):
 REALIZERS = _realizers(DEPTH)
 NAMES = sorted(REALIZERS)
 HALF = LocallyConstantFunction(1, (0, Fraction(1, 2)))
+# the realizers' trees start each lineage off the newest one; gicar's
+# theorem and alternating trees start them off older ones too
+SPLIT_OLDER = ("theorem", "alternating")
+
+
+def _gicar_trees(depth):
+    gicar = corpus.get("gicar").diagram()
+    return {f"gicar-{s}": build_minimal_diagram(gicar, s).ensure_depth(depth) for s in SPLIT_OLDER}
 
 
 def vectors(size):
@@ -210,8 +218,8 @@ DEEP = 32
 
 
 @cache
-def _deep_realizers():
-    return _realizers(DEEP)
+def _deep_realizers(depth=DEEP):
+    return _realizers(depth)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -248,6 +256,29 @@ def test_depth_32_bands_keep_561_of_1089_entries(name):
         assert sum(len(entries) for _, entries in rows) == 561
 
 
+@cache
+def _deep_trees(depth):
+    return {**{name: tree for name, (_, tree) in _deep_realizers(depth).items()}, **_gicar_trees(depth)}
+
+
+@pytest.mark.parametrize("depth", [DEEP, 63])
+@pytest.mark.parametrize("name", NAMES + [f"gicar-{s}" for s in SPLIT_OLDER])
+def test_deep_peels_round_trip_and_match_the_oracle(name, depth):
+    # the lineage read's gain grows with depth: check it to the depth limit
+    tree = _deep_trees(depth)[name]
+    rng = random.Random(depth)
+    for _ in range(3):
+        beta = [rng.randint(-30, 30) for _ in range(depth + 1)]
+        assert _R_numerators(r_map(beta, tree), tree) == (beta, 1)
+        assert to_R_basis(r_map(beta, tree, 6), tree) == tuple(Fraction(b, 6) for b in beta)
+        values = [Fraction(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(tree.level_count(depth))]
+        func = LocallyConstantFunction(depth, values)
+        got = _R_numerators(func, tree)
+        assert got == oracle.R_numerators_loop(func, tree)
+        assert got == oracle.R_numerators_gathers(func, tree)
+        assert to_R_basis(func, tree) == oracle.to_R_basis(func, tree)
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(NAMES), st.sampled_from(DEPTHS), st.data())
 def test_gather_walks_match_per_vertex_loops(name, n, data):
@@ -257,6 +288,7 @@ def test_gather_walks_match_per_vertex_loops(name, n, data):
     assert r_map(beta, tree, d) == oracle.r_map_loop(beta, tree, d)
     func = LocallyConstantFunction(n, data.draw(vectors(tree.level_count(n)), label="values"))
     assert _R_numerators(func, tree) == oracle.R_numerators_loop(func, tree)
+    assert _R_numerators(func, tree) == oracle.R_numerators_gathers(func, tree)
     deeper = data.draw(st.integers(n, DEPTH), label="to")
     assert refine(func, deeper, tree) == oracle.refine_loop(func, deeper, tree)
 
@@ -266,16 +298,47 @@ def test_gather_walks_match_per_vertex_loops(name, n, data):
 CHILDLESS = "bdspec v1\nshape: irregular\nmatrix 0:\n1\n1\nmatrix 1:\n1 0\n1 0\nmatrix 2:\n1 0\n1 1\n0 1\n"
 
 
-def test_peel_reads_zero_at_a_childless_parent():
+def _childless_tree():
     _, pinched = diagram.read_input(CHILDLESS)
-    tree = build_minimal_diagram(pinched, UserMap(((1, (1, 1)), (2, (1, 1)), (3, (1, 2, 2)))))
-    gathers, _ = tree.gathers(3)
-    # level 2: both vertices go down to vertex 1, whose first child is 1;
-    # vertex 2 has no child and reads one past the level
-    assert gathers[1] == ((0, 0), (0, 2))
+    return build_minimal_diagram(pinched, UserMap(((1, (1, 1)), (2, (1, 1)), (3, (1, 2, 2)))))
+
+
+LINEAGE_TREES = {
+    **{name: tree for name, (_, tree) in REALIZERS.items()},
+    **_gicar_trees(DEPTH),
+    "childless": _childless_tree(),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(LINEAGE_TREES)), st.data())
+def test_lineage_maps_match_the_first_child_walk(name, data):
+    tree = LINEAGE_TREES[name]
+    n = data.draw(st.integers(0, tree.depth), label="depth")
+    maps, _ = tree.gathers(n)
+    lineages, born = oracle.lineages_walk(tree, n)
+    assert [lineage for _, lineage in maps] == lineages
+    # born is append-only: a deeper reader may have extended it already
+    assert tree.born[: len(born)] == born
+    func = LocallyConstantFunction(n, data.draw(vectors(tree.level_count(n)), label="values"))
+    assert _R_numerators(func, tree) == oracle.R_numerators_gathers(func, tree)
+
+
+def test_peel_reads_zero_at_a_childless_parent():
+    tree = _childless_tree()
+    maps, _ = tree.gathers(3)
+    # level 1 starts lineage 1 at vertex 2, which has no child at level 2,
+    # so lineage 1 ends there; level 2 starts lineage 2 off lineage 0, and
+    # level 3 lineage 3 off lineage 2
+    assert [lineage for _, lineage in maps] == [(0, 1), (0, 2), (0, 2, 3)]
+    assert tree.born == [0, 0, 2]
     for values in ((1, 2, 3), (Fraction(1, 2), 0, -7)):
         func = LocallyConstantFunction(3, values)
-        assert _R_numerators(func, tree) == oracle.R_numerators_loop(func, tree)
+        beta, d = _R_numerators(func, tree)
+        # the dead lineage 1 reads 0, less lineage 0's value
+        assert beta[1] == -beta[0]
+        assert (beta, d) == oracle.R_numerators_loop(func, tree)
+        assert (beta, d) == oracle.R_numerators_gathers(func, tree)
         assert to_R_basis(func, tree) == oracle.to_R_basis(func, tree)
 
 
@@ -286,7 +349,7 @@ def test_tree_builds_compute_no_gather(monkeypatch, capsys):
     for name, strategy in (("gicar", "theorem"), ("gicar", "rightmost"), ("propersub", "theorem")):
         tree = build_minimal_diagram(corpus.get(name).diagram(), strategy)
         format_tree_dump(tree, 24)
-        assert tree._gathers == []
+        assert tree._gathers == [] and tree.born == []
     assert cli.main(["reduce", "corpus:gicar", "--depth", "24"]) == 0
     assert cli.main(["pathspace", "corpus:gicar", "--census", "--depth", "24"]) == 0
     capsys.readouterr()
@@ -295,6 +358,8 @@ def test_tree_builds_compute_no_gather(monkeypatch, capsys):
     r_map(tuple(range(9)), tree)
     assert calls == [8]
     assert len(tree._gathers) == 8
+    # the theorem tree branches once per level: one lineage born per level
+    assert len(tree.born) == 8
 
 
 def test_type1_phi_materializes_no_tree_level(monkeypatch, capsys):
