@@ -247,15 +247,13 @@ def complete_chain(diagram, hints, depth):
 # the R basis
 
 
-def _big_children(branches):
-    """The distinguished vertex at each level 0..n from the branch records
-    of levels 1..n: root, then the larger branch child."""
-    out = [1]
-    for lev, b in enumerate(branches, start=1):
-        if b is None:
-            raise ValueError(f"level {lev} does not branch exactly once")
-        out.append(b.big_child)
-    return out
+def _lineage(tree, n):
+    """Level n's lineage map and `born`, once each level 1..n is known to
+    branch exactly once: level L starts lineage L at its larger branch child."""
+    maps, born = tree.lineages(n)
+    if tree.branched < n:
+        raise ValueError(f"level {tree.branched + 1} does not branch exactly once")
+    return maps[n], born
 
 
 def r_map(beta, tree, denominator=1):
@@ -263,41 +261,33 @@ def r_map(beta, tree, denominator=1):
     cylinder at its level's distinguished vertex, and every value is divided
     by `denominator`.
 
-    One pass down the tree's gather maps: a vertex's sum is its parent's,
-    plus beta[lev] when it is the level's distinguished vertex.  Integer
-    coefficients stay integer until the final division.
+    One integer sum per lineage, divided once: lineage 0's is beta[0], and
+    lineage L's that of the lineage it split from plus beta[L]; each vertex
+    reads its lineage's.
     """
     n = len(beta) - 1
-    gathers, branches = tree.gathers(n)
-    rs = _big_children(branches)
+    lineage, born = _lineage(tree, n)
     sums = [beta[0]]
-    for lev, (down, _) in enumerate(gathers, start=1):
-        sums = list(map(sums.__getitem__, down))
-        sums[rs[lev] - 1] += beta[lev]
-    return LocallyConstantFunction(n, tuple(Fraction(v, denominator) for v in sums))
+    for lev in range(1, n + 1):
+        sums.append(sums[born[lev - 1]] + beta[lev])
+    values = [Fraction(v, denominator) for v in sums]
+    return LocallyConstantFunction(n, tuple(map(values.__getitem__, lineage)))
 
 
 def _R_numerators(func, tree):
     """The coefficients of to_R_basis as integer numerators over one
-    positive denominator: the values are cleared once and read along the
-    tree's lineages as ints.
-
-    Level L's larger branch child starts lineage L and its smaller child
-    carries on the branch parent's, so beta[L] is the value on lineage L
-    less the value on the lineage it split from, and beta[0] the value on
-    lineage 0; a lineage that ends at a childless parent reads 0.
-    """
+    positive denominator, the values cleared once: beta[L] is the value on
+    lineage L less the value on the lineage it split from, and beta[0] the
+    value on lineage 0; a lineage that ends at a childless parent reads 0."""
     n = func.depth
-    maps, branches = tree.gathers(n)
-    _big_children(branches)  # every level must branch exactly once
-    lineage = maps[-1][1] if n else (0,)
+    lineage, born = _lineage(tree, n)
     gamma, d = matops.clear_denominators(func.values)
     if len(gamma) != len(lineage):
         raise ValueError(f"level {n} has {len(lineage)} vertices, got {len(gamma)} values")
     s = [0] * (n + 1)
     for line, value in zip(lineage, gamma):
         s[line] = value
-    return [s[0], *map(sub, s[1:], map(s.__getitem__, tree.born[:n]))], d
+    return [s[0], *map(sub, s[1:], map(s.__getitem__, born))], d
 
 
 def to_R_basis(func, tree):

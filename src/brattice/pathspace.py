@@ -136,7 +136,8 @@ class MinimalDiagram:
         self.strategy = strategy
         self._parents = []  # _parents[k] covers level k+1, 1-based entries
         self._branches = []  # BranchData | None per materialized level
-        self._gathers = []  # (down, lineage) maps per level, built by gathers()
+        self._lineages = [(0,)]  # _lineages[k] maps level k, built by lineages()
+        self.branched = 0  # levels 1..branched each start one lineage, kept by lineages()
         self.born = []  # born[L-1]: the lineage that lineage L split from
 
     # -- materialization
@@ -213,19 +214,16 @@ class MinimalDiagram:
         self._check_level(n, 0)
         return self._parents[:n], self._branches[:n]
 
-    def gathers(self, n):
-        """Gather and lineage maps and branch records of levels 1..n after
-        one depth check, like levels(n).  The maps are built on the first
-        reader that asks, never while a level materializes, and kept.  Per
-        level, `down` holds each vertex's 0-based parent, so
-        list(map(values.__getitem__, down)) moves a level's values one level
-        down, and `lineage` each vertex's line of descent: a parent's first
-        child carries on its parent's (the root's is 0), and every other
-        child starts the next, whose parent's lineage `born` records."""
+    def lineages(self, n):
+        """The kept lineage maps of levels 0..n (or deeper) and `born`, after
+        one depth check; built on the first reader that asks, never while a
+        level materializes.  A parent's first child carries on its parent's
+        lineage (the root's is 0), and every other child starts the next, in
+        birth order; `born` records the lineage each one split from."""
         self._check_level(n, 0)
-        kept, born = self._gathers, self.born
-        for parents in self._parents[len(kept):n]:
-            above, seen, lineage = kept[-1][1] if kept else (0,), set(), []
+        kept, born = self._lineages, self.born
+        for parents in self._parents[len(kept) - 1:n]:
+            above, seen, lineage = kept[-1], set(), []
             for p in parents:
                 if p in seen:
                     born.append(above[p - 1])
@@ -233,8 +231,11 @@ class MinimalDiagram:
                 else:
                     seen.add(p)
                     lineage.append(above[p - 1])
-            kept.append((tuple(p - 1 for p in parents), tuple(lineage)))
-        return kept[:n], self._branches[:n]
+            kept.append(tuple(lineage))
+            # levels 1..L each started one lineage, so each branched once
+            if len(born) == len(kept) - 1 == self.branched + 1:
+                self.branched += 1
+        return kept, born
 
     def parents_at(self, level):
         self._check_level(level)
@@ -307,19 +308,28 @@ class LocallyConstantFunction(Record):
 
 
 def refine(func, to_depth, tree):
-    """Re-express a function on a deeper level's cylinders: one pass down the
-    tree, each vertex taking its parent's value."""
+    """Re-express a function on a deeper level's cylinders along the tree's
+    lineages: each takes the value of the vertex carrying it at the
+    function's depth or, when born deeper, that of the lineage it split
+    from, and each deeper vertex takes its lineage's value."""
     if to_depth < func.depth:
         raise ValueError("refine only goes deeper")
     if to_depth == func.depth:
         return func
     if func.depth < 0:
         raise DepthExceeded(f"no level {func.depth}")
-    values = func.values
-    gathers, _ = tree.gathers(to_depth)
-    for down, _ in gathers[func.depth:]:
-        values = list(map(values.__getitem__, down))
-    return LocallyConstantFunction(to_depth, tuple(values))
+    maps, born = tree.lineages(to_depth)
+    above, below = maps[func.depth], maps[to_depth]
+    if len(func.values) != len(above):
+        raise ValueError(f"level {func.depth} has {len(above)} vertices, got {len(func.values)} values")
+    # a lineage numbered past max(above), or carried by no vertex there, was
+    # born deeper or has ended, and nothing deeper reads an ended lineage
+    carried = [None] * (len(born) + 1)
+    for line, value in zip(above, func.values):
+        carried[line] = value
+    for line in range(max(above) + 1, max(below) + 1):
+        carried[line] = carried[born[line - 1]]
+    return LocallyConstantFunction(to_depth, tuple(map(carried.__getitem__, below)))
 
 
 def indicator(cylinders, tree):

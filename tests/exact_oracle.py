@@ -21,13 +21,12 @@ inverses, and r_map, to_R_basis, refine and indicator
 walking every vertex up to its ancestor, which the integer top-down passes
 in brattice.k0 and brattice.pathspace replaced, and the exactness report
 that ties a chain's determinants, adjugates and scales together, and
-the per-vertex passes over 1-based parent tuples that the tree's kept
-gather maps replaced in r_map, the to_R_basis peel and refine; the peel
-clears denominators through the former matops.clear_denominators, which
-rebuilt every value through Fraction().  Beside them stand the former
-peel through per-level `up` maps, which reading the depth-n values along
-the tree's lineages replaced, and a per-vertex first-child walk that
-gives each vertex's lineage.  After
+the level-by-level passes over 1-based parent tuples, one list per level,
+that reading along the tree's lineages replaced in r_map, the to_R_basis
+peel and refine; the peel clears denominators through the former
+matops.clear_denominators, which rebuilt every value through Fraction().
+Beside them stand the former peel through per-level `up` maps, and a
+per-vertex first-child walk that gives each vertex's lineage.  After
 them comes the former automorphism probe, which realized every candidate,
 subset indicators included, where brattice.k0 realizes only pair and
 basis vectors.  The
@@ -475,7 +474,8 @@ def indicator(cylinders, tree):
 
 def r_map_loop(beta, tree, denominator=1):
     """The former r_map pass: each level's sums built one vertex at a time
-    from its 1-based parent tuple."""
+    from its 1-based parent tuple, one list per level, where brattice.k0
+    keeps one sum per lineage."""
     n = len(beta) - 1
     levels, branches = tree.levels(n)
     rs = [1] + [b.big_child for b in branches]
@@ -572,7 +572,8 @@ def lineages_walk(tree, n):
 
 def refine_loop(func, to_depth, tree):
     """The former refine pass: each vertex takes its parent's value, one
-    vertex at a time."""
+    vertex at a time and one list per level, where brattice.pathspace reads
+    each vertex's lineage once."""
     levels, _ = tree.levels(to_depth)
     values = func.values
     for parents in levels[func.depth:]:

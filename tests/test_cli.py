@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import exact_oracle as oracle
@@ -1314,6 +1315,28 @@ FUNC_32 = (
     ],
 )
 def test_depth_32_k0_outputs_are_frozen(capsys, argv, frozen):
+    want = (Path(__file__).parent / "data" / frozen).read_text(encoding="utf-8")
+    assert run(capsys, *argv) == (0, want, "")
+
+
+# the depth-63 phi queries, frozen before r_map read the tree's lineages:
+# the 64-entry alpha drawn by random.Random(63) from -9..9, halved on
+# propersub; CI diffs the same two lines
+ALPHA_63 = (
+    "5,5,0,-1,6,-7,3,-7,-7,-3,0,-7,0,-8,-2,-5,1,-2,-1,-9,-8,-4,-2,8,4,4,2,6,-3,-6,-8,-8,"
+    "1,1,-6,-9,9,-4,-9,3,5,-8,2,-8,2,-8,2,4,-7,-1,8,8,-7,-3,7,-2,9,4,5,-4,-8,2,-3,3"
+)
+HALF_ALPHA_63 = ",".join(str(Fraction(int(a), 2)) for a in ALPHA_63.split(","))
+
+
+@pytest.mark.parametrize(
+    "argv, frozen",
+    [
+        (("k0", "phi", "corpus:gicar", f"--alpha={ALPHA_63}"), "k0-phi-gicar-63.out"),
+        (("k0", "phi", "corpus:propersub", "--column", "0,1", f"--alpha={HALF_ALPHA_63}"), "k0-phi-propersub-63.out"),
+    ],
+)
+def test_depth_63_k0_phi_outputs_are_frozen(capsys, argv, frozen):
     want = (Path(__file__).parent / "data" / frozen).read_text(encoding="utf-8")
     assert run(capsys, *argv) == (0, want, "")
 

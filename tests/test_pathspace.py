@@ -222,11 +222,11 @@ def test_levels_below_one_are_refused():
     with pytest.raises(DepthExceeded):
         tree.level_count(-1)
     assert cylinder_children(tree, Cylinder(0, 1)) == (Cylinder(1, 1), Cylinder(1, 2))
-    # level 0 has no map to build, so no lineage is born
-    assert tree.gathers(0) == ([], [])
+    # level 0's map is the root's lineage alone, so no lineage is born
+    assert tree.lineages(0) == ([(0,)], [])
     with pytest.raises(DepthExceeded):
-        tree.gathers(-1)
-    assert tree._gathers == [] and tree.born == []
+        tree.lineages(-1)
+    assert tree._lineages == [(0,)] and tree.born == []
 
 
 def test_ensure_depth_limit():
@@ -292,6 +292,10 @@ def test_refine_and_indicator():
     assert refine(f, 1, right) is f
     with pytest.raises(ValueError):
         refine(f, 0, right)
+    # a value count that does not match the function's level is refused
+    for values, got in (((0, 1, 7, 9), 4), ((1,), 1)):
+        with pytest.raises(ValueError, match=f"^level 1 has 2 vertices, got {got} values$"):
+            refine(LocallyConstantFunction(1, values), 3, right)
 
     chi = indicator(Cylinder(1, 2), right)
     assert chi.depth == 1 and chi.values == (0, 1)

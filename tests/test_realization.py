@@ -1,5 +1,5 @@
 """The integer realization path (phi, membership, refine, indicator) against
-the former Fraction path kept in exact_oracle, and its gather walks against
+the former Fraction path kept in exact_oracle, and its lineage reads against
 the per-vertex loops kept there."""
 
 import random
@@ -212,7 +212,7 @@ def test_tree_levels_match_the_per_level_accessors():
         tree.levels(-1)
 
 
-# --- band products and gather maps against the dense passes they replaced ---
+# --- band products and lineage reads against the dense passes they replaced ---
 
 DEEP = 32
 
@@ -315,9 +315,9 @@ LINEAGE_TREES = {
 def test_lineage_maps_match_the_first_child_walk(name, data):
     tree = LINEAGE_TREES[name]
     n = data.draw(st.integers(0, tree.depth), label="depth")
-    maps, _ = tree.gathers(n)
+    maps, _ = tree.lineages(n)
     lineages, born = oracle.lineages_walk(tree, n)
-    assert [lineage for _, lineage in maps] == lineages
+    assert maps[1 : n + 1] == lineages
     # born is append-only: a deeper reader may have extended it already
     assert tree.born[: len(born)] == born
     func = LocallyConstantFunction(n, data.draw(vectors(tree.level_count(n)), label="values"))
@@ -326,11 +326,11 @@ def test_lineage_maps_match_the_first_child_walk(name, data):
 
 def test_peel_reads_zero_at_a_childless_parent():
     tree = _childless_tree()
-    maps, _ = tree.gathers(3)
+    maps, _ = tree.lineages(3)
     # level 1 starts lineage 1 at vertex 2, which has no child at level 2,
     # so lineage 1 ends there; level 2 starts lineage 2 off lineage 0, and
     # level 3 lineage 3 off lineage 2
-    assert [lineage for _, lineage in maps] == [(0, 1), (0, 2), (0, 2, 3)]
+    assert maps == [(0,), (0, 1), (0, 2), (0, 2, 3)]
     assert tree.born == [0, 0, 2]
     for values in ((1, 2, 3), (Fraction(1, 2), 0, -7)):
         func = LocallyConstantFunction(3, values)
@@ -342,14 +342,82 @@ def test_peel_reads_zero_at_a_childless_parent():
         assert to_R_basis(func, tree) == oracle.to_R_basis(func, tree)
 
 
+# --- r_map and refine along lineages against the per-vertex walks ---
+
+FULL = 63  # depths 0..63, as in the frozen depth-63 outputs
+TYPE1 = ("threeline", "uhf2")
+
+
+@cache
+def _full_trees():
+    """Trees through level 63 whose lineages split off the newest one
+    (gicar rightmost, propersub, dyadic) or older ones (gicar theorem and
+    alternating), whose level 1 starts two lineages (threeline) or none
+    (uhf2), and the childless irregular tree, which stops at level 3."""
+    trees = {**_deep_trees(FULL), "childless": _childless_tree()}
+    for name in TYPE1:
+        trees[name] = build_minimal_diagram(corpus.get(name).diagram(), "theorem").ensure_depth(FULL)
+    return trees
+
+
+FULL_NAMES = sorted([*NAMES, *(f"gicar-{s}" for s in SPLIT_OLDER), "childless", *TYPE1])
+
+
+def _check_lineage_reads(tree, name, n, beta, denominator, func):
+    """r_map at depth n, and refine of func to depth n, against the walks; a
+    type1 tree has no distinguished vertex past the root, so r_map refuses it."""
+    if name in TYPE1 and n:
+        with pytest.raises(ValueError, match="^level 1 does not branch exactly once$"):
+            r_map(beta, tree, denominator)
+    else:
+        assert r_map(beta, tree, denominator) == oracle.r_map_loop(beta, tree, denominator)
+    assert refine(func, n, tree) == oracle.refine(func, n, tree)
+
+
+@pytest.mark.parametrize("name", FULL_NAMES)
+def test_lineage_reads_match_the_walks_to_depth_63(name):
+    tree = _full_trees()[name]
+    top = tree.depth
+    rng = random.Random(top)
+    for n in sorted({0, 1, 2, top // 2, top}):
+        for d in sorted({max(n - 1, 0), min(n, 1), n // 2, 0, n}):
+            beta = [rng.randint(-30, 30) for _ in range(n + 1)]
+            values = [Fraction(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(tree.level_count(d))]
+            _check_lineage_reads(tree, name, n, beta, rng.randint(1, 6), LocallyConstantFunction(d, values))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(FULL_NAMES), st.data())
+def test_lineage_reads_match_the_walks_at_any_depth(name, data):
+    tree = _full_trees()[name]
+    n = data.draw(st.integers(0, tree.depth), label="to")
+    d = data.draw(st.integers(0, n), label="from")
+    beta = data.draw(st.lists(st.integers(-30, 30), min_size=n + 1, max_size=n + 1), label="beta")
+    denominator = data.draw(st.integers(1, 12), label="denominator")
+    func = LocallyConstantFunction(d, data.draw(vectors(tree.level_count(d)), label="values"))
+    _check_lineage_reads(tree, name, n, beta, denominator, func)
+
+
+@pytest.mark.parametrize("name", ["gicar", "propersub", "threeline"])
+def test_lineage_reads_after_a_deeper_reader(name):
+    # born is append-only: a depth-63 reader lengthens it past every query below
+    tree = build_minimal_diagram(corpus.get(name).diagram(), "theorem")
+    tree.lineages(FULL)
+    rng = random.Random(FULL)
+    for d, n in ((0, 5), (3, 17), (17, 40), (1, 62)):
+        beta = [rng.randint(-30, 30) for _ in range(n + 1)]
+        func = LocallyConstantFunction(d, [rng.randint(-30, 30) for _ in range(tree.level_count(d))])
+        _check_lineage_reads(tree, name, n, beta, 3, func)
+
+
 def test_tree_builds_compute_no_gather(monkeypatch, capsys):
     calls = []
-    gathers = MinimalDiagram.gathers
-    monkeypatch.setattr(MinimalDiagram, "gathers", lambda self, n: calls.append(n) or gathers(self, n))
+    lineages = MinimalDiagram.lineages
+    monkeypatch.setattr(MinimalDiagram, "lineages", lambda self, n: calls.append(n) or lineages(self, n))
     for name, strategy in (("gicar", "theorem"), ("gicar", "rightmost"), ("propersub", "theorem")):
         tree = build_minimal_diagram(corpus.get(name).diagram(), strategy)
         format_tree_dump(tree, 24)
-        assert tree._gathers == [] and tree.born == []
+        assert tree._lineages == [(0,)] and tree.born == []
     assert cli.main(["reduce", "corpus:gicar", "--depth", "24"]) == 0
     assert cli.main(["pathspace", "corpus:gicar", "--census", "--depth", "24"]) == 0
     capsys.readouterr()
@@ -357,7 +425,7 @@ def test_tree_builds_compute_no_gather(monkeypatch, capsys):
     # the k0 readers do build them, once per level
     r_map(tuple(range(9)), tree)
     assert calls == [8]
-    assert len(tree._gathers) == 8
+    assert len(tree._lineages) == 9
     # the theorem tree branches once per level: one lineage born per level
     assert len(tree.born) == 8
 
