@@ -395,6 +395,8 @@ def cmd_k0_positive(args):
 
 
 def _probe_theta(args, count):
+    if args.perm and args.swap:
+        raise UsageError("k0 probe takes --swap I J or --perm LIST, not both")
     if args.perm:
         images = _values(args.perm, "--perm", integer)
     elif args.swap:

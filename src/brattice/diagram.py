@@ -359,11 +359,9 @@ class BratteliDiagram(Record):
 
 def zero_lines(mat):
     """'row i is zero' and 'column j is zero', 1-based, for each empty line
-    of a matrix, read off its supports."""
-    supports = mat.supports
-    used = set().union(*supports)
-    return [f"row {i} is zero" for i, s in enumerate(supports, start=1) if not s] + [
-        f"column {q + 1} is zero" for q in range(mat.ncols) if q not in used
+    of a matrix, read off its row and column supports."""
+    return [f"row {i} is zero" for i, s in enumerate(mat.supports, start=1) if not s] + [
+        f"column {j} is zero" for j, s in enumerate(mat.column_supports, start=1) if not s
     ]
 
 

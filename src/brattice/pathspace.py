@@ -241,10 +241,16 @@ class MinimalDiagram:
         self._check_level(level)
         return self._parents[level - 1]
 
+    def check_vertex(self, level, vertex):
+        """Refuse a level below 0, or a vertex off `level` (materialized already)."""
+        if level < 0:
+            raise DepthExceeded(f"no level {level}")
+        if not 1 <= vertex <= (len(self._parents[level - 1]) if level else 1):
+            raise DepthExceeded(f"no vertex {vertex} at level {level}")
+
     def parent(self, level, vertex):
         parents = self.parents_at(level)
-        if not (1 <= vertex <= len(parents)):
-            raise DepthExceeded(f"no vertex {vertex} at level {level}")
+        self.check_vertex(level, vertex)
         return parents[vertex - 1]
 
     def branch(self, level):
@@ -291,6 +297,7 @@ class Cylinder(Record):
 def cylinder_children(tree, cyl):
     """The next level's cylinders sitting inside this one."""
     parents = tree.parents_at(cyl.level + 1)
+    tree.check_vertex(cyl.level, cyl.vertex)
     return tuple(Cylinder(cyl.level + 1, j) for j, p in enumerate(parents, start=1) if p == cyl.vertex)
 
 
@@ -339,11 +346,10 @@ def indicator(cylinders, tree):
     cyls = [cylinders] if isinstance(cylinders, Cylinder) else list(cylinders)
     if not cyls:
         raise ValueError("empty cylinder collection")
-    levels = [c.level for c in cyls]
-    if min(levels) < 0:
-        raise DepthExceeded(f"no level {min(levels)}")
-    depth = max(levels)
+    depth = max(c.level for c in cyls)
     levels, _ = tree.levels(depth)
+    for c in cyls:
+        tree.check_vertex(c.level, c.vertex)
     marked = {(c.level, c.vertex) for c in cyls}
     inside = [(0, 1) in marked]
     for lev, parents in enumerate(levels, start=1):

@@ -338,21 +338,16 @@ def iter_minimal_reductions(mat):
     Feasibility is kept as one matching of the uncovered columns into the
     rows below.  Where a degree bound cannot decide a branch, the matching
     replays the choices above row i that the bound let through, then gives
-    the column row i held a row below by one augmenting search.
+    the column row i held a row below by one augmenting search, which reads
+    each column's rows from the matrix's kept `column_supports`.
     """
     mat = _as_mm(mat)
     supports = mat.supports
     r, c = len(supports), mat.ncols
     if () in supports:
         return
-    # each column's rows, built per walk: a walk mostly reads a fresh matrix
-    # once, where keeping column_supports costs more than it saves
-    col_rows = [[] for _ in range(c)]
-    for i, sup in enumerate(supports):
-        for j in sup:
-            col_rows[j].append(i)
     held, owner, log = [-1] * r, [-1] * c, []  # the matching, as in _augment
-    augment = partial(_augment, col_rows, held, owner, log)
+    augment = partial(_augment, mat.column_supports, held, owner, log)
     if not all(augment(j, 0) for j in range(c)):
         return  # no cover: found before the O(r·c) degree table is built
     degrees = [[0] * c]  # degrees[i][j]: rows i.. supporting column j
@@ -486,9 +481,7 @@ def is_unique_minimal(mat):
     supports = mat.supports
     if any(len(support) != 1 for support in supports):
         return False, None
-    counts = [0] * mat.ncols  # the rows on each column
-    for (q,) in supports:
-        counts[q] += 1
+    counts = list(map(len, mat.column_supports))  # the rows on each column
     if counts.count(2) == 1 and counts.count(1) == len(counts) - 1:
         return True, counts.index(2) + 1
     return True, None

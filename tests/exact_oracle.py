@@ -282,6 +282,14 @@ def dense_column_supports(rows):
     return [tuple(i for i, x in enumerate(col) if x) for col in zip(*rows)]
 
 
+def zero_lines(rows):
+    """diagram.zero_lines by dense scans: each zero row, then each zero
+    column, 1-based."""
+    return [f"row {i} is zero" for i, row in enumerate(rows, start=1) if not any(row)] + [
+        f"column {j} is zero" for j, col in enumerate(zip(*rows), start=1) if not any(col)
+    ]
+
+
 def unique_minimal(rows):
     """The forcing test by dense scans: whether every row has one nonzero
     entry, and then the one column with two rows when every other column

@@ -607,6 +607,9 @@ def test_reduce_dense_vanishing_minor_is_frozen(capsys):
     data = Path(__file__).parent / "data"
     frozen = (data / "dense-vanishing-minor.out").read_text(encoding="utf-8")
     assert run(capsys, "reduce", str(data / "dense-vanishing-minor.txt")) == (0, frozen, "")
+    # its 2592 maps, frozen before the walker read the kept column view
+    frozen = (data / "dense-vanishing-minor-enumerate.out").read_text(encoding="utf-8")
+    assert run(capsys, "reduce", str(data / "dense-vanishing-minor.txt"), "--enumerate", "3") == (0, frozen, "")
 
 
 def test_reduce_enumerate_json(capsys):
@@ -1265,7 +1268,11 @@ def test_k0_probe_negative_cap_is_a_usage_error(capsys):
 
 @pytest.mark.parametrize(
     "flags, message",
-    [((), "k0 probe needs --swap I J or --perm LIST"), (("--swap", "1", "9"), "--swap indices must lie in 1..3")],
+    [
+        ((), "k0 probe needs --swap I J or --perm LIST"),
+        (("--swap", "1", "9"), "--swap indices must lie in 1..3"),
+        (("--swap", "1", "2", "--perm", "2,1,3"), "k0 probe takes --swap I J or --perm LIST, not both"),
+    ],
 )
 def test_k0_probe_needs_a_relabeling_of_the_level(capsys, flags, message):
     argv = ("k0", "probe", "corpus:gicar", "--depth", "2", *flags)

@@ -315,6 +315,41 @@ def test_refine_and_indicator():
         pytest.param(
             lambda t: indicator(Cylinder(-1, 1), t), DepthExceeded, "^no level -1$", id="indicator-below-root"
         ),
+        pytest.param(
+            lambda t: indicator((Cylinder(2, 1), Cylinder(-1, 1)), t),
+            DepthExceeded,
+            "^no level -1$",
+            id="indicator-one-below-root",
+        ),
+        # a cylinder's vertex must lie on its level, as parent() asks of its vertex
+        pytest.param(lambda t: t.parent(1, 5), DepthExceeded, "^no vertex 5 at level 1$", id="parent-off-level"),
+        pytest.param(
+            lambda t: indicator(Cylinder(2, 99), t),
+            DepthExceeded,
+            "^no vertex 99 at level 2$",
+            id="indicator-off-level",
+        ),
+        pytest.param(
+            lambda t: indicator((Cylinder(2, 1), Cylinder(1, 0)), t),
+            DepthExceeded,
+            "^no vertex 0 at level 1$",
+            id="indicator-vertex-0",
+        ),
+        pytest.param(
+            lambda t: indicator(Cylinder(0, 2), t), DepthExceeded, "^no vertex 2 at level 0$", id="indicator-off-root"
+        ),
+        pytest.param(
+            lambda t: cylinder_children(t, Cylinder(1, 99)),
+            DepthExceeded,
+            "^no vertex 99 at level 1$",
+            id="children-off-level",
+        ),
+        pytest.param(
+            lambda t: cylinder_children(t, Cylinder(1, 0)),
+            DepthExceeded,
+            "^no vertex 0 at level 1$",
+            id="children-vertex-0",
+        ),
     ],
 )
 def test_functions_refuse_levels_and_cylinders_they_cannot_use(call, error, message):

@@ -168,7 +168,7 @@ def test_refine_matches_ancestor_walk(name, data):
 @st.composite
 def cylinders(draw, tree):
     level = draw(st.integers(0, DEPTH))
-    # one past the last vertex too: a cylinder nothing lies in
+    # one past the last vertex too: a cylinder off its level
     return Cylinder(level, draw(st.integers(1, tree.level_count(level) + 1)))
 
 
@@ -177,7 +177,13 @@ def cylinders(draw, tree):
 def test_indicator_matches_ancestor_walk(name, data):
     _, tree = REALIZERS[name]
     cyls = data.draw(st.lists(cylinders(tree), min_size=1, max_size=4), label="cylinders")
-    assert indicator(cyls, tree) == oracle.indicator(cyls, tree)
+    off = [c for c in cyls if c.vertex > tree.level_count(c.level)]
+    if off:
+        # a vertex one past its level's last is refused, as parent() refuses it
+        with pytest.raises(DepthExceeded, match=f"^no vertex {off[0].vertex} at level {off[0].level}$"):
+            indicator(cyls, tree)
+    else:
+        assert indicator(cyls, tree) == oracle.indicator(cyls, tree)
 
 
 def test_refine_and_indicator_read_the_depth_limit_once(monkeypatch):

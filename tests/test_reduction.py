@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brattice import corpus, matops
-from brattice.diagram import MultiplicityMatrix, multiplicity_rank
+from brattice.diagram import MultiplicityMatrix, multiplicity_rank, zero_lines
 from brattice.errors import LimitExceeded, RankDeficient, Singular
 from brattice.reduction import (
     _augment,
@@ -522,10 +522,11 @@ def test_reductions_on_fresh_and_read_views_match_dense_oracles(rows):
         _oracle_reduce_verdict(rows),
         oracle.enumerate_reductions(mm),
         oracle.unique_minimal(rows),
+        oracle.zero_lines(rows),
     )
 
     def answers(mat):
-        return _reduce_verdict(mat), list(iter_minimal_reductions(mat)), is_unique_minimal(mat)
+        return _reduce_verdict(mat), list(iter_minimal_reductions(mat)), is_unique_minimal(mat), zero_lines(mat)
 
     # the first pass builds the view, the second reads the kept one; a
     # matrix whose columns were read first has both parts built up front
@@ -534,3 +535,9 @@ def test_reductions_on_fresh_and_read_views_match_dense_oracles(rows):
     read = MultiplicityMatrix(rows)
     assert read.column_supports is read.column_supports
     assert answers(read) == want
+    # a walk on a fresh matrix with no zero row builds the view and keeps it
+    fresh = MultiplicityMatrix(rows)
+    list(iter_minimal_reductions(fresh))
+    if all(map(any, rows)):
+        assert fresh._columns is not None
+        assert fresh.column_supports is fresh._columns
